@@ -83,8 +83,7 @@ def _drive_fleet(artifact, n_workers: int) -> dict:
         config = FleetConfig(
             n_workers=n_workers,
             max_pending=2 * N_CLIENTS,
-            worker=ServiceConfig(max_queue=64, max_batch=32,
-                                 batch_window_ms=2.0, n_workers=2),
+            worker=ServiceConfig(max_queue=64, max_batch=32, n_workers=2),
         )
         async with FleetRouter(artifact, config) as fleet:
             # Warm pass 1: cold signatures pin to one worker (single
@@ -161,8 +160,7 @@ def test_fleet_single_flight(benchmark, tmp_path):
             config = FleetConfig(
                 n_workers=2, max_pending=2 * n_requests,
                 worker=ServiceConfig(max_queue=n_requests,
-                                     max_batch=n_requests,
-                                     batch_window_ms=20.0),
+                                     max_batch=n_requests),
             )
             async with FleetRouter(artifact, config) as fleet:
                 answers = await asyncio.gather(

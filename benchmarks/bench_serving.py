@@ -82,8 +82,7 @@ def _drive_clients(engine: ReStore, num_clients: int) -> dict:
 
     async def main():
         config = ServiceConfig(
-            max_queue=max(2 * num_clients, 16), max_batch=32,
-            batch_window_ms=2.0, n_workers=2,
+            max_queue=max(2 * num_clients, 16), max_batch=32, n_workers=2,
         )
         async with CompletionService(engine, config) as service:
             started = time.perf_counter()
@@ -147,8 +146,7 @@ def test_single_flight_coalescing(benchmark, tmp_path):
         loaded.clear_cache()
 
         async def main():
-            config = ServiceConfig(max_queue=n_requests, max_batch=n_requests,
-                                   batch_window_ms=20.0)
+            config = ServiceConfig(max_queue=n_requests, max_batch=n_requests)
             async with CompletionService(loaded, config) as service:
                 answers = await service.submit_many([sql] * n_requests)
                 return answers, service.stats()

@@ -69,7 +69,7 @@ async def serve(artifact_dir: Path) -> None:
                 first = next(iter(answer.result.values.values()))
                 print(f"  first answer ({sql[:40]}…): {first:.1f}")
 
-    config = ServiceConfig(max_queue=32, max_batch=16, batch_window_ms=2.0)
+    config = ServiceConfig(max_queue=32, max_batch=16)
     async with CompletionService(engine, config) as service:
         await asyncio.gather(*(client(service, i) for i in range(8)))
         stats = service.stats()

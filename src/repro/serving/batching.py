@@ -1,15 +1,17 @@
 """Asyncio front-end adapters: admission queue + micro-batch collection.
 
 The asyncio shell's transport half: a bounded asyncio queue collected in
-*micro-batches* (the first request opens a batch, which stays open for
-``window_s`` seconds or until ``max_batch`` requests arrived).  The
-batching/admission *policy* — window, sizes, what overload means — lives
-in the transport-agnostic core (:mod:`repro.serving.core`); this module
-only adapts it to an event loop.
+*micro-batches*.  A batch is whatever is already queued, up to
+``max_batch``, taken as soon as one of the ``n_workers`` serving threads
+is free; while all of them are busy, requests arriving meanwhile form the
+next batch.  The batching/admission *policy* — sizes, dispatch-when-free,
+what overload means — lives in the transport-agnostic core
+(:mod:`repro.serving.core`); this module only adapts it to an event loop.
 
-The batcher never loses a request: if the collector is cancelled while a
-batch is being assembled, the partial batch is spilled and handed back by
-:meth:`MicroBatcher.drain`, so shutdown can fail those futures explicitly.
+The batcher never loses a request: nothing is awaited between taking the
+first request off the queue and returning the batch, so a cancelled
+collector leaves every request queued for :meth:`MicroBatcher.drain`, and
+shutdown can fail those futures explicitly.
 
 The error classes that used to live here (``ServiceOverloadedError``,
 ``ServiceClosedError``) moved to :mod:`repro.errors`; the old import paths
@@ -57,17 +59,24 @@ class ServiceRequest:
 
 @dataclass
 class MicroBatcher:
-    """Bounded admission queue + windowed batch collection (asyncio)."""
+    """Bounded admission queue + dispatch-when-free batch collection (asyncio).
+
+    The collector :meth:`claim`\\ s a serving thread for each group it
+    dispatches and the group's done callback :meth:`release`\\ s it; both
+    run on the event loop, so the busy count needs no lock.
+    """
 
     max_queue: int
     max_batch: int
-    window_s: float
+    n_workers: int = 1
     _queue: Optional["asyncio.Queue"] = field(default=None, repr=False)
-    _spill: List[ServiceRequest] = field(default_factory=list, repr=False)
+    _busy: int = field(default=0, repr=False)
+    _slot_freed: Optional["asyncio.Event"] = field(default=None, repr=False)
 
     def start(self) -> None:
         """Bind the queue to the running event loop (call from the loop)."""
         self._queue = asyncio.Queue(maxsize=self.max_queue)
+        self._slot_freed = asyncio.Event()
 
     @property
     def started(self) -> bool:
@@ -92,36 +101,29 @@ class MicroBatcher:
             ) from None
 
     async def next_batch(self) -> List[ServiceRequest]:
-        """Collect one micro-batch (blocks until at least one request).
-
-        Cancellation while a batch is partially collected spills the
-        collected requests into :meth:`drain` instead of dropping them.
-        """
+        """Wait for a free serving thread and at least one request, then
+        take what is queued (up to ``max_batch``)."""
         assert self._queue is not None
-        batch: List[ServiceRequest] = []
-        try:
-            batch.append(await self._queue.get())
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.window_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            return batch
-        except asyncio.CancelledError:
-            self._spill.extend(batch)
-            raise
+        while self._busy >= self.n_workers:
+            self._slot_freed.clear()
+            await self._slot_freed.wait()
+        batch = [await self._queue.get()]
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        return batch
+
+    def claim(self) -> None:
+        """Count one dispatched group as busy until its :meth:`release`."""
+        self._busy += 1
+
+    def release(self) -> None:
+        """A dispatched group finished; its thread is free again."""
+        self._busy -= 1
+        self._slot_freed.set()
 
     def drain(self) -> List[ServiceRequest]:
-        """Spilled + still-queued requests, for explicit failure on close."""
-        pending = list(self._spill)
-        self._spill.clear()
+        """Still-queued requests, for explicit failure on close."""
+        pending: List[ServiceRequest] = []
         if self._queue is not None:
             while True:
                 try:

@@ -9,8 +9,9 @@ behaviours that make ReStore's train-once / query-many story scale —
   a thread can block on it, an event loop can await it, and a wire shell
   can map it to an overload frame, all against one policy object;
 * **micro-batching** — batch accounting plus :class:`SyncMicroBatcher`, a
-  ``queue.Queue``-backed window collector for thread-driven shells (the
-  asyncio shell keeps its own awaitable collector, same policy knobs);
+  ``queue.Queue``-backed collector for thread-driven shells that hands
+  whatever is queued to the next free serving thread (the asyncio shell
+  keeps its own awaitable collector with the same policy);
 * **join-signature grouping & single-flight** — a batch is partitioned by
   the engine's join signature and at most one incompleteness join per
   signature is ever in flight, fleet-ready because the bookkeeping is
@@ -61,7 +62,6 @@ class ServiceConfig:
 
     max_queue: int = 64          #: in-service request bound (backpressure beyond it)
     max_batch: int = 16          #: requests per micro-batch, at most
-    batch_window_ms: float = 2.0  #: how long a batch stays open to fill up
     n_workers: int = 2           #: completion worker threads
     latency_window: int = 2048   #: latency samples kept for the percentiles
 
@@ -76,16 +76,6 @@ class ServiceConfig:
                 raise ConfigurationError(
                     f"ServiceConfig.{name} must be >= 1, got {value}"
                 )
-        # `not >= 0` (instead of `< 0`) also rejects NaN.
-        if not self.batch_window_ms >= 0:
-            raise ConfigurationError(
-                f"ServiceConfig.batch_window_ms must be a number >= 0, "
-                f"got {self.batch_window_ms!r}"
-            )
-
-    @property
-    def batch_window_s(self) -> float:
-        return self.batch_window_ms / 1000.0
 
 
 @dataclass
@@ -104,6 +94,10 @@ class ServiceStats:
     coalesced_requests: int
     p50_latency_ms: float
     p95_latency_ms: float
+    #: admission to the moment a serving thread starts the request's group
+    p50_queue_wait_ms: float
+    p95_queue_wait_ms: float
+    queue_wait_samples: int
     cache: dict
     progressive: dict
     partial_cache: dict
@@ -123,6 +117,9 @@ class ServiceStats:
             "coalesced_requests": self.coalesced_requests,
             "p50_latency_ms": self.p50_latency_ms,
             "p95_latency_ms": self.p95_latency_ms,
+            "p50_queue_wait_ms": self.p50_queue_wait_ms,
+            "p95_queue_wait_ms": self.p95_queue_wait_ms,
+            "queue_wait_samples": self.queue_wait_samples,
             "cache": dict(self.cache),
             "progressive": dict(self.progressive),
             "partial_cache": dict(self.partial_cache),
@@ -233,20 +230,27 @@ class AdmissionGate:
 
 
 class SyncMicroBatcher:
-    """Windowed micro-batch collection on a plain ``queue.Queue``.
+    """Dispatch-when-free micro-batch collection on a plain ``queue.Queue``.
 
-    The thread-driven twin of the asyncio batcher: the first request opens
-    a batch, which stays open for ``window_s`` seconds or until
-    ``max_batch`` requests arrived.  :meth:`stop` lets the collector drain
-    what is queued and then end (``next_batch`` returns ``None``) — no
-    request is ever dropped.
+    The thread-driven twin of the asyncio batcher.  A batch is whatever is
+    already queued, up to ``max_batch``, taken as soon as one of the
+    ``n_workers`` serving threads is free; no timer holds it open.  While
+    every thread is busy :meth:`next_batch` waits, so requests arriving
+    meanwhile form the next batch.  The collector :meth:`claim`\\ s a
+    thread for each group it dispatches and the group :meth:`release`\\ s
+    it when done; :meth:`wait_idle` blocks until every dispatched group
+    finished.  :meth:`stop` lets the collector drain what is queued and
+    then end (``next_batch`` returns ``None``) — no request is ever
+    dropped.
     """
 
-    def __init__(self, max_queue: int, max_batch: int, window_s: float):
+    def __init__(self, max_queue: int, max_batch: int, n_workers: int = 1):
         self.max_batch = max_batch
-        self.window_s = window_s
+        self.n_workers = n_workers
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue)
         self._stopped = threading.Event()
+        self._slots = threading.Condition()
+        self._busy = 0  #: dispatched groups not yet released
 
     def qsize(self) -> int:
         return self._queue.qsize()
@@ -262,25 +266,43 @@ class SyncMicroBatcher:
             ) from None
 
     def next_batch(self, poll_s: float = 0.05) -> Optional[List]:
-        """Collect one micro-batch; ``None`` once stopped and drained."""
+        """Wait for a free serving thread, then take what is queued;
+        ``None`` once stopped and drained."""
+        with self._slots:
+            self._slots.wait_for(lambda: self._busy < self.n_workers)
         while True:
             try:
-                first = self._queue.get(timeout=poll_s)
+                batch = [self._queue.get(timeout=poll_s)]
                 break
             except queue.Empty:
                 if self._stopped.is_set():
                     return None
-        batch = [first]
-        deadline = time.monotonic() + self.window_s
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                batch.append(self._queue.get(timeout=remaining))
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
         return batch
+
+    def claim(self) -> None:
+        """Count one dispatched group as busy until its :meth:`release`.
+
+        Never blocks: the groups of one batch are all dispatched, and any
+        beyond the free threads wait in the shell's pool queue.
+        """
+        with self._slots:
+            self._busy += 1
+
+    def release(self) -> None:
+        """A dispatched group finished; its thread is free again."""
+        with self._slots:
+            self._busy -= 1
+            self._slots.notify_all()
+
+    def wait_idle(self) -> None:
+        """Block until every claimed group has been released."""
+        with self._slots:
+            self._slots.wait_for(lambda: self._busy == 0)
 
     def stop(self) -> None:
         self._stopped.set()
@@ -371,6 +393,9 @@ class ServingCore:
         window = self.config.latency_window
         self.metrics = MetricsRegistry()
         self._latency_hist = self.metrics.histogram("serving.latency_ms", window)
+        self._queue_wait_hist = self.metrics.histogram(
+            "serving.queue_wait_ms", window
+        )
         self._batch_hist = self.metrics.histogram("serving.batch_size", window)
         self._utilization_hist = self.metrics.histogram(
             "serving.budget_utilization", window
@@ -538,8 +563,14 @@ class ServingCore:
 
         The engine reference is snapshotted once on entry: a concurrent
         :meth:`hot_swap` never splits one group across two engines.
+        Entry is also where each request's queue wait ends.
         """
         engine = self.engine
+        started = self.clock()
+        for request in requests:
+            self._queue_wait_hist.observe(
+                (started - request.enqueued_at) * 1000.0
+            )
         # The group span (and the single-flight span under it) attaches to
         # the first traced requester — pool threads have no ambient context.
         group_ctx = next(
@@ -780,6 +811,9 @@ class ServingCore:
             coalesced_requests=counters.coalesced_requests,
             p50_latency_ms=self._latency_hist.percentile(50),
             p95_latency_ms=self._latency_hist.percentile(95),
+            p50_queue_wait_ms=self._queue_wait_hist.percentile(50),
+            p95_queue_wait_ms=self._queue_wait_hist.percentile(95),
+            queue_wait_samples=self._queue_wait_hist.count,
             cache=self.engine.cache_stats.as_dict(),
             progressive=progressive,
             partial_cache=self.engine.partial_cache_stats.as_dict(),

@@ -63,7 +63,7 @@ from .protocol import (
     frame_length,
     raise_wire_error,
 )
-from .worker import worker_main
+from .worker import remove_worker_socket, worker_main
 
 __all__ = ["FleetRouter", "FleetConfig", "FleetStats", "ConsistentHashRing"]
 
@@ -228,9 +228,16 @@ class _WorkerClient:
         self.bye_future: Optional["asyncio.Future"] = None
         self.final_stats: Optional[dict] = None
         self.alive = False
+        self.socket_path: Optional[str] = None  #: AF_UNIX address, if any
 
     def backlog(self) -> int:
         return len(self.queue) + len(self.inflight)
+
+
+def _remove_socket(client: _WorkerClient) -> None:
+    """A killed or terminated worker cannot remove its own socket dir."""
+    if client.socket_path is not None:
+        remove_worker_socket(client.socket_path)
 
 
 async def _read_frame(reader: "asyncio.StreamReader") -> Optional[dict]:
@@ -310,8 +317,8 @@ class FleetRouter:
         spawned: List[Tuple[_WorkerClient, object]] = []
         config_kwargs = {
             name: getattr(self.config.worker, name)
-            for name in ("max_queue", "max_batch", "batch_window_ms",
-                         "n_workers", "latency_window")
+            for name in ("max_queue", "max_batch", "n_workers",
+                         "latency_window")
         }
         for index in range(self.config.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -372,6 +379,7 @@ class FleetRouter:
             raise WorkerError(f"worker {client.index} failed to start: {detail}")
         family, address = detail
         if family == "unix":
+            client.socket_path = address
             client.reader, client.writer = await asyncio.open_unix_connection(
                 address
             )
@@ -405,6 +413,7 @@ class FleetRouter:
                 client.writer.close()
             if client.process is not None and client.process.is_alive():
                 client.process.terminate()
+            _remove_socket(client)
 
     async def close(self) -> None:
         """Drain the backlog, stop every worker, collect final stats.
@@ -456,6 +465,7 @@ class FleetRouter:
                 )
                 if client.process.is_alive():
                     client.process.terminate()
+            _remove_socket(client)
 
     async def __aenter__(self) -> "FleetRouter":
         return await self.start()

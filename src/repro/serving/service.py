@@ -71,7 +71,7 @@ class CompletionService:
         self._batcher = MicroBatcher(
             max_queue=self.config.max_queue,
             max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_s,
+            n_workers=self.config.n_workers,
         )
         self._progressive_drivers: set = set()
         self._group_tasks: set = set()
@@ -245,11 +245,16 @@ class CompletionService:
             for request, exc in failures:
                 request.fail(exc)
             for signature, (model, requests) in groups.items():
+                self._batcher.claim()
                 task = asyncio.get_running_loop().create_task(
                     self._serve_group(signature, model, requests)
                 )
                 self._group_tasks.add(task)
-                task.add_done_callback(self._group_tasks.discard)
+                task.add_done_callback(self._group_done)
+
+    def _group_done(self, task: "asyncio.Task") -> None:
+        self._group_tasks.discard(task)
+        self._batcher.release()
 
     async def _serve_group(
         self,

@@ -12,8 +12,9 @@ this shell only moves frames:
   through the core's gate (overload ⇒ an ``error`` frame with the
   ``service_overloaded`` wire code) into a :class:`SyncMicroBatcher`;
   ``stats`` and ``shutdown`` are answered inline;
-* a **collector** thread drains micro-batches, groups them by join
-  signature and fans the groups out over a small thread pool;
+* a **collector** thread takes a micro-batch — whatever is queued — as
+  soon as a serving thread is free, groups it by join signature and fans
+  the groups out over a small thread pool;
 * replies are written under a send lock, one ``answer``/``error`` frame
   per request id — the router correlates them, so responses may arrive
   in any order.
@@ -31,6 +32,7 @@ where available, loopback TCP otherwise), reports the address through a
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import threading
@@ -55,7 +57,9 @@ from .protocol import (
     strip_answer,
 )
 
-__all__ = ["ServiceWorker", "worker_main", "bind_worker_socket"]
+__all__ = [
+    "ServiceWorker", "worker_main", "bind_worker_socket", "close_worker_socket",
+]
 
 
 @dataclass
@@ -101,13 +105,14 @@ class ServiceWorker:
         batcher = SyncMicroBatcher(
             max_queue=config.max_queue,
             max_batch=config.max_batch,
-            window_s=config.batch_window_s,
+            n_workers=config.n_workers,
         )
         pool = ThreadPoolExecutor(
             max_workers=config.n_workers, thread_name_prefix="restore-worker"
         )
-        group_futures: list = []
-        futures_lock = threading.Lock()
+        # The first exception a group raised past serve_group; re-raised
+        # once the session has drained.
+        group_errors: list = []
 
         def reply(kind: str, **fields) -> None:
             with send_lock:
@@ -132,6 +137,12 @@ class ServiceWorker:
                           answer=strip_answer(result), spans=spans)
                 self.core.gate.release()
 
+        def group_done(future) -> None:
+            error = future.exception()
+            if error is not None and not group_errors:
+                group_errors.append(error)
+            batcher.release()
+
         def collect() -> None:
             while True:
                 batch = batcher.next_batch()
@@ -143,11 +154,10 @@ class ServiceWorker:
                     reply("error", **error_fields(request.request_id, exc))
                     self.core.gate.release()
                 for signature, (model, members) in groups.items():
-                    future = pool.submit(
+                    batcher.claim()
+                    pool.submit(
                         serve_and_reply, model, members, signature
-                    )
-                    with futures_lock:
-                        group_futures.append(future)
+                    ).add_done_callback(group_done)
 
         collector = threading.Thread(
             target=collect, name="restore-worker-collect", daemon=True
@@ -202,11 +212,10 @@ class ServiceWorker:
             )
             batcher.stop()
             collector.join()
-            with futures_lock:
-                pending = list(group_futures)
-            for future in pending:
-                future.result()
+            batcher.wait_idle()
             pool.shutdown(wait=True)
+            if group_errors:
+                raise group_errors[0]
             if saw_shutdown:
                 reply(
                     "bye",
@@ -257,15 +266,22 @@ class ServiceWorker:
 # ----------------------------------------------------------------------
 
 def bind_worker_socket() -> socket.socket:
-    """A fresh listening socket: abstract-free AF_UNIX, else loopback TCP."""
+    """A fresh listening socket: abstract-free AF_UNIX, else loopback TCP.
+
+    The AF_UNIX socket lives in a private ``restore-wk-*`` temp directory;
+    :func:`close_worker_socket` removes both.
+    """
     if hasattr(socket, "AF_UNIX"):
         import tempfile
 
-        path = os.path.join(
-            tempfile.mkdtemp(prefix="restore-wk-"), "worker.sock"
-        )
+        directory = tempfile.mkdtemp(prefix="restore-wk-")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(path)
+        try:
+            listener.bind(os.path.join(directory, "worker.sock"))
+        except BaseException:
+            listener.close()
+            os.rmdir(directory)
+            raise
     else:  # pragma: no cover - exercised only on platforms without AF_UNIX
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
@@ -281,6 +297,29 @@ def listener_address(listener: socket.socket):
     return ("tcp", (host, port))
 
 
+def close_worker_socket(listener: socket.socket) -> None:
+    """Close a :func:`bind_worker_socket` listener and, for AF_UNIX, remove
+    its socket file and private directory."""
+    # A closed socket has no name any more: read the path first.
+    unix = listener.family == getattr(socket, "AF_UNIX", object())
+    path = listener.getsockname() if unix else None
+    listener.close()
+    if path:
+        remove_worker_socket(path)
+
+
+def remove_worker_socket(path: str) -> None:
+    """Remove an AF_UNIX worker socket file and its private directory.
+
+    Also called by the router for a worker that was killed before it
+    could clean up after itself; either side may get there first.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with contextlib.suppress(FileNotFoundError):
+        os.rmdir(os.path.dirname(path))
+
+
 def worker_main(
     artifact_path: str,
     ready_conn,
@@ -292,7 +331,9 @@ def worker_main(
     ``ready_conn`` is the child end of a ``multiprocessing.Pipe``; the
     worker sends ``("ok", (family, address))`` once it is accepting (or
     ``("error", repr)`` if startup failed, so the router can report the
-    real cause instead of a connect timeout).
+    real cause instead of a connect timeout).  The listening socket and
+    its directory are removed on every exit path that runs Python; for a
+    killed worker the router removes them.
     """
     log = get_logger("serving.worker")
     log.info("worker.spawn", pid=os.getpid(), artifact=str(artifact_path))
@@ -311,8 +352,8 @@ def worker_main(
             ready_conn.send(("error", f"{type(exc).__name__}: {exc}"))
         finally:
             ready_conn.close()
-        if listener is not None:
-            listener.close()
+            if listener is not None:
+                close_worker_socket(listener)
         return
     ready_conn.close()
     log.info("worker.ready", pid=os.getpid())
@@ -324,9 +365,4 @@ def worker_main(
             conn.close()
     finally:
         log.info("worker.death", pid=os.getpid(), clean=True)
-        listener.close()
-        if listener.family == getattr(socket, "AF_UNIX", object()):
-            try:
-                os.unlink(listener.getsockname())
-            except OSError:
-                pass
+        close_worker_socket(listener)

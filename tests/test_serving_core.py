@@ -109,23 +109,13 @@ class TestServiceConfigValidation:
         with pytest.raises(ConfigurationError, match=f"ServiceConfig.{field}"):
             ServiceConfig(**{field: True})
 
-    def test_rejects_negative_and_nan_window(self):
-        with pytest.raises(
-            ConfigurationError, match="ServiceConfig.batch_window_ms"
-        ):
-            ServiceConfig(batch_window_ms=-1.0)
-        with pytest.raises(
-            ConfigurationError, match="ServiceConfig.batch_window_ms"
-        ):
-            ServiceConfig(batch_window_ms=float("nan"))
-
     def test_configuration_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_batch=0)
 
     def test_valid_config_passes(self):
-        config = ServiceConfig(max_queue=8, max_batch=4, batch_window_ms=0.0)
-        assert config.batch_window_s == 0.0
+        config = ServiceConfig(max_queue=8, max_batch=4)
+        assert (config.max_queue, config.max_batch) == (8, 4)
 
 
 # ----------------------------------------------------------------------
@@ -189,24 +179,57 @@ class TestAdmissionGate:
 
 class TestSyncMicroBatcher:
     def test_collects_up_to_max_batch(self):
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=3, window_s=0.2)
+        batcher = SyncMicroBatcher(max_queue=16, max_batch=3)
         for i in range(5):
             batcher.put(i)
         assert batcher.next_batch() == [0, 1, 2]
         assert batcher.next_batch() == [3, 4]
 
     def test_stop_drains_then_signals_none(self):
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=8, window_s=0.0)
+        batcher = SyncMicroBatcher(max_queue=16, max_batch=8)
         batcher.put("x")
         batcher.stop()
         assert batcher.next_batch(poll_s=0.01) == ["x"]
         assert batcher.next_batch(poll_s=0.01) is None
 
     def test_full_queue_rejects_without_wait(self):
-        batcher = SyncMicroBatcher(max_queue=1, max_batch=8, window_s=0.0)
+        batcher = SyncMicroBatcher(max_queue=1, max_batch=8)
         batcher.put("x")
         with pytest.raises(ServiceOverloadedError):
             batcher.put("y", wait=False)
+
+    @staticmethod
+    def _collect_in_thread(batcher, **kwargs):
+        out: list = []
+        thread = threading.Thread(
+            target=lambda: out.append(batcher.next_batch(**kwargs)),
+            daemon=True,
+        )
+        thread.start()
+        return thread, out
+
+    def test_lone_request_is_taken_at_once(self):
+        # Nothing holds the batch open for company: with a poll interval
+        # far beyond the join timeout, only an immediate return passes.
+        batcher = SyncMicroBatcher(max_queue=16, max_batch=8)
+        batcher.put("x")
+        thread, out = self._collect_in_thread(batcher, poll_s=600.0)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert out == [["x"]]
+
+    def test_requests_queued_while_all_threads_busy_form_one_batch(self):
+        batcher = SyncMicroBatcher(max_queue=16, max_batch=8, n_workers=2)
+        batcher.claim()
+        batcher.claim()  # both serving threads busy
+        thread, out = self._collect_in_thread(batcher)
+        for item in "abc":
+            batcher.put(item)
+        assert out == []  # no thread free, so no batch yet
+        batcher.release()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert out == [["a", "b", "c"]]
 
 
 # ----------------------------------------------------------------------

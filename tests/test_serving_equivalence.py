@@ -154,3 +154,11 @@ class TestTransportEquivalence:
         # 3. Clean shutdown happened inside each runner (context exit with
         #    zero queued work); nothing is left pending here.
         assert stats.get("queued", 0) == 0
+        # 4. Queue wait: every serving core (the fleet's are its workers)
+        #    has one serving.queue_wait_ms sample per completed request,
+        #    and a wait is part of its request's latency.
+        cores = stats.get("per_worker", [stats])
+        assert sum(core["queue_wait_samples"] for core in cores) == total
+        for core in cores:
+            assert core["queue_wait_samples"] == core["completed"]
+            assert core["p50_queue_wait_ms"] <= core["p50_latency_ms"]

@@ -13,9 +13,14 @@ Three rings of confidence, cheapest first:
 """
 
 import asyncio
+import gc
+import os
 import pickle
+import shutil
 import socket
+import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,7 @@ from repro.serving import (
     ServiceConfig,
     ServiceWorker,
     save_artifact,
+    worker_main,
 )
 from repro.serving.fleet import _WorkerClient
 from repro.serving.protocol import (
@@ -324,6 +330,19 @@ def reference_engine(fleet_artifact) -> ReStore:
     return ReStore.load(fleet_artifact)
 
 
+@pytest.fixture()
+def socket_tmpdir(monkeypatch) -> Path:
+    """A private TMPDIR for worker sockets, under ``/tmp`` where it exists.
+    Not ``tmp_path``: AF_UNIX addresses are capped at 108 bytes, and
+    pytest's paths (or a long TMPDIR) can exceed it."""
+    short = "/tmp" if os.path.isdir("/tmp") else None
+    path = Path(tempfile.mkdtemp(prefix="wk-", dir=short))
+    monkeypatch.setenv("TMPDIR", str(path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    yield path
+    shutil.rmtree(path, ignore_errors=True)
+
+
 @pytest.mark.slow
 class TestServiceWorkerEndToEnd:
     def test_worker_serves_over_socketpair(self, fleet_artifact, reference_engine):
@@ -382,7 +401,7 @@ class TestServiceWorkerEndToEnd:
     def test_worker_overload_maps_to_wire_code(self, fleet_artifact):
         worker = ServiceWorker.from_artifact(
             fleet_artifact,
-            ServiceConfig(max_queue=1, max_batch=1, batch_window_ms=0.0),
+            ServiceConfig(max_queue=1, max_batch=1),
         )
         assert worker.core.gate.try_acquire()  # hold the only slot
         ours, theirs = socket.socketpair()
@@ -401,6 +420,94 @@ class TestServiceWorkerEndToEnd:
             worker.core.gate.release()
             ours.close()
             server.join(timeout=10)
+
+    def test_busy_worker_batches_a_burst_without_a_timer(
+        self, fleet_artifact, monkeypatch
+    ):
+        """One serving thread held by a slowed answer: the burst that
+        arrives meanwhile queues up and is taken as one batch."""
+        worker = ServiceWorker.from_artifact(
+            fleet_artifact, ServiceConfig(max_queue=16, n_workers=1)
+        )
+        engine = worker.core.engine
+        real_answer = engine.answer
+        entered, proceed = threading.Event(), threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            entered.set()
+            proceed.wait(timeout=30)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "answer", slow_answer)
+        ours, theirs = socket.socketpair()
+        server = threading.Thread(
+            target=worker.serve_connection, args=(theirs,), daemon=True
+        )
+        server.start()
+        query = parse_query(COMPLETE_ONLY_SQL)
+        try:
+            send_frame(ours, "query", id=0, query=query)
+            assert entered.wait(timeout=30)  # the only thread is busy
+            for request_id in range(1, 6):
+                send_frame(ours, "query", id=request_id, query=query)
+            # The reader answers stats after admitting the five queries.
+            send_frame(ours, "stats", id=100)
+            frame = recv_frame(ours)
+            assert frame["kind"] == "stats_reply"
+            assert frame["stats"]["queued"] == 5
+            proceed.set()
+            answered = {recv_frame(ours)["id"] for _ in range(6)}
+            assert answered == set(range(6))
+            send_frame(ours, "shutdown")
+            frame = recv_frame(ours)
+            assert frame["kind"] == "bye"
+            assert frame["stats"]["batches"] == 2
+            assert frame["stats"]["max_batch_size"] == 5
+        finally:
+            proceed.set()
+            ours.close()
+            server.join(timeout=10)
+            theirs.close()
+        assert not server.is_alive()
+
+    def test_long_connection_retains_no_finished_groups(
+        self, fleet_artifact, monkeypatch
+    ):
+        import repro.serving.worker as worker_module
+
+        submitted = []
+
+        class RecordingPool(worker_module.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                submitted.append(weakref.ref(future))
+                return future
+
+        monkeypatch.setattr(worker_module, "ThreadPoolExecutor", RecordingPool)
+        worker = ServiceWorker.from_artifact(fleet_artifact)
+        ours, theirs = socket.socketpair()
+        server = threading.Thread(
+            target=worker.serve_connection, args=(theirs,), daemon=True
+        )
+        server.start()
+        try:
+            query = parse_query(COMPLETE_ONLY_SQL)
+            for request_id in range(20):
+                send_frame(ours, "query", id=request_id, query=query)
+                assert recv_frame(ours)["kind"] == "answer"
+            gc.collect()
+            alive = [ref for ref in submitted if ref() is not None]
+            assert len(submitted) == 20
+            # Only the group whose answer just arrived may still be
+            # finishing on its thread; every earlier one is gone.
+            assert len(alive) <= 1
+            send_frame(ours, "shutdown")
+            assert recv_frame(ours)["kind"] == "bye"
+        finally:
+            ours.close()
+            server.join(timeout=10)
+            theirs.close()
+        assert not server.is_alive()
 
 
 @pytest.mark.slow
@@ -537,6 +644,42 @@ class TestFleetRouterEndToEnd:
         # --- lifecycle events flowed through the structured log -------
         for event in ("worker.spawn", "worker.ready", "fleet.drain"):
             assert recent_records(event=event), event
+
+    def test_close_leaves_no_worker_socket_dirs(
+        self, fleet_artifact, socket_tmpdir
+    ):
+        """Worker 1 exits cleanly; worker 0 is killed, so the router
+        removes its socket dir."""
+        async def main():
+            config = FleetConfig(n_workers=2)
+            async with FleetRouter(fleet_artifact, config) as fleet:
+                await fleet.submit(COMPLETE_ONLY_SQL)
+                assert len(list(socket_tmpdir.glob("restore-wk-*"))) == 2
+                victim = fleet._workers[0].process
+                victim.kill()
+                victim.join(timeout=10)
+
+        asyncio.run(main())
+        assert list(socket_tmpdir.glob("restore-wk-*")) == []
+
+    def test_worker_startup_failure_leaves_no_socket_dir(
+        self, fleet_artifact, socket_tmpdir
+    ):
+        """The router vanished before the worker could report ready."""
+        bound = []
+
+        class VanishedRouter:
+            def send(self, message):
+                if message[0] == "ok":
+                    bound.extend(socket_tmpdir.glob("restore-wk-*/worker.sock"))
+                    raise BrokenPipeError("router is gone")
+
+            def close(self):
+                pass
+
+        worker_main(str(fleet_artifact), VanishedRouter())
+        assert len(bound) == 1  # the socket existed when startup failed
+        assert list(socket_tmpdir.glob("restore-wk-*")) == []
 
     def test_startup_failure_reports_cause(self, tmp_path):
         async def main():

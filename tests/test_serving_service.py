@@ -154,7 +154,7 @@ class TestValidation:
 class TestSingleFlight:
     def test_identical_concurrent_queries_run_one_join(self, fresh_engine):
         async def main():
-            config = ServiceConfig(max_batch=32, batch_window_ms=20)
+            config = ServiceConfig(max_batch=32)
             async with CompletionService(fresh_engine, config) as service:
                 answers = await service.submit_many([COMPLETION_SQL] * 16)
                 return answers, service.stats()
@@ -170,10 +170,10 @@ class TestSingleFlight:
         assert stats.cache["misses"] == 1  # the one join; everything else hit
 
     def test_coalescing_across_batches(self, fresh_engine):
-        """A tiny batch window still coalesces: later batches await the
+        """One-request batches still coalesce: later batches await the
         in-flight join or hit the cache — never start a second join."""
         async def main():
-            config = ServiceConfig(max_batch=1, batch_window_ms=0)
+            config = ServiceConfig(max_batch=1)
             async with CompletionService(fresh_engine, config) as service:
                 answers = await service.submit_many([COMPLETION_SQL] * 8)
                 return answers, service.stats()
@@ -185,7 +185,7 @@ class TestSingleFlight:
 
     def test_mixed_batch_groups_by_signature(self, fresh_engine):
         async def main():
-            config = ServiceConfig(max_batch=32, batch_window_ms=20)
+            config = ServiceConfig(max_batch=32)
             async with CompletionService(fresh_engine, config) as service:
                 answers = await service.submit_many(
                     [COMPLETION_SQL, COMPLETE_ONLY_SQL] * 4
@@ -209,7 +209,7 @@ class TestBackpressure:
 
         async def main():
             config = ServiceConfig(
-                max_queue=2, max_batch=1, batch_window_ms=0, n_workers=1
+                max_queue=2, max_batch=1, n_workers=1
             )
             async with CompletionService(fresh_engine, config) as service:
                 slow = [
@@ -238,7 +238,7 @@ class TestBackpressure:
 
         async def main():
             config = ServiceConfig(
-                max_queue=2, max_batch=2, batch_window_ms=0, n_workers=1
+                max_queue=2, max_batch=2, n_workers=1
             )
             async with CompletionService(fresh_engine, config) as service:
                 answers = await service.submit_many([COMPLETION_SQL] * 6)
@@ -335,7 +335,7 @@ class TestStats:
 
 class TestMicroBatcher:
     def test_put_rejects_before_start(self):
-        batcher = MicroBatcher(max_queue=2, max_batch=2, window_s=0.0)
+        batcher = MicroBatcher(max_queue=2, max_batch=2)
 
         async def main():
             with pytest.raises(ServiceClosedError):
@@ -345,7 +345,7 @@ class TestMicroBatcher:
 
     def test_nowait_put_rejects_when_full(self):
         async def main():
-            batcher = MicroBatcher(max_queue=1, max_batch=4, window_s=0.0)
+            batcher = MicroBatcher(max_queue=1, max_batch=4)
             batcher.start()
             await batcher.put("a", wait=False)
             with pytest.raises(ServiceOverloadedError):
@@ -356,7 +356,7 @@ class TestMicroBatcher:
 
     def test_next_batch_respects_max_batch(self):
         async def main():
-            batcher = MicroBatcher(max_queue=8, max_batch=3, window_s=0.5)
+            batcher = MicroBatcher(max_queue=8, max_batch=3)
             batcher.start()
             for item in range(5):
                 await batcher.put(item)
@@ -368,19 +368,24 @@ class TestMicroBatcher:
         assert first == [0, 1, 2]
         assert second == [3, 4]
 
-    def test_cancelled_collection_spills_to_drain(self):
+    def test_cancelled_collector_loses_nothing(self):
+        """Cancelled while it waits for a free serving thread, the
+        collector has taken nothing: drain() returns every request."""
         async def main():
-            batcher = MicroBatcher(max_queue=8, max_batch=4, window_s=5.0)
+            batcher = MicroBatcher(max_queue=8, max_batch=4, n_workers=1)
             batcher.start()
-            await batcher.put("x")
+            batcher.claim()  # the only serving thread is busy
             task = asyncio.ensure_future(batcher.next_batch())
-            await asyncio.sleep(0.02)  # batch open, window still counting
+            for item in "xyz":
+                await batcher.put(item)
+            await asyncio.sleep(0)  # let the collector reach its wait
+            assert not task.done()
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
             return batcher.drain()
 
-        assert run(main()) == ["x"]
+        assert run(main()) == ["x", "y", "z"]
 
 
 class TestServiceHotSwap:
