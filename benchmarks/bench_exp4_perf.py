@@ -1,6 +1,6 @@
 """Exp. 4 benches — Fig. 9 (AR vs SSAR), Fig. 10 (selection quality),
 Fig. 11 (training time), Fig. 12 (completion time ± NN replacement),
-plus runtime tracking: compiled-inference speedup and the parallel
+plus runtime tracking: the fused-training speedup and the parallel
 worker-scaling curve."""
 
 import os
@@ -11,13 +11,11 @@ from repro.experiments import (
     fig9_ar_vs_ssar,
     print_fig9,
     print_fig10,
-    print_inference_comparison,
     print_timings,
     print_training_comparison,
     print_worker_scaling,
     run_fig7,
     run_fig10,
-    run_inference_comparison,
     run_timings,
     run_training_comparison,
     run_worker_scaling,
@@ -74,36 +72,13 @@ def test_fig11_training_time(benchmark, experiment_config):
     assert all(t > 0 for ts in by_kind.values() for t in ts)
 
 
-def test_inference_runtime_speedup(benchmark, experiment_config):
-    """Compiled (graph-free float32) completion vs the autograd forward.
-
-    Times the incompleteness join on both inference backends for every
-    candidate model and emits the per-model comparison into the benchmark
-    JSON (``extra_info``), so the speedup is tracked alongside wall time in
-    the perf trajectory.
-    """
-    rows = run_once(benchmark, run_inference_comparison, ["H4"],
-                    experiment_config)
-    print()
-    print_inference_comparison(rows)
-    benchmark.extra_info["inference_comparison"] = [r.as_dict() for r in rows]
-    speedups = [r.speedup for r in rows]
-    benchmark.extra_info["compiled_speedup_median"] = float(np.median(speedups))
-    benchmark.extra_info["compiled_speedup_min"] = float(np.min(speedups))
-    assert all(r.outputs_equivalent for r in rows)
-    # The compiled runtime is the point of the refactor: completion must be
-    # at least 3x faster than the autograd path on the same models.
-    assert np.median(speedups) >= 3.0
-
-
 def test_training_runtime_speedup(benchmark, experiment_config):
     """Fused (float32 kernel) training vs the float64 autograd oracle.
 
     Times end-to-end ``ReStore.fit()`` on both backends for the exp-4
     workload and emits wall times, speedups and the fused-vs-autograd
     final-loss gap into the benchmark JSON (``extra_info``), so the
-    training-perf trajectory is archived per commit alongside the
-    inference numbers.
+    training-perf trajectory is archived per commit.
     """
     rows = run_once(benchmark, run_training_comparison, ["H4", "M1"],
                     experiment_config)

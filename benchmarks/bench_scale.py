@@ -12,7 +12,7 @@ equivalent (database plus materialized completed join) must hold.
 SF 1 runs in the per-push benchmark smoke; SF 10/100 are ``slow``
 (nightly).  Peak RSS is measured per phase via the kernel's VmHWM
 watermark (:func:`repro.obs.reset_peak_rss`); a short warmup walk first
-pays the one-time costs (compiled model snapshot, allocator pools) that
+pays the one-time costs (the model's float32 networks, allocator pools) that
 would otherwise be billed to the measured phase.
 """
 

@@ -63,10 +63,8 @@ class ReStoreConfig:
     """Engine-level configuration.
 
     ``chunk_size`` streams the incompleteness join over chunks of that many
-    root evidence rows (bounding peak memory; ``None`` = single pass),
-    ``join_cache_size`` bounds the LRU cache of completed joins, and
-    ``compiled_inference`` selects the graph-free float32 runtime for
-    completion-time sampling (training always uses autograd).
+    root evidence rows (bounding peak memory; ``None`` = single pass) and
+    ``join_cache_size`` bounds the LRU cache of completed joins.
 
     ``n_workers`` / ``parallel_backend`` fan work out over an executor
     (:mod:`repro.runtime.parallel`): the incompleteness join shards its
@@ -100,7 +98,6 @@ class ReStoreConfig:
     seed: int = 0
     chunk_size: Optional[int] = None
     join_cache_size: int = 8
-    compiled_inference: bool = True
     n_workers: int = 1
     parallel_backend: str = "serial"
     train_backend: Optional[str] = None
@@ -331,9 +328,6 @@ class ReStore:
             hidden=base.hidden,
             tree_dim=base.tree_dim,
             seed=seed,
-            compiled_inference=(
-                base.compiled_inference and self.config.compiled_inference
-            ),
             train=train_cfg,
         )
 
@@ -467,18 +461,12 @@ class ReStore:
     # Completion + caching (§4.5)
     # ------------------------------------------------------------------
     def _join_key(self, model: _CompletionModelBase) -> Tuple:
-        """Cache key: every input that changes the completed join's content.
-
-        The inference backend is part of the key — float32 and float64
-        sampling CDFs round differently, so a backend flip (benchmarks do
-        this) must not serve the other backend's cached rows.
-        """
+        """Cache key: every input that changes the completed join's content."""
         return (
             model.kind,
             model.layout.path.tables,
             self.config.seed,
             self.config.approximate_replacement,
-            model.inference_backend,
         )
 
     def _make_join(

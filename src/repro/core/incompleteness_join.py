@@ -17,8 +17,9 @@ target, producing the join as it would look on a complete database:
 
 Execution is handled by the inference runtime (:mod:`repro.runtime`):
 
-* Model forwards run on the graph-free compiled float32 path by default —
-  no autograd graphs are built while sampling.
+* Model forwards run on the float32 network runtime
+  (:mod:`repro.runtime.training` over frozen weights) — no autograd graphs
+  are built while sampling.
 * ``run()`` streams over chunks of root evidence rows (``chunk_size``), so
   peak transient memory is bounded on large databases.  Every walk row
   carries a counter-based random stream derived from its lineage (root row
@@ -32,11 +33,12 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   (``n_workers`` / ``parallel_backend`` — see :mod:`repro.runtime.parallel`).
   Thread workers share this join object (walks accumulate into chunk-local
   accumulators, shared caches are pre-warmed); process workers receive a
-  picklable :class:`~repro.core.models.CompletionSnapshot` — the compiled
-  float32 model, never the autograd module — and rebuild a worker-local
-  join from it.  Dangling-FK parents are parked per chunk and merged
-  deterministically after the fan-out barrier, so output rows are bitwise
-  identical (up to order) across backends and worker counts.
+  picklable :class:`~repro.core.models.CompletionSnapshot` — the float32
+  networks the model samples with, never the autograd module — and
+  rebuild a worker-local join from it.  Dangling-FK parents are parked per
+  chunk and merged deterministically after the fan-out barrier, so output
+  rows are bitwise identical (up to order) across backends and worker
+  counts.
 
 The result is a :class:`~repro.query.JoinResult` with fractional row
 weights, directly consumable by the shared filter/aggregate operators.
@@ -59,7 +61,7 @@ from ..relational.column import ColumnKind
 from ..relational.storage import StoreColumns, StoreWriter
 from ..relational.tuple_factors import TF_UNKNOWN
 from ..runtime import rng as rt_rng
-from ..runtime.parallel import SerialExecutor, default_chunk_size, get_executor
+from ..runtime.parallel import default_chunk_size, get_executor
 from ..runtime.rng import chunk_slices
 from .forest import ChildIndex, _gather_children, build_child_index, match_keys
 from .models import _CompletionModelBase
@@ -334,9 +336,9 @@ def restrict_chunk_output(
 class _JoinWorkerSpec:
     """Everything a process worker needs to rebuild this join — picklable.
 
-    ``model`` is a :class:`~repro.core.models.CompletionSnapshot`: compiled
-    float32 forwards plus the path layout, a few kilobytes instead of the
-    autograd module and its training state.
+    ``model`` is a :class:`~repro.core.models.CompletionSnapshot`: the
+    float32 networks plus the path layout, instead of the autograd module
+    and its training state.
     """
 
     model: object
@@ -427,10 +429,8 @@ class IncompletenessJoin:
         are identical (up to order) for every backend and worker count at a
         fixed seed.  With ``n_workers > 1`` and no explicit ``chunk_size``, a
         chunk size giving each worker a few tasks is chosen automatically.
-        The process backend ships the model's *compiled* snapshot; a model
-        on the autograd inference backend therefore completes in-process
-        (still bitwise-identical to its serial run) rather than silently
-        sampling on a different runtime.
+        The process backend ships the model's inference snapshot, whose
+        networks are the ones the model itself samples with.
     spill_dir:
         Stream completed chunks through this directory instead of holding
         them in RAM: each worker writes its walked rows to disk and ships
@@ -818,21 +818,12 @@ class IncompletenessJoin:
         plan: Optional[PushdownPlan] = None,
     ) -> List[_ChunkOutput]:
         """Dispatch chunk walks to the executor and collect them in order."""
-        use_compiled = getattr(self.model, "use_compiled", True)
-        if self._executor.shares_caller_state or not use_compiled:
+        if self._executor.shares_caller_state:
             # Serial/thread workers operate on this join directly.  Warm the
             # shared per-table caches first: afterwards concurrent walks only
             # read them (walk side-state goes to chunk-local accumulators).
-            # Models on the autograd backend also land here even under the
-            # process backend: their float64 sampling has no picklable
-            # snapshot, and silently switching them to the compiled float32
-            # runtime on workers would break the bitwise-vs-serial contract.
             self._prepare_shared_caches(tables)
-            executor = (
-                self._executor if self._executor.shares_caller_state
-                else SerialExecutor()
-            )
-            return executor.map(
+            return self._executor.map(
                 _walk_chunk_task, tasks,
                 payload=(self, tables, plan, current_context(),
                          self.spill_dir),
@@ -889,7 +880,8 @@ class IncompletenessJoin:
 
         Concurrent thread walks then never write shared state: root
         encodings, child indexes, key orders, orphan weights, replacers and
-        the compiled model all exist before the first worker starts.
+        the model's float32 networks all exist before the first worker
+        starts.
         """
         root = tables[0]
         table = self.db.table(root)
@@ -918,12 +910,7 @@ class IncompletenessJoin:
                 self._orphan_weight(fk)
             if self.replace_synthesized and self.annotation.is_complete(new):
                 self._replacer(new)
-        compile_hook = getattr(self.model, "compiled_made", None)
-        if compile_hook is not None and getattr(self.model, "use_compiled", False):
-            compile_hook()
-            tree_hook = getattr(self.model, "compiled_tree", None)
-            if tree_hook is not None:
-                tree_hook()
+        self.model.inference_snapshot()
 
     # ------------------------------------------------------------------
     # Setup

@@ -14,12 +14,17 @@ Both expose the same hop-level API used by the incompleteness join:
   path, conditioned on everything sampled so far,
 * :meth:`conditional_probs` — the per-variable distribution needed by the
   confidence estimator (§6).
+
+Every forward of that API runs on the float32 network runtime
+(:mod:`repro.runtime.training` over a frozen parameter buffer); the float64
+``repro.nn`` modules hold the trainable parameters and remain the
+reference oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,26 +38,26 @@ from ..nn import (
     train,
 )
 from ..nn.made import _sample_rows
+from ..runtime.training import FusedResidualMADE, FusedTreeEncoder, ParameterBuffer
 from .forest import EvidenceForest
 from .path_data import PathLayout, TrainingData, assemble_training_data
+
+#: A model's float32 runtime: its MADE and, for SSAR, its tree encoder.
+_Networks = Tuple[FusedResidualMADE, Optional[FusedTreeEncoder]]
 
 
 @dataclass
 class ModelConfig:
     """Architecture and training hyper-parameters of a completion model.
 
-    ``compiled_inference`` selects the default inference backend: the
-    graph-free float32 runtime (:mod:`repro.runtime`) or the float64
-    autograd forward.  The training backend is ``train.backend``
-    (``"fused"`` kernels by default, ``"autograd"`` as the reference
-    oracle).
+    The training backend is ``train.backend`` (``"fused"`` kernels by
+    default, ``"autograd"`` as the reference oracle).
     """
 
     embed_dim: int = 16
     hidden: Sequence[int] = (64, 64)
     tree_dim: int = 16
     seed: int = 0
-    compiled_inference: bool = True
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20, batch_size=256, lr=5e-3, patience=4,
     ))
@@ -61,23 +66,31 @@ class ModelConfig:
 class _HopSamplingAPI:
     """The hop-level sampling surface consumed by the incompleteness join.
 
-    Everything is expressed through four hooks — ``layout``,
-    :meth:`_require_fitted`, :meth:`_cond_probs` and :meth:`_sample_range` —
-    so the same code drives both the live (trainable) completion models and
-    the picklable :class:`CompletionSnapshot` shipped to process workers.
+    Everything is expressed through three hooks — ``layout``,
+    :meth:`_require_fitted` and :meth:`_networks` (plus ``forest`` for
+    SSAR) — so the same code drives both the live (trainable) completion
+    models and the picklable :class:`CompletionSnapshot` shipped to process
+    workers.  Both sample through the same float32 network objects.
     """
 
     kind = "base"
     layout: PathLayout
+    #: The evidence forest SSAR models encode contexts from (None for AR).
+    forest: Optional[EvidenceForest] = None
 
     def _require_fitted(self) -> None:
+        raise NotImplementedError
+
+    def _networks(self) -> _Networks:
+        """The float32 MADE and (SSAR) tree encoder every forward runs on."""
         raise NotImplementedError
 
     def _cond_probs(
         self, prefix: np.ndarray, variable: int, context: Optional[np.ndarray]
     ) -> np.ndarray:
-        """``P(x_variable | earlier, context)`` on the active backend."""
-        raise NotImplementedError
+        """``P(x_variable | earlier, context)``."""
+        made, _tree = self._networks()
+        return made.conditional_probs(prefix, variable, context=context)
 
     def _sample_range(
         self,
@@ -89,11 +102,22 @@ class _HopSamplingAPI:
         draws: Optional[np.ndarray],
     ) -> np.ndarray:
         """Autoregressively sample variables ``first_column .. stop - 1``."""
-        raise NotImplementedError
+        made, _tree = self._networks()
+        return made.sample(
+            prefix, first_column, rng,
+            context=context, stop_variable=stop, draws=draws,
+        )
 
     def context_for_roots(self, root_rows: np.ndarray) -> Optional[np.ndarray]:
-        """Raw context vectors for evidence root rows (None for AR)."""
-        return None
+        """Raw context vectors for evidence root rows (None for AR).
+
+        Inference-time contexts encode the full trees (no leave-one-out).
+        """
+        if self.forest is None:
+            return None
+        _made, tree = self._networks()
+        batches = self.forest.batch_for_roots(np.asarray(root_rows, dtype=np.int64))
+        return tree.forward(batches, len(root_rows))
 
     # -- hop-level sampling API ------------------------------------------
     def predict_tuple_factors(
@@ -205,47 +229,38 @@ class _HopSamplingAPI:
 class CompletionSnapshot(_HopSamplingAPI):
     """Picklable, inference-only view of a fitted completion model.
 
-    Carries the compiled float32 forwards plus the path layout — everything
-    the incompleteness join touches and nothing of the autograd module — so
-    process workers ship a few kilobytes of snapshotted weights instead of
-    the training state.  The compiled runtime is bitwise identical to the
-    parent's compiled path (same fixed-tile kernels), which is what keeps
-    sharded runs reproducible across backends.
+    Carries the model's float32 networks — ``made`` and, for SSAR,
+    ``tree``, built over a frozen
+    :class:`~repro.runtime.training.ParameterBuffer` — plus the path layout
+    and evidence forest — everything the incompleteness join touches and
+    nothing of the autograd module — so process workers receive only the
+    float32 weights they sample with.  The live model samples through the
+    very same network objects, which is what keeps sharded runs bitwise
+    identical across backends.
     """
-
-    inference_backend = "compiled"
 
     def __init__(
         self,
         kind: str,
         layout: PathLayout,
-        made,
-        tree=None,
+        made: FusedResidualMADE,
+        tree: Optional[FusedTreeEncoder] = None,
         forest: Optional[EvidenceForest] = None,
     ):
         self.kind = kind
         self.layout = layout
-        self._made = made
-        self._tree = tree
-        self._forest = forest
+        self.made = made
+        self.tree = tree
+        self.forest = forest
 
     def _require_fitted(self) -> None:
         pass  # snapshots only exist for fitted models
 
-    def _cond_probs(self, prefix, variable, context):
-        return self._made.conditional_probs(prefix, variable, context=context)
+    def _networks(self) -> _Networks:
+        return self.made, self.tree
 
-    def _sample_range(self, prefix, first_column, stop, rng, context, draws):
-        return self._made.sample(
-            prefix, first_column, rng,
-            context=context, stop_variable=stop, draws=draws,
-        )
-
-    def context_for_roots(self, root_rows: np.ndarray) -> Optional[np.ndarray]:
-        if self._forest is None:
-            return None
-        batches = self._forest.batch_for_roots(np.asarray(root_rows, dtype=np.int64))
-        return self._tree.forward(batches, len(root_rows))
+    def inference_snapshot(self) -> "CompletionSnapshot":
+        return self
 
 
 class _CompletionModelBase(_HopSamplingAPI, Module):
@@ -260,57 +275,30 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         self.training_data: Optional[TrainingData] = None
         self._val_indices: Optional[np.ndarray] = None
         self._fitted_from_artifact = False
-        # Inference backend: "compiled" (graph-free float32 runtime) or
-        # "autograd" (float64 Tensor forward).  Mutable so benchmarks can
-        # compare the two on one fitted model.
-        self.inference_backend = (
-            "compiled" if self.config.compiled_inference else "autograd"
-        )
-        self._compiled_made = None
+        # The float32 networks, built from the current weights on first use
+        # and dropped whenever the weights change.
+        self._sampler: Optional[_Networks] = None
 
-    # -- compiled runtime ------------------------------------------------
-    @property
-    def use_compiled(self) -> bool:
-        return self.inference_backend == "compiled"
-
-    def compiled_made(self):
-        """The lazily built graph-free MADE snapshot for this model."""
-        if self._compiled_made is None:
-            self._compiled_made = self.made.compile_inference()
-        return self._compiled_made
-
-    def invalidate_compiled(self) -> None:
-        """Drop compiled snapshots (parameters changed, e.g. re-``fit``)."""
-        self._compiled_made = None
+    # -- float32 runtime -------------------------------------------------
+    def _networks(self) -> _Networks:
+        if self._sampler is None:
+            buffer = ParameterBuffer(self).freeze()
+            tree = getattr(self, "tree_encoder", None)
+            self._sampler = (
+                FusedResidualMADE(self.made, buffer),
+                None if tree is None else FusedTreeEncoder(tree, buffer),
+            )
+        return self._sampler
 
     def inference_snapshot(self) -> CompletionSnapshot:
-        """A picklable compiled view of this model for process workers."""
+        """A picklable float32 view of this model for process workers."""
         self._require_fitted()
-        return CompletionSnapshot(self.kind, self.layout, self.compiled_made())
+        made, tree = self._networks()
+        return CompletionSnapshot(self.kind, self.layout, made, tree, self.forest)
 
-    def _cond_probs(
-        self, prefix: np.ndarray, variable: int, context: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Backend dispatch for ``P(x_variable | earlier, context)``."""
-        if self.use_compiled:
-            return self.compiled_made().conditional_probs(
-                prefix, variable, context=context
-            )
-        return self.made.conditional_probs(
-            prefix, variable, context=self._context_tensor(context)
-        )
-
-    def _sample_range(self, prefix, first_column, stop, rng, context, draws):
-        if self.use_compiled:
-            return self.compiled_made().sample(
-                prefix, first_column, rng,
-                context=context, stop_variable=stop, draws=draws,
-            )
-        return self.made.sample(
-            prefix, first_column, rng,
-            context=self._context_tensor(context), stop_variable=stop,
-            draws=draws,
-        )
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self._sampler = None
 
     # -- context hooks (overridden by SSAR) ----------------------------
     def _context_batches(self, indices: np.ndarray):
@@ -327,9 +315,6 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         if batches is None:
             return None
         return self.tree_encoder(batches, batch_size)
-
-    def _context_tensor(self, context: Optional[np.ndarray]) -> Optional[Tensor]:
-        return None if context is None else Tensor(context)
 
     # -- training -------------------------------------------------------
     def fit(self, warm_start: bool = False) -> TrainResult:
@@ -382,7 +367,7 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         result.warm_start = warm_start
         self.train_result = result
         self._val_indices = result.val_indices
-        self.invalidate_compiled()
+        self._sampler = None
         return result
 
     def _require_fitted(self) -> None:
@@ -404,7 +389,7 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         self._fitted_from_artifact = True
         if train_result is not None:
             self.train_result = train_result
-        self.invalidate_compiled()
+        self._sampler = None
 
     def _init_output_bias(
         self, matrix: np.ndarray, var_weights: Dict[int, np.ndarray]
@@ -535,7 +520,6 @@ class SSARCompletionModel(_CompletionModelBase):
                 "SSAR model needs at least one fan-out walk; use AR instead"
             )
         self.forest = forest
-        self._compiled_tree = None
         rng = np.random.default_rng(self.config.seed)
         self.tree_encoder = EvidenceTreeEncoder(
             forest.specs(),
@@ -561,28 +545,3 @@ class SSARCompletionModel(_CompletionModelBase):
             exclude = data.row_positions[target_table][indices]
         batches = self.forest.batch_for_roots(roots, exclude_target_rows=exclude)
         return batches, len(indices)
-
-    def compiled_tree(self):
-        """Lazily built graph-free snapshot of the tree encoder."""
-        if self._compiled_tree is None:
-            self._compiled_tree = self.tree_encoder.compile_inference()
-        return self._compiled_tree
-
-    def invalidate_compiled(self) -> None:
-        super().invalidate_compiled()
-        self._compiled_tree = None
-
-    def inference_snapshot(self) -> CompletionSnapshot:
-        """Snapshot including the compiled tree encoder and the forest."""
-        self._require_fitted()
-        return CompletionSnapshot(
-            self.kind, self.layout, self.compiled_made(),
-            tree=self.compiled_tree(), forest=self.forest,
-        )
-
-    def context_for_roots(self, root_rows: np.ndarray) -> Optional[np.ndarray]:
-        """Inference-time contexts: full trees, no leave-one-out."""
-        batches = self.forest.batch_for_roots(np.asarray(root_rows, dtype=np.int64))
-        if self.use_compiled:
-            return self.compiled_tree().forward(batches, len(root_rows))
-        return self.tree_encoder(batches, len(root_rows)).numpy()

@@ -12,10 +12,6 @@ consumer would historically have caught: query validation errors are
 ``ValueError``\\ s, service lifecycle errors are ``RuntimeError``\\ s, and
 artifact errors are ``ValueError``\\ s — existing ``except`` clauses keep
 working unchanged.
-
-The classes used to live next to their subsystems
-(``repro.serving.batching``, ``repro.serving.artifacts``); those import
-paths still resolve through deprecation shims (see :mod:`repro._compat`).
 """
 
 from __future__ import annotations

@@ -184,7 +184,7 @@ def _timed_completion(model, seed: int, repeats: int = 3,
                       n_workers: int = 1, parallel_backend: str = "serial"):
     """Best-of-``repeats`` incompleteness-join wall time (plus the join).
 
-    Completion on the compiled runtime is milliseconds-scale, where a single
+    Completion on the float32 runtime is milliseconds-scale, where a single
     scheduler hiccup or garbage-collection pause would dominate a one-shot
     measurement; every timing in this module goes through this helper so the
     methodology stays uniform.  Parallel runs pay their full cost inside the
@@ -249,117 +249,6 @@ def print_timings(rows: Sequence[TimingRow]) -> None:
         print(f"{row.setup:6s} {row.model_kind:5s} {row.train_seconds:8.2f} "
               f"{row.completion_seconds:11.3f} "
               f"{row.completion_with_replacement_seconds:13.3f}  {row.path}")
-
-
-# ----------------------------------------------------------------------
-# Compiled-inference runtime comparison (completion throughput)
-# ----------------------------------------------------------------------
-
-@dataclass
-class InferenceComparisonRow:
-    """Completion time of one model with and without the compiled runtime.
-
-    Both runs consume the same counter-based random draws, so the completed
-    joins agree up to float32-vs-float64 rounding of the sampling CDFs —
-    ``outputs_equivalent`` checks row counts and restored cardinality mass.
-    """
-
-    dataset: str
-    setup: str
-    model_kind: str
-    path: str
-    autograd_seconds: float
-    compiled_seconds: float
-    speedup: float
-    completed_rows: int
-    outputs_equivalent: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "setup": self.setup,
-            "model_kind": self.model_kind,
-            "path": self.path,
-            "autograd_seconds": self.autograd_seconds,
-            "compiled_seconds": self.compiled_seconds,
-            "speedup": self.speedup,
-            "completed_rows": self.completed_rows,
-            "outputs_equivalent": self.outputs_equivalent,
-        }
-
-
-def run_inference_comparison(
-    setups: Optional[Sequence[str]] = None,
-    experiment: Optional[ExperimentConfig] = None,
-    repeats: int = 3,
-    min_scale: float = 1.5,
-) -> List[InferenceComparisonRow]:
-    """Time the incompleteness join on both inference backends per model.
-
-    The compiled (graph-free float32) runtime is the engine default; the
-    autograd backend is the pre-runtime float64 Tensor forward.  Both are
-    measured on the same fitted models and the same seed so the comparison
-    isolates the execution substrate.  ``min_scale`` floors the dataset
-    scale: completion throughput is a batched-sampling property and the
-    smoke-sized grids underestimate it badly (fixed per-call overheads
-    dominate a 50-row walk on either backend).
-    """
-    experiment = experiment or ExperimentConfig.default()
-    if experiment.scale < min_scale:
-        experiment = replace(experiment, scale=min_scale)
-    names = list(setups) if setups is not None else ["H4", "M1"]
-    rows: List[InferenceComparisonRow] = []
-    for name in names:
-        setup = ALL_SETUPS[name]
-        keep = experiment.keep_rates[0]
-        corr = experiment.removal_correlations[0]
-        engine, dataset = run_setup_cell(setup, keep, corr, experiment)
-        for candidate in engine.candidates(setup.incomplete_table):
-            model = candidate.model
-            backend_before = model.inference_backend
-            try:
-                model.inference_backend = "autograd"
-                autograd_s, autograd_join = _timed_completion(
-                    model, experiment.seed, repeats
-                )
-                model.inference_backend = "compiled"
-                compiled_s, compiled_join = _timed_completion(
-                    model, experiment.seed, repeats
-                )
-            finally:
-                model.inference_backend = backend_before
-            rows.append(InferenceComparisonRow(
-                dataset=setup.dataset, setup=name, model_kind=model.kind,
-                path=str(model.layout.path),
-                autograd_seconds=autograd_s,
-                compiled_seconds=compiled_s,
-                speedup=autograd_s / max(compiled_s, 1e-12),
-                completed_rows=compiled_join.num_rows,
-                outputs_equivalent=_joins_equivalent(autograd_join, compiled_join),
-            ))
-    return rows
-
-
-def _joins_equivalent(a, b, tolerance: float = 0.02) -> bool:
-    """Same completion up to sampling-CDF rounding: row counts and restored
-    weight mass within ``tolerance`` relative difference."""
-    rows_a, rows_b = a.num_rows, b.num_rows
-    if rows_a == 0 or rows_b == 0:
-        return rows_a == rows_b
-    if abs(rows_a - rows_b) > tolerance * max(rows_a, rows_b):
-        return False
-    mass_a = float(a.result.effective_weights().sum())
-    mass_b = float(b.result.effective_weights().sum())
-    return abs(mass_a - mass_b) <= tolerance * max(mass_a, mass_b, 1e-12)
-
-
-def print_inference_comparison(rows: Sequence[InferenceComparisonRow]) -> None:
-    print(f"{'setup':6s} {'kind':5s} {'autograd s':>11s} {'compiled s':>11s} "
-          f"{'speedup':>8s} {'equiv':>6s}  path")
-    for row in rows:
-        print(f"{row.setup:6s} {row.model_kind:5s} {row.autograd_seconds:11.3f} "
-              f"{row.compiled_seconds:11.3f} {row.speedup:7.2f}x "
-              f"{str(row.outputs_equivalent):>6s}  {row.path}")
 
 
 # ----------------------------------------------------------------------
@@ -437,9 +326,8 @@ def run_training_comparison(
 
     The fused (float32 kernel) runtime is the engine default; the autograd
     backend is the float64 reference engine.  ``min_scale`` floors the
-    dataset scale the same way :func:`run_inference_comparison` does:
-    training throughput is a batched-kernel property and smoke-sized grids
-    measure per-call overhead instead.
+    dataset scale: training throughput is a batched-kernel property and
+    smoke-sized grids measure per-call overhead instead.
     """
     experiment = experiment or ExperimentConfig.default()
     if experiment.scale < min_scale:

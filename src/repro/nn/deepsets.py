@@ -164,9 +164,3 @@ class EvidenceTreeEncoder(Module):
                 )
             parts.append(encoder.encode(batch, batch_size))
         return concat(parts, axis=-1)
-
-    def compile_inference(self) -> "CompiledTreeEncoder":  # noqa: F821
-        """Graph-free float32 snapshot (see :class:`repro.runtime.CompiledTreeEncoder`)."""
-        from ..runtime.compiled import CompiledTreeEncoder
-
-        return CompiledTreeEncoder(self)

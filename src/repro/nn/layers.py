@@ -98,18 +98,6 @@ class Module:
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def compile_inference(self):
-        """Snapshot this module into a graph-free float32 inference callable.
-
-        The result evaluates forwards on plain numpy arrays without
-        recording autograd closures; see :mod:`repro.runtime.compiled`.
-        Compiled snapshots do not track later parameter updates — recompile
-        after further training.
-        """
-        from ..runtime.compiled import compile_module
-
-        return compile_module(self)
-
 
 def _named_parameters_of(value, prefix: str, seen: set[int]) -> Iterator[tuple]:
     if isinstance(value, Tensor):

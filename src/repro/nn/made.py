@@ -248,12 +248,6 @@ class ResidualMADE(Module):
             x[:, variable] = _sample_rows(probs, rng, u)
         return x
 
-    def compile_inference(self) -> "CompiledMADE":  # noqa: F821 - runtime type
-        """Graph-free float32 snapshot (see :class:`repro.runtime.CompiledMADE`)."""
-        from ..runtime.compiled import CompiledMADE
-
-        return CompiledMADE(self)
-
     def trainable_summary(self) -> str:
         """Human-readable one-line description, handy for logging."""
         return (
@@ -271,8 +265,9 @@ def _sample_rows(
 
     ``draws`` supplies precomputed per-row uniforms (counter-based streams);
     otherwise one uniform per row is taken from ``rng``.  The CDF inversion
-    itself is shared with the compiled runtime so both backends stay in
-    lockstep (imported lazily: the runtime package imports this module).
+    itself is shared with the float32 runtime so the oracle and the runtime
+    stay in lockstep (imported lazily: the runtime package imports this
+    module).
     """
     if draws is None:
         if rng is None:

@@ -1,4 +1,4 @@
-"""Kernel-level profiling for the compiled runtime.
+"""Kernel-level profiling for the float32 runtime.
 
 Per-span tracing is the wrong tool inside :mod:`repro.runtime.kernels` —
 a single chunk walk issues thousands of dense/softmax calls, and a span

@@ -1,15 +1,15 @@
-"""Execution runtime: the compiled substrate of both hot paths.
+"""Execution runtime: the float32 substrate of both hot paths.
 
 The float64 autograd engine (:mod:`repro.nn`) remains the reference oracle;
 both completion (inference) and ``fit`` (training) execute here instead:
 
-* :mod:`~repro.runtime.kernels` — the shared dense/embedding/softmax layer
-  kernels both compiled inference and fused training are built from,
-* :mod:`~repro.runtime.compiled` — graph-free float32 forwards for MADE and
-  deep-sets modules, executed over fixed-size row tiles so results are
-  independent of batch chunking,
-* :mod:`~repro.runtime.training` — hand-derived fused forward+backward
-  kernels over flat float32 parameter buffers, the default ``fit`` backend,
+* :mod:`~repro.runtime.kernels` — the dense/embedding/softmax layer kernels
+  every float32 forward and backward is built from,
+* :mod:`~repro.runtime.training` — the one float32 network implementation:
+  hand-derived fused forward+backward kernels over flat float32 parameter
+  buffers (the default ``fit`` backend), and — over a frozen buffer — the
+  inference forwards the join samples with, run over fixed-size row tiles
+  so results are independent of batch chunking,
 * :mod:`~repro.runtime.rng` — counter-based per-row random streams, making
   sampling a pure function of a row's lineage rather than batch order,
 * :mod:`~repro.runtime.cache` — a bounded LRU cache for completed joins with
@@ -19,14 +19,8 @@ both completion (inference) and ``fit`` (training) execute here instead:
 """
 
 from . import kernels, rng
+from .kernels import TILE
 from .cache import CacheStats, JoinCache, PartialCacheStats, PartialJoinCache
-from .compiled import (
-    TILE,
-    CompiledDense,
-    CompiledMADE,
-    CompiledTreeEncoder,
-    compile_module,
-)
 from .training import (
     FusedResidualMADE,
     FusedTrainStepper,
@@ -56,10 +50,6 @@ __all__ = [
     "FusedTreeEncoder",
     "FusedTrainStepper",
     "TILE",
-    "CompiledDense",
-    "CompiledMADE",
-    "CompiledTreeEncoder",
-    "compile_module",
     "chunk_slices",
     "PARALLEL_BACKENDS",
     "Executor",

@@ -56,12 +56,10 @@ class CacheStats:
 class JoinCache:
     """LRU cache keyed by the full identity of a completed join.
 
-    Keys are ``(kind, path_tables, seed, approximate_replacement,
-    inference_backend)`` — every input that changes the bitwise content of a
-    completed join (the float32 and float64 backends round sampling CDFs
-    differently, so the backend is part of the identity).  ``get`` refreshes
-    recency and counts hits/misses; ``contains`` is a pure probe (no stats,
-    no reordering) for provenance reporting.
+    Keys are ``(kind, path_tables, seed, approximate_replacement)`` — every
+    input that changes the bitwise content of a completed join.  ``get``
+    refreshes recency and counts hits/misses; ``contains`` is a pure probe
+    (no stats, no reordering) for provenance reporting.
 
     All operations are thread-safe: the completion service
     (:mod:`repro.serving`) answers concurrent micro-batches on worker
@@ -168,7 +166,7 @@ class PartialJoinCache:
         (join signature, chunk grid, chunk bounds, predicate fingerprints)
 
     * The *join signature* pins everything that changes bitwise content
-      (model identity, path, seed, inference backend) — same key the
+      (model identity, path, seed, replacement mode) — same key the
       engine's :class:`JoinCache` uses.
     * The *chunk grid* (the full task list the bounds came from) guards
       against mixing chunkings: bounds are only comparable within one grid.

@@ -1,12 +1,12 @@
-"""Shared layer kernels for the compiled inference and fused training paths.
+"""Shared layer kernels of the float32 network runtime.
 
-One kernel set, two consumers: :mod:`repro.runtime.compiled` evaluates
-graph-free forwards for the completion hot path, and
-:mod:`repro.runtime.training` runs hand-derived fused forward+backward
-passes for ``ReStore.fit()``.  Keeping the dense/embedding/softmax
-primitives in one module guarantees that the two paths cannot drift — the
-float32 matmul a compiled forward executes is the same line of code the
-training kernel differentiates.
+:mod:`repro.runtime.training` builds both of its uses from these
+primitives: the hand-derived fused forward+backward passes of
+``ReStore.fit()``, and the graph-free inference forwards the completion
+hot path samples with (the same classes over a frozen parameter buffer).
+Keeping the dense/embedding/softmax primitives in one module means there
+is exactly one float32 forward — the matmul an inference forward executes
+is the same line of code the training kernel differentiates.
 
 Everything here operates on plain numpy arrays; nothing touches the
 autograd :class:`~repro.nn.tensor.Tensor`.  Backward helpers return (or
@@ -24,12 +24,14 @@ import numpy as np
 
 from ..obs import profile as _profile
 
-#: Fixed row-tile size of the compiled inference path.  Dense transforms run
-#: over zero-padded tiles of this many rows so a row's activations are
-#: bitwise identical no matter how the batch around it is chunked.
+#: Fixed row-tile size of inference forwards.  Dense transforms run over
+#: zero-padded tiles of this many rows so a row's activations are bitwise
+#: identical no matter how the batch around it is chunked: BLAS kernels pick
+#: different accumulation orders for different matrix shapes, and fixed
+#: tiles pin the shape.
 TILE = 128
 
-#: Default execution dtype of both compiled inference and fused training.
+#: Default execution dtype of both inference and fused training.
 DTYPE = np.float32
 
 
@@ -55,34 +57,32 @@ def tile_apply(x: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndar
     return np.concatenate(pieces, axis=0)
 
 
-class DenseKernel:
-    """A pure-numpy affine + optional ReLU snapshot of a (masked) linear.
+def dense(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    relu: bool = False,
+) -> np.ndarray:
+    """One affine layer ``x @ weight + bias``, optionally ReLU'd in place.
 
-    Inference-side kernel: the weight is stored pre-masked (for MADE layers)
-    and pre-cast, so ``__call__`` is a single GEMM plus elementwise tail.
+    The single dense primitive every network forward is built from (MADE's
+    input, residual and output layers, the deep-sets phi/rho); MADE layers
+    pass their mask-applied weight.
     """
-
-    def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray],
-                 relu: bool = False):
-        self.weight = np.ascontiguousarray(weight, dtype=DTYPE)
-        self.bias = None if bias is None else bias.astype(DTYPE)
-        self.relu = relu
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # Kernel profiling (repro.obs.profile) accumulates instead of
-        # tracing: one attribute check when off, two clock reads when on.
-        profiler = _profile.ACTIVE
-        started = time.perf_counter_ns() if profiler is not None else 0
-        out = x @ self.weight
-        if self.bias is not None:
-            out += self.bias
-        if self.relu:
-            np.maximum(out, 0.0, out=out)
-        if profiler is not None:
-            profiler.record(
-                "dense", time.perf_counter_ns() - started, rows=len(x)
-            )
-        return out
+    # Kernel profiling (repro.obs.profile) accumulates instead of
+    # tracing: one attribute check when off, two clock reads when on.
+    profiler = _profile.ACTIVE
+    started = time.perf_counter_ns() if profiler is not None else 0
+    out = x @ weight
+    if bias is not None:
+        out += bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if profiler is not None:
+        profiler.record(
+            "dense", time.perf_counter_ns() - started, rows=len(x)
+        )
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The incompleteness join streams over chunks of root evidence rows, and every
 chunk is a pure function of the seed and the data (counter-based per-row
-random streams, fixed-tile compiled forwards — see :mod:`repro.runtime.rng`
-and :mod:`repro.runtime.compiled`).  That purity is exactly what makes the
+random streams, fixed-tile float32 forwards — see :mod:`repro.runtime.rng`
+and :mod:`repro.runtime.training`).  That purity is exactly what makes the
 chunks safe to fan out: this module provides the executor they fan out on.
 
 Three backends share one contract:
@@ -14,7 +14,7 @@ Three backends share one contract:
   BLAS kernels, so the join's matmul-heavy sampling overlaps.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.  Worker
   state is *rebuilt per worker* from a picklable payload (the join ships the
-  compiled float32 model snapshot, never the autograd module), so tasks and
+  model's float32 inference snapshot, never the autograd module), so tasks and
   the functions operating on them must be module-level picklables.
 
 The contract of :meth:`Executor.map`:

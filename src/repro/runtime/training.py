@@ -1,35 +1,49 @@
-"""Fused forward+backward training kernels over flat parameter buffers.
+"""The float32 network runtime: fused training kernels and inference forwards.
 
 ``ReStore.fit()`` used to build a closure-based float64 autograd graph per
 mini-batch; this module replaces that with hand-derived fused kernels for
 the two architectures the engine trains — :class:`~repro.nn.made.ResidualMADE`
 and the deep-sets :class:`~repro.nn.deepsets.EvidenceTreeEncoder` — running
 on a single flat float32 parameter buffer with an array-based Adam
-(:class:`repro.nn.optim.AdamArrays`).
+(:class:`repro.nn.optim.AdamArrays`).  Built over a *frozen* buffer, the
+same two classes are the inference runtime the incompleteness join samples
+with (``conditional_probs``, ``sample`` and the tree ``forward``).
 
 Design:
 
-* **One kernel set.**  The dense/embedding/softmax primitives live in
-  :mod:`repro.runtime.kernels`, shared with compiled inference; the
-  backward passes here differentiate exactly those forwards.
+* **One network implementation.**  The dense/embedding/softmax primitives
+  live in :mod:`repro.runtime.kernels`.  Training and inference share the
+  feature gather, the masked-weight preparation and the hidden-stack
+  forward; the backward passes here differentiate exactly those forwards.
+* **Fixed inference tiles.**  Inference runs every dense layer over
+  zero-padded tiles of :data:`~repro.runtime.kernels.TILE` rows
+  (:func:`~repro.runtime.kernels.tile_apply`), so a row's activations are
+  bitwise identical no matter how the batch around it is chunked — which
+  lets the chunked incompleteness join reproduce the unchunked run
+  exactly.  Training runs whole mini-batches.
 * **Flat buffers.**  :class:`ParameterBuffer` packs every named parameter
   of a module into one contiguous array (plus a matching gradient array)
   and hands out reshaped views keyed by the original autograd tensors.
   Optimizer steps, gradient clipping and best-epoch snapshots are single
-  vectorized operations on the flat arrays.
+  vectorized operations on the flat arrays.  A frozen buffer
+  (:meth:`ParameterBuffer.freeze`) instead holds gradient-free standalone
+  copies, so a network built over it pickles exactly the float32 arrays it
+  computes with — the payload process workers receive.
 * **The autograd engine stays the oracle.**  Buffers accept a ``dtype``
   so the gradcheck harness can run the same kernels in float64 and compare
   against the reference engine to machine precision; production training
   uses float32.
 * **Write-back.**  After training, :meth:`ParameterBuffer.write_back`
   copies the buffer into the module's float64 tensors, so ``state_dict``
-  names, serialized artifacts and compiled inference snapshots are
-  unchanged — a fused-trained model is indistinguishable in shape and
-  plumbing from an autograd-trained one.
+  names, serialized artifacts and inference snapshots are unchanged — a
+  fused-trained model is indistinguishable in shape and plumbing from an
+  autograd-trained one.
 """
 
 from __future__ import annotations
 
+import copy
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +53,9 @@ from ..nn.layers import Module
 from ..nn.made import ResidualMADE
 from ..nn.optim import AdamArrays, clip_grad_norm_arrays
 from ..nn.train import TrainConfig, TrainStepper
+from ..obs import profile as _profile
 from . import kernels
+from . import rng as _rng
 
 
 class ParameterBuffer:
@@ -50,11 +66,13 @@ class ParameterBuffer:
     views by parameter name or by the original tensor object.  The views
     alias the flat array, so an optimizer update on :attr:`flat` is
     immediately visible to every kernel holding a view.
+
+    :meth:`freeze` derives the inference variant.
     """
 
     def __init__(self, module: Module, dtype=kernels.DTYPE):
-        self.module = module
         self.dtype = np.dtype(dtype)
+        self.frozen = False
         named = list(module.named_parameters())
         self.names: List[str] = [name for name, _ in named]
         self._tensors = [param for _, param in named]
@@ -91,8 +109,8 @@ class ParameterBuffer:
         """Parameter view (by name or by the module's tensor object)."""
         return self._views[self._name_of(key)]
 
-    def grad_view(self, key) -> np.ndarray:
-        """Gradient view aligned with :meth:`view`."""
+    def grad_view(self, key) -> Optional[np.ndarray]:
+        """Gradient view aligned with :meth:`view` (``None`` when frozen)."""
         return self._grad_views[self._name_of(key)]
 
     def stacked_views(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -102,10 +120,10 @@ class ParameterBuffer:
         buffer and share their trailing dimension, their concatenation is
         itself a contiguous ``(sum(rows), dim)`` view — one gather/scatter
         can then serve all of them (the MADE embedding fast path).  Returns
-        ``None`` when the layout does not line up.
+        ``None`` when the layout does not line up, and always when frozen.
         """
         views = [self._views[self._name_of(k)] for k in keys]
-        if not views or any(v.ndim != 2 for v in views):
+        if self.frozen or not views or any(v.ndim != 2 for v in views):
             return None
         dim = views[0].shape[1]
         if any(v.shape[1] != dim for v in views):
@@ -142,9 +160,24 @@ class ParameterBuffer:
         for name, param in zip(self.names, self._tensors):
             param.data[...] = self._views[name].astype(param.data.dtype)
 
+    def freeze(self) -> "ParameterBuffer":
+        """A frozen, gradient-free copy of the current parameters.
+
+        The inference variant: every parameter is a standalone copy, and
+        there is no flat array, no gradient and no reference to the module,
+        so networks built over it pickle nothing but those arrays.
+        """
+        frozen = copy.copy(self)
+        frozen.frozen = True
+        frozen.flat = frozen.grad = None
+        frozen._tensors = []
+        frozen._views = {name: view.copy() for name, view in self._views.items()}
+        frozen._grad_views = dict.fromkeys(self._grad_views)
+        return frozen
+
 
 class FusedResidualMADE:
-    """Hand-derived forward+backward for :class:`ResidualMADE` training.
+    """Hand-derived forward+backward for :class:`ResidualMADE`, plus sampling.
 
     Reproduces the autograd loss
     ``sum_i weighted_mean_CE(logits_i, x[:, i])`` exactly (up to the buffer
@@ -154,29 +187,29 @@ class FusedResidualMADE:
     masks are applied at forward time (weights stay raw in the buffer) and
     to the weight gradients, so masked-out entries never train — the same
     fixed point the autograd engine converges to.
+
+    Over a frozen buffer this is the inference runtime of a fitted MADE:
+    the masks are applied to the weights once, and :meth:`conditional_probs`
+    / :meth:`sample` run the shared forward over fixed row tiles.  Only the
+    output columns of the variable being sampled are computed: each
+    variable's head is split out of the output layer once and cached.
     """
 
     def __init__(self, made: ResidualMADE, buffer: ParameterBuffer):
-        self.buffer = buffer
         self.dtype = buffer.dtype
+        self.frozen = buffer.frozen
         self.num_variables = made.num_variables
         self.context_dim = made.context_dim
+        # Variable i's logits are columns logit_offsets[i]:logit_offsets[i+1];
+        # the same offsets index the concatenated embedding vocabulary (code
+        # c of variable i is row logit_offsets[i] + c), since both spaces
+        # are K_i wide per variable.
         self.logit_offsets = made._logit_offsets.astype(np.int64)
         self.embeddings = [buffer.view(e.weight) for e in made.embeddings]
         self.d_embeddings = [buffer.grad_view(e.weight) for e in made.embeddings]
         self.embed_dim = made.embed_dim
-        self.embed_starts = np.empty(self.num_variables, dtype=np.int64)
-        offset = self.context_dim
-        for i, emb in enumerate(self.embeddings):
-            self.embed_starts[i] = offset
-            offset += emb.shape[1]
-        self.feature_dim = offset
-        # Concatenated embedding-vocabulary space for the one-GEMM scatter:
-        # variable i's code c maps to row vocab_offsets[i] + c.
-        vocabs = np.array([emb.shape[0] for emb in self.embeddings], dtype=np.int64)
-        self.vocab_offsets = np.concatenate([[0], np.cumsum(vocabs)])
-        self.total_vocab = int(self.vocab_offsets[-1])
-        self._head_kernel = kernels.MultiheadNLLKernel(
+        self.feature_dim = self.context_dim + self.num_variables * self.embed_dim
+        self._head_kernel = None if self.frozen else kernels.MultiheadNLLKernel(
             self.logit_offsets, dtype=self.dtype
         )
         # Fast path: the buffer lays the per-variable embedding tables out
@@ -185,17 +218,24 @@ class FusedResidualMADE:
         self._stacked = buffer.stacked_views([e.weight for e in made.embeddings])
 
         def dense(layer):
+            weight = buffer.view(layer.weight)
+            mask = np.ascontiguousarray(layer.mask.data, dtype=self.dtype)
+            if self.frozen:
+                # Frozen weights never train: mask them once, for good.
+                weight *= mask
+                mask = None
             return (
-                buffer.view(layer.weight),
+                weight,
                 buffer.grad_view(layer.weight),
                 None if layer.bias is None else buffer.view(layer.bias),
                 None if layer.bias is None else buffer.grad_view(layer.bias),
-                np.ascontiguousarray(layer.mask.data, dtype=self.dtype),
+                mask,
             )
 
         self.input_layer = dense(made.input_layer)
         self.residual_layers = [dense(layer) for layer in made.residual_layers]
         self.output_layer = dense(made.output_layer)
+        self._heads: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
 
     # -- forward helpers -------------------------------------------------
     def _features(self, x: np.ndarray, context: Optional[np.ndarray]) -> np.ndarray:
@@ -207,46 +247,54 @@ class FusedResidualMADE:
             features[:, : self.context_dim] = context
         if self._stacked is not None:
             stacked, _grad = self._stacked
-            flat_codes = (x + self.vocab_offsets[None, :-1]).ravel()
+            flat_codes = (x + self.logit_offsets[None, :-1]).ravel()
             features[:, self.context_dim:] = stacked[flat_codes].reshape(
                 len(x), -1
             )
             return features
         for i, emb in enumerate(self.embeddings):
-            lo = int(self.embed_starts[i])
-            features[:, lo:lo + emb.shape[1]] = emb[x[:, i]]
+            lo = self._embed_start(i)
+            features[:, lo:lo + self.embed_dim] = emb[x[:, i]]
         return features
+
+    def _embed_start(self, variable: int) -> int:
+        """First feature column of ``variable``'s embedding."""
+        return self.context_dim + variable * self.embed_dim
 
     def _masked_weights(self):
         """The effective (mask-applied) weights of every dense layer.
 
         Computed once per step and shared between the forward and backward
-        passes — weights change every optimizer step, masks never do.
+        passes — weights change every optimizer step, masks never do.  A
+        frozen model's weights are stored masked and pass straight through.
         """
-        w_in, _, _, _, mask_in = self.input_layer
-        wm_res = [w * mask for w, _, _, _, mask in self.residual_layers]
-        w_out, _, _, _, mask_out = self.output_layer
-        return w_in * mask_in, wm_res, w_out * mask_out
+        def masked(layer):
+            weight, mask = layer[0], layer[4]
+            return weight if mask is None else weight * mask
+
+        return (
+            masked(self.input_layer),
+            [masked(layer) for layer in self.residual_layers],
+            masked(self.output_layer),
+        )
 
     def _hidden_states(self, features: np.ndarray, wm_in, wm_res):
-        """Forward through the residual stack, caching what backward needs."""
-        z = features @ wm_in
-        b_in = self.input_layer[2]
-        if b_in is not None:
-            z += b_in
-        relu0 = z > 0
-        np.maximum(z, 0.0, out=z)
-        hs = [z]            # hs[k] = input to residual layer k; hs[-1] = final
-        relus = []          # ReLU masks of each residual pre-activation
-        for (w, _dw, b, _db, mask), wm in zip(self.residual_layers, wm_res):
-            zk = hs[-1] @ wm
-            if b is not None:
-                zk += b
-            mk = zk > 0
-            np.maximum(zk, 0.0, out=zk)
-            relus.append(mk)
-            hs.append(hs[-1] + zk)
-        return hs, relu0, relus
+        """Forward through the residual stack.
+
+        Returns ``hs`` — the input of every residual layer, then the final
+        state — and each residual branch's post-ReLU output.  Backward
+        reads the ReLU masks off those (an output is positive exactly when
+        its pre-activation was).
+        """
+        h = kernels.dense(features, wm_in, self.input_layer[2], relu=True)
+        hs = [h]
+        branches = []
+        for layer, wm in zip(self.residual_layers, wm_res):
+            branch = kernels.dense(h, wm, layer[2], relu=True)
+            h = h + branch
+            hs.append(h)
+            branches.append(branch)
+        return hs, branches
 
     def forward_logits(
         self, x: np.ndarray, context: Optional[np.ndarray] = None
@@ -254,12 +302,8 @@ class FusedResidualMADE:
         """All per-variable logits ``(batch, sum(K_i))`` — forward only."""
         features = self._features(x, context)
         wm_in, wm_res, wm_out = self._masked_weights()
-        hs, _relu0, _relus = self._hidden_states(features, wm_in, wm_res)
-        logits = hs[-1] @ wm_out
-        b_out = self.output_layer[2]
-        if b_out is not None:
-            logits += b_out
-        return logits
+        hs, _branches = self._hidden_states(features, wm_in, wm_res)
+        return kernels.dense(hs[-1], wm_out, self.output_layer[2])
 
     def _weight_matrix(
         self,
@@ -304,11 +348,9 @@ class FusedResidualMADE:
         x = np.asarray(x)
         features = self._features(x, context)
         wm_in, wm_res, wm_out = self._masked_weights()
-        hs, relu0, relus = self._hidden_states(features, wm_in, wm_res)
-        logits = hs[-1] @ wm_out
+        hs, branches = self._hidden_states(features, wm_in, wm_res)
         _w_out, dw_out, b_out, db_out, mask_out = self.output_layer
-        if b_out is not None:
-            logits += b_out
+        logits = kernels.dense(hs[-1], wm_out, b_out)
 
         if weight_matrix is None:
             weight_matrix = self._weight_matrix(len(x), variable_weights)
@@ -323,7 +365,7 @@ class FusedResidualMADE:
         # Residual blocks, in reverse:  h_{k+1} = h_k + relu(h_k @ Wm_k + b_k)
         for k in range(len(self.residual_layers) - 1, -1, -1):
             _w, dw, _b, db, mask = self.residual_layers[k]
-            dz = dh * relus[k]
+            dz = dh * (branches[k] > 0)
             dw += (hs[k].T @ dz) * mask
             if db is not None:
                 db += dz.sum(axis=0)
@@ -331,7 +373,7 @@ class FusedResidualMADE:
 
         # Input layer.
         _w_in, dw_in, _b_in, db_in, mask_in = self.input_layer
-        dz0 = dh * relu0
+        dz0 = dh * (hs[0] > 0)
         dw_in += (features.T @ dz0) * mask_in
         if db_in is not None:
             db_in += dz0.sum(axis=0)
@@ -341,15 +383,17 @@ class FusedResidualMADE:
         # scatter over the concatenated vocabulary space (bincount columns
         # instead of one np.add.at per variable).
         d_context = d_features[:, : self.context_dim] if self.context_dim else None
-        flat_codes = (x + self.vocab_offsets[None, :-1]).ravel()
+        flat_codes = (x + self.logit_offsets[None, :-1]).ravel()
         d_embedded = d_features[:, self.context_dim:].reshape(-1, self.embed_dim)
-        d_stacked = kernels.dense_scatter(flat_codes, d_embedded, self.total_vocab)
+        d_stacked = kernels.dense_scatter(
+            flat_codes, d_embedded, int(self.logit_offsets[-1])
+        )
         if self._stacked is not None:
             _params, stacked_grad = self._stacked
             stacked_grad += d_stacked
         else:
             for i, d_emb in enumerate(self.d_embeddings):
-                lo = int(self.vocab_offsets[i])
+                lo = int(self.logit_offsets[i])
                 d_emb += d_stacked[lo:lo + d_emb.shape[0]]
         return loss, d_context
 
@@ -371,6 +415,97 @@ class FusedResidualMADE:
             total += kernels.nll_rows(logits[:, start:stop], x[:, i])
         return total
 
+    # -- inference ---------------------------------------------------------
+    def _head(self, variable: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One variable's output columns as a contiguous (weight, bias)."""
+        head = self._heads.get(variable)
+        if head is None:
+            start = int(self.logit_offsets[variable])
+            stop = int(self.logit_offsets[variable + 1])
+            wm_out = self._masked_weights()[2]
+            bias = self.output_layer[2]
+            head = (
+                np.ascontiguousarray(wm_out[:, start:stop]),
+                None if bias is None else bias[start:stop].copy(),
+            )
+            if self.frozen:
+                self._heads[variable] = head
+        return head
+
+    def _tile_logits(self, variable: int):
+        """Per-tile logits of one variable: hidden stack, then its head."""
+        wm_in, wm_res, _wm_out = self._masked_weights()
+        weight, bias = self._head(variable)
+
+        def fn(tile: np.ndarray) -> np.ndarray:
+            hs, _branches = self._hidden_states(tile, wm_in, wm_res)
+            return kernels.dense(hs[-1], weight, bias)
+
+        return fn
+
+    def conditional_probs(
+        self, x: np.ndarray, variable: int, context: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``P(x_variable | x_<variable>, context)`` as ``(batch, K)``."""
+        features = self._features(x, context)
+        return kernels.softmax(
+            kernels.tile_apply(features, self._tile_logits(variable))
+        )
+
+    def sample(
+        self,
+        evidence: np.ndarray,
+        start_variable: int,
+        rng: Optional[np.random.Generator] = None,
+        context: Optional[np.ndarray] = None,
+        temperature: float = 1.0,
+        stop_variable: Optional[int] = None,
+        draws: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Iterative conditional sampling, one variable per forward.
+
+        Variables ``start_variable .. stop_variable - 1`` of ``evidence``
+        are overwritten with samples; earlier columns are the evidence.
+        Randomness comes either from ``rng`` (one categorical draw per row
+        per variable) or from precomputed ``draws`` of shape
+        ``(batch, stop - start)`` — the chunk-invariant path used by the
+        incompleteness join.
+        """
+        profiler = _profile.ACTIVE
+        started = time.perf_counter_ns() if profiler is not None else 0
+        stop = self.num_variables if stop_variable is None else stop_variable
+        if not 0 <= start_variable <= stop <= self.num_variables:
+            raise ValueError("sampling range out of bounds")
+        x = np.array(evidence, dtype=np.int64, copy=True)
+        n = len(x)
+        if n == 0 or start_variable == stop:
+            return x
+        if draws is None and rng is None:
+            raise ValueError("sample needs either rng or draws")
+        # The feature matrix is built and tile-padded once; each step
+        # refreshes only the embedding slice of the variable it drew.
+        padded = np.zeros(
+            (-(-n // kernels.TILE) * kernels.TILE, self.feature_dim),
+            dtype=self.dtype,
+        )
+        padded[:n] = self._features(x, context)
+        for step, variable in enumerate(range(start_variable, stop)):
+            logits = kernels.tile_apply(padded, self._tile_logits(variable))[:n]
+            probs = kernels.softmax(logits)
+            if temperature != 1.0:
+                log_probs = np.log(np.maximum(probs, 1e-300)) / temperature
+                probs = kernels.softmax(log_probs)
+            u = draws[:, step] if draws is not None else rng.random(n)
+            x[:, variable] = _rng.sample_categorical(probs, u)
+            lo = self._embed_start(variable)
+            emb = self.embeddings[variable]
+            padded[:n, lo:lo + self.embed_dim] = emb[x[:, variable]]
+        if profiler is not None:
+            profiler.record(
+                "made.sample", time.perf_counter_ns() - started, rows=n
+            )
+        return x
+
 
 class _FusedNode:
     """Fused phi/rho deep-sets node mirroring :class:`_NodeEncoder`."""
@@ -378,6 +513,7 @@ class _FusedNode:
     def __init__(self, encoder: _NodeEncoder, buffer: ParameterBuffer):
         self.name = encoder.spec.name
         self.dtype = buffer.dtype
+        self.frozen = buffer.frozen
         self.num_columns = len(encoder.spec.vocab_sizes)
         self.embeddings = [buffer.view(e.weight) for e in encoder.embeddings]
         self.d_embeddings = [buffer.grad_view(e.weight) for e in encoder.embeddings]
@@ -403,6 +539,12 @@ class _FusedNode:
             parent_ids=np.zeros(0, dtype=np.int64),
         )
 
+    def _phi(self, x: np.ndarray) -> np.ndarray:
+        return kernels.dense(x, self.w_phi, self.b_phi, relu=True)
+
+    def _rho(self, x: np.ndarray) -> np.ndarray:
+        return kernels.dense(x, self.w_rho, self.b_rho, relu=True)
+
     def forward(self, batch: Optional[TreeNodeBatch], num_parents: int) -> np.ndarray:
         if batch is None:
             batch = self._empty_batch()
@@ -416,29 +558,25 @@ class _FusedNode:
         else:
             features = np.zeros((batch.num_rows, 1), dtype=self.dtype)
 
-        z_phi = features @ self.w_phi
-        if self.b_phi is not None:
-            z_phi += self.b_phi
-        relu_phi = z_phi > 0
-        np.maximum(z_phi, 0.0, out=z_phi)
+        # Inference runs each layer over fixed row tiles and keeps nothing;
+        # training runs the whole batch and keeps what backward needs.
+        run = kernels.tile_apply if self.frozen else (lambda x, layer: layer(x))
+        z_phi = run(features, self._phi)
         pooled = kernels.segment_sum_forward(z_phi, batch.parent_ids, num_parents)
-        z_rho = pooled @ self.w_rho
-        if self.b_rho is not None:
-            z_rho += self.b_rho
-        relu_rho = z_rho > 0
-        np.maximum(z_rho, 0.0, out=z_rho)
-        self._cache = (batch, features, relu_phi, pooled, relu_rho)
+        z_rho = run(pooled, self._rho)
+        if not self.frozen:
+            self._cache = (batch, features, z_phi, pooled, z_rho)
         return z_rho
 
     def backward(self, d_out: np.ndarray) -> None:
-        batch, features, relu_phi, pooled, relu_rho = self._cache
-        dz_rho = d_out * relu_rho
+        batch, features, z_phi, pooled, z_rho = self._cache
+        dz_rho = d_out * (z_rho > 0)
         self.dw_rho += pooled.T @ dz_rho
         if self.db_rho is not None:
             self.db_rho += dz_rho.sum(axis=0)
         d_pooled = dz_rho @ self.w_rho.T
         d_encoded = kernels.segment_sum_backward(d_pooled, batch.parent_ids)
-        dz_phi = d_encoded * relu_phi
+        dz_phi = d_encoded * (z_phi > 0)
         self.dw_phi += features.T @ dz_phi
         if self.db_phi is not None:
             self.db_phi += dz_phi.sum(axis=0)
@@ -457,7 +595,14 @@ class _FusedNode:
 
 
 class FusedTreeEncoder:
-    """Fused forward+backward for :class:`EvidenceTreeEncoder` training."""
+    """Fused forward+backward for :class:`EvidenceTreeEncoder`.
+
+    Over a live buffer :meth:`forward` is the training forward: whole
+    batches, keeping what :meth:`backward` needs.  Over a frozen buffer it
+    is the inference forward: every dense layer runs on fixed row tiles,
+    so a row's context does not depend on the batch around it, and nothing
+    is kept.
+    """
 
     def __init__(self, encoder: EvidenceTreeEncoder, buffer: ParameterBuffer):
         self.nodes = [_FusedNode(e, buffer) for e in encoder.encoders]
@@ -466,10 +611,19 @@ class FusedTreeEncoder:
     def forward(
         self, batches: Dict[str, TreeNodeBatch], batch_size: int
     ) -> np.ndarray:
+        """Contexts ``(batch_size, context_dim)`` as a plain array."""
+        profiler = _profile.ACTIVE
+        started = time.perf_counter_ns() if profiler is not None else 0
         parts = [
             node.forward(batches.get(node.name), batch_size) for node in self.nodes
         ]
-        return np.concatenate(parts, axis=-1)
+        out = np.concatenate(parts, axis=-1)
+        if profiler is not None:
+            profiler.record(
+                "tree.encode", time.perf_counter_ns() - started,
+                rows=batch_size,
+            )
+        return out
 
     def backward(self, d_context: np.ndarray) -> None:
         col = 0
@@ -483,10 +637,9 @@ class FusedTrainStepper(TrainStepper):
 
     Owns a :class:`ParameterBuffer` over the whole model (MADE plus, for
     SSAR, the tree encoder), the fused kernels, and an array-based Adam on
-    the flat buffer.  The hop-level inference surface and the picklable
-    :class:`~repro.core.models.CompletionSnapshot` are untouched — the
-    stepper lives only for the duration of one ``fit`` and writes its final
-    parameters back into the module's float64 tensors.
+    the flat buffer.  The stepper lives only for the duration of one
+    ``fit`` and writes its final parameters back into the module's float64
+    tensors; the model's inference snapshot is rebuilt from those.
     """
 
     backend = "fused"

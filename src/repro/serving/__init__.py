@@ -18,8 +18,7 @@ ReStore's train-once / query-many story in four layers:
   overload with per-tenant quotas, and aggregates worker stats.
 
 The error taxonomy lives in :mod:`repro.errors`; the names below re-export
-it for convenience.  ``repro.serving.batching`` / ``repro.serving.artifacts``
-as *old homes* of the error classes still resolve via deprecation shims.
+it for convenience.
 """
 
 from ..errors import (

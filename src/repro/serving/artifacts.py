@@ -56,14 +56,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._compat import deprecated_attrs
 from ..core.engine import ReStore, ReStoreConfig
 from ..errors import (
-    ArtifactError as _ArtifactError,
-    ArtifactIntegrityError as _ArtifactIntegrityError,
-    ArtifactLineageError as _ArtifactLineageError,
-    ArtifactSchemaError as _ArtifactSchemaError,
-    ArtifactVersionError as _ArtifactVersionError,
+    ArtifactError,
+    ArtifactIntegrityError,
+    ArtifactLineageError,
+    ArtifactSchemaError,
+    ArtifactVersionError,
 )
 from ..core.forest import EvidenceForest
 from ..core.models import (
@@ -161,9 +160,9 @@ def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise _ArtifactIntegrityError(f"artifact is missing {what} ({path.name})") from exc
+        raise ArtifactIntegrityError(f"artifact is missing {what} ({path.name})") from exc
     except json.JSONDecodeError as exc:
-        raise _ArtifactIntegrityError(f"{what} ({path.name}) is not valid JSON: {exc}") from exc
+        raise ArtifactIntegrityError(f"{what} ({path.name}) is not valid JSON: {exc}") from exc
 
 
 def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
@@ -176,9 +175,9 @@ def _read_npz(path: Path, what: str) -> Dict[str, np.ndarray]:
         with np.load(path, allow_pickle=True) as npz:
             return {key: npz[key] for key in npz.files}
     except FileNotFoundError as exc:
-        raise _ArtifactIntegrityError(f"artifact is missing {what} ({path.name})") from exc
+        raise ArtifactIntegrityError(f"artifact is missing {what} ({path.name})") from exc
     except (OSError, ValueError) as exc:
-        raise _ArtifactIntegrityError(f"{what} ({path.name}) is unreadable: {exc}") from exc
+        raise ArtifactIntegrityError(f"{what} ({path.name}) is unreadable: {exc}") from exc
 
 
 def _sha256_file(path: Path) -> str:
@@ -286,7 +285,7 @@ def _database_from_state(schema, arrays) -> Tuple[Database, SchemaAnnotation]:
         db = Database(tables, [ForeignKey(**fk) for fk in schema["foreign_keys"]])
         annotation = _annotation_from_state(schema, arrays)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _ArtifactIntegrityError(f"database state is inconsistent: {exc}") from exc
+        raise ArtifactIntegrityError(f"database state is inconsistent: {exc}") from exc
     return db, annotation
 
 
@@ -294,14 +293,14 @@ def _database_from_store(path: Path, schema, arrays) -> Tuple[Database, SchemaAn
     """Reopen a columnar artifact's database (lazy, memory-mapped tables)."""
     store_dir = path / _DATABASE_STORE
     if not store_dir.is_dir():
-        raise _ArtifactIntegrityError(
+        raise ArtifactIntegrityError(
             f"columnar artifact is missing its {_DATABASE_STORE}/ directory"
         )
     try:
         db = Database.from_store(str(store_dir))
         annotation = _annotation_from_state(schema, arrays)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _ArtifactIntegrityError(f"database store is inconsistent: {exc}") from exc
+        raise ArtifactIntegrityError(f"database store is inconsistent: {exc}") from exc
     return db, annotation
 
 
@@ -322,19 +321,26 @@ def _config_to_dict(config: ReStoreConfig) -> dict:
     return _extract_arrays(asdict(config), "config", {})
 
 
+#: Config fields older artifacts record that the engine no longer has
+#: (``compiled_inference`` chose an inference backend; there is one now).
+_RETIRED_CONFIG_KEYS = frozenset({"compiled_inference"})
+
+
+def _current_fields(data: dict) -> dict:
+    """A stored config dict without its retired fields."""
+    return {k: v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
+
+
 def _config_from_dict(data: dict) -> ReStoreConfig:
     try:
-        data = dict(data)
-        model = dict(data.pop("model"))
-        train = dict(model.pop("train"))
-        model["hidden"] = tuple(model["hidden"])
-        model_config = ModelConfig(train=TrainConfig(**train), **model)
+        data = _current_fields(data)
+        model_config = _model_config_from_dict(data.pop("model"))
         data["chunk_size"] = (
             None if data.get("chunk_size") is None else int(data["chunk_size"])
         )
         return ReStoreConfig(model=model_config, **data)
     except (KeyError, TypeError) as exc:
-        raise _ArtifactIntegrityError(f"stored config is inconsistent: {exc}") from exc
+        raise ArtifactIntegrityError(f"stored config is inconsistent: {exc}") from exc
 
 
 # ======================================================================
@@ -396,7 +402,6 @@ def _models_state(engine: ReStore):
                 str(slot): codec.cap
                 for slot, codec in model.layout.tf_codecs.items()
             },
-            "inference_backend": model.inference_backend,
             "train_summary": _train_summary(model.train_result),
         })
     candidates = {
@@ -419,7 +424,7 @@ def _models_state(engine: ReStore):
 
 
 def _model_config_from_dict(data: dict) -> ModelConfig:
-    data = dict(data)
+    data = _current_fields(data)
     train = dict(data.pop("train"))
     data["hidden"] = tuple(data["hidden"])
     return ModelConfig(train=TrainConfig(**train), **data)
@@ -441,7 +446,7 @@ def _verify_layout(layout: PathLayout, entry: dict) -> None:
             f"tuple-factor caps {actual_caps} vs stored {stored_caps}"
         )
     if problems:
-        raise _ArtifactSchemaError(
+        raise ArtifactSchemaError(
             f"layout mismatch for {entry['kind']} model on path "
             f"{tuple(entry['path'])}: {'; '.join(problems)}"
         )
@@ -465,7 +470,7 @@ def _models_from_state(
         elif entry["kind"] == "ssar":
             walks = fan_out_relations(db, annotation, path)
             if not walks:
-                raise _ArtifactSchemaError(
+                raise ArtifactSchemaError(
                     f"stored SSAR model on {path} has no fan-out walks "
                     f"in the loaded schema"
                 )
@@ -475,22 +480,21 @@ def _models_from_state(
             )
             model = SSARCompletionModel(layout, forest, config)
         else:
-            raise _ArtifactSchemaError(f"unknown model kind {entry['kind']!r}")
+            raise ArtifactSchemaError(f"unknown model kind {entry['kind']!r}")
         prefix = f"model/{entry['index']}/"
         try:
             state = {name: arrays[prefix + name] for name in entry["param_names"]}
         except KeyError as exc:
-            raise _ArtifactIntegrityError(
+            raise ArtifactIntegrityError(
                 f"model parameter array missing from {_MODELS_NPZ}: {exc}"
             ) from exc
         try:
             model.load_state_dict(state)
         except ValueError as exc:
-            raise _ArtifactSchemaError(
+            raise ArtifactSchemaError(
                 f"stored weights do not fit the reconstructed "
                 f"{entry['kind']} model on {path}: {exc}"
             ) from exc
-        model.inference_backend = entry["inference_backend"]
         model.mark_fitted_from_artifact(_train_result_from(entry["train_summary"]))
         models[(entry["kind"], path.tables)] = model
 
@@ -500,7 +504,7 @@ def _models_from_state(
         for score in scores:
             key = (score["kind"], tuple(score["path"]))
             if key not in models:
-                raise _ArtifactIntegrityError(
+                raise ArtifactIntegrityError(
                     f"candidate list references unknown model {key}"
                 )
             rebuilt.append(CandidateScore(
@@ -563,8 +567,8 @@ def save_artifact(
         parent = Path(parent)
         try:
             parent_manifest = read_manifest(parent)
-        except _ArtifactError as exc:
-            raise _ArtifactLineageError(
+        except ArtifactError as exc:
+            raise ArtifactLineageError(
                 f"parent artifact at {parent} is unreadable: {exc}"
             ) from exc
         lineage = {
@@ -574,7 +578,7 @@ def save_artifact(
             "delta": None if delta is None else delta.counts(),
         }
     elif delta is not None:
-        raise _ArtifactLineageError(
+        raise ArtifactLineageError(
             "delta metadata requires a parent artifact to anchor lineage"
         )
     path = Path(path)
@@ -659,20 +663,20 @@ def verify_lineage(path, parent_path=None) -> dict:
     path = Path(path)
     lineage = artifact_lineage(path)
     if lineage is None:
-        raise _ArtifactLineageError(f"artifact at {path} records no lineage")
+        raise ArtifactLineageError(f"artifact at {path} records no lineage")
     parent = Path(parent_path) if parent_path is not None else Path(
         lineage.get("parent_path", "")
     )
     try:
         parent_manifest = read_manifest(parent)
-    except _ArtifactError as exc:
-        raise _ArtifactLineageError(
+    except ArtifactError as exc:
+        raise ArtifactLineageError(
             f"parent artifact at {parent} is unreadable: {exc}"
         ) from exc
     actual = parent_manifest.get("database_digest")
     recorded = lineage.get("parent_digest")
     if actual != recorded:
-        raise _ArtifactLineageError(
+        raise ArtifactLineageError(
             f"lineage mismatch: artifact records parent digest "
             f"{str(recorded)[:12]}… but {parent} has {str(actual)[:12]}…"
         )
@@ -684,7 +688,7 @@ def read_manifest(path) -> dict:
     manifest = _read_json(Path(path) / _MANIFEST, "manifest")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise _ArtifactVersionError(
+        raise ArtifactVersionError(
             f"artifact format version {version!r} is not supported "
             f"(this build reads version {FORMAT_VERSION})"
         )
@@ -697,35 +701,35 @@ def verify_artifact(path) -> dict:
     manifest = read_manifest(path)
     files = manifest.get("files")
     if not isinstance(files, dict) or set(files) != set(_HASHED_FILES):
-        raise _ArtifactIntegrityError(
+        raise ArtifactIntegrityError(
             "manifest does not list the expected artifact files"
         )
     for name, expected in files.items():
         target = path / name
         if not target.exists():
-            raise _ArtifactIntegrityError(f"artifact file {name} is missing")
+            raise ArtifactIntegrityError(f"artifact file {name} is missing")
         actual = _sha256_file(target)
         if actual != expected:
-            raise _ArtifactIntegrityError(
+            raise ArtifactIntegrityError(
                 f"artifact file {name} is corrupted "
                 f"(sha256 {actual[:12]}… != recorded {expected[:12]}…)"
             )
     if manifest.get("database_format") == "columnar":
         store_files = manifest.get("store_files")
         if not isinstance(store_files, dict) or not store_files:
-            raise _ArtifactIntegrityError(
+            raise ArtifactIntegrityError(
                 "columnar artifact manifest lists no store files"
             )
         store_dir = path / _DATABASE_STORE
         for rel, expected in store_files.items():
             target = store_dir / rel
             if not target.exists():
-                raise _ArtifactIntegrityError(
+                raise ArtifactIntegrityError(
                     f"database store file {rel} is missing"
                 )
             actual = _sha256_file(target)
             if actual != expected:
-                raise _ArtifactIntegrityError(
+                raise ArtifactIntegrityError(
                     f"database store file {rel} is corrupted "
                     f"(sha256 {actual[:12]}… != recorded {expected[:12]}…)"
                 )
@@ -741,7 +745,7 @@ def load_artifact(
 
     With ``engine`` given, the fitted state is loaded *into* that live
     engine instead (its database must match the artifact's digest —
-    anything else is an :class:`_ArtifactSchemaError`); its join cache is
+    anything else is an :class:`ArtifactSchemaError`); its join cache is
     invalidated and its cache statistics reset, so ``cache_stats`` stays
     truthful.  ``config_overrides`` (fresh engines only) replaces
     execution settings such as ``chunk_size`` / ``n_workers`` /
@@ -759,7 +763,7 @@ def load_artifact(
         db, annotation = _database_from_state(schema, db_arrays)
     digest = database_digest(db, annotation)
     if digest != manifest.get("database_digest"):
-        raise _ArtifactIntegrityError(
+        raise ArtifactIntegrityError(
             "reconstructed database does not match the manifest digest"
         )
 
@@ -773,14 +777,14 @@ def load_artifact(
             for name, state in encoders_meta.items()
         }
     except (KeyError, ValueError) as exc:
-        raise _ArtifactIntegrityError(f"encoder state is inconsistent: {exc}") from exc
+        raise ArtifactIntegrityError(f"encoder state is inconsistent: {exc}") from exc
 
     if engine is None:
         config = _config_from_dict(_read_json(path / _CONFIG, "config"))
         if config_overrides:
             forbidden = set(config_overrides) - EXECUTION_CONFIG_FIELDS
             if forbidden:
-                raise _ArtifactError(
+                raise ArtifactError(
                     f"config_overrides may only change execution settings "
                     f"{sorted(EXECUTION_CONFIG_FIELDS)}; {sorted(forbidden)} "
                     f"belong to the trained state (re-fit instead)"
@@ -788,15 +792,15 @@ def load_artifact(
             try:
                 config = replace(config, **config_overrides)
             except TypeError as exc:
-                raise _ArtifactError(f"invalid config override: {exc}") from exc
+                raise ArtifactError(f"invalid config override: {exc}") from exc
         engine = ReStore(db, annotation, config)
     else:
         if config_overrides:
-            raise _ArtifactError(
+            raise ArtifactError(
                 "config_overrides only applies when loading a fresh engine"
             )
         if database_digest(engine.db, engine.annotation) != digest:
-            raise _ArtifactSchemaError(
+            raise ArtifactSchemaError(
                 "live engine's database does not match the artifact "
                 "(digest mismatch); load into a fresh engine instead"
             )
@@ -819,13 +823,3 @@ def load_artifact(
     engine.scenario_name = manifest.get("scenario")
     return engine
 
-
-#: The error classes moved to :mod:`repro.errors` (one taxonomy, stable
-#: wire codes); the old ``repro.serving.artifacts`` paths keep resolving
-#: with a one-time DeprecationWarning.
-__getattr__ = deprecated_attrs(__name__, {
-    "ArtifactError": "repro.errors",
-    "ArtifactVersionError": "repro.errors",
-    "ArtifactIntegrityError": "repro.errors",
-    "ArtifactSchemaError": "repro.errors",
-})

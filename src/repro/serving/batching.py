@@ -12,10 +12,6 @@ The batcher never loses a request: nothing is awaited between taking the
 first request off the queue and returning the batch, so a cancelled
 collector leaves every request queued for :meth:`MicroBatcher.drain`, and
 shutdown can fail those futures explicitly.
-
-The error classes that used to live here (``ServiceOverloadedError``,
-``ServiceClosedError``) moved to :mod:`repro.errors`; the old import paths
-keep resolving with a one-time ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -24,12 +20,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .._compat import deprecated_attrs
 from ..core.selection import SuspectedBias
-from ..errors import (
-    ServiceClosedError as _ServiceClosedError,
-    ServiceOverloadedError as _ServiceOverloadedError,
-)
+from ..errors import ServiceClosedError, ServiceOverloadedError
 from ..query import Query
 
 
@@ -88,14 +80,14 @@ class MicroBatcher:
     async def put(self, request: ServiceRequest, wait: bool = True) -> None:
         """Admit a request; full queue ⇒ block (``wait``) or reject."""
         if self._queue is None:
-            raise _ServiceClosedError("service is not running")
+            raise ServiceClosedError("service is not running")
         if wait:
             await self._queue.put(request)
             return
         try:
             self._queue.put_nowait(request)
         except asyncio.QueueFull:
-            raise _ServiceOverloadedError(
+            raise ServiceOverloadedError(
                 f"admission queue is full ({self.max_queue} requests); "
                 f"retry later or submit with wait=True"
             ) from None
@@ -131,9 +123,3 @@ class MicroBatcher:
                 except asyncio.QueueEmpty:
                     break
         return pending
-
-
-__getattr__ = deprecated_attrs(__name__, {
-    "ServiceOverloadedError": "repro.errors",
-    "ServiceClosedError": "repro.errors",
-})

@@ -3,14 +3,8 @@
 The api_redesign contract: ``repro`` and ``repro.serving`` declare an
 explicit, documented ``__all__`` whose every name resolves; the error
 taxonomy lives in :mod:`repro.errors` under :class:`ReStoreError` with
-stable wire codes; and the *old* import homes of the error classes keep
-working through deprecation shims that warn exactly once and hand back
-the very same class objects.
+stable wire codes.
 """
-
-import importlib
-import subprocess
-import sys
 
 import pytest
 
@@ -90,73 +84,3 @@ class TestErrorTaxonomy:
             assert restored.code == code
         fallback = error_for_code("unheard_of_code", "msg")
         assert isinstance(fallback, WorkerError)
-
-
-class TestDeprecationShims:
-    """Old import homes resolve, warn once, and return the same objects.
-
-    Each check runs in a fresh interpreter: the shims warn once per
-    *process*, so an in-suite import (or another test) would otherwise
-    consume the warning.
-    """
-
-    CASES = [
-        ("repro.serving.artifacts", "ArtifactError"),
-        ("repro.serving.artifacts", "ArtifactVersionError"),
-        ("repro.serving.artifacts", "ArtifactIntegrityError"),
-        ("repro.serving.artifacts", "ArtifactSchemaError"),
-        ("repro.serving.batching", "ServiceOverloadedError"),
-        ("repro.serving.batching", "ServiceClosedError"),
-    ]
-
-    @pytest.mark.parametrize("module_name,attr", CASES)
-    def test_old_path_warns_once_and_returns_canonical_object(
-        self, module_name, attr
-    ):
-        script = f"""
-import warnings
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    import {module_name} as old_home
-    first = old_home.{attr}
-    second = old_home.{attr}
-import repro.errors
-assert first is second is getattr(repro.errors, "{attr}")
-deprecations = [w for w in caught if w.category is DeprecationWarning]
-assert len(deprecations) == 1, [str(w.message) for w in caught]
-message = str(deprecations[0].message)
-assert "{attr}" in message and "repro.errors" in message
-print("OK")
-"""
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "OK"
-
-    @pytest.mark.parametrize("module_name", sorted({m for m, _a in CASES}))
-    def test_unknown_attribute_still_raises_attribute_error(self, module_name):
-        module = importlib.import_module(module_name)
-        with pytest.raises(AttributeError, match="NoSuchThing"):
-            module.NoSuchThing
-
-    def test_new_canonical_imports_do_not_warn(self):
-        # Fresh interpreter on purpose: reloading repro.errors in-process
-        # would mint new class objects and poison later isinstance checks.
-        script = """
-import warnings
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    import repro.errors
-    import repro.serving
-deprecations = [w for w in caught if w.category is DeprecationWarning]
-assert deprecations == [], [str(w.message) for w in deprecations]
-print("OK")
-"""
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "OK"

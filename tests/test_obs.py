@@ -280,14 +280,19 @@ class TestMetricsRegistry:
 
 class TestKernelProfiling:
     def test_profile_kernels_accumulates(self, engine):
+        """Every kernel name the benchmark's trace reads is recorded."""
         query = parse_query(COMPLETION_SQL)
+        ssar = next(
+            model for model in engine.fitted_models().values()
+            if model.kind == "ssar"
+        )
         engine.clear_cache()
         with profile_kernels() as prof:
-            engine.answer(query)
+            engine.answer(query, model=ssar)
         snap = prof.snapshot()
-        assert "dense" in snap
-        assert snap["dense"]["calls"] > 0
-        assert snap["dense"]["rows"] > 0
+        for kernel in ("dense", "softmax", "made.sample", "tree.encode"):
+            assert snap[kernel]["calls"] > 0, kernel
+            assert snap[kernel]["rows"] > 0, kernel
         table = prof.report()
         assert "dense" in table
         # scoped: after exit the kernels are back on the no-op path

@@ -254,19 +254,24 @@ class TestCrossBackendJoinDeterminism:
         ).run()
         _assert_joins_identical(serial, parallel)
 
-    def test_autograd_backend_stays_bitwise_under_process(self, fitted_model):
-        """An autograd-backend model has no compiled snapshot to ship; the
-        process backend must complete it in-process rather than silently
-        sampling float32 on workers — rows still match serial bitwise."""
-        fitted_model.inference_backend = "autograd"
-        try:
-            serial = IncompletenessJoin(fitted_model, seed=11).run()
-            parallel = IncompletenessJoin(
-                fitted_model, seed=11, n_workers=4, parallel_backend="process",
-            ).run()
-        finally:
-            fitted_model.inference_backend = "compiled"
-        _assert_joins_identical(serial, parallel)
+    def test_reloaded_weights_reach_process_workers(self, fitted_model,
+                                                    serial_join):
+        """Weights loaded into a model that has already joined are the ones
+        process workers sample with: no stale float32 networks ship."""
+        other = ARCompletionModel(
+            fitted_model.layout,
+            ModelConfig(hidden=(32, 32), train=FAST, seed=5),
+        )
+        other.fit()
+        before = IncompletenessJoin(
+            other, seed=7, n_workers=2, parallel_backend="process",
+        ).run()
+        assert not joins_bitwise_identical(before, serial_join)
+        other.load_state_dict(fitted_model.state_dict())
+        after = IncompletenessJoin(
+            other, seed=7, n_workers=2, parallel_backend="process",
+        ).run()
+        _assert_joins_identical(serial_join, after)
 
 
 @pytest.mark.slow

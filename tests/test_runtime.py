@@ -1,13 +1,17 @@
-"""Tests for the inference runtime: compiled forwards, join cache, chunking.
+"""Tests for the inference runtime: float32 forwards, join cache, chunking.
 
 Covers the contract of :mod:`repro.runtime`:
 
-* compiled (graph-free, float32) inference matches the autograd path within
-  float32 tolerance,
+* float32 inference (the fused networks over a frozen parameter buffer)
+  matches the float64 autograd oracle within float32 tolerance,
+* inference snapshots pickle to float32 arrays only and follow the model's
+  weights,
 * the incompleteness join builds no autograd graphs,
 * chunked join execution reproduces the unchunked run exactly,
 * :class:`JoinCache` LRU eviction, invalidation on re-fit, and statistics.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -30,10 +34,24 @@ from repro.datasets import (
     generate_synthetic,
 )
 from repro.incomplete import RemovalSpec, make_incomplete
-from repro.nn import MLP, ResidualMADE, Tensor, TrainConfig
+from repro.nn import (
+    EvidenceTreeEncoder,
+    Module,
+    ResidualMADE,
+    Tensor,
+    TrainConfig,
+    TreeNodeBatch,
+    TreeNodeSpec,
+)
 from repro.nn import tensor as tensor_mod
 from repro.relational import CompletionPath, fan_out_relations
-from repro.runtime import CompiledMADE, JoinCache, compile_module
+from repro.runtime import (
+    FusedResidualMADE,
+    FusedTreeEncoder,
+    JoinCache,
+    ParameterBuffer,
+    kernels,
+)
 from repro.runtime import rng as rt_rng
 
 FAST = TrainConfig(epochs=3, batch_size=128, lr=1e-2, patience=2)
@@ -67,31 +85,241 @@ def fitted_ssar(fitted_setup):
 
 
 # ----------------------------------------------------------------------
-# Compiled-inference parity
+# Float32 inference vs the float64 oracle
 # ----------------------------------------------------------------------
+
+def _sampler(made):
+    """The float32 inference runtime of a (possibly untrained) MADE."""
+    return FusedResidualMADE(made, ParameterBuffer(made).freeze())
+
+
+class TestInferenceOracle:
+    """Oracle checks that need no training: they run on every CI leg."""
+
+    def test_frozen_sampler_on_made(self):
+        rng = np.random.default_rng(0)
+        made = ResidualMADE([4, 5, 3], embed_dim=4, hidden=(16, 16), rng=rng)
+        sampler = _sampler(made)
+        x = np.zeros((7, 3), dtype=np.int64)
+        np.testing.assert_allclose(
+            sampler.forward_logits(x), made.forward(x).numpy(),
+            atol=1e-4, rtol=1e-3,
+        )
+        for variable in range(3):
+            np.testing.assert_allclose(
+                sampler.conditional_probs(x, variable),
+                made.conditional_probs(x, variable), atol=1e-4, rtol=1e-3,
+            )
+
+    def test_sample_empty_range_needs_no_randomness(self):
+        """Zero-column slots (link tables) sample nothing — no rng required."""
+        rng = np.random.default_rng(0)
+        made = ResidualMADE([4, 5], embed_dim=4, hidden=(8, 8), rng=rng)
+        prefix = np.zeros((3, 2), dtype=np.int64)
+        out = _sampler(made).sample(prefix, 1, stop_variable=1)
+        np.testing.assert_array_equal(out, prefix)
+
+    def test_sample_matches_oracle_with_shared_draws(self):
+        """With shared uniforms, float32 and float64 walk the same CDFs."""
+        rng = np.random.default_rng(3)
+        made = ResidualMADE([4, 6, 3, 5], embed_dim=4, hidden=(16, 16), rng=rng)
+        n = 300
+        prefix = np.zeros((n, 4), dtype=np.int64)
+        prefix[:, 0] = rng.integers(0, 4, size=n)
+        draws = rng.random((n, 3))
+        fast = _sampler(made).sample(prefix, 1, draws=draws)
+        exact = made.sample(prefix, 1, rng=None, draws=draws)
+        assert (fast == exact).all(axis=1).mean() >= 0.99
+
+    def test_freeze_copies_parameters_without_gradients(self):
+        rng = np.random.default_rng(1)
+        made = ResidualMADE([4, 5, 3], embed_dim=4, hidden=(8, 8), rng=rng)
+        live = ParameterBuffer(made)
+        frozen = live.freeze()
+        assert frozen.frozen and not live.frozen
+        assert frozen.flat is None and frozen.grad is None
+        assert frozen.stacked_views([e.weight for e in made.embeddings]) is None
+        for name in live.names:
+            assert frozen.grad_view(name) is None
+            assert frozen.view(name).dtype == np.float32
+            np.testing.assert_array_equal(frozen.view(name), live.view(name))
+            assert not np.shares_memory(frozen.view(name), live.flat)
+
+        # The sampler masks its frozen weights in place, once; neither the
+        # live buffer nor the float64 module may see that.
+        live_before = live.flat.copy()
+        module_before = {n: p.data.copy() for n, p in made.named_parameters()}
+        FusedResidualMADE(made, frozen)
+        np.testing.assert_array_equal(live.flat, live_before)
+        for name, param in made.named_parameters():
+            np.testing.assert_array_equal(param.data, module_before[name])
+        layer = made.input_layer
+        np.testing.assert_array_equal(
+            frozen.view(layer.weight),
+            (layer.weight.data * layer.mask.data).astype(np.float32),
+        )
+
+    def test_conditional_probs_are_batch_invariant(self):
+        """A row's float32 conditionals do not depend on its batch."""
+        rng = np.random.default_rng(2)
+        made = ResidualMADE([4, 6, 3], embed_dim=4, hidden=(64, 64), rng=rng,
+                            context_dim=5)
+        sampler = _sampler(made)
+        n = 300  # several inference tiles, cut at non-multiples below
+        x = np.stack([rng.integers(0, k, size=n) for k in (4, 6, 3)], axis=1)
+        context = rng.normal(size=(n, 5)).astype(np.float32)
+        for variable in range(3):
+            full = sampler.conditional_probs(x, variable, context=context)
+            for size in (1, 37):
+                pieces = [
+                    sampler.conditional_probs(x[i:i + size], variable,
+                                              context=context[i:i + size])
+                    for i in range(0, n, size)
+                ]
+                np.testing.assert_array_equal(np.concatenate(pieces), full)
+
+    def test_stop_variable_samples_only_its_range(self):
+        """``stop_variable`` ends the walk early: later columns keep their
+        evidence, and the sampled ones equal a full walk's on the same
+        draws (an autoregressive prefix never looks ahead)."""
+        rng = np.random.default_rng(4)
+        made = ResidualMADE([4, 6, 3, 5], embed_dim=4, hidden=(16, 16), rng=rng)
+        sampler = _sampler(made)
+        n = 200
+        prefix = np.stack([rng.integers(0, k, size=n) for k in (4, 6, 3, 5)],
+                          axis=1)
+        draws = rng.random((n, 3))
+        full = sampler.sample(prefix, 1, draws=draws)
+        part = sampler.sample(prefix, 1, stop_variable=3, draws=draws[:, :2])
+        np.testing.assert_array_equal(part[:, [0, 3]], prefix[:, [0, 3]])
+        np.testing.assert_array_equal(part[:, 1:3], full[:, 1:3])
+        assert (full[:, 3] != prefix[:, 3]).any()  # the full walk did move it
+
+    def test_temperature_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        made = ResidualMADE([4, 6, 3, 5], embed_dim=4, hidden=(16, 16), rng=rng)
+        sampler = _sampler(made)
+        n = 300
+        prefix = np.zeros((n, 4), dtype=np.int64)
+        prefix[:, 0] = rng.integers(0, 4, size=n)
+        draws = rng.random((n, 3))
+        fast = sampler.sample(prefix, 1, draws=draws, temperature=0.5)
+        exact = made.sample(prefix, 1, rng=None, draws=draws, temperature=0.5)
+        assert (fast == exact).all(axis=1).mean() >= 0.99
+        # Near zero temperature a draw takes the mode of its conditional.
+        cold = sampler.sample(prefix, 1, stop_variable=2, draws=draws[:, :1],
+                              temperature=1e-6)
+        np.testing.assert_array_equal(
+            cold[:, 1], sampler.conditional_probs(prefix, 1).argmax(axis=1)
+        )
+
+    def test_sample_rejects_bad_arguments(self):
+        rng = np.random.default_rng(6)
+        made = ResidualMADE([4, 5, 3], embed_dim=4, hidden=(8, 8), rng=rng,
+                            context_dim=2)
+        sampler = _sampler(made)
+        prefix = np.zeros((5, 3), dtype=np.int64)
+        context = np.zeros((5, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="rng or draws"):
+            sampler.sample(prefix, 1, context=context)
+        with pytest.raises(ValueError, match="out of bounds"):
+            sampler.sample(prefix, 2, rng=rng, context=context, stop_variable=1)
+        with pytest.raises(ValueError, match="out of bounds"):
+            sampler.sample(prefix, 0, rng=rng, context=context, stop_variable=4)
+        with pytest.raises(ValueError, match="pass context"):
+            sampler.conditional_probs(prefix, 1)
+
+    def test_tree_encoder_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        tree = _tree_encoder(rng)
+        for _name, param in tree.named_parameters():  # biases start at zero
+            param.data[...] = rng.normal(scale=0.3, size=param.data.shape)
+        batches = _tree_batches(rng, tree, num_roots=60)
+        fast = FusedTreeEncoder(tree, ParameterBuffer(tree).freeze())
+        np.testing.assert_allclose(
+            fast.forward(batches, 60), tree(batches, 60).numpy(),
+            atol=1e-4, rtol=1e-3,
+        )
+
+    def test_tree_contexts_are_batch_invariant(self):
+        """A root's float32 context does not depend on the other roots in
+        its batch — the property the chunked SSAR join relies on."""
+        rng = np.random.default_rng(8)
+        tree = _tree_encoder(rng)
+        fast = FusedTreeEncoder(tree, ParameterBuffer(tree).freeze())
+        num_roots = 300
+        batches = _tree_batches(rng, tree, num_roots)
+        full = fast.forward(batches, num_roots)
+        for keep in (1, 37, 129, 256):
+            prefix = {
+                name: _first_parents(batch, keep)
+                for name, batch in batches.items()
+            }
+            np.testing.assert_array_equal(fast.forward(prefix, keep),
+                                          full[:keep])
+
+
+def _tree_encoder(rng) -> EvidenceTreeEncoder:
+    specs = [
+        TreeNodeSpec("child", [5, 3], children=[TreeNodeSpec("grand", [4])]),
+        TreeNodeSpec("other", [6]),
+    ]
+    return EvidenceTreeEncoder(specs, embed_dim=16, node_dim=64, rng=rng)
+
+
+def _tree_batches(rng, tree, num_roots):
+    """Random fan-out trees, more rows per level than one inference tile."""
+    def node(spec, num_parents):
+        rows = 3 * kernels.TILE
+        batch = TreeNodeBatch(
+            values=np.stack(
+                [rng.integers(0, k, size=rows) for k in spec.vocab_sizes], axis=1
+            ),
+            parent_ids=np.sort(rng.integers(0, num_parents, size=rows)),
+        )
+        for child in spec.children:
+            batch.children[child.name] = node(child, rows)
+        return batch
+
+    return {spec.name: node(spec, num_roots) for spec in tree.specs}
+
+
+def _first_parents(batch: TreeNodeBatch, keep: int) -> TreeNodeBatch:
+    """The sub-tree hanging off the first ``keep`` parents (ids are sorted)."""
+    rows = int(np.searchsorted(batch.parent_ids, keep))
+    return TreeNodeBatch(
+        values=batch.values[:rows],
+        parent_ids=batch.parent_ids[:rows],
+        children={
+            name: _first_parents(child, rows)
+            for name, child in batch.children.items()
+        },
+    )
+
 
 @pytest.mark.slow
 class TestCompiledParity:
+    """The fitted models' float32 runtime against their float64 modules."""
+
     def test_conditional_probs_match_autograd(self, fitted_setup):
         *_, layout, model = fitted_setup
-        compiled = model.compiled_made()
         rng = np.random.default_rng(0)
         x = np.stack([
             rng.integers(0, v.vocab_size, size=64) for v in layout.variables
         ], axis=1)
         for variable in range(layout.num_variables):
-            fast = compiled.conditional_probs(x, variable)
+            fast = model.conditional_probs(x, variable)
             exact = model.made.conditional_probs(x, variable)
             np.testing.assert_allclose(fast, exact, atol=1e-4, rtol=1e-3)
 
     def test_per_example_nll_matches_autograd(self, fitted_setup):
         *_, layout, model = fitted_setup
-        compiled = model.compiled_made()
+        sampler = model.inference_snapshot().made
         rng = np.random.default_rng(1)
         x = np.stack([
             rng.integers(0, v.vocab_size, size=48) for v in layout.variables
         ], axis=1)
-        fast = compiled.per_example_nll(x)
+        fast = sampler.per_example_nll(x)
         exact = model.made.per_example_nll(x)
         np.testing.assert_allclose(fast, exact, atol=1e-3, rtol=1e-3)
 
@@ -99,7 +327,7 @@ class TestCompiledParity:
         model = fitted_ssar
         roots = np.arange(20, dtype=np.int64)
         batches = model.forest.batch_for_roots(roots)
-        fast_ctx = model.compiled_tree().forward(batches, len(roots))
+        fast_ctx = model.context_for_roots(roots)
         exact_ctx = model.tree_encoder(batches, len(roots)).numpy()
         np.testing.assert_allclose(fast_ctx, exact_ctx, atol=1e-4, rtol=1e-3)
 
@@ -108,14 +336,14 @@ class TestCompiledParity:
         x = np.stack([
             rng.integers(0, v.vocab_size, size=20) for v in layout.variables
         ], axis=1)
-        fast = model.compiled_made().conditional_probs(x, 1, context=fast_ctx)
+        fast = model.conditional_probs(x, 1, context=fast_ctx)
         exact = model.made.conditional_probs(x, 1, context=Tensor(exact_ctx))
         np.testing.assert_allclose(fast, exact, atol=1e-4, rtol=1e-3)
 
     def test_sample_matches_autograd_draws(self, fitted_setup):
-        """With shared uniforms, both backends walk the same CDFs."""
+        """With shared uniforms, both runtimes walk the same CDFs."""
         *_, layout, model = fitted_setup
-        compiled = model.compiled_made()
+        sampler = model.inference_snapshot().made
         rng = np.random.default_rng(3)
         n = 128
         prefix = np.zeros((n, layout.num_variables), dtype=np.int64)
@@ -123,52 +351,95 @@ class TestCompiledParity:
             0, layout.variables[0].vocab_size, size=n
         )
         draws = rng.random((n, layout.num_variables - 1))
-        fast = compiled.sample(prefix, 1, draws=draws)
+        fast = sampler.sample(prefix, 1, draws=draws)
         exact = model.made.sample(prefix, 1, rng=None, draws=draws)
         # float32 vs float64 CDFs may flip a draw that lands within ~1e-6 of
         # a bin boundary; identical for virtually every row.
         agree = (fast == exact).all(axis=1).mean()
         assert agree > 0.99
 
-    def test_compile_generic_modules(self):
-        rng = np.random.default_rng(0)
-        mlp = MLP(6, [16, 16], 3, rng)
-        fn = compile_module(mlp)
-        x = rng.normal(size=(10, 6))
-        fast = fn(x.astype(np.float32))
-        exact = mlp(Tensor(x)).numpy()
-        np.testing.assert_allclose(fast, exact, atol=1e-4, rtol=1e-3)
-
-    def test_compile_inference_hook_on_made(self):
-        rng = np.random.default_rng(0)
-        made = ResidualMADE([4, 5, 3], embed_dim=4, hidden=(16, 16), rng=rng)
-        compiled = made.compile_inference()
-        assert isinstance(compiled, CompiledMADE)
-        x = np.zeros((7, 3), dtype=np.int64)
-        np.testing.assert_allclose(
-            compiled.forward(x), made.forward(x).numpy(), atol=1e-4, rtol=1e-3
-        )
-
-    def test_sample_empty_range_needs_no_randomness(self):
-        """Zero-column slots (link tables) sample nothing — no rng required."""
-        rng = np.random.default_rng(0)
-        made = ResidualMADE([4, 5], embed_dim=4, hidden=(8, 8), rng=rng)
-        compiled = made.compile_inference()
-        prefix = np.zeros((3, 2), dtype=np.int64)
-        out = compiled.sample(prefix, 1, stop_variable=1)
-        np.testing.assert_array_equal(out, prefix)
-
     def test_compiled_tiling_is_batch_invariant(self, fitted_setup):
-        """A row's compiled activations do not depend on its batch."""
+        """A row's float32 conditionals do not depend on its batch."""
         *_, layout, model = fitted_setup
-        compiled = model.compiled_made()
+        sampler = model.inference_snapshot().made
         rng = np.random.default_rng(4)
         x = np.stack([
             rng.integers(0, v.vocab_size, size=300) for v in layout.variables
         ], axis=1)
-        full = compiled.forward(x)
-        pieces = [compiled.forward(x[i:i + 37]) for i in range(0, 300, 37)]
-        np.testing.assert_array_equal(np.concatenate(pieces), full)
+        for variable in range(layout.num_variables):
+            full = sampler.conditional_probs(x, variable)
+            pieces = [
+                sampler.conditional_probs(x[i:i + 37], variable)
+                for i in range(0, 300, 37)
+            ]
+            np.testing.assert_array_equal(np.concatenate(pieces), full)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through attributes/containers."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.slow
+class TestInferenceSnapshot:
+    @pytest.mark.parametrize("kind", ["ar", "ssar"])
+    def test_unpickled_snapshot_holds_float32_arrays_only(
+        self, fitted_setup, fitted_ssar, kind
+    ):
+        model = fitted_setup[-1] if kind == "ar" else fitted_ssar
+        snapshot = pickle.loads(pickle.dumps(model.inference_snapshot()))
+        leaked = [
+            type(obj).__name__ for obj in _reachable(snapshot)
+            if isinstance(obj, (Tensor, Module))
+        ]
+        assert leaked == []
+        networks = [snapshot.made] + ([snapshot.tree] if kind == "ssar" else [])
+        weights = [
+            obj for obj in _reachable(networks)
+            if isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+        ]
+        assert weights
+        assert {w.dtype for w in weights} == {np.dtype(np.float32)}
+
+    def test_load_state_dict_drops_stale_snapshot(self, fitted_setup):
+        """Loading other weights must not keep sampling the old ones."""
+        *_, layout, _model = fitted_setup
+        a, b = (
+            ARCompletionModel(layout, ModelConfig(hidden=(32, 32), train=FAST,
+                                                  seed=seed))
+            for seed in (0, 5)
+        )
+        a.fit()
+        b.fit()
+        before = _canonical(IncompletenessJoin(a, seed=0).run())
+        expected = _canonical(IncompletenessJoin(b, seed=0).run())
+        assert not _same_rows(before, expected)
+        a.load_state_dict(b.state_dict())
+        assert _same_rows(_canonical(IncompletenessJoin(a, seed=0).run()), expected)
+
+
+def _same_rows(a, b) -> bool:
+    """Two canonicalized joins hold the same rows and weights."""
+    (cols_a, w_a, _), (cols_b, w_b, _) = a, b
+    return (
+        cols_a.keys() == cols_b.keys()
+        and all(np.array_equal(cols_a[k], cols_b[k]) for k in cols_a)
+        and np.array_equal(w_a, w_b)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +450,6 @@ class TestCompiledParity:
 class TestNoAutogradDuringJoin:
     def test_join_builds_no_graph_nodes(self, fitted_setup, monkeypatch):
         *_, model = fitted_setup
-        assert model.use_compiled
         tracked = []
         original = tensor_mod.Tensor._make
 
@@ -193,8 +463,8 @@ class TestNoAutogradDuringJoin:
         assert tracked == []
 
     def test_autograd_backend_does_build_graphs(self, fitted_setup, monkeypatch):
-        """Sanity: the spy catches graphs when the old path is forced."""
-        *_, model = fitted_setup
+        """Sanity: the spy catches the graphs the float64 oracle builds."""
+        *_, layout, model = fitted_setup
         tracked = []
         original = tensor_mod.Tensor._make
 
@@ -204,11 +474,8 @@ class TestNoAutogradDuringJoin:
             return original(data, parents, backward_fn)
 
         monkeypatch.setattr(tensor_mod.Tensor, "_make", staticmethod(spy))
-        model.inference_backend = "autograd"
-        try:
-            IncompletenessJoin(model, seed=0).run()
-        finally:
-            model.inference_backend = "compiled"
+        prefix = np.zeros((8, layout.num_variables), dtype=np.int64)
+        model.made.sample(prefix, 1, rng=np.random.default_rng(0))
         assert len(tracked) > 0
 
 

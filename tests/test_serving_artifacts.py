@@ -8,7 +8,9 @@ version mismatches, schema mismatches), execution-config overrides
 guarantees when an artifact is loaded into a live engine.
 """
 
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +129,36 @@ class TestRoundTrip:
             restored = loaded.fitted_models()[key].state_dict()
             for name, value in model.state_dict().items():
                 assert np.array_equal(restored[name], value), name
+
+    def test_retired_inference_settings_still_load(
+        self, synthetic_engine, synthetic_artifact, tmp_path
+    ):
+        """Artifacts written while inference had two backends recorded a
+        ``compiled_inference`` flag in every config and an
+        ``inference_backend`` per model; they load and answer unchanged."""
+        old = tmp_path / "old"
+        shutil.copytree(synthetic_artifact, old)
+        config = json.loads((old / "config.json").read_text())
+        config["compiled_inference"] = True
+        config["model"]["compiled_inference"] = True
+        (old / "config.json").write_text(json.dumps(config))
+        models = json.loads((old / "models.json").read_text())
+        assert len(models["models"]) >= 2
+        for i, entry in enumerate(models["models"]):
+            entry["config"]["compiled_inference"] = True
+            entry["inference_backend"] = ("compiled", "autograd")[i % 2]
+        (old / "models.json").write_text(json.dumps(models))
+        manifest = json.loads((old / "manifest.json").read_text())
+        for name in ("config.json", "models.json"):
+            manifest["files"][name] = hashlib.sha256(
+                (old / name).read_bytes()
+            ).hexdigest()
+        (old / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = ReStore.load(old)
+        assert _answers(loaded, "synthetic/biased") == _answers(
+            synthetic_engine, "synthetic/biased"
+        )
 
     def test_candidate_scores_preserved(self, synthetic_engine, synthetic_artifact):
         loaded = ReStore.load(synthetic_artifact)
@@ -291,6 +323,25 @@ class TestErrors:
         (hollow / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ArtifactIntegrityError, match="expected artifact files"):
             load_artifact(hollow)
+
+    @pytest.mark.parametrize("level", ["engine", "model"])
+    def test_unknown_config_field_still_rejected(
+        self, synthetic_artifact, tmp_path, level
+    ):
+        """Only retired fields are dropped on load; any other field the
+        config classes lack still marks the stored config inconsistent."""
+        odd = self._copy_artifact(synthetic_artifact, tmp_path / "odd")
+        config = json.loads((odd / "config.json").read_text())
+        (config if level == "engine" else config["model"])["no_such_field"] = 1
+        (odd / "config.json").write_text(json.dumps(config))
+        manifest = json.loads((odd / "manifest.json").read_text())
+        manifest["files"]["config.json"] = hashlib.sha256(
+            (odd / "config.json").read_bytes()
+        ).hexdigest()
+        (odd / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactIntegrityError,
+                           match="stored config is inconsistent"):
+            load_artifact(odd)
 
     def test_load_into_mismatched_engine(self, synthetic_artifact):
         other = ReStore.from_dataset(make_scenario_dataset(
