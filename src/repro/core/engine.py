@@ -14,7 +14,7 @@ This is the public facade tying together everything the paper describes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ..nn.train import TRAIN_BACKENDS
 from ..obs import trace
 from ..runtime import CacheStats, JoinCache, PartialCacheStats, PartialJoinCache
 from ..runtime.parallel import PARALLEL_BACKENDS, get_executor
+from ..runtime.rng import chunk_slices
 from ..query import (
     JoinResult,
     Query,
@@ -58,33 +59,38 @@ from .selection import (
 )
 
 
+#: Chunks in the canonical grid when ``chunk_size`` is None: enough for
+#: budgeted runs to stream over and for root-row mutations to invalidate
+#: locally.
+GRID_CHUNKS = 16
+#: Capacity, in chunks, of the engine's partial-completion cache.
+PARTIAL_CACHE_CHUNKS = 256
+
+
 @dataclass
 class ReStoreConfig:
     """Engine-level configuration.
 
-    ``chunk_size`` streams the incompleteness join over chunks of that many
-    root evidence rows (bounding peak memory; ``None`` = single pass) and
-    ``join_cache_size`` bounds the LRU cache of completed joins.
+    ``chunk_size`` bounds one walk pass of the incompleteness join to that
+    many root evidence rows (peak memory); ``None`` walks every chunk a
+    worker is given in one pass.  It also sets the canonical chunk grid —
+    chunks of ``chunk_size`` roots, else about :data:`GRID_CHUNKS` chunks
+    — which is bookkeeping: the partial-completion cache and mutation
+    invalidation work per chunk.  ``join_cache_size`` bounds the LRU cache
+    of completed joins.
 
     ``n_workers`` / ``parallel_backend`` fan work out over an executor
-    (:mod:`repro.runtime.parallel`): the incompleteness join shards its
-    root-row chunks and ``fit`` trains per-path models concurrently.
-    Backends are ``"serial"`` (default), ``"thread"`` and ``"process"``;
-    results are identical across all of them at a fixed seed (completed
-    joins bitwise up to row order).
+    (:mod:`repro.runtime.parallel`): the incompleteness join deals its
+    walk passes out to workers and ``fit`` trains per-path models
+    concurrently.  Backends are ``"serial"`` (default), ``"thread"`` and
+    ``"process"``; results are identical across all of them at a fixed
+    seed (completed joins bitwise up to row order).
 
     ``train_backend`` overrides the per-model training backend
     (``model.train.backend``) for every path the engine fits: ``"fused"``
     runs the hand-derived float32 kernels of
     :mod:`repro.runtime.training`, ``"autograd"`` the float64 reference
     engine, ``None`` (default) respects the model config.
-
-    ``partial_cache_chunks`` bounds the chunk-granular partial-completion
-    cache (:class:`~repro.runtime.PartialJoinCache`) backing pushdown and
-    progressive answering.  ``progressive_chunks`` sets the canonical chunk
-    grid for those paths when ``chunk_size`` is ``None``: the root table is
-    split into about that many chunks so budgeted runs have something to
-    stream over (an explicit ``chunk_size`` always wins).
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -101,18 +107,8 @@ class ReStoreConfig:
     n_workers: int = 1
     parallel_backend: str = "serial"
     train_backend: Optional[str] = None
-    partial_cache_chunks: int = 256
-    progressive_chunks: int = 16
 
     def __post_init__(self) -> None:
-        if self.partial_cache_chunks < 1:
-            raise ValueError(
-                f"partial_cache_chunks must be >= 1, got {self.partial_cache_chunks}"
-            )
-        if self.progressive_chunks < 1:
-            raise ValueError(
-                f"progressive_chunks must be >= 1, got {self.progressive_chunks}"
-            )
         if self.parallel_backend not in PARALLEL_BACKENDS:
             raise ValueError(
                 f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
@@ -138,7 +134,8 @@ class Answer:
     completed: Optional[CompletedJoin] = None
     from_cache: bool = False
     #: pushdown provenance (roots scanned vs qualifying, chunks walked vs
-    #: total, filter kinds); None when the legacy full-join path answered.
+    #: total, filter kinds); None when the answer was evaluated on the
+    #: model's full completed join (no plan was pushed).
     pushdown: Optional[Dict[str, object]] = None
 
     def confidence(self, confidence: float = 0.95) -> Optional[ConfidenceEstimator]:
@@ -175,7 +172,7 @@ class ReStore:
         self._models: Dict[Tuple[str, Tuple[str, ...]], _CompletionModelBase] = {}
         self._candidates: Dict[str, List[CandidateScore]] = {}
         self.join_cache = JoinCache(self.config.join_cache_size)
-        self.partial_cache = PartialJoinCache(self.config.partial_cache_chunks)
+        self.partial_cache = PartialJoinCache(PARTIAL_CACHE_CHUNKS)
         self.merge_stats: Dict[str, int] = {}
         #: Optional provenance: the registry scenario this engine's dataset
         #: came from; stamped into saved artifacts (repro.serving).
@@ -469,160 +466,137 @@ class ReStore:
             self.config.approximate_replacement,
         )
 
-    def _make_join(
-        self, model: _CompletionModelBase, chunk_size: Optional[int] = None
-    ) -> IncompletenessJoin:
+    def _join(self, model: _CompletionModelBase) -> IncompletenessJoin:
+        """The incompleteness join the engine runs for ``model``."""
         return IncompletenessJoin(
             model,
             approximate_replacement=self.config.approximate_replacement,
             seed=self.config.seed,
-            chunk_size=(
-                chunk_size if chunk_size is not None else self.config.chunk_size
-            ),
+            chunk_size=self.config.chunk_size,
             n_workers=self.config.n_workers,
             parallel_backend=self.config.parallel_backend,
         )
 
-    def _partial_join(self, model: _CompletionModelBase) -> IncompletenessJoin:
-        """The join used by every partial-cache-aware path (pushdown,
-        progressive, top-up).
+    def _grid(self, model: _CompletionModelBase) -> Tuple[Tuple[int, int], ...]:
+        """The canonical ``(start, stop)`` chunk grid of ``model``'s join.
 
-        All of them must agree on one canonical chunk grid — chunk bounds
-        key the partial cache.  An explicit ``chunk_size`` is used as-is;
-        otherwise the root table splits into about ``progressive_chunks``
-        chunks so budgeted runs have a schedule to stream over.
+        Chunks of ``chunk_size`` root rows, else about :data:`GRID_CHUNKS`
+        chunks.  Chunk bounds key the partial cache and delta invalidation;
+        how many chunks one walk pass covers is the join's business.
         """
-        return self._make_join(model, chunk_size=self._canonical_chunk_size(model))
-
-    def _canonical_chunk_size(self, model: _CompletionModelBase) -> int:
-        """The chunk size of the canonical partial grid for ``model``."""
+        num_roots = len(self.db.table(model.layout.path.tables[0]))
         chunk_size = self.config.chunk_size
         if chunk_size is None:
-            num_roots = len(self.db.table(model.layout.path.tables[0]))
-            chunk_size = max(1, -(-num_roots // self.config.progressive_chunks))
-        return chunk_size
+            chunk_size = max(1, -(-num_roots // GRID_CHUNKS))
+        return tuple((s.start, s.stop) for s in chunk_slices(num_roots, chunk_size))
 
-    def _gather_chunks(
+    def _complete(
         self,
         join: IncompletenessJoin,
-        tables: List[str],
-        grid: Tuple[Tuple[int, int], ...],
-        indices: Sequence[int],
-        plan: Optional[PushdownPlan],
-        signature: Tuple,
-    ) -> Tuple[List, Dict[str, int]]:
-        """Chunk outputs for the given grid indices: cache, then walk.
+        plan: Optional[PushdownPlan] = None,
+        schedule: Optional[Sequence[int]] = None,
+    ) -> Iterator[CompletedJoin]:
+        """The completion executor: every completed join is built here.
 
-        Chunks with no qualifying root row are skipped outright; cached
-        chunks from a looser plan are re-filtered by the leftover
-        predicates; everything else is walked on the executor and cached
-        under the plan's fingerprint for the next overlapping query.
-        Outputs come back in grid order.
+        Walks the canonical grid in the steps of ``schedule`` (cumulative
+        chunk counts; default: the whole grid in one step) and yields the
+        assembled join after each step.  Chunks with no qualifying root row
+        are skipped, cached chunks are served from the partial cache
+        (re-filtered when a looser plan walked them), and the rest of a
+        step are walked together and cached under the plan's fingerprints.
+        Chunk provenance lands on ``completed.recompletion`` and, with a
+        plan, on ``completed.pushdown``.
         """
+        model = join.model
+        tables = join.effective_tables()
+        grid = self._grid(model)
+        signature = self._join_key(model)
         fingerprints = plan.fingerprint_set() if plan is not None else frozenset()
-        with trace("engine.gather_chunks", chunks=len(indices)) as span:
-            mask = None
-            if plan is not None and plan.has_root_filters:
-                mask = join.qualifying_root_mask(plan, tables)
-            outputs: List = []
-            missing: List[Tuple[int, Tuple[int, int]]] = []
-            stats = {"chunks_cached": 0, "chunks_walked": 0, "chunks_skipped": 0}
-            for i in indices:
-                task = grid[i]
-                if mask is not None and not mask[task[0]:task[1]].any():
-                    stats["chunks_skipped"] += 1
-                    continue
-                hit = self.partial_cache.lookup(signature, grid, task, fingerprints)
-                if hit is not None:
+        mask = join.qualifying_root_mask(plan)
+        outputs: List = []
+        walked = skipped = have = 0
+        for upto in schedule if schedule is not None else [len(grid)]:
+            with trace("engine.complete", tables="/".join(tables)) as span:
+                missing: List[Tuple[int, Tuple[int, int]]] = []
+                for task in grid[have:upto]:
+                    if mask is not None and not mask[task[0]:task[1]].any():
+                        skipped += 1
+                        continue
+                    hit = self.partial_cache.lookup(
+                        signature, grid, task, fingerprints
+                    )
+                    if hit is None:
+                        missing.append((len(outputs), task))
+                        outputs.append(None)
+                        continue
                     output, cached_fps = hit
                     if cached_fps != fingerprints:
                         output = restrict_chunk_output(
                             output, plan.filters_not_in(cached_fps)
                         )
                     outputs.append(output)
-                    stats["chunks_cached"] += 1
-                else:
-                    missing.append((len(outputs), task))
-                    outputs.append(None)
-            if missing:
-                walked = join.walk_chunks([t for _, t in missing], tables, plan)
-                for (pos, task), output in zip(missing, walked):
-                    self.partial_cache.put(
-                        signature, grid, task, fingerprints, output
-                    )
-                    outputs[pos] = output
-                stats["chunks_walked"] = len(missing)
-            span.set("chunks_cached", stats["chunks_cached"])
-            span.set("chunks_walked", stats["chunks_walked"])
-            span.set("chunks_skipped", stats["chunks_skipped"])
-            return outputs, stats
+                have = upto
+                if missing:
+                    tasks = [task for _, task in missing]
+                    for (i, task), output in zip(
+                        missing, join.walk_chunks(tasks, tables, plan)
+                    ):
+                        self.partial_cache.put(
+                            signature, grid, task, fingerprints, output
+                        )
+                        outputs[i] = output
+                walked += len(missing)
+                chunks = {
+                    "chunks_total": len(grid),
+                    "chunks_walked": walked,
+                    "chunks_cached": len(outputs) - walked,
+                }
+                for name, value in chunks.items():
+                    span.set(name, value)
+                span.set("chunks_skipped", skipped)
+                completed = join.assemble(outputs, tables, plan)
+            completed.recompletion = chunks
+            if plan is not None:
+                completed.pushdown = {
+                    **self._scan_profile(join, plan, mask),
+                    **chunks,
+                    "chunks_skipped": skipped,
+                }
+            yield completed
 
-    def _pushed_completion(
-        self, model: _CompletionModelBase, plan: PushdownPlan
-    ) -> CompletedJoin:
-        """A pushdown-pruned completion over the canonical partial grid."""
-        with trace(
-            "engine.pushed_completion",
-            tables="/".join(model.layout.path.tables),
-        ) as span:
-            join = self._partial_join(model)
-            tables = join.effective_tables()
-            grid = tuple(join.chunk_tasks(tables))
-            signature = self._join_key(model)
-            outputs, stats = self._gather_chunks(
-                join, tables, grid, range(len(grid)), plan, signature
-            )
-            completed = join.assemble(outputs, tables, plan)
-            num_roots = len(self.db.table(tables[0]))
-            roots_qualifying = num_roots
-            if plan.has_root_filters:
-                roots_qualifying = int(
-                    join.qualifying_root_mask(plan, tables).sum()
-                )
-            span.set("roots_qualifying", roots_qualifying)
-        completed.pushdown = {
+    def _scan_profile(
+        self,
+        join: IncompletenessJoin,
+        plan: PushdownPlan,
+        mask: Optional[np.ndarray],
+    ) -> Dict[str, object]:
+        """Root rows scanned vs qualifying, and the plan's filter counts."""
+        num_roots = len(self.db.table(join.path.tables[0]))
+        return {
             "roots_total": num_roots,
-            "roots_qualifying": roots_qualifying,
-            "chunks_total": len(grid),
-            "chunks_walked": stats["chunks_walked"],
-            "chunks_cached": stats["chunks_cached"],
-            "chunks_skipped": stats["chunks_skipped"],
+            "roots_qualifying": num_roots if mask is None else int(mask.sum()),
             "filters": plan.counts_by_kind(),
             "residual_filters": len(plan.residual),
         }
-        return completed
 
     def completed_join(self, model: _CompletionModelBase) -> CompletedJoin:
-        """Run (or reuse) the incompleteness join for a model's full path.
+        """The completed join of a model's full path, memoized (§4.5).
 
-        When a budgeted or pushdown run already left unfiltered chunks in
-        the partial cache, the full join *tops them up* — only the missing
-        chunks are walked — and the assembled result is bitwise identical
-        (up to row order) to a from-scratch run at the same seed.
+        The join cache memoizes the completion executor's unfiltered
+        assembly.  On a miss, chunks already in the partial cache (left by
+        pushdown, progressive or recompletion runs) are reused and the rest
+        walked; the result is bitwise identical (up to row order) to a
+        single-pass :meth:`IncompletenessJoin.run` at the same seed.
         """
         key = self._join_key(model)
         with trace(
             "engine.completed_join", tables="/".join(model.layout.path.tables)
         ) as span:
-            cached = self.join_cache.get(key)
-            if cached is not None:
-                span.set("cache", "hit")
-                return cached
-            if len(self.partial_cache):
-                join = self._partial_join(model)
-                tables = join.effective_tables()
-                grid = tuple(join.chunk_tasks(tables))
-                if self.partial_cache.has_entries(key, grid):
-                    outputs, _stats = self._gather_chunks(
-                        join, tables, grid, range(len(grid)), None, key
-                    )
-                    completed = join.assemble(outputs, tables)
-                    self.join_cache.put(key, completed)
-                    span.set("cache", "topup")
-                    return completed
-            span.set("cache", "miss")
-            completed = self._make_join(model).run()
-            self.join_cache.put(key, completed)
+            completed = self.join_cache.get(key)
+            span.set("cache", "miss" if completed is None else "hit")
+            if completed is None:
+                completed = next(self._complete(self._join(model)))
+                self.join_cache.put(key, completed)
             return completed
 
     @property
@@ -695,8 +669,11 @@ class ReStore:
         ``delta`` re-applies its (idempotent) invalidation, making the
         call safe even if the caller evicted nothing beforehand.
 
-        Chunk-level provenance is attached as ``completed.recompletion``
-        (``chunks_total`` / ``chunks_walked`` / ``chunks_cached``).
+        Chunk-level provenance of *this* call is attached as
+        ``completed.recompletion`` (``chunks_total`` / ``chunks_walked`` /
+        ``chunks_cached``); a join served whole from the join cache comes
+        back as a shallow copy reporting every chunk cached, so results
+        already handed out keep their own provenance.
         """
         if model is None:
             model = self._default_model()
@@ -704,31 +681,14 @@ class ReStore:
             self._invalidate_for_delta(delta)
         key = self._join_key(model)
         cached = self.join_cache.get(key)
-        if cached is not None:
-            # Re-stamp provenance for *this* call: the whole assembled join
-            # was served, nothing walked (the stale dict would otherwise
-            # replay the stats of whichever call built it).
-            total = getattr(cached, "recompletion", {}).get("chunks_total", 0)
-            cached.recompletion = {
-                "chunks_total": total,
-                "chunks_walked": 0,
-                "chunks_cached": total,
-            }
-            return cached
-        join = self._partial_join(model)
-        tables = join.effective_tables()
-        grid = tuple(join.chunk_tasks(tables))
-        outputs, stats = self._gather_chunks(
-            join, tables, grid, range(len(grid)), None, key
-        )
-        completed = join.assemble(outputs, tables)
-        completed.recompletion = {
-            "chunks_total": len(grid),
-            "chunks_walked": stats["chunks_walked"],
-            "chunks_cached": stats["chunks_cached"],
-        }
-        self.join_cache.put(key, completed)
-        return completed
+        if cached is None:
+            completed = next(self._complete(self._join(model)))
+            self.join_cache.put(key, completed)
+            return completed
+        total = len(self._grid(model))
+        return replace(cached, recompletion={
+            "chunks_total": total, "chunks_walked": 0, "chunks_cached": total,
+        })
 
     def check_drift(self, thresholds=None) -> "DriftReport":
         """Compare today's encoded distributions against the fit baseline.
@@ -819,13 +779,13 @@ class ReStore:
 
         evicted = {"chunks": 0, "joins": 0}
         for model in self._models.values():
-            root = model.layout.path.tables[0]
+            grid = self._grid(model)
             plan = plan_invalidation(
                 delta,
-                root_table=root,
+                root_table=model.layout.path.tables[0],
                 closure_tables=self._model_closure(model),
-                num_roots=len(self.db.table(root)),
-                chunk_size=self._canonical_chunk_size(model),
+                num_roots=grid[-1][1],
+                chunk_size=grid[0][1],  # the first chunk is [0, chunk size)
             )
             if not plan.touches_cache:
                 continue
@@ -990,21 +950,22 @@ class ReStore:
     ) -> Answer:
         """Answer an SPJA query over the (completed) database.
 
-        With ``pushdown=True``, the query's predicates are pushed into the
-        incompleteness join (:mod:`repro.query.pushdown`): only qualifying
-        root rows are completed, which on selective queries skips most of
-        the model sampling while returning the exact same answer as full
-        materialization.  A full join already sitting in the cache is used
-        instead (it is free); partial chunks are cached and reused across
-        overlapping queries.
+        ``pushdown`` chooses whether the query's plan reaches the completion
+        executor.  With ``pushdown=True``, the query's predicates are pushed
+        into the incompleteness join (:mod:`repro.query.pushdown`): only
+        qualifying root rows are completed, which on selective queries
+        skips most of the model sampling while returning the exact same
+        answer as full materialization.  A full join already sitting in the
+        cache is used instead (it is free).  Pushed chunks are cached under
+        the query's filter fingerprints and reused by overlapping queries
+        with the same or stricter filters.  Without ``pushdown`` the answer
+        is evaluated on the model's full completed join.
         """
         with trace(
             "engine.answer", tables="/".join(query.tables), pushdown=pushdown
         ) as span:
-            incomplete_in_query = [
-                t for t in query.tables if not self.annotation.is_complete(t)
-            ]
-            if not incomplete_in_query:
+            model = self._completion_model(query, model, suspected_bias)
+            if model is None:
                 span.set("used_completion", False)
                 return Answer(
                     result=execute(self.db, query),
@@ -1012,38 +973,19 @@ class ReStore:
                     used_completion=False,
                 )
 
-            target = self._primary_target(incomplete_in_query)
-            if model is None:
-                choice = self.select_model(target, query=query,
-                                           suspected_bias=suspected_bias)
-                model = choice.model
-
-            path_tables = set(model.layout.path.tables)
-            if not set(query.tables) <= path_tables:
-                raise ValueError(
-                    f"selected completion path {model.layout.path} does not "
-                    f"cover query tables {query.tables}; no admissible "
-                    f"covering path"
-                )
-
             cached_before = self.join_cache.contains(self._join_key(model))
             completed: Optional[CompletedJoin] = None
             if pushdown and not cached_before:
                 plan = plan_pushdown(self.db, model.layout.path.tables, query)
                 if plan.has_pushdown:
-                    completed = self._pushed_completion(model, plan)
+                    completed = next(self._complete(self._join(model), plan))
             if completed is None:
                 completed = self.completed_join(model)
-
-            if set(completed.path.tables) == set(query.tables):
-                joined = completed.result
-            else:
-                joined = self.project_to_tables(completed, query.tables)
 
             span.set("used_completion", True)
             span.set("from_cache", cached_before)
             return Answer(
-                result=execute_on_join(joined, query),
+                result=execute_on_join(self._query_rows(completed, query), query),
                 query=query,
                 used_completion=True,
                 model=model,
@@ -1068,15 +1010,14 @@ class ReStore:
         subsequent refinement adds chunks per the budget's schedule.  Band
         widths are non-increasing, and — for an untruncated budget — the
         final refinement is exactly the budgetless pushdown answer.
-        Completed chunks land in the partial cache, so an interrupted or
-        truncated run is resumed, not repeated, and a later full-join
-        request tops it up.
+        The steps are one run of the completion executor with the budget's
+        schedule.  Completed chunks land in the partial cache, so an
+        interrupted or truncated run's resumption and a later full join
+        reuse them instead of walking again.
         """
         budget = budget if budget is not None else SamplingBudget()
-        incomplete_in_query = [
-            t for t in query.tables if not self.annotation.is_complete(t)
-        ]
-        if not incomplete_in_query:
+        model = self._completion_model(query, model, suspected_bias)
+        if model is None:
             yield Refinement(
                 result=execute(self.db, query),
                 query=query,
@@ -1088,39 +1029,13 @@ class ReStore:
             )
             return
 
-        target = self._primary_target(incomplete_in_query)
-        if model is None:
-            choice = self.select_model(target, query=query,
-                                       suspected_bias=suspected_bias)
-            model = choice.model
-        path_tables = set(model.layout.path.tables)
-        if not set(query.tables) <= path_tables:
-            raise ValueError(
-                f"selected completion path {model.layout.path} does not cover "
-                f"query tables {query.tables}; no admissible covering path"
-            )
         plan = plan_pushdown(self.db, model.layout.path.tables, query)
-        join = self._partial_join(model)
-        tables = join.effective_tables()
-        grid = tuple(join.chunk_tasks(tables))
-        signature = self._join_key(model)
-
-        outputs: List = []
-        have = 0
+        num_chunks = len(self._grid(model))
+        schedule = budget.schedule(num_chunks)
+        steps = self._complete(self._join(model), plan, schedule)
         previous_width: Optional[float] = None
-        schedule = budget.schedule(len(grid))
-        for index, upto in enumerate(schedule):
-            batch, _stats = self._gather_chunks(
-                join, tables, grid, range(have, upto), plan, signature
-            )
-            outputs.extend(batch)
-            have = upto
-            completed = join.assemble(outputs, tables, plan)
-            if set(completed.path.tables) == set(query.tables):
-                joined = completed.result
-            else:
-                joined = self.project_to_tables(completed, query.tables)
-            result = execute_on_join(joined, query)
+        for index, (upto, completed) in enumerate(zip(schedule, steps)):
+            result = execute_on_join(self._query_rows(completed, query), query)
 
             band: Optional[ConfidenceBand] = None
             if completed.num_rows:
@@ -1148,9 +1063,9 @@ class ReStore:
                 query=query,
                 band=band,
                 chunks_completed=upto,
-                chunks_total=len(grid),
+                chunks_total=num_chunks,
                 index=index,
-                final=upto == len(grid),
+                final=upto == num_chunks,
             )
 
     def pushdown_profile(
@@ -1164,8 +1079,28 @@ class ReStore:
         Returns the scan profile a pushed run would have — how many root
         evidence rows qualify vs how many full materialization walks —
         plus the filter classification.  ``None`` when the query needs no
-        completion or the selected path does not cover it.  Cheap: only
-        the pre-walk predicate is evaluated, on real root columns.
+        completion; a selected path that does not cover the query raises
+        like :meth:`answer`.  Cheap: only the pre-walk predicate is
+        evaluated, on real root columns.
+        """
+        model = self._completion_model(query, model, suspected_bias)
+        if model is None:
+            return None
+        plan = plan_pushdown(self.db, model.layout.path.tables, query)
+        join = self._join(model)
+        return self._scan_profile(join, plan, join.qualifying_root_mask(plan))
+
+    def _completion_model(
+        self,
+        query: Query,
+        model: Optional[_CompletionModelBase],
+        suspected_bias: Optional[SuspectedBias],
+    ) -> Optional[_CompletionModelBase]:
+        """The model whose completed join answers ``query``.
+
+        ``None`` when every query table is complete.  Otherwise ``model``
+        if given, else the §5 selection for the query's primary target;
+        its path must cover every query table.
         """
         incomplete = [
             t for t in query.tables if not self.annotation.is_complete(t)
@@ -1173,27 +1108,23 @@ class ReStore:
         if not incomplete:
             return None
         if model is None:
-            choice = self.select_model(
+            model = self.select_model(
                 self._primary_target(incomplete), query=query,
                 suspected_bias=suspected_bias,
-            )
-            model = choice.model
+            ).model
         if not set(query.tables) <= set(model.layout.path.tables):
-            return None
-        plan = plan_pushdown(self.db, model.layout.path.tables, query)
-        join = self._partial_join(model)
-        tables = join.effective_tables()
-        num_roots = len(join.db.table(tables[0]))
-        if plan.has_root_filters:
-            qualifying = int(join.qualifying_root_mask(plan, tables).sum())
-        else:
-            qualifying = num_roots
-        return {
-            "roots_total": num_roots,
-            "roots_qualifying": qualifying,
-            "filters": plan.counts_by_kind(),
-            "residual_filters": len(plan.residual),
-        }
+            raise ValueError(
+                f"selected completion path {model.layout.path} does not "
+                f"cover query tables {query.tables}; no admissible "
+                f"covering path"
+            )
+        return model
+
+    def _query_rows(self, completed: CompletedJoin, query: Query) -> JoinResult:
+        """The completed join restricted to the query's tables (§4.4)."""
+        if set(completed.path.tables) == set(query.tables):
+            return completed.result
+        return self.project_to_tables(completed, query.tables)
 
     def _primary_target(self, incomplete_tables: Sequence[str]) -> str:
         """The incomplete table whose models drive the completion.

@@ -20,8 +20,7 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
 * Model forwards run on the float32 network runtime
   (:mod:`repro.runtime.training` over frozen weights) — no autograd graphs
   are built while sampling.
-* ``run()`` streams over chunks of root evidence rows (``chunk_size``), so
-  peak transient memory is bounded on large databases.  Every walk row
+* Work is split into chunks of root evidence rows.  Every walk row
   carries a counter-based random stream derived from its lineage (root row
   plus child ordinals), which makes each output row a pure function of the
   seed and the data — chunked and unchunked runs produce the same rows
@@ -29,16 +28,20 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   Shared parents synthesized for dangling foreign keys derive their stream
   from the *key value*, so chunks that split a key's children still
   materialize the same parent tuple.
-* Because chunks are pure, ``run()`` can fan them out over an executor
-  (``n_workers`` / ``parallel_backend`` — see :mod:`repro.runtime.parallel`).
-  Thread workers share this join object (walks accumulate into chunk-local
-  accumulators, shared caches are pre-warmed); process workers receive a
-  picklable :class:`~repro.core.models.CompletionSnapshot` — the float32
-  networks the model samples with, never the autograd module — and
-  rebuild a worker-local join from it.  Dangling-FK parents are parked per
-  chunk and merged deterministically after the fan-out barrier, so output
-  rows are bitwise identical (up to order) across backends and worker
-  counts.
+* A *walk pass* walks several chunks together — one pass per worker, or
+  one chunk per pass when ``chunk_size`` bounds the walk (peak transient
+  memory) — and is split back into chunks by each row's root row.  Each
+  chunk output, side state and row order included, is bitwise the walk
+  of that chunk alone, so chunks cache and reuse however they were walked.
+* Passes fan out over an executor (``n_workers`` / ``parallel_backend`` —
+  see :mod:`repro.runtime.parallel`).  Thread workers share this join
+  object (walks accumulate into pass-local accumulators, shared caches
+  are pre-warmed); process workers receive a picklable
+  :class:`~repro.core.models.CompletionSnapshot` — the float32 networks
+  the model samples with, never the autograd module — and rebuild a
+  worker-local join from it.  Dangling-FK parents are parked per chunk and
+  merged deterministically after the fan-out barrier, so output rows are
+  bitwise identical (up to order) across backends and worker counts.
 
 The result is a :class:`~repro.query.JoinResult` with fractional row
 weights, directly consumable by the shared filter/aggregate operators.
@@ -86,9 +89,13 @@ class CompletedJoin:
     synthesized_mask: Dict[str, np.ndarray] = field(default_factory=dict)
     codes: Optional[np.ndarray] = None
     context: Optional[np.ndarray] = None
-    #: run-level pushdown provenance (roots scanned vs qualifying, chunks
-    #: walked vs total, pushed-filter counts by kind); None for plain runs.
+    #: pushdown provenance of an engine run with a pushed plan (roots
+    #: scanned vs qualifying, chunks walked/cached/skipped vs total,
+    #: pushed-filter counts by kind); None otherwise.
     pushdown: Optional[Dict[str, object]] = None
+    #: chunk provenance of an engine run (``chunks_total`` /
+    #: ``chunks_walked`` / ``chunks_cached``); None for a bare ``run()``.
+    recompletion: Optional[Dict[str, int]] = None
 
     @property
     def num_rows(self) -> int:
@@ -105,7 +112,8 @@ class _WalkState:
 
     ``streams``/``counters`` are the rows' counter-based random streams
     (see :mod:`repro.runtime.rng`): the stream identifies the row's lineage,
-    the counter how many uniforms it has consumed.
+    the counter how many uniforms it has consumed.  ``roots`` (the root row
+    of each row) splits a multi-chunk pass back into chunks.
     """
 
     codes: np.ndarray                 # (R, V) model-space codes, prefix filled
@@ -116,6 +124,7 @@ class _WalkState:
     context: Optional[np.ndarray]     # (R, C) SSAR context or None
     streams: np.ndarray               # (R,) uint64 per-row random stream ids
     counters: np.ndarray              # (R,) uint64 per-row draw counters
+    roots: np.ndarray                 # (R,) int64 root row of each row
 
     @property
     def num_rows(self) -> int:
@@ -131,11 +140,8 @@ class _WalkState:
             context=None if self.context is None else self.context[idx],
             streams=self.streams[idx],
             counters=self.counters[idx],
+            roots=self.roots[idx],
         )
-
-
-def _concat_states(a: _WalkState, b: _WalkState) -> _WalkState:
-    return _concat_many([a, b])
 
 
 def _materialize_parked(parked: List[_WalkState]) -> _WalkState:
@@ -175,6 +181,7 @@ def _concat_many(states: List[_WalkState]) -> _WalkState:
         ),
         streams=np.concatenate([s.streams for s in non_empty]),
         counters=np.concatenate([s.counters for s in non_empty]),
+        roots=np.concatenate([s.roots for s in non_empty]),
     )
 
 
@@ -194,32 +201,115 @@ class _ShardAccumulator:
     def park(self, slot: int, state: _WalkState) -> None:
         self.parked.setdefault(slot, []).append(state)
 
-    def count_synth(self, table_name: str, count: int) -> None:
-        self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
+    def record_synth(
+        self, table_name: str, part: _WalkState, ids: Optional[np.ndarray]
+    ) -> None:
+        """Count ``part``'s rows as synthesized tuples; keep issued ids."""
+        self.record(table_name, part.num_rows, ids)
 
-    def record_ids(self, table_name: str, ids: np.ndarray) -> None:
-        self.issued_ids.setdefault(table_name, []).append(ids)
+    def record(
+        self, table_name: str, count: int, ids: Optional[np.ndarray]
+    ) -> None:
+        self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
+        if ids is not None:
+            self.issued_ids.setdefault(table_name, []).append(ids)
 
     def merge(self, other: "_ShardAccumulator") -> None:
         """Fold another shard's side-state into this one (order-preserving)."""
         for slot, states in other.parked.items():
             self.parked.setdefault(slot, []).extend(states)
         for table_name, count in other.num_synth.items():
-            self.count_synth(table_name, count)
+            self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
         for table_name, ids in other.issued_ids.items():
             self.issued_ids.setdefault(table_name, []).extend(ids)
+
+    def split(self, walked: _WalkState) -> List["_ChunkOutput"]:
+        return [_ChunkOutput(walked=walked, acc=self)]
+
+
+class _PassAccumulator:
+    """Side state of a walk pass over several chunks, kept per chunk.
+
+    Parked rows and synthesized tuples go to their root row's chunk, in
+    walk order, and only non-empty pieces are kept — so each chunk's
+    accumulator is exactly what walking that chunk alone produces.
+    """
+
+    def __init__(self, tasks: Sequence[Tuple[int, int]]):
+        bounds = np.array(tasks, dtype=np.int64)
+        if np.any(bounds[1:, 0] < bounds[:-1, 1]):
+            raise ValueError(
+                f"chunks of one walk pass must be ascending and disjoint: {tasks}"
+            )
+        self._starts = bounds[:, 0]
+        # argsort(kind="stable") radix-sorts chunk indices of 8 or 16 bits.
+        self._chunk_type = np.min_scalar_type(len(tasks))
+        self.chunks = [_ShardAccumulator() for _ in tasks]
+
+    def _by_chunk(self, roots: np.ndarray):
+        """A stable row order grouping ``roots`` by chunk, and each chunk's
+        ``(accumulator, start, stop)`` range in that order."""
+        chunk = np.searchsorted(self._starts, roots, "right") - 1
+        chunk = chunk.astype(self._chunk_type)
+        stops = np.cumsum(np.bincount(chunk, minlength=len(self.chunks)))
+        stops = stops.tolist()
+        return (
+            np.argsort(chunk, kind="stable"),
+            zip(self.chunks, [0] + stops[:-1], stops),
+        )
+
+    def park(self, slot: int, state: _WalkState) -> None:
+        order, ranges = self._by_chunk(state.roots)
+        grouped = state.take(order)
+        for acc, start, stop in ranges:
+            if stop > start:
+                acc.park(slot, grouped.take(slice(start, stop)))
+
+    def record_synth(
+        self, table_name: str, part: _WalkState, ids: Optional[np.ndarray]
+    ) -> None:
+        order, ranges = self._by_chunk(part.roots)
+        if ids is not None:
+            ids = ids[order]
+        for acc, start, stop in ranges:
+            if stop > start:
+                acc.record(
+                    table_name, stop - start,
+                    None if ids is None else ids[start:stop],
+                )
+
+    def split(self, walked: _WalkState) -> List["_ChunkOutput"]:
+        """The pass's final rows as per-chunk outputs, in task order: one
+        copy regroups the rows by chunk, and each chunk is a range of it."""
+        order, ranges = self._by_chunk(walked.roots)
+        grouped = walked.take(order)
+        return [
+            _ChunkOutput(walked=grouped, acc=acc, rows=slice(start, stop))
+            for acc, start, stop in ranges
+        ]
 
 
 @dataclass
 class _ChunkOutput:
-    """One chunk's completed walk state plus its synthesis side-state."""
+    """One chunk's completed walk rows plus its synthesis side-state.
 
-    state: _WalkState
+    The chunks of one walk pass share its final state, grouped by chunk;
+    ``rows`` is this chunk's range of it (None: all of it).
+    """
+
+    walked: _WalkState
     acc: _ShardAccumulator
+    rows: Optional[slice] = None
+
+    @property
+    def state(self) -> _WalkState:
+        return self.walked if self.rows is None else self.walked.take(self.rows)
 
     @property
     def num_rows(self) -> int:
-        return self.state.num_rows
+        if self.rows is None:
+            return self.walked.num_rows
+        return self.rows.stop - self.rows.start
 
 
 def _spill_state(state: _WalkState, path: str) -> None:
@@ -231,6 +321,7 @@ def _spill_state(state: _WalkState, path: str) -> None:
         "current_rows": state.current_rows,
         "streams": state.streams,
         "counters": state.counters,
+        "roots": state.roots,
     }
     if state.context is not None:
         arrays["context"] = state.context
@@ -255,6 +346,7 @@ def _load_state(path: str) -> _WalkState:
             context=npz["context"] if "context" in npz.files else None,
             streams=npz["streams"],
             counters=npz["counters"],
+            roots=npz["roots"],
         )
 
 
@@ -277,10 +369,22 @@ class _SpilledChunkOutput:
     cacheable = False
 
     def load(self) -> _ChunkOutput:
-        return _ChunkOutput(state=_load_state(self.path), acc=self.acc)
+        return _ChunkOutput(walked=_load_state(self.path), acc=self.acc)
 
 
 AnyChunkOutput = Union[_ChunkOutput, _SpilledChunkOutput]
+
+
+def _chunk_states(outputs: List[AnyChunkOutput]) -> List[_WalkState]:
+    """The outputs' rows as walk states to concatenate, in output order; a
+    walk pass assembled whole is its own state, uncopied."""
+    outputs = [
+        o.load() if isinstance(o, _SpilledChunkOutput) else o for o in outputs
+    ]
+    if outputs and all(o.walked is outputs[0].walked for o in outputs) \
+            and sum(o.num_rows for o in outputs) == outputs[0].walked.num_rows:
+        return [outputs[0].walked]  # chunks are disjoint: this is all of it
+    return [o.state for o in outputs]
 
 
 class _ArrayStreamWriter:
@@ -328,7 +432,7 @@ def restrict_chunk_output(
     if mask.all():
         return output
     return _ChunkOutput(
-        state=state.take(np.flatnonzero(mask)), acc=output.acc
+        walked=state.take(np.flatnonzero(mask)), acc=output.acc
     )
 
 
@@ -365,41 +469,50 @@ def _build_worker_join(spec: _JoinWorkerSpec):
     return join, list(spec.tables), spec.plan, None, spec.spill_dir
 
 
-def _walk_chunk_task(state, task: Tuple[int, int]) -> AnyChunkOutput:
-    """Executor task: walk one chunk of root rows (any backend).
+def _walk_pass_task(
+    state, tasks: List[Tuple[int, int]]
+) -> List[AnyChunkOutput]:
+    """Executor task: walk a pass of root-row chunks (any backend).
 
     The fourth payload element is the dispatching caller's trace context:
     contextvars do not flow into pool threads, so the context rides along
-    explicitly and each chunk walk becomes a child span of the dispatch
+    explicitly and each pass becomes a child span of the dispatch
     (process workers get ``None`` — their tracer is off by default).
-    With a spill directory, the walked rows are written to disk *on the
-    worker* and only a small handle travels back.
+    With a spill directory, each chunk's walked rows are written to disk
+    *on the worker* and only a small handle travels back.
     """
     join, tables, plan, ctx, spill_dir = state
-    start, stop = task
     if not tracing_enabled():
-        output = join._walk_chunk(slice(start, stop), tables, plan)
-        return _maybe_spill_output(output, spill_dir, start, stop)
+        outputs = join._walk_pass(tasks, tables, plan)
+        return _maybe_spill_outputs(outputs, spill_dir, tasks)
     with activate(ctx):
         with trace(
-            "join.chunk", chunk=f"{start}:{stop}", rows_scanned=stop - start
+            "join.chunk",
+            chunk=f"{tasks[0][0]}:{tasks[-1][1]}",
+            chunks=len(tasks),
+            rows_scanned=sum(stop - start for start, stop in tasks),
         ) as span:
-            output = join._walk_chunk(slice(start, stop), tables, plan)
-            span.set("rows_out", len(output.state.weights))
-            return _maybe_spill_output(output, spill_dir, start, stop)
+            outputs = join._walk_pass(tasks, tables, plan)
+            span.set("rows_out", sum(o.num_rows for o in outputs))
+            return _maybe_spill_outputs(outputs, spill_dir, tasks)
 
 
-def _maybe_spill_output(
-    output: _ChunkOutput, spill_dir: Optional[str], start: int, stop: int
-) -> AnyChunkOutput:
+def _maybe_spill_outputs(
+    outputs: List[_ChunkOutput],
+    spill_dir: Optional[str],
+    tasks: List[Tuple[int, int]],
+) -> List[AnyChunkOutput]:
     if spill_dir is None:
-        return output
+        return outputs
     os.makedirs(spill_dir, exist_ok=True)
-    path = os.path.join(spill_dir, f"chunk_{start}_{stop}.npz")
-    _spill_state(output.state, path)
-    return _SpilledChunkOutput(
-        path=path, acc=output.acc, num_rows=output.state.num_rows
-    )
+    spilled: List[AnyChunkOutput] = []
+    for output, (start, stop) in zip(outputs, tasks):
+        path = os.path.join(spill_dir, f"chunk_{start}_{stop}.npz")
+        _spill_state(output.state, path)
+        spilled.append(_SpilledChunkOutput(
+            path=path, acc=output.acc, num_rows=output.num_rows
+        ))
+    return spilled
 
 
 class IncompletenessJoin:
@@ -419,16 +532,18 @@ class IncompletenessJoin:
         Folds into every per-row random stream; two runs with the same seed
         produce identical output.
     chunk_size:
-        Stream the walk over chunks of this many root evidence rows
-        (``None`` = single pass).  The output is the same set of rows
-        (bitwise, weights included) for any chunk size; row order, peak
-        memory and batching granularity are what change.
+        Bound one walk pass to this many root evidence rows: ``run()``
+        chunks the root table this finely and every pass walks one chunk
+        (``None`` = single pass: all chunks a worker is given are walked
+        together).  The output is the same set of rows (bitwise, weights
+        included) for any chunk size; row order, peak memory and batching
+        granularity are what change.
     n_workers / parallel_backend:
-        Fan root-row chunks out over an executor (``"serial"``, ``"thread"``
+        Fan walk passes out over an executor (``"serial"``, ``"thread"``
         or ``"process"``; see :mod:`repro.runtime.parallel`).  Output rows
         are identical (up to order) for every backend and worker count at a
-        fixed seed.  With ``n_workers > 1`` and no explicit ``chunk_size``, a
-        chunk size giving each worker a few tasks is chosen automatically.
+        fixed seed.  With ``n_workers > 1`` and no explicit ``chunk_size``,
+        ``run()`` chunks the root table so each worker gets a pass.
         The process backend ships the model's inference snapshot, whose
         networks are the ones the model itself samples with.
     spill_dir:
@@ -470,8 +585,6 @@ class IncompletenessJoin:
         self._replacers: Dict[str, EuclideanReplacer] = {}
         self._child_indexes: Dict[Tuple[str, str, str], ChildIndex] = {}
         self._orphan_weights: Dict[Tuple[str, str, str], float] = {}
-        self._num_synth: Dict[str, int] = {}
-        self._synth_masks: Dict[str, np.ndarray] = {}
         self._root_codes: Optional[np.ndarray] = None
         self._root_columns: Optional[Dict[str, np.ndarray]] = None
         self._key_orders: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
@@ -479,50 +592,17 @@ class IncompletenessJoin:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(
-        self,
-        stop_table: Optional[str] = None,
-        plan: Optional[PushdownPlan] = None,
-    ) -> CompletedJoin:
-        """Complete the join along the path, streaming over root-row chunks.
+    def run(self, stop_table: Optional[str] = None) -> CompletedJoin:
+        """Complete the join along the path: walk :meth:`chunk_tasks`, assemble.
 
-        Chunks are dispatched to the configured executor; their outputs are
+        Passes are dispatched to the configured executor; chunk outputs are
         merged in chunk order, so any backend/worker count yields the same
         rows (up to order).  ``stop_table`` truncates the walk after that
         table is reached — a merged model trained on a longer path serves
         any prefix sub-path this way (§3.4).
-
-        ``plan`` pushes query predicates into the walk (see
-        :mod:`repro.query.pushdown`): chunks with no qualifying root row are
-        never dispatched, non-qualifying rows are dropped at each filter's
-        prune slot, and surviving rows are bitwise identical to the
-        corresponding rows of a planless run at the same seed.
         """
         tables = self.effective_tables(stop_table)
-        self._validate_plan(plan, tables)
-        self._num_synth = {}
-        self._synth_masks = {}
-
-        num_roots = len(self.db.table(tables[0]))
-        tasks = self.chunk_tasks(tables)
-        walked = tasks
-        roots_qualifying = num_roots
-        if plan is not None and plan.has_root_filters:
-            mask = self.qualifying_root_mask(plan, tables)
-            roots_qualifying = int(mask.sum())
-            walked = [t for t in tasks if mask[t[0]:t[1]].any()]
-        outputs = self.walk_chunks(walked, tables, plan)
-        completed = self.assemble(outputs, tables, plan)
-        if plan is not None:
-            completed.pushdown = {
-                "roots_total": num_roots,
-                "roots_qualifying": roots_qualifying,
-                "chunks_total": len(tasks),
-                "chunks_walked": len(walked),
-                "filters": plan.counts_by_kind(),
-                "residual_filters": len(plan.residual),
-            }
-        return completed
+        return self.assemble(self.walk_chunks(self.chunk_tasks(tables), tables), tables)
 
     def effective_tables(self, stop_table: Optional[str] = None) -> List[str]:
         """The path's tables, truncated after ``stop_table`` if given."""
@@ -538,11 +618,7 @@ class IncompletenessJoin:
     def chunk_tasks(
         self, tables: Optional[Sequence[str]] = None
     ) -> List[Tuple[int, int]]:
-        """The canonical ``(start, stop)`` root-row grid of this join.
-
-        Deterministic for a fixed configuration — the partial-completion
-        cache keys chunk reuse on these bounds.
-        """
+        """The ``(start, stop)`` root-row chunks :meth:`run` walks."""
         tables = list(tables) if tables is not None else list(self.path.tables)
         num_roots = len(self.db.table(tables[0]))
         chunk_size = self.chunk_size
@@ -555,16 +631,18 @@ class IncompletenessJoin:
     _ROOT_BLOCK = 1 << 18
 
     def qualifying_root_mask(
-        self, plan: PushdownPlan, tables: Optional[Sequence[str]] = None
-    ) -> np.ndarray:
-        """Boolean mask of root rows passing the plan's pre-walk filters.
+        self, plan: Optional[PushdownPlan]
+    ) -> Optional[np.ndarray]:
+        """Boolean mask of root rows passing the plan's pre-walk filters
+        (None when there are none: every root qualifies).
 
         A mapped root table is streamed in blocks — only the filters' own
         columns are read, one block at a time, so the mask costs O(block)
         transient memory regardless of table size.
         """
-        tables = list(tables) if tables is not None else list(self.path.tables)
-        root = tables[0]
+        if plan is None or not plan.has_root_filters:
+            return None
+        root = self.path.tables[0]
         table = self.db.table(root)
         num_roots = len(table)
         filters = plan.filters_at(0)
@@ -590,13 +668,14 @@ class IncompletenessJoin:
         tasks: List[Tuple[int, int]],
         tables: Optional[Sequence[str]] = None,
         plan: Optional[PushdownPlan] = None,
-    ) -> List[_ChunkOutput]:
-        """Walk the given root-row chunks (no assembly) on the executor.
+    ) -> List[AnyChunkOutput]:
+        """Walk ascending, disjoint root-row chunks (no assembly) in passes.
 
-        Each output is a pure function of (seed, chunk bounds, plan) — the
-        progressive engine walks a prefix of :meth:`chunk_tasks` now and
-        tops up later; the partial-completion cache stores outputs keyed by
-        chunk bounds and reuses them across queries.
+        Returns one output per chunk, in task order.  With ``chunk_size``
+        set every pass walks one chunk; otherwise the chunks are dealt into
+        one contiguous pass per worker.  Either way each output is a pure
+        function of (seed, chunk bounds, plan), bitwise the walk of that
+        chunk alone — so the engine caches outputs by chunk bounds.
         """
         tables = list(tables) if tables is not None else list(self.path.tables)
         self._validate_plan(plan, tables)
@@ -619,8 +698,8 @@ class IncompletenessJoin:
         Resolves dangling-FK parents globally across the given outputs and
         runs the continuation walks.  Parked states are copied before
         resolution, so outputs stay reusable — assembling a chunk subset for
-        an early estimate and later re-assembling a superset (top-up) both
-        see pristine chunk outputs.
+        an early estimate and later re-assembling a superset both see
+        pristine chunk outputs.
 
         When the run spilled its chunks (``spill_dir``), the merged result
         is assembled **streaming**: chunk states are loaded from disk one
@@ -643,16 +722,11 @@ class IncompletenessJoin:
                 self._assemble_spilled(outputs, extras, total_rows)
             )
         else:
-            chunks: List[_WalkState] = [
-                o.load().state if isinstance(o, _SpilledChunkOutput)
-                else o.state
-                for o in outputs
-            ]
-            chunks.extend(extras)
+            chunks = _chunk_states(outputs) + extras
             if not chunks:
                 # All chunks were skipped by pre-walk pruning: produce a
                 # correctly shaped empty result by walking zero rows.
-                chunks = [self._walk_chunk(slice(0, 0), tables, plan).state]
+                chunks = [self._walk_pass([(0, 0)], tables, plan)[0].state]
             # One concatenation at the end — pairwise accumulation would
             # copy the growing result once per chunk (quadratic in rows).
             completed = _concat_many(chunks)
@@ -662,19 +736,14 @@ class IncompletenessJoin:
             codes = completed.codes
             context = completed.context
         self._check_synth_ids(acc.issued_ids)
-        self._num_synth = dict(acc.num_synth)
 
         # The final state's synthesized flags refer to the last completed
         # table — exactly what confidence estimation (§6) needs.
-        final_target = tables[-1]
-        self._synth_masks[final_target] = synthesized
-        result = JoinResult(columns, weights=weights)
-        effective_path = CompletionPath(tuple(tables))
         return CompletedJoin(
-            result=result,
-            path=effective_path,
-            num_synthesized=dict(self._num_synth),
-            synthesized_mask=dict(self._synth_masks),
+            result=JoinResult(columns, weights=weights),
+            path=CompletionPath(tuple(tables)),
+            num_synthesized=dict(acc.num_synth),
+            synthesized_mask={tables[-1]: synthesized},
             codes=codes,
             context=context,
         )
@@ -816,40 +885,55 @@ class IncompletenessJoin:
         tasks: List[Tuple[int, int]],
         tables: List[str],
         plan: Optional[PushdownPlan] = None,
-    ) -> List[_ChunkOutput]:
-        """Dispatch chunk walks to the executor and collect them in order."""
+    ) -> List[AnyChunkOutput]:
+        """Dispatch walk passes to the executor; chunk outputs in task order."""
+        init = None
         if self._executor.shares_caller_state:
             # Serial/thread workers operate on this join directly.  Warm the
             # shared per-table caches first: afterwards concurrent walks only
-            # read them (walk side-state goes to chunk-local accumulators).
+            # read them (walk side-state goes to pass-local accumulators).
             self._prepare_shared_caches(tables)
-            return self._executor.map(
-                _walk_chunk_task, tasks,
-                payload=(self, tables, plan, current_context(),
-                         self.spill_dir),
+            payload = (self, tables, plan, current_context(), self.spill_dir)
+        else:
+            payload = _JoinWorkerSpec(
+                model=self.model.inference_snapshot(),
+                approximate_replacement=self.approximate_replacement,
+                replace_synthesized=self.replace_synthesized,
+                seed=self.seed,
+                tables=tuple(tables),
+                plan=plan,
+                spill_dir=self.spill_dir,
             )
-        spec = _JoinWorkerSpec(
-            model=self.model.inference_snapshot(),
-            approximate_replacement=self.approximate_replacement,
-            replace_synthesized=self.replace_synthesized,
-            seed=self.seed,
-            tables=tuple(tables),
-            plan=plan,
-            spill_dir=self.spill_dir,
+            init = _build_worker_join
+        walked = self._executor.map(
+            _walk_pass_task, self._passes(tasks), payload=payload, init=init
         )
-        return self._executor.map(
-            _walk_chunk_task, tasks, payload=spec, init=_build_worker_join
-        )
+        return [output for outputs in walked for output in outputs]
 
-    def _walk_chunk(
+    def _passes(
+        self, tasks: List[Tuple[int, int]]
+    ) -> List[List[Tuple[int, int]]]:
+        """Group chunks into walk passes: one chunk per pass under an
+        explicit ``chunk_size``, else one contiguous run per worker."""
+        if self.chunk_size is not None:
+            return [[task] for task in tasks]
+        per_pass = max(1, -(-len(tasks) // self.n_workers))
+        return [
+            list(tasks[i:i + per_pass]) for i in range(0, len(tasks), per_pass)
+        ]
+
+    def _walk_pass(
         self,
-        rows_slice: slice,
+        tasks: Sequence[Tuple[int, int]],
         tables: Sequence[str],
         plan: Optional[PushdownPlan] = None,
-    ) -> _ChunkOutput:
-        """Walk one chunk of root rows into a self-contained output."""
-        acc = _ShardAccumulator()
-        rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.int64)
+    ) -> List[_ChunkOutput]:
+        """Walk ascending, disjoint root-row chunks in one pass; one output
+        per chunk."""
+        acc = _ShardAccumulator() if len(tasks) == 1 else _PassAccumulator(tasks)
+        rows = np.concatenate(
+            [np.arange(start, stop, dtype=np.int64) for start, stop in tasks]
+        )
         if plan is not None and plan.has_root_filters and len(rows):
             # Pre-walk pruning: drop non-qualifying roots before any model
             # sampling.  Only the filters' own columns are sliced here —
@@ -872,8 +956,9 @@ class IncompletenessJoin:
                     for p in filters
                 }
             rows = rows[conjunction_mask(cols, filters, len(rows))]
-        state = self._walk(self._initial_state(rows), 1, len(tables), acc, plan)
-        return _ChunkOutput(state=state, acc=acc)
+        return acc.split(
+            self._walk(self._initial_state(rows), 1, len(tables), acc, plan)
+        )
 
     def _prepare_shared_caches(self, tables: List[str]) -> None:
         """Materialize every lazily built read-only cache up front.
@@ -969,6 +1054,7 @@ class IncompletenessJoin:
             context=context,
             streams=rt_rng.root_streams(rows),
             counters=np.zeros(len(rows), dtype=np.uint64),
+            roots=rows,
         )
 
     def _replacer(self, table_name: str) -> EuclideanReplacer:
@@ -1096,10 +1182,7 @@ class IncompletenessJoin:
 
         if not parts:
             return self._empty_after_slot(state, slot, new)
-        out = parts[0]
-        for part in parts[1:]:
-            out = _concat_states(out, part)
-        return out
+        return _concat_many(parts)
 
     def _n_to_1_hop(self, state: _WalkState, slot: int, prev: str, new: str,
                     acc: _ShardAccumulator) -> _WalkState:
@@ -1143,10 +1226,7 @@ class IncompletenessJoin:
 
         if not parts:
             return self._empty_after_slot(state, slot, new)
-        out = parts[0]
-        for part in parts[1:]:
-            out = _concat_states(out, part)
-        return out
+        return _concat_many(parts)
 
     def _partner_rows(self, table_name: str, parent_table,
                       fk_values: np.ndarray) -> np.ndarray:
@@ -1189,9 +1269,9 @@ class IncompletenessJoin:
         reps = state.take(rep_rows)
         reps.streams = rt_rng.key_streams(self._key_tag(slot), unique_keys)
         reps.counters = np.zeros(len(unique_keys), dtype=np.uint64)
-        self._synthesize_table(reps, slot, new, acc, count=False)
-        # Shared parents count once per missing key, not once per child row.
-        acc.count_synth(new, len(unique_keys))
+        # One representative per key: shared parents count once per
+        # missing key, not once per child row.
+        self._synthesize_table(reps, slot, new, acc)
 
         shared = reps.take(np.searchsorted(unique_keys, keys))
         start, stop = self.layout.slot_range(slot)
@@ -1254,7 +1334,7 @@ class IncompletenessJoin:
         part.current_rows = np.asarray(rows, dtype=np.int64)
 
     def _synthesize_table(self, part: _WalkState, slot: int, table_name: str,
-                          acc: _ShardAccumulator, count: bool = True) -> None:
+                          acc: _ShardAccumulator) -> None:
         """Sample the slot's columns and materialize raw values/keys.
 
         Consumes ``2 * num_slot_columns`` uniforms per row from the part's
@@ -1276,6 +1356,7 @@ class IncompletenessJoin:
             uniforms=None if draws is None else draws[:, num_vars:],
         )
         table = self.db.table(table_name)
+        ids = None
         for column in table.column_names:
             if column in decoded:
                 part.columns[f"{table_name}.{column}"] = decoded[column]
@@ -1288,15 +1369,13 @@ class IncompletenessJoin:
                 # two distinct tuples silently merge during projection.
                 ids = (-2 - (part.streams & _SYNTH_ID_MASK).astype(np.int64))
                 part.columns[f"{table_name}.{column}"] = ids
-                acc.record_ids(table_name, ids)
             else:
                 part.columns[f"{table_name}.{column}"] = np.full(
                     part.num_rows, MISSING_KEY, dtype=np.int64
                 )
         part.synthesized = np.ones(part.num_rows, dtype=bool)
         part.current_rows = np.full(part.num_rows, -1, dtype=np.int64)
-        if count:
-            acc.count_synth(table_name, part.num_rows)
+        acc.record_synth(table_name, part, ids)
 
     def _maybe_replace(self, part: _WalkState, slot: int, table_name: str) -> _WalkState:
         """Euclidean replacement for synthesized tuples of complete tables."""
@@ -1333,6 +1412,7 @@ class IncompletenessJoin:
             context=None if state.context is None else state.context[:0],
             streams=state.streams[:0],
             counters=state.counters[:0],
+            roots=state.roots[:0],
         )
 
     def _mean_children_per_parent(self, fk) -> float:

@@ -1,21 +1,21 @@
 """Bounded LRU caches for completed and partial incompleteness joins (§4.5).
 
-The engine reuses a completed join across every query that selects the same
-model, but completed joins can dwarf the database itself (one row per
-evidence combination).  The seed engine kept them in an unbounded dict;
-:class:`JoinCache` bounds the footprint with least-recently-used eviction,
-supports explicit invalidation on re-``fit`` (the models behind a cached
-join changed), and surfaces hit/miss/eviction counters so operators can size
-the cache against their workload.
+Every completed join the engine builds is assembled from *chunk outputs*
+of the incompleteness join over a canonical chunk grid.
+:class:`PartialJoinCache` caches those chunk outputs keyed by ``(join
+signature, predicate fingerprint, chunk bounds)``.  Chunk outputs are pure
+functions of those keys, so overlapping queries, budgeted runs, full joins
+and recompletions reuse each other's completed chunks, and a chunk walked
+under a *looser* predicate set serves a stricter query after post-hoc
+filtering (subset-fingerprint reuse).
 
-:class:`PartialJoinCache` is the budget-aware layer underneath: it caches
-*chunk outputs* of the incompleteness join keyed by ``(join signature,
-predicate fingerprint, chunk bounds)``.  Chunk outputs are pure functions of
-those keys, so overlapping queries reuse each other's completed chunks, a
-budgeted (partial) run leaves chunks behind that a later full-join request
-tops up instead of starting over, and a chunk walked under a *looser*
-predicate set serves a stricter query after post-hoc filtering
-(subset-fingerprint reuse).
+:class:`JoinCache` memoizes the unfiltered assembly of a model's chunks —
+the full completed join every query on that model reuses.  Completed joins
+can dwarf the database itself (one row per evidence combination), so it
+bounds the footprint with least-recently-used eviction, supports explicit
+invalidation on re-``fit`` (the models behind a cached join changed), and
+surfaces hit/miss/eviction counters so operators can size the cache
+against their workload.
 """
 
 from __future__ import annotations
@@ -201,22 +201,6 @@ class PartialJoinCache:
         with self._lock:
             return len(self._entries)
 
-    @staticmethod
-    def _base_key(signature: Hashable, grid: Tuple, task: Tuple) -> Hashable:
-        return (signature, grid, task)
-
-    def has_entries(self, signature: Hashable, grid: Tuple) -> bool:
-        """Pure probe: any chunk cached for this join signature and grid?
-
-        Lets a full-join request decide whether a top-up from partial
-        chunks is possible without spending per-chunk miss counters.
-        """
-        with self._lock:
-            return any(
-                base[0] == signature and base[1] == grid
-                for base in self._by_base
-            )
-
     def lookup(
         self,
         signature: Hashable,
@@ -232,7 +216,7 @@ class PartialJoinCache:
         several subset candidates the largest wins — fewest rows left to
         re-filter.
         """
-        base = self._base_key(signature, grid, task)
+        base = (signature, grid, task)
         with self._lock:
             candidates = self._by_base.get(base)
             if candidates:
@@ -267,7 +251,7 @@ class PartialJoinCache:
         # paths.  Such outputs declare themselves non-cacheable.
         if not getattr(output, "cacheable", True):
             return
-        base = self._base_key(signature, grid, task)
+        base = (signature, grid, task)
         key = (base, fingerprints)
         with self._lock:
             if key in self._entries:

@@ -322,8 +322,12 @@ def _config_to_dict(config: ReStoreConfig) -> dict:
 
 
 #: Config fields older artifacts record that the engine no longer has
-#: (``compiled_inference`` chose an inference backend; there is one now).
-_RETIRED_CONFIG_KEYS = frozenset({"compiled_inference"})
+#: (``compiled_inference`` chose an inference backend; there is one now.
+#: ``partial_cache_chunks`` and ``progressive_chunks`` sized the chunk cache
+#: and grid; both are engine constants now).
+_RETIRED_CONFIG_KEYS = frozenset(
+    {"compiled_inference", "partial_cache_chunks", "progressive_chunks"}
+)
 
 
 def _current_fields(data: dict) -> dict:

@@ -252,9 +252,8 @@ class TestPartialJoinCacheUnit:
         assert cache.stats.evictions == 1
         assert cache.lookup("sig", grid, (0, 4), frozenset()) is None
         assert cache.lookup("sig", grid, (8, 12), frozenset())[0] == "chunk2"
-        assert cache.has_entries("sig", grid)
         cache.invalidate()
-        assert len(cache) == 0 and not cache.has_entries("sig", grid)
+        assert len(cache) == 0
 
     def test_signature_and_grid_isolation(self):
         cache = PartialJoinCache(capacity=8)
@@ -262,5 +261,3 @@ class TestPartialJoinCacheUnit:
         cache.put("sig1", grid_a, (0, 4), frozenset(), "x")
         assert cache.lookup("sig2", grid_a, (0, 4), frozenset()) is None
         assert cache.lookup("sig1", grid_b, (0, 4), frozenset()) is None
-        assert not cache.has_entries("sig1", grid_b)
-        assert not cache.has_entries("sig2", grid_a)

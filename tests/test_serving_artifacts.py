@@ -160,6 +160,28 @@ class TestRoundTrip:
             synthetic_engine, "synthetic/biased"
         )
 
+    def test_retired_chunk_settings_still_load(
+        self, synthetic_engine, synthetic_artifact, tmp_path
+    ):
+        """Artifacts written while the chunk cache and the canonical grid
+        were settable recorded ``partial_cache_chunks`` and
+        ``progressive_chunks``; they load and answer unchanged."""
+        old = tmp_path / "old"
+        shutil.copytree(synthetic_artifact, old)
+        config = json.loads((old / "config.json").read_text())
+        config.update(partial_cache_chunks=256, progressive_chunks=16)
+        (old / "config.json").write_text(json.dumps(config))
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["files"]["config.json"] = hashlib.sha256(
+            (old / "config.json").read_bytes()
+        ).hexdigest()
+        (old / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = ReStore.load(old)
+        assert _answers(loaded, "synthetic/biased") == _answers(
+            synthetic_engine, "synthetic/biased"
+        )
+
     def test_candidate_scores_preserved(self, synthetic_engine, synthetic_artifact):
         loaded = ReStore.load(synthetic_artifact)
         original = synthetic_engine.candidates("tb")
