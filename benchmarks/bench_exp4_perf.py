@@ -1,7 +1,6 @@
 """Exp. 4 benches — Fig. 9 (AR vs SSAR), Fig. 10 (selection quality),
 Fig. 11 (training time), Fig. 12 (completion time ± NN replacement),
-plus runtime tracking: the fused-training speedup and the parallel
-worker-scaling curve."""
+plus runtime tracking: the parallel worker-scaling curve."""
 
 import os
 
@@ -12,12 +11,10 @@ from repro.experiments import (
     print_fig9,
     print_fig10,
     print_timings,
-    print_training_comparison,
     print_worker_scaling,
     run_fig7,
     run_fig10,
     run_timings,
-    run_training_comparison,
     run_worker_scaling,
 )
 
@@ -70,34 +67,6 @@ def test_fig11_training_time(benchmark, experiment_config):
     if "ar" in by_kind and "ssar" in by_kind:
         assert np.mean(by_kind["ar"]) < np.mean(by_kind["ssar"]) * 1.5
     assert all(t > 0 for ts in by_kind.values() for t in ts)
-
-
-def test_training_runtime_speedup(benchmark, experiment_config):
-    """Fused (float32 kernel) training vs the float64 autograd oracle.
-
-    Times end-to-end ``ReStore.fit()`` on both backends for the exp-4
-    workload and emits wall times, speedups and the fused-vs-autograd
-    final-loss gap into the benchmark JSON (``extra_info``), so the
-    training-perf trajectory is archived per commit.
-    """
-    rows = run_once(benchmark, run_training_comparison, ["H4", "M1"],
-                    experiment_config)
-    print()
-    print_training_comparison(rows)
-    benchmark.extra_info["training_comparison"] = [r.as_dict() for r in rows]
-    speedups = [r.speedup for r in rows]
-    benchmark.extra_info["fused_speedup_median"] = float(np.median(speedups))
-    benchmark.extra_info["fused_speedup_min"] = float(np.min(speedups))
-    benchmark.extra_info["final_loss_gap_max"] = float(
-        np.max([r.final_loss_gap for r in rows])
-    )
-    # Both backends must be interchangeable in outcome: same §5 candidate
-    # ranking, final losses within a small band.
-    assert all(r.selection_agrees for r in rows)
-    assert all(r.final_loss_gap < 0.05 for r in rows)
-    # The fused runtime is the point of the refactor: end-to-end fit must
-    # be at least 3x faster than the autograd engine on the same workload.
-    assert np.min(speedups) >= 3.0
 
 
 def test_worker_scaling(benchmark, experiment_config):

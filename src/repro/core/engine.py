@@ -18,8 +18,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import QueryValidationError
 from ..incomplete import IncompleteDataset
-from ..nn.train import TRAIN_BACKENDS
 from ..obs import trace
 from ..runtime import CacheStats, JoinCache, PartialCacheStats, PartialJoinCache
 from ..runtime.parallel import PARALLEL_BACKENDS, get_executor
@@ -85,12 +85,6 @@ class ReStoreConfig:
     concurrently.  Backends are ``"serial"`` (default), ``"thread"`` and
     ``"process"``; results are identical across all of them at a fixed
     seed (completed joins bitwise up to row order).
-
-    ``train_backend`` overrides the per-model training backend
-    (``model.train.backend``) for every path the engine fits: ``"fused"``
-    runs the hand-derived float32 kernels of
-    :mod:`repro.runtime.training`, ``"autograd"`` the float64 reference
-    engine, ``None`` (default) respects the model config.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -106,7 +100,6 @@ class ReStoreConfig:
     join_cache_size: int = 8
     n_workers: int = 1
     parallel_backend: str = "serial"
-    train_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.parallel_backend not in PARALLEL_BACKENDS:
@@ -116,11 +109,6 @@ class ReStoreConfig:
             )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.train_backend is not None and self.train_backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"train_backend must be one of {TRAIN_BACKENDS} or None, "
-                f"got {self.train_backend!r}"
-            )
 
 
 @dataclass
@@ -313,20 +301,7 @@ class ReStore:
         return models
 
     def _model_config(self, seed: int) -> ModelConfig:
-        base = self.config.model
-        train_cfg = base.train
-        if (
-            self.config.train_backend is not None
-            and train_cfg.backend != self.config.train_backend
-        ):
-            train_cfg = replace(train_cfg, backend=self.config.train_backend)
-        return ModelConfig(
-            embed_dim=base.embed_dim,
-            hidden=base.hidden,
-            tree_dim=base.tree_dim,
-            seed=seed,
-            train=train_cfg,
-        )
+        return replace(self.config.model, seed=seed)
 
     # ------------------------------------------------------------------
     # Selection
@@ -1093,14 +1068,16 @@ class ReStore:
     def _completion_model(
         self,
         query: Query,
-        model: Optional[_CompletionModelBase],
-        suspected_bias: Optional[SuspectedBias],
+        model: Optional[_CompletionModelBase] = None,
+        suspected_bias: Optional[SuspectedBias] = None,
     ) -> Optional[_CompletionModelBase]:
         """The model whose completed join answers ``query``.
 
         ``None`` when every query table is complete.  Otherwise ``model``
         if given, else the §5 selection for the query's primary target;
-        its path must cover every query table.
+        its path must cover every query table.  This is the one
+        model-for-query decision: the serving core and the fleet router
+        route through it too.
         """
         incomplete = [
             t for t in query.tables if not self.annotation.is_complete(t)
@@ -1109,7 +1086,7 @@ class ReStore:
             return None
         if model is None:
             model = self.select_model(
-                self._primary_target(incomplete), query=query,
+                self._primary_target(query, incomplete), query=query,
                 suspected_bias=suspected_bias,
             ).model
         if not set(query.tables) <= set(model.layout.path.tables):
@@ -1126,23 +1103,44 @@ class ReStore:
             return completed.result
         return self.project_to_tables(completed, query.tables)
 
-    def _primary_target(self, incomplete_tables: Sequence[str]) -> str:
-        """The incomplete table whose models drive the completion.
+    def _primary_target(self, query: Query, incomplete_tables: Sequence[str]) -> str:
+        """The target whose candidates answer ``query`` (§5 selects among them).
 
         Link tables (no modelable columns) are completed as interior hops,
         so prefer a table with attributes; ties break to the table with the
-        most candidates available.
+        most candidates available.  When no incomplete query table has
+        candidates of its own (e.g. a link table), the query is answered on
+        a trained path that covers all its tables, projected (§4.4): the
+        target of the covering candidate with the best §5 signal.
         """
         with_columns = [
             t for t in incomplete_tables if self.db.table(t).modelable_columns()
         ]
         pool = with_columns or list(incomplete_tables)
         known = [t for t in pool if t in self._candidates]
-        if not known:
+        if known:
+            return known[0]
+        if not self._candidates:
             raise RuntimeError(
                 f"fit() has not trained models for any of {sorted(pool)}"
             )
-        return known[0]
+        covering = [
+            (score, target)
+            for target, scores in self._candidates.items()
+            for score in scores
+            if set(query.tables) <= set(score.path.tables)
+        ]
+        if not covering:
+            trained = sorted({
+                " -> ".join(score.path.tables)
+                for scores in self._candidates.values() for score in scores
+            })
+            raise QueryValidationError(
+                f"no trained completion path covers query tables "
+                f"{sorted(query.tables)} (trained paths: {trained})"
+            )
+        best = basic_filter([score for score, _t in covering], self.config.min_signal)[0]
+        return next(target for score, target in covering if score is best)
 
 
 # ----------------------------------------------------------------------

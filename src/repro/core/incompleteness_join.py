@@ -18,8 +18,7 @@ target, producing the join as it would look on a complete database:
 Execution is handled by the inference runtime (:mod:`repro.runtime`):
 
 * Model forwards run on the float32 network runtime
-  (:mod:`repro.runtime.training` over frozen weights) — no autograd graphs
-  are built while sampling.
+  (:mod:`repro.runtime.training` over frozen weights).
 * Work is split into chunks of root evidence rows.  Every walk row
   carries a counter-based random stream derived from its lineage (root row
   plus child ordinals), which makes each output row a pure function of the
@@ -38,7 +37,7 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   object (walks accumulate into pass-local accumulators, shared caches
   are pre-warmed); process workers receive a picklable
   :class:`~repro.core.models.CompletionSnapshot` — the float32 networks
-  the model samples with, never the autograd module — and rebuild a
+  the model samples with, never the parameter module — and rebuild a
   worker-local join from it.  Dangling-FK parents are parked per chunk and
   merged deterministically after the fan-out barrier, so output rows are
   bitwise identical (up to order) across backends and worker counts.
@@ -441,7 +440,7 @@ class _JoinWorkerSpec:
     """Everything a process worker needs to rebuild this join — picklable.
 
     ``model`` is a :class:`~repro.core.models.CompletionSnapshot`: the
-    float32 networks plus the path layout, instead of the autograd module
+    float32 networks plus the path layout, instead of the parameter module
     and its training state.
     """
 

@@ -15,10 +15,10 @@ Both expose the same hop-level API used by the incompleteness join:
 * :meth:`conditional_probs` — the per-variable distribution needed by the
   confidence estimator (§6).
 
-Every forward of that API runs on the float32 network runtime
-(:mod:`repro.runtime.training` over a frozen parameter buffer); the float64
-``repro.nn`` modules hold the trainable parameters and remain the
-reference oracle.
+Every forward of that API, and the §5 selection loss, runs on the float32
+network runtime (:mod:`repro.runtime.training` over a frozen parameter
+buffer); the ``repro.nn`` modules hold the named float64 parameters that
+``fit`` trains and artifacts store.
 """
 
 from __future__ import annotations
@@ -32,13 +32,17 @@ from ..nn import (
     EvidenceTreeEncoder,
     Module,
     ResidualMADE,
-    Tensor,
     TrainConfig,
     TrainResult,
     train,
 )
-from ..nn.made import _sample_rows
-from ..runtime.training import FusedResidualMADE, FusedTreeEncoder, ParameterBuffer
+from ..runtime.rng import _sample_rows
+from ..runtime.training import (
+    FusedResidualMADE,
+    FusedTrainStepper,
+    FusedTreeEncoder,
+    ParameterBuffer,
+)
 from .forest import EvidenceForest
 from .path_data import PathLayout, TrainingData, assemble_training_data
 
@@ -48,11 +52,7 @@ _Networks = Tuple[FusedResidualMADE, Optional[FusedTreeEncoder]]
 
 @dataclass
 class ModelConfig:
-    """Architecture and training hyper-parameters of a completion model.
-
-    The training backend is ``train.backend`` (``"fused"`` kernels by
-    default, ``"autograd"`` as the reference oracle).
-    """
+    """Architecture and training hyper-parameters of a completion model."""
 
     embed_dim: int = 16
     hidden: Sequence[int] = (64, 64)
@@ -233,7 +233,7 @@ class CompletionSnapshot(_HopSamplingAPI):
     ``tree``, built over a frozen
     :class:`~repro.runtime.training.ParameterBuffer` — plus the path layout
     and evidence forest — everything the incompleteness join touches and
-    nothing of the autograd module — so process workers receive only the
+    nothing of the parameter module — so process workers receive only the
     float32 weights they sample with.  The live model samples through the
     very same network objects, which is what keeps sharded runs bitwise
     identical across backends.
@@ -282,13 +282,17 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
     # -- float32 runtime -------------------------------------------------
     def _networks(self) -> _Networks:
         if self._sampler is None:
-            buffer = ParameterBuffer(self).freeze()
-            tree = getattr(self, "tree_encoder", None)
-            self._sampler = (
-                FusedResidualMADE(self.made, buffer),
-                None if tree is None else FusedTreeEncoder(tree, buffer),
-            )
+            self._sampler = self._build_networks()
         return self._sampler
+
+    def _build_networks(self) -> _Networks:
+        """Fresh float32 networks over a frozen copy of the current weights."""
+        buffer = ParameterBuffer(self).freeze()
+        tree = getattr(self, "tree_encoder", None)
+        return (
+            FusedResidualMADE(self.made, buffer),
+            None if tree is None else FusedTreeEncoder(tree, buffer),
+        )
 
     def inference_snapshot(self) -> CompletionSnapshot:
         """A picklable float32 view of this model for process workers."""
@@ -304,27 +308,18 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
     def _context_batches(self, indices: np.ndarray):
         """Raw evidence-tree batches for training rows (``(None, 0)`` for AR).
 
-        Shared by both training backends: the autograd path feeds the
-        batches through the Tensor tree encoder, the fused path through
-        :class:`repro.runtime.training.FusedTreeEncoder`.
+        SSAR batches leave each row's own target tuple out of its
+        self-evidence; training and the §5 selection loss both encode them.
         """
         return None, 0
-
-    def _training_context(self, indices: np.ndarray) -> Optional[Tensor]:
-        batches, batch_size = self._context_batches(indices)
-        if batches is None:
-            return None
-        return self.tree_encoder(batches, batch_size)
 
     # -- training -------------------------------------------------------
     def fit(self, warm_start: bool = False) -> TrainResult:
         """Assemble training data from the incomplete database and train.
 
-        The training backend comes from ``config.train.backend``:
-        ``"fused"`` (default) runs the hand-derived float32 kernels of
-        :mod:`repro.runtime.training`; ``"autograd"`` keeps the float64
-        reference engine.  Both produce models with identical parameter
-        names and shapes.
+        Training runs the fused float32 kernels of
+        :mod:`repro.runtime.training` and writes the result back into the
+        model's float64 parameters.
 
         With ``warm_start=True`` training continues from the current
         parameters (incremental fine-tuning after a database mutation):
@@ -344,26 +339,8 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
             self._init_output_bias(matrix, var_weights)
 
         cfg = self.config.train
-        if cfg.backend == "fused":
-            from ..runtime.training import FusedTrainStepper
-
-            stepper = FusedTrainStepper(self, matrix, var_weights, cfg)
-            result = train(self, data.num_rows, config=cfg, stepper=stepper)
-        else:
-            def loss_fn(idx: np.ndarray):
-                vw = {v: w[idx] for v, w in var_weights.items()}
-                return self.made.nll(
-                    matrix[idx], context=self._training_context(idx),
-                    variable_weights=vw,
-                )
-
-            def eval_fn(idx: np.ndarray) -> float:
-                ctx = self._training_context(idx)
-                return float(
-                    self.made.per_example_nll(matrix[idx], context=ctx).mean()
-                )
-
-            result = train(self, data.num_rows, loss_fn, eval_fn, cfg)
+        stepper = FusedTrainStepper(self, matrix, var_weights, cfg)
+        result = train(stepper, data.num_rows, cfg)
         result.warm_start = warm_start
         self.train_result = result
         self._val_indices = result.val_indices
@@ -454,19 +431,38 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         return weights
 
     # -- selection criteria ----------------------------------------------
+    def _require_training_data(self) -> TrainingData:
+        """The training rows the §5 losses are scored on.
+
+        Artifacts keep no training data, so a model restored from one has
+        only the scores stored with its engine.
+        """
+        self._require_fitted()
+        if self.training_data is None:
+            raise RuntimeError(
+                f"{self.describe()} was restored from an artifact, which "
+                f"keeps no training data; read its stored §5 scores with "
+                f"engine.candidates(target)"
+            )
+        return self.training_data
+
     def target_test_loss(self) -> float:
         """Held-out NLL restricted to the target table's variables (§5).
 
         This is the paper's basic model-selection signal: if the target
         attributes cannot be predicted from the evidence, this loss stays
         near the marginal entropy and the model should not be trusted.
+        SSAR contexts leave each row's own target tuple out, as in training.
         """
-        self._require_fitted()
+        data = self._require_training_data()
         idx = self._val_indices
-        ctx = self._training_context(idx)
-        per_row = self.made.per_example_nll(
-            self.training_data.matrix[idx], context=ctx,
-            variables=self.layout.target_variables(),
+        # Reuse cached networks, but cache none: most candidates never
+        # answer a query, and their networks would only hold memory.
+        made, tree = self._sampler or self._build_networks()
+        batches, batch_size = self._context_batches(idx)
+        context = None if tree is None else tree.forward(batches, batch_size)
+        per_row = made.per_example_nll(
+            data.matrix[idx], context, variables=self.layout.target_variables()
         )
         return float(per_row.mean())
 
@@ -476,8 +472,7 @@ class _CompletionModelBase(_HopSamplingAPI, Module):
         The gap ``marginal - model`` measures how much signal the evidence
         actually provides (0 gap = unpredictable target, prune the model).
         """
-        self._require_fitted()
-        matrix = self.training_data.matrix
+        matrix = self._require_training_data().matrix
         idx = self._val_indices
         total = np.zeros(len(idx))
         for var in self.layout.target_variables():

@@ -252,145 +252,6 @@ def print_timings(rows: Sequence[TimingRow]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Training-runtime comparison (fused kernels vs the autograd oracle)
-# ----------------------------------------------------------------------
-
-@dataclass
-class TrainingComparisonRow:
-    """End-to-end ``ReStore.fit()`` wall time per training backend.
-
-    Both engines train the same candidate set from the same seed; the row
-    also records the final-epoch training losses (the fused float32 path
-    must track the float64 oracle) and whether §5 model selection ranked
-    the candidates identically.
-    """
-
-    dataset: str
-    setup: str
-    num_models: int
-    autograd_seconds: float
-    fused_seconds: float
-    speedup: float
-    autograd_final_loss: float
-    fused_final_loss: float
-    final_loss_gap: float
-    selection_agrees: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "setup": self.setup,
-            "num_models": self.num_models,
-            "autograd_seconds": self.autograd_seconds,
-            "fused_seconds": self.fused_seconds,
-            "speedup": self.speedup,
-            "autograd_final_loss": self.autograd_final_loss,
-            "fused_final_loss": self.fused_final_loss,
-            "final_loss_gap": self.final_loss_gap,
-            "selection_agrees": self.selection_agrees,
-        }
-
-
-def _timed_fit(dataset, engine_config, target, repeats: int):
-    """Best-of-``repeats`` end-to-end ``fit`` wall time (plus the engine).
-
-    A fresh engine per repeat — ``fit`` would otherwise reuse state — with
-    GC disabled inside the timer, mirroring :func:`_timed_completion`.
-    """
-    from ..core.engine import ReStore
-
-    best = float("inf")
-    engine = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            candidate = ReStore.from_dataset(dataset, engine_config)
-            start = time.perf_counter()
-            candidate.fit(targets=[target])
-            best = min(best, time.perf_counter() - start)
-            engine = candidate
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best, engine
-
-
-def run_training_comparison(
-    setups: Optional[Sequence[str]] = None,
-    experiment: Optional[ExperimentConfig] = None,
-    repeats: int = 2,
-    min_scale: float = 6.0,
-) -> List[TrainingComparisonRow]:
-    """Time end-to-end ``ReStore.fit()`` on both training backends.
-
-    The fused (float32 kernel) runtime is the engine default; the autograd
-    backend is the float64 reference engine.  ``min_scale`` floors the
-    dataset scale: training throughput is a batched-kernel property and
-    smoke-sized grids measure per-call overhead instead.
-    """
-    experiment = experiment or ExperimentConfig.default()
-    if experiment.scale < min_scale:
-        experiment = replace(experiment, scale=min_scale)
-    names = list(setups) if setups is not None else ["H4"]
-    rows: List[TrainingComparisonRow] = []
-    for name in names:
-        setup = ALL_SETUPS[name]
-        keep = experiment.keep_rates[0]
-        corr = experiment.removal_correlations[0]
-        db = base_database(setup.dataset, seed=experiment.seed,
-                          scale=experiment.scale)
-        dataset = setup.make(db, keep, corr, seed=experiment.seed)
-        target = setup.incomplete_table
-
-        base_config = experiment.engine_config()
-        fused_s, fused_engine = _timed_fit(
-            dataset, replace(base_config, train_backend="fused"),
-            target, repeats,
-        )
-        autograd_s, autograd_engine = _timed_fit(
-            dataset, replace(base_config, train_backend="autograd"),
-            target, repeats,
-        )
-
-        def ranking(engine):
-            return [
-                (c.model.kind, c.path.tables)
-                for c in engine.candidates(target)
-            ]
-
-        def final_loss(engine):
-            return float(np.mean([
-                c.model.train_result.final_train_loss
-                for c in engine.candidates(target)
-            ]))
-
-        fused_loss = final_loss(fused_engine)
-        autograd_loss = final_loss(autograd_engine)
-        rows.append(TrainingComparisonRow(
-            dataset=setup.dataset, setup=name,
-            num_models=len(fused_engine.candidates(target)),
-            autograd_seconds=autograd_s,
-            fused_seconds=fused_s,
-            speedup=autograd_s / max(fused_s, 1e-12),
-            autograd_final_loss=autograd_loss,
-            fused_final_loss=fused_loss,
-            final_loss_gap=abs(fused_loss - autograd_loss),
-            selection_agrees=ranking(fused_engine) == ranking(autograd_engine),
-        ))
-    return rows
-
-
-def print_training_comparison(rows: Sequence[TrainingComparisonRow]) -> None:
-    print(f"{'setup':6s} {'models':>6s} {'autograd s':>11s} {'fused s':>8s} "
-          f"{'speedup':>8s} {'loss gap':>9s} {'same pick':>9s}")
-    for row in rows:
-        print(f"{row.setup:6s} {row.num_models:6d} {row.autograd_seconds:11.2f} "
-              f"{row.fused_seconds:8.2f} {row.speedup:7.2f}x "
-              f"{row.final_loss_gap:9.4f} {str(row.selection_agrees):>9s}")
-
-
-# ----------------------------------------------------------------------
 # Worker-scaling curve (parallel sharded completion throughput)
 # ----------------------------------------------------------------------
 

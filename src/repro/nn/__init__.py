@@ -1,28 +1,19 @@
-"""Numpy-based neural substrate: autograd, MADE, deep sets, optimizers.
+"""The completion networks' parameters and the training loop.
 
-This package replaces the paper's PyTorch dependency (see DESIGN.md §1) with
-a self-contained reverse-mode autodiff engine plus the two architectures
-ReStore requires: :class:`ResidualMADE` autoregressive density estimators and
-:class:`EvidenceTreeEncoder` deep-sets encoders for fan-out evidence.
+This package replaces the paper's PyTorch dependency.  It defines the two
+architectures ReStore requires — :class:`ResidualMADE` autoregressive
+density estimators and :class:`EvidenceTreeEncoder` deep-sets encoders for
+fan-out evidence — as named float64 parameters with their MADE masks, plus
+the mini-batch training loop and the array Adam update.  The networks'
+forward, backward and sampling passes are the fused float32 kernels of
+:mod:`repro.runtime.training`.
 """
 
-from .tensor import Tensor, concat, ones, zeros
-from . import functional
-from .layers import (
-    MLP,
-    Embedding,
-    Linear,
-    MaskedLinear,
-    Module,
-    ReLU,
-    Sequential,
-)
+from .layers import Embedding, Linear, MaskedLinear, Module, Parameter
 from .made import ResidualMADE
 from .deepsets import EvidenceTreeEncoder, TreeNodeBatch, TreeNodeSpec
-from .optim import SGD, Adam, AdamArrays, Optimizer, clip_grad_norm, clip_grad_norm_arrays
+from .optim import AdamArrays, clip_grad_norm_arrays
 from .train import (
-    TRAIN_BACKENDS,
-    AutogradStepper,
     TrainConfig,
     TrainResult,
     TrainStepper,
@@ -31,33 +22,20 @@ from .train import (
 )
 
 __all__ = [
-    "Tensor",
-    "concat",
-    "zeros",
-    "ones",
-    "functional",
+    "Parameter",
     "Module",
     "Linear",
     "MaskedLinear",
     "Embedding",
-    "ReLU",
-    "Sequential",
-    "MLP",
     "ResidualMADE",
     "EvidenceTreeEncoder",
     "TreeNodeSpec",
     "TreeNodeBatch",
-    "Optimizer",
-    "SGD",
-    "Adam",
     "AdamArrays",
-    "clip_grad_norm",
     "clip_grad_norm_arrays",
-    "TRAIN_BACKENDS",
     "TrainConfig",
     "TrainResult",
     "TrainStepper",
-    "AutogradStepper",
     "batch_bounds",
     "train",
 ]

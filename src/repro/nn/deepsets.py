@@ -10,7 +10,9 @@ functions.  Weights are shared between tuples of the same table.
 
 The encoding is fully batched: every table in the tree contributes one
 integer matrix of discretized rows plus a ``parent_ids`` vector aligning each
-row with its parent, and pooling is a differentiable segment sum.
+row with its parent, and pooling is a segment sum.  This module defines the
+encoder's parameters and the batch format; the forward and backward passes
+are :class:`repro.runtime.training.FusedTreeEncoder`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from . import functional as F
 from .layers import Embedding, Linear, Module
-from .tensor import Tensor, concat
 
 
 @dataclass
@@ -91,28 +91,6 @@ class _NodeEncoder(Module):
         feature_dim = embed_dim * len(spec.vocab_sizes) + out_dim * len(spec.children)
         self.phi = Linear(max(feature_dim, 1), out_dim, rng)
         self.rho = Linear(out_dim, out_dim, rng)
-        self._feature_dim = feature_dim
-
-    def encode(self, batch: TreeNodeBatch, num_parents: int) -> Tensor:
-        """Pool this node's rows into a per-parent context ``(num_parents, d)``."""
-        parts: List[Tensor] = [
-            emb(batch.values[:, i]) for i, emb in enumerate(self.embeddings)
-        ]
-        for child_encoder in self.child_encoders:
-            child_batch = batch.children.get(child_encoder.spec.name)
-            if child_batch is None:
-                child_batch = TreeNodeBatch(
-                    values=np.zeros((0, len(child_encoder.spec.vocab_sizes)), dtype=np.int64),
-                    parent_ids=np.zeros(0, dtype=np.int64),
-                )
-            parts.append(child_encoder.encode(child_batch, batch.num_rows))
-        if parts:
-            features = concat(parts, axis=-1)
-        else:  # a node with no columns and no children: constant feature
-            features = Tensor(np.zeros((batch.num_rows, 1)))
-        encoded = self.phi(features).relu()
-        pooled = F.segment_sum(encoded, batch.parent_ids, num_parents)
-        return self.rho(pooled).relu()
 
 
 class EvidenceTreeEncoder(Module):
@@ -147,20 +125,3 @@ class EvidenceTreeEncoder(Module):
     @property
     def context_dim(self) -> int:
         return self.node_dim * len(self.specs)
-
-    def forward(self, batches: Dict[str, TreeNodeBatch], batch_size: int) -> Tensor:
-        """Contexts ``(batch_size, context_dim)`` for a batch of evidence tuples.
-
-        ``batches`` maps top-level spec names to their row batches; missing
-        relations are treated as empty (all-zero pooled contribution).
-        """
-        parts: List[Tensor] = []
-        for encoder in self.encoders:
-            batch = batches.get(encoder.spec.name)
-            if batch is None:
-                batch = TreeNodeBatch(
-                    values=np.zeros((0, len(encoder.spec.vocab_sizes)), dtype=np.int64),
-                    parent_ids=np.zeros(0, dtype=np.int64),
-                )
-            parts.append(encoder.encode(batch, batch_size))
-        return concat(parts, axis=-1)

@@ -1,30 +1,33 @@
-"""Neural network layers built on the autograd :class:`~repro.nn.tensor.Tensor`.
+"""Parameter containers of the completion networks.
 
-The layer set intentionally mirrors what the ReStore paper needs and nothing
-more: dense layers (plain and MADE-masked), embeddings, and small containers.
-All parameters are ``float64`` tensors with ``requires_grad=True``.
+The layer set mirrors what the ReStore paper needs and nothing more: dense
+layers (plain and MADE-masked) and embeddings.  A layer holds its float64
+:class:`Parameter` arrays and, for masked layers, the fixed connectivity
+mask; the forward and backward passes live in the float32 runtime
+(:mod:`repro.runtime.training`), which reads the parameters by name.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
-from . import functional as F
-from .tensor import Tensor
+
+class Parameter:
+    """A trainable float64 array, identified by its name in the module."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self.data = np.asarray(data, dtype=np.float64)
 
 
 class Module:
     """Minimal module base class with recursive parameter discovery."""
 
-    def parameters(self) -> Iterator[Tensor]:
-        """Yield all trainable tensors owned by this module (recursively)."""
-        for _name, param in self.named_parameters():
-            yield param
-
     def named_parameters(self) -> Iterator[tuple]:
-        """Yield ``(name, tensor)`` for every trainable parameter.
+        """Yield ``(name, parameter)`` for every trainable parameter.
 
         Names are attribute paths ("made.embeddings.0.weight") built from
         the module's construction structure, so the same architecture always
@@ -35,15 +38,6 @@ class Module:
         seen: set[int] = set()
         for attr, value in self.__dict__.items():
             yield from _named_parameters_of(value, attr, seen)
-
-    def zero_grad(self) -> None:
-        """Clear accumulated gradients on every parameter."""
-        for param in self.parameters():
-            param.grad = None
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
 
     def state_dict(self) -> dict:
         """Name → array snapshot of all parameters (copy)."""
@@ -81,7 +75,7 @@ class Module:
                 )
             param.data[...] = value
 
-    def _load_legacy_state_dict(self, state: dict, params: List[Tensor]) -> None:
+    def _load_legacy_state_dict(self, state: dict, params: List[Parameter]) -> None:
         if len(params) != len(state):
             raise ValueError(
                 f"state dict has {len(state)} entries, model has {len(params)} parameters"
@@ -92,16 +86,10 @@ class Module:
                 raise ValueError(f"shape mismatch for parameter {i}")
             param.data[...] = value
 
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 def _named_parameters_of(value, prefix: str, seen: set[int]) -> Iterator[tuple]:
-    if isinstance(value, Tensor):
-        if value.requires_grad and id(value) not in seen:
+    if isinstance(value, Parameter):
+        if id(value) not in seen:
             seen.add(id(value))
             yield prefix, value
     elif isinstance(value, Module):
@@ -130,20 +118,10 @@ class Linear(Module):
                  bias: bool = True):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            _kaiming_uniform(rng, in_features, (in_features, out_features)),
-            requires_grad=True, name="linear.weight",
+        self.weight = Parameter(
+            _kaiming_uniform(rng, in_features, (in_features, out_features))
         )
-        self.bias = (
-            Tensor(np.zeros(out_features), requires_grad=True, name="linear.bias")
-            if bias else None
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
 
 class MaskedLinear(Module):
@@ -152,7 +130,8 @@ class MaskedLinear(Module):
     This is the MADE [Germain et al. 2015] building block: the binary mask
     encodes autoregressive connectivity so that output unit *j* only sees
     input units whose variable index precedes (or equals, for hidden layers)
-    the degree assigned to *j*.
+    the degree assigned to *j*.  The mask is a plain array, not a
+    parameter: it never trains.
     """
 
     def __init__(self, in_features: int, out_features: int, mask: np.ndarray,
@@ -163,21 +142,11 @@ class MaskedLinear(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        self.mask = Tensor(mask.astype(float))  # constant, no grad
-        self.weight = Tensor(
-            _kaiming_uniform(rng, in_features, (in_features, out_features)),
-            requires_grad=True, name="masked_linear.weight",
+        self.mask = mask.astype(float)
+        self.weight = Parameter(
+            _kaiming_uniform(rng, in_features, (in_features, out_features))
         )
-        self.bias = (
-            Tensor(np.zeros(out_features), requires_grad=True, name="masked_linear.bias")
-            if bias else None
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ (self.weight * self.mask)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
 
 class Embedding(Module):
@@ -187,46 +156,4 @@ class Embedding(Module):
         self.vocab_size = vocab_size
         self.dim = dim
         scale = 1.0 / np.sqrt(dim)
-        self.weight = Tensor(
-            rng.normal(0.0, scale, size=(vocab_size, dim)),
-            requires_grad=True, name="embedding.weight",
-        )
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return F.embedding(self.weight, indices)
-
-
-class ReLU(Module):
-    """Rectified linear activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module):
-        self.modules: List[Module] = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
-
-
-class MLP(Module):
-    """Feed-forward ReLU network with configurable hidden widths."""
-
-    def __init__(self, in_features: int, hidden: Sequence[int], out_features: int,
-                 rng: np.random.Generator):
-        widths = [in_features, *hidden]
-        layers: List[Module] = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            layers.append(Linear(fan_in, fan_out, rng))
-            layers.append(ReLU())
-        layers.append(Linear(widths[-1], out_features, rng))
-        self.net = Sequential(*layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)
+        self.weight = Parameter(rng.normal(0.0, scale, size=(vocab_size, dim)))

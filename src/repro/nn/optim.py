@@ -1,57 +1,15 @@
-"""Gradient-descent optimizers for the numpy autograd engine.
+"""The Adam update and gradient clipping, on plain ndarrays.
 
-The Adam update itself is factored into :class:`AdamArrays`, an
-ndarray-state stepper shared by both training backends: the float64
-autograd path wraps it behind the :class:`Adam` ``Optimizer`` interface,
-and the fused float32 runtime (:mod:`repro.runtime.training`) drives it
-directly on a flat parameter buffer.  One update rule, two substrates.
+The fused float32 runtime (:mod:`repro.runtime.training`) drives both on
+its flat parameter buffer; moment buffers take the parameters' dtype, so
+the float64 gradcheck buffers get float64 state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from .tensor import Tensor
-
-
-class Optimizer:
-    """Base class holding parameter references."""
-
-    def __init__(self, parameters: Iterable[Tensor]):
-        self.parameters: List[Tensor] = [p for p in parameters if p.requires_grad]
-        if not self.parameters:
-            raise ValueError("optimizer received no trainable parameters")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
 
 
 class AdamArrays:
@@ -110,35 +68,6 @@ class AdamArrays:
             param -= scratch
 
 
-class Adam(Optimizer):
-    """Adam over autograd :class:`Tensor` parameters — the paper's de-facto
-    choice for training MADE-style models.  Delegates the update math to
-    :class:`AdamArrays` so both training backends share one rule."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self._arrays = AdamArrays(
-            [p.data for p in self.parameters],
-            lr=lr, betas=betas, eps=eps, weight_decay=weight_decay,
-        )
-
-    @property
-    def lr(self) -> float:
-        return self._arrays.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self._arrays.lr = value
-
-    def step(self) -> None:
-        self._arrays.step(
-            [p.data for p in self.parameters],
-            [p.grad for p in self.parameters],
-        )
-
-
 def clip_grad_norm_arrays(
     gradients: Sequence[Optional[np.ndarray]], max_norm: float
 ) -> float:
@@ -156,11 +85,3 @@ def clip_grad_norm_arrays(
         for grad in grads:
             grad *= np.asarray(scale, dtype=grad.dtype)
     return total
-
-
-def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm (useful for logging training stability).
-    """
-    return clip_grad_norm_arrays([p.grad for p in parameters], max_norm)

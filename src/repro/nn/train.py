@@ -1,17 +1,11 @@
 """Mini-batch training loop with validation-based early stopping.
 
-The trainer is deliberately functional: the epoch/early-stopping machinery
-is generic over a :class:`TrainStepper` — the *training backend* that owns
-one optimization step, held-out evaluation and parameter snapshots.  Two
-backends exist:
-
-* ``"autograd"`` — the reference oracle: closure-built float64 graphs from
-  a differentiable ``loss_fn(indices)`` plus an ``eval_fn(indices)``
-  (:class:`AutogradStepper`, constructed automatically when ``train`` is
-  called with the two callables).
-* ``"fused"`` — hand-derived fused forward+backward kernels over a flat
-  float32 parameter buffer (:class:`repro.runtime.training.FusedTrainStepper`),
-  the default for completion-model fitting.
+The loop is generic over a :class:`TrainStepper`, which owns one
+optimization step, held-out evaluation and parameter snapshots.  The
+completion models train through
+:class:`repro.runtime.training.FusedTrainStepper` (fused float32 kernels
+over a flat parameter buffer); the loop itself only schedules batches,
+tracks losses and restores the best epoch.
 
 The held-out validation loss doubles as the paper's *model-selection
 criterion* (§5, Fig. 5b): models whose attributes are unpredictable from the
@@ -22,32 +16,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import trace
-from .layers import Module
-from .optim import Adam, clip_grad_norm
-from .tensor import Tensor
-
-#: Recognized training backends; validated at config construction time so a
-#: typo fails before hours of training, not after.
-TRAIN_BACKENDS = ("fused", "autograd")
 
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters of one training run.
-
-    ``backend`` selects the training substrate: ``"fused"`` (hand-derived
-    float32 forward+backward kernels, the default) or ``"autograd"`` (the
-    float64 reference engine).  Both follow the same batch schedule and
-    Adam rule; results agree up to float32 rounding.  The knob is honored
-    by callers that can build a fused stepper (completion-model ``fit``);
-    :func:`train` invoked with bare loss closures always runs autograd and
-    stamps the result accordingly.
-    """
+    """Hyper-parameters of one training run."""
 
     epochs: int = 20
     batch_size: int = 256
@@ -59,13 +37,6 @@ class TrainConfig:
     seed: int = 0
     min_epochs: int = 3
     verbose: bool = False
-    backend: str = "fused"
-
-    def __post_init__(self) -> None:
-        if self.backend not in TRAIN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {TRAIN_BACKENDS}, got {self.backend!r}"
-            )
 
 
 @dataclass
@@ -78,7 +49,6 @@ class TrainResult:
     epochs_run: int = 0
     wall_time_s: float = 0.0
     val_indices: Optional[np.ndarray] = None
-    backend: str = "autograd"
     epoch_wall_times_s: List[float] = field(default_factory=list)
     #: True when training warm-started from already-fitted parameters
     #: (incremental fine-tuning) instead of a fresh initialization.
@@ -90,18 +60,16 @@ class TrainResult:
 
 
 class TrainStepper:
-    """One training backend: step/evaluate/snapshot over a fixed model.
+    """Step/evaluate/snapshot over a fixed model, driven by :func:`train`.
 
     ``step`` performs a full optimization step (forward, backward, clip,
     update) on a batch of example indices and returns the batch loss;
     ``evaluate`` returns the mean held-out per-example NLL; ``snapshot`` /
     ``restore`` capture and reinstate the current parameters (opaque to the
-    loop — each backend chooses its own representation); ``finalize`` runs
+    loop — each stepper chooses its own representation); ``finalize`` runs
     once after training, e.g. to write a float32 buffer back into the
-    module's float64 tensors.
+    module's float64 parameters.
     """
-
-    backend = "base"
 
     def step(self, indices: np.ndarray) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -117,44 +85,6 @@ class TrainStepper:
 
     def finalize(self) -> None:
         return None
-
-
-class AutogradStepper(TrainStepper):
-    """The float64 reference backend: graph-building loss closures."""
-
-    backend = "autograd"
-
-    def __init__(
-        self,
-        model: Module,
-        loss_fn: Callable[[np.ndarray], Tensor],
-        eval_fn: Callable[[np.ndarray], float],
-        config: "TrainConfig",
-    ):
-        self.model = model
-        self.loss_fn = loss_fn
-        self.eval_fn = eval_fn
-        self.grad_clip = config.grad_clip
-        self.optimizer = Adam(
-            model.parameters(), lr=config.lr, weight_decay=config.weight_decay
-        )
-
-    def step(self, indices: np.ndarray) -> float:
-        self.optimizer.zero_grad()
-        loss = self.loss_fn(indices)
-        loss.backward()
-        clip_grad_norm(self.optimizer.parameters, self.grad_clip)
-        self.optimizer.step()
-        return loss.item()
-
-    def evaluate(self, indices: np.ndarray) -> float:
-        return self.eval_fn(indices)
-
-    def snapshot(self):
-        return self.model.state_dict()
-
-    def restore(self, state) -> None:
-        self.model.load_state_dict(state)
 
 
 def batch_bounds(num_rows: int, batch_size: int) -> List[Tuple[int, int]]:
@@ -173,53 +103,33 @@ def batch_bounds(num_rows: int, batch_size: int) -> List[Tuple[int, int]]:
 
 
 def train(
-    model: Module,
+    stepper: TrainStepper,
     num_examples: int,
-    loss_fn: Optional[Callable[[np.ndarray], Tensor]] = None,
-    eval_fn: Optional[Callable[[np.ndarray], float]] = None,
     config: Optional[TrainConfig] = None,
-    stepper: Optional[TrainStepper] = None,
 ) -> TrainResult:
-    """Fit ``model`` by Adam on mini-batches of example indices.
+    """Train through ``stepper`` on mini-batches of example indices.
 
     Parameters
     ----------
-    model:
-        The module whose parameters are optimized.
+    stepper:
+        Owns the model: one optimization step per index batch, held-out
+        evaluation and best-epoch snapshots.
     num_examples:
         Total number of training rows; indices ``0 .. num_examples-1`` are
         split into train/validation once, deterministically from the seed.
-    loss_fn:
-        Maps an index batch to a scalar loss :class:`Tensor`
-        (graph-building).  Required unless a ``stepper`` is supplied.
-    eval_fn:
-        Maps an index batch to a float loss (no gradient bookkeeping).
-        Required unless a ``stepper`` is supplied.
     config:
         Training hyper-parameters; defaults are tuned for the scaled-down
         reproduction datasets.
-    stepper:
-        Optional pre-built training backend.  When omitted, an
-        :class:`AutogradStepper` is constructed from the two callables and
-        the run executes on the autograd engine *regardless of*
-        ``config.backend`` — generic closures cannot be fused, so backend
-        dispatch is the caller's job (for completion models:
-        :meth:`repro.core.models._CompletionModelBase.fit`).  The returned
-        ``TrainResult.backend`` always records what actually ran.
 
     Returns
     -------
-    TrainResult with the loss history (stamped with the backend name and
-    per-epoch wall times); model parameters are restored to the
-    best-validation epoch (early stopping with patience).
+    TrainResult with the loss history and per-epoch wall times; the
+    stepper's parameters are restored to the best-validation epoch (early
+    stopping with patience).
     """
     cfg = config or TrainConfig()
     if num_examples < 2:
         raise ValueError("need at least 2 examples to train")
-    if stepper is None:
-        if loss_fn is None or eval_fn is None:
-            raise ValueError("train needs either a stepper or loss_fn + eval_fn")
-        stepper = AutogradStepper(model, loss_fn, eval_fn, cfg)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(num_examples)
     num_val = max(1, int(num_examples * cfg.val_fraction)) if cfg.val_fraction > 0 else 0
@@ -227,14 +137,14 @@ def train(
     if len(train_idx) == 0:
         train_idx, val_idx = order, order
 
-    result = TrainResult(backend=stepper.backend)
+    result = TrainResult()
     best_state = None
     epochs_without_improvement = 0
     started = time.perf_counter()
 
     for epoch in range(cfg.epochs):
         epoch_started = time.perf_counter()
-        with trace("train.epoch", epoch=epoch, backend=stepper.backend) as span:
+        with trace("train.epoch", epoch=epoch) as span:
             perm = rng.permutation(train_idx)
             epoch_loss = 0.0
             batches = 0

@@ -1,13 +1,13 @@
 """Execution runtime: the float32 substrate of both hot paths.
 
-The float64 autograd engine (:mod:`repro.nn`) remains the reference oracle;
-both completion (inference) and ``fit`` (training) execute here instead:
+:mod:`repro.nn` holds the networks' named float64 parameters; completion
+(inference), ``fit`` (training) and §5 selection scoring all execute here:
 
 * :mod:`~repro.runtime.kernels` — the dense/embedding/softmax layer kernels
   every float32 forward and backward is built from,
-* :mod:`~repro.runtime.training` — the one float32 network implementation:
+* :mod:`~repro.runtime.training` — the one network implementation:
   hand-derived fused forward+backward kernels over flat float32 parameter
-  buffers (the default ``fit`` backend), and — over a frozen buffer — the
+  buffers (what ``fit`` trains with), and — over a frozen buffer — the
   inference forwards the join samples with, run over fixed-size row tiles
   so results are independent of batch chunking,
 * :mod:`~repro.runtime.rng` — counter-based per-row random streams, making

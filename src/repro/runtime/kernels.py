@@ -8,11 +8,10 @@ Keeping the dense/embedding/softmax primitives in one module means there
 is exactly one float32 forward — the matmul an inference forward executes
 is the same line of code the training kernel differentiates.
 
-Everything here operates on plain numpy arrays; nothing touches the
-autograd :class:`~repro.nn.tensor.Tensor`.  Backward helpers return (or
-accumulate into) gradient arrays of the same dtype as their inputs, so the
-fused trainer can run in float32 (the default) or float64 (the gradcheck
-oracle configuration).
+Everything here operates on plain numpy arrays.  Backward helpers return
+(or accumulate into) gradient arrays of the same dtype as their inputs, so
+the fused trainer can run in float32 (the default) or float64 (the
+configuration the gradcheck suite compares against its float64 oracle).
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ def embedding_backward(
 ) -> None:
     """Scatter-add ``d_out`` rows into ``grad_weight`` at ``indices``.
 
-    The adjoint of a row gather; duplicate indices accumulate, matching the
-    autograd engine's ``np.add.at`` semantics exactly.
+    The adjoint of a row gather; duplicate indices accumulate
+    (``np.add.at`` semantics).
     """
     np.add.at(grad_weight, np.asarray(indices), d_out)
 
@@ -153,7 +152,7 @@ def softmax_nll_grad(
 
     (uniform weights when ``weights`` is None), returning ``(L, dL/dlogits)``
     in a single pass — the softmax computed for the loss is reused for the
-    gradient, which is the main saving over the autograd graph.
+    gradient.
     """
     targets = np.asarray(targets)
     rows = np.arange(len(targets))

@@ -14,8 +14,8 @@ Three backends share one contract:
   BLAS kernels, so the join's matmul-heavy sampling overlaps.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.  Worker
   state is *rebuilt per worker* from a picklable payload (the join ships the
-  model's float32 inference snapshot, never the autograd module), so tasks and
-  the functions operating on them must be module-level picklables.
+  model's float32 inference snapshot, never the parameter module), so tasks
+  and the functions operating on them must be module-level picklables.
 
 The contract of :meth:`Executor.map`:
 

@@ -115,6 +115,23 @@ def sample_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (np.asarray(u).reshape(-1, 1) > cdf).sum(axis=-1).astype(np.int64)
 
 
+def _sample_rows(
+    probs: np.ndarray,
+    rng: Optional[np.random.Generator] = None,
+    draws: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Vectorized categorical sampling: one draw per row of ``probs``.
+
+    ``draws`` supplies precomputed per-row uniforms (counter-based streams);
+    otherwise one uniform per row is taken from ``rng``.
+    """
+    if draws is None:
+        if rng is None:
+            raise ValueError("_sample_rows needs either rng or draws")
+        draws = rng.random(len(probs))
+    return sample_categorical(probs, draws)
+
+
 def chunk_slices(num_rows: int, chunk_size: Optional[int]) -> Iterator[slice]:
     """Row slices covering ``range(num_rows)`` in chunks of ``chunk_size``.
 

@@ -1,13 +1,14 @@
 """The float32 network runtime: fused training kernels and inference forwards.
 
-``ReStore.fit()`` used to build a closure-based float64 autograd graph per
-mini-batch; this module replaces that with hand-derived fused kernels for
-the two architectures the engine trains — :class:`~repro.nn.made.ResidualMADE`
-and the deep-sets :class:`~repro.nn.deepsets.EvidenceTreeEncoder` — running
+This is the one implementation of the two networks the engine trains —
+:class:`~repro.nn.made.ResidualMADE` and the deep-sets
+:class:`~repro.nn.deepsets.EvidenceTreeEncoder`, whose float64 parameters
+:mod:`repro.nn` defines: hand-derived fused forward+backward kernels running
 on a single flat float32 parameter buffer with an array-based Adam
 (:class:`repro.nn.optim.AdamArrays`).  Built over a *frozen* buffer, the
 same two classes are the inference runtime the incompleteness join samples
-with (``conditional_probs``, ``sample`` and the tree ``forward``).
+with (``conditional_probs``, ``sample`` and the tree ``forward``) and the
+§5 selection scorer (``per_example_nll``).
 
 Design:
 
@@ -23,21 +24,19 @@ Design:
   exactly.  Training runs whole mini-batches.
 * **Flat buffers.**  :class:`ParameterBuffer` packs every named parameter
   of a module into one contiguous array (plus a matching gradient array)
-  and hands out reshaped views keyed by the original autograd tensors.
+  and hands out reshaped views keyed by the module's parameter objects.
   Optimizer steps, gradient clipping and best-epoch snapshots are single
   vectorized operations on the flat arrays.  A frozen buffer
   (:meth:`ParameterBuffer.freeze`) instead holds gradient-free standalone
   copies, so a network built over it pickles exactly the float32 arrays it
   computes with — the payload process workers receive.
-* **The autograd engine stays the oracle.**  Buffers accept a ``dtype``
-  so the gradcheck harness can run the same kernels in float64 and compare
-  against the reference engine to machine precision; production training
-  uses float32.
+* **Checked against a float64 oracle.**  Buffers accept a ``dtype`` so
+  the gradcheck suite can run the same kernels in float64 and compare them
+  to machine precision with the test-only graph engine under
+  ``tests/oracle``; production training uses float32.
 * **Write-back.**  After training, :meth:`ParameterBuffer.write_back`
-  copies the buffer into the module's float64 tensors, so ``state_dict``
-  names, serialized artifacts and inference snapshots are unchanged — a
-  fused-trained model is indistinguishable in shape and plumbing from an
-  autograd-trained one.
+  copies the buffer into the module's float64 parameters, so ``state_dict``
+  names and serialized artifacts key the same arrays the buffer trained.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ from . import rng as _rng
 class ParameterBuffer:
     """Flat typed storage for a module's parameters and their gradients.
 
-    Packs every ``named_parameters()`` tensor of ``module`` into one
+    Packs every ``named_parameters()`` array of ``module`` into one
     contiguous ``dtype`` array (float32 by default) and exposes reshaped
-    views by parameter name or by the original tensor object.  The views
+    views by parameter name or by the module's parameter object.  The views
     alias the flat array, so an optimizer update on :attr:`flat` is
     immediately visible to every kernel holding a view.
 
@@ -75,8 +74,8 @@ class ParameterBuffer:
         self.frozen = False
         named = list(module.named_parameters())
         self.names: List[str] = [name for name, _ in named]
-        self._tensors = [param for _, param in named]
-        sizes = [param.data.size for param in self._tensors]
+        self._params = [param for _, param in named]
+        sizes = [param.data.size for param in self._params]
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         total = int(offsets[-1])
         self.flat = np.empty(total, dtype=self.dtype)
@@ -85,7 +84,7 @@ class ParameterBuffer:
         self._grad_views: Dict[str, np.ndarray] = {}
         self._name_by_id: Dict[int, str] = {}
         for name, param, start, stop in zip(
-            self.names, self._tensors, offsets[:-1], offsets[1:]
+            self.names, self._params, offsets[:-1], offsets[1:]
         ):
             shape = param.data.shape
             self._views[name] = self.flat[start:stop].reshape(shape)
@@ -102,11 +101,11 @@ class ParameterBuffer:
             return key
         name = self._name_by_id.get(id(key))
         if name is None:
-            raise KeyError("tensor is not a parameter of the buffered module")
+            raise KeyError("not a parameter of the buffered module")
         return name
 
     def view(self, key) -> np.ndarray:
-        """Parameter view (by name or by the module's tensor object)."""
+        """Parameter view (by name or by the module's parameter object)."""
         return self._views[self._name_of(key)]
 
     def grad_view(self, key) -> Optional[np.ndarray]:
@@ -157,7 +156,7 @@ class ParameterBuffer:
 
     def write_back(self) -> None:
         """Copy the buffer into the module's own (float64) parameters."""
-        for name, param in zip(self.names, self._tensors):
+        for name, param in zip(self.names, self._params):
             param.data[...] = self._views[name].astype(param.data.dtype)
 
     def freeze(self) -> "ParameterBuffer":
@@ -170,7 +169,7 @@ class ParameterBuffer:
         frozen = copy.copy(self)
         frozen.frozen = True
         frozen.flat = frozen.grad = None
-        frozen._tensors = []
+        frozen._params = []
         frozen._views = {name: view.copy() for name, view in self._views.items()}
         frozen._grad_views = dict.fromkeys(self._grad_views)
         return frozen
@@ -179,14 +178,12 @@ class ParameterBuffer:
 class FusedResidualMADE:
     """Hand-derived forward+backward for :class:`ResidualMADE`, plus sampling.
 
-    Reproduces the autograd loss
-    ``sum_i weighted_mean_CE(logits_i, x[:, i])`` exactly (up to the buffer
-    dtype): embedding gather → masked input layer → ReLU residual blocks →
-    masked output layer → per-variable weighted softmax-NLL, with the
-    backward pass accumulating into the buffer's gradient views.  MADE
-    masks are applied at forward time (weights stay raw in the buffer) and
-    to the weight gradients, so masked-out entries never train — the same
-    fixed point the autograd engine converges to.
+    Computes the training loss ``sum_i weighted_mean_CE(logits_i, x[:, i])``:
+    embedding gather → masked input layer → ReLU residual blocks → masked
+    output layer → per-variable weighted softmax-NLL, with the backward pass
+    accumulating into the buffer's gradient views.  MADE masks are applied
+    at forward time (weights stay raw in the buffer) and to the weight
+    gradients, so masked-out entries never train.
 
     Over a frozen buffer this is the inference runtime of a fitted MADE:
     the masks are applied to the weights once, and :meth:`conditional_probs`
@@ -219,7 +216,7 @@ class FusedResidualMADE:
 
         def dense(layer):
             weight = buffer.view(layer.weight)
-            mask = np.ascontiguousarray(layer.mask.data, dtype=self.dtype)
+            mask = np.ascontiguousarray(layer.mask, dtype=self.dtype)
             if self.frozen:
                 # Frozen weights never train: mask them once, for good.
                 weight *= mask
@@ -633,16 +630,14 @@ class FusedTreeEncoder:
 
 
 class FusedTrainStepper(TrainStepper):
-    """The ``"fused"`` training backend for completion models.
+    """The training stepper of the completion models.
 
     Owns a :class:`ParameterBuffer` over the whole model (MADE plus, for
     SSAR, the tree encoder), the fused kernels, and an array-based Adam on
     the flat buffer.  The stepper lives only for the duration of one
     ``fit`` and writes its final parameters back into the module's float64
-    tensors; the model's inference snapshot is rebuilt from those.
+    parameters; the model's inference snapshot is rebuilt from those.
     """
-
-    backend = "fused"
 
     def __init__(
         self,

@@ -322,12 +322,15 @@ def _config_to_dict(config: ReStoreConfig) -> dict:
 
 
 #: Config fields older artifacts record that the engine no longer has
-#: (``compiled_inference`` chose an inference backend; there is one now.
-#: ``partial_cache_chunks`` and ``progressive_chunks`` sized the chunk cache
-#: and grid; both are engine constants now).
-_RETIRED_CONFIG_KEYS = frozenset(
-    {"compiled_inference", "partial_cache_chunks", "progressive_chunks"}
-)
+#: (``compiled_inference`` chose an inference backend, and
+#: ``train_backend`` / ``train.backend`` a training backend; there is one
+#: of each now.  ``partial_cache_chunks`` and ``progressive_chunks`` sized
+#: the chunk cache and grid; both are engine constants now).  The filter
+#: applies at every level: engine, model and training config.
+_RETIRED_CONFIG_KEYS = frozenset({
+    "compiled_inference", "partial_cache_chunks", "progressive_chunks",
+    "train_backend", "backend",
+})
 
 
 def _current_fields(data: dict) -> dict:
@@ -360,7 +363,6 @@ def _train_summary(result: Optional[TrainResult]) -> Optional[dict]:
         "best_val_loss": float(result.best_val_loss),
         "epochs_run": int(result.epochs_run),
         "wall_time_s": float(result.wall_time_s),
-        "backend": result.backend,
         "epoch_wall_times_s": [float(x) for x in result.epoch_wall_times_s],
         "warm_start": bool(result.warm_start),
     }
@@ -376,9 +378,7 @@ def _train_result_from(summary: Optional[dict]) -> Optional[TrainResult]:
         epochs_run=int(summary["epochs_run"]),
         wall_time_s=float(summary["wall_time_s"]),
         val_indices=None,
-        # Artifacts written before the fused runtime carry neither field;
-        # every model back then was trained on the autograd engine.
-        backend=summary.get("backend", "autograd"),
+        # Artifacts written before per-epoch timing carry no such field.
         epoch_wall_times_s=[
             float(x) for x in summary.get("epoch_wall_times_s", [])
         ],
@@ -429,7 +429,7 @@ def _models_state(engine: ReStore):
 
 def _model_config_from_dict(data: dict) -> ModelConfig:
     data = _current_fields(data)
-    train = dict(data.pop("train"))
+    train = _current_fields(data.pop("train"))
     data["hidden"] = tuple(data["hidden"])
     return ModelConfig(train=TrainConfig(**train), **data)
 
@@ -468,7 +468,13 @@ def _models_from_state(
         path = CompletionPath(tuple(entry["path"]))
         layout = PathLayout(db, annotation, path, encoders)
         _verify_layout(layout, entry)
-        config = _model_config_from_dict(entry["config"])
+        try:
+            config = _model_config_from_dict(entry["config"])
+        except (KeyError, TypeError) as exc:
+            raise ArtifactIntegrityError(
+                f"stored config is inconsistent (model {entry['index']} "
+                f"in {_MODELS_JSON}): {exc}"
+            ) from exc
         if entry["kind"] == "ar":
             model: _CompletionModelBase = ARCompletionModel(layout, config)
         elif entry["kind"] == "ssar":
@@ -619,11 +625,6 @@ def save_artifact(
     _write_json(path / _MODELS_JSON, models_meta)
     _write_npz(path / _MODELS_NPZ, model_arrays)
 
-    train_backends = sorted({
-        entry["train_summary"]["backend"]
-        for entry in models_meta["models"]
-        if entry["train_summary"] is not None
-    })
     manifest = {
         "format_version": FORMAT_VERSION,
         "repro_version": repro_version(),
@@ -633,7 +634,6 @@ def save_artifact(
         "database_digest": database_digest(engine.db, engine.annotation),
         "num_models": len(models_meta["models"]),
         "targets": sorted(models_meta["candidates"]),
-        "train_backends": train_backends,
         "files": {name: _sha256_file(path / name) for name in _HASHED_FILES},
     }
     if columnar:

@@ -470,9 +470,8 @@ class ServingCore:
             return None, ("__complete__", tuple(sorted(request.query.tables)))
         if request.suspected_bias is not None:
             return None, ("__bias__", id(request))
-        target = engine._primary_target(incomplete)
-        choice = engine.select_model(target, query=request.query)
-        return choice.model, engine.join_signature(choice.model)
+        model = engine._completion_model(request.query)
+        return model, engine.join_signature(model)
 
     def group(self, batch: List) -> Tuple[Dict[Tuple, Tuple[Optional[_CompletionModelBase], List]], List[Tuple[object, BaseException]]]:
         """Partition a batch by join signature (selection runs here).

@@ -501,9 +501,7 @@ class FleetRouter:
             return ("__complete__", repr(query)), None
         if suspected_bias is not None:
             return ("__bias__", repr(query), repr(suspected_bias)), None
-        target = engine._primary_target(incomplete)
-        choice = engine.select_model(target, query=query)
-        signature = engine.join_signature(choice.model)
+        signature = engine.join_signature(engine._completion_model(query))
         if signature in self._warm_signatures:
             return (signature, repr(query)), signature
         return signature, signature

@@ -1,4 +1,8 @@
-"""Shared test helpers (imported absolutely — the tests dir is not a package)."""
+"""Shared test helpers (imported absolutely — the tests dir is not a package).
+
+The float64 reference engine the fused runtime is checked against lives
+next to them, in the ``oracle`` package.
+"""
 
 import numpy as np
 
@@ -47,7 +51,7 @@ def numeric_grad_arrays(fn, arrays, eps: float = 1e-6):
 def relative_grad_error(actual: np.ndarray, reference: np.ndarray) -> float:
     """Max absolute deviation, scaled by the reference gradient's magnitude.
 
-    The gradcheck tolerance of the fused-vs-autograd parity suite: a flat
+    The gradcheck tolerance of the fused-vs-oracle parity suite: a flat
     1e-12 floor keeps all-zero reference gradients comparable.
     """
     scale = max(float(np.abs(reference).max()), 1e-12)

@@ -1,4 +1,4 @@
-"""Differentiable operations beyond ``Tensor`` methods.
+"""Differentiable operations beyond ``Tensor`` methods (test oracle).
 
 These cover the needs of ReStore's completion models:
 
@@ -7,8 +7,7 @@ These cover the needs of ReStore's completion models:
   evidence tuple (the deep-sets aggregation of SSAR models),
 * :func:`log_softmax` / :func:`cross_entropy` — the per-column categorical
   likelihood that MADE maximizes,
-* :func:`softmax` — inference-time distribution extraction for sampling and
-  confidence estimation.
+* :func:`softmax` — distribution extraction for sampling.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Reverse-mode automatic differentiation on top of numpy arrays.
+"""Reverse-mode automatic differentiation on top of numpy arrays (test oracle).
 
-This module is the foundation of the neural substrate used by ReStore's
-completion models.  The paper implements its models in PyTorch; since the
-reproduction environment is CPU/numpy-only, we provide a small but complete
-autograd engine with the exact semantics needed by MADE-style autoregressive
-models and deep-sets tree encoders:
+The float64 reference engine the fused float32 runtime
+(:mod:`repro.runtime.training`) is checked against: gradchecks compare the
+hand-derived kernels with the gradients this engine derives, and parity
+tests compare forwards and training runs.  It supports exactly what
+MADE-style autoregressive models and deep-sets tree encoders need:
 
 * broadcasting-aware elementwise arithmetic,
 * matrix multiplication,
@@ -330,16 +330,6 @@ class Tensor:
             self._accum(grad / self.data)
 
         return Tensor._make(data, (self,), backward)
-
-
-def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
-    """A zero-filled tensor of the engine dtype."""
-    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int], requires_grad: bool = False) -> Tensor:
-    """A one-filled tensor of the engine dtype."""
-    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -24,6 +24,7 @@ from repro.datasets import (
     generate_housing,
     generate_synthetic,
 )
+from repro.errors import QueryValidationError
 from repro.incomplete import RemovalSpec, make_incomplete
 from repro.metrics import bias_reduction, cardinality_correction
 from repro.nn import TrainConfig
@@ -232,6 +233,27 @@ class TestEngine:
                                    incomplete_tables={"apartment"})
         with pytest.raises(ValueError):
             ReStore(db, partial)
+
+    def test_query_no_trained_path_covers_is_rejected(self):
+        """An incomplete query table without candidates answers on a
+        covering trained path; with none, the error names the tables and
+        the trained paths (a ValueError, as selection errors always were)."""
+        db = generate_housing(HousingConfig(seed=0, num_neighborhoods=20,
+                                            num_landlords=60,
+                                            apartments_per_neighborhood=6.0))
+        dataset = make_incomplete(
+            db,
+            [RemovalSpec("apartment", "price", 0.5, 0.4),
+             RemovalSpec("landlord", "landlord_response_rate", 0.5, 0.4)],
+            tf_keep_rate=0.3, seed=1,
+        )
+        config = ReStoreConfig(model=ModelConfig(
+            hidden=(16, 16), train=TrainConfig(epochs=2, batch_size=128)
+        ))
+        engine = ReStore.from_dataset(dataset, config).fit(targets=["apartment"])
+        with pytest.raises(QueryValidationError,
+                           match=r"\['landlord'\].*neighborhood -> apartment"):
+            engine.answer(parse_query("SELECT COUNT(*) FROM landlord;"))
 
 
 class TestConfidence:

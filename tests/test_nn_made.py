@@ -3,14 +3,18 @@
 The crucial invariant is the autoregressive property: output ``i`` must be
 invariant to inputs ``j >= i`` (and sensitive, in general, to ``j < i``).
 We verify it empirically by perturbing inputs, check that training recovers
-simple known conditionals, and exercise conditional sampling.
+simple known conditionals, and exercise conditional sampling.  The module's
+masks and parameters are driven through the float64 test oracle, which
+reads them by name.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import ResidualMADE, Tensor, TrainConfig, train
-from repro.nn.made import _sample_rows
+from repro.nn import ResidualMADE, TrainConfig, train
+from repro.runtime.rng import _sample_rows
+
+from oracle import OracleMADE, OracleStepper, Tensor, holder
 
 
 def make_model(vocab_sizes, context_dim=0, seed=0, hidden=(32, 32)):
@@ -18,6 +22,12 @@ def make_model(vocab_sizes, context_dim=0, seed=0, hidden=(32, 32)):
         vocab_sizes, embed_dim=4, hidden=hidden,
         rng=np.random.default_rng(seed), context_dim=context_dim,
     )
+
+
+def fit(model, data, config):
+    """Train ``model`` on the code matrix ``data`` through the oracle."""
+    stepper = OracleStepper(holder(made=model), data, {}, config)
+    return train(stepper, len(data), config)
 
 
 class TestConstruction:
@@ -34,24 +44,25 @@ class TestConstruction:
             ResidualMADE([2, 2], 4, hidden=(16, 32), rng=np.random.default_rng(0))
 
     def test_output_width(self):
-        model = make_model([3, 5, 2])
+        model = OracleMADE(make_model([3, 5, 2]))
         out = model.forward(np.zeros((4, 3), dtype=int))
         assert out.shape == (4, 10)
 
     def test_bad_input_shape(self):
-        model = make_model([3, 5])
+        model = OracleMADE(make_model([3, 5]))
         with pytest.raises(ValueError):
             model.forward(np.zeros((4, 3), dtype=int))
 
     def test_context_required_when_configured(self):
-        model = make_model([3, 3], context_dim=2)
+        model = OracleMADE(make_model([3, 3], context_dim=2))
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, 2), dtype=int))
 
 
 class TestAutoregressiveProperty:
     def test_outputs_ignore_later_inputs(self):
-        model = make_model([4, 4, 4], seed=1)
+        made = make_model([4, 4, 4], seed=1)
+        model = OracleMADE(made)
         rng = np.random.default_rng(0)
         x = rng.integers(0, 4, size=(8, 3))
         base = model.forward(x).numpy()
@@ -60,11 +71,11 @@ class TestAutoregressiveProperty:
             perturbed[:, var] = (perturbed[:, var] + 1) % 4
             out = model.forward(perturbed).numpy()
             # Logits of variables <= var must be identical.
-            stop = int(model._logit_offsets[var + 1])
+            stop = int(made._logit_offsets[var + 1])
             np.testing.assert_allclose(out[:, :stop], base[:, :stop], atol=1e-12)
 
     def test_outputs_depend_on_earlier_inputs(self):
-        model = make_model([4, 4], seed=2)
+        model = OracleMADE(make_model([4, 4], seed=2))
         x = np.zeros((4, 2), dtype=int)
         base = model.conditional_probs(x, variable=1)
         shifted = np.array(x)
@@ -73,7 +84,7 @@ class TestAutoregressiveProperty:
         assert not np.allclose(base, changed)
 
     def test_context_reaches_all_outputs(self):
-        model = make_model([3, 3], context_dim=4, seed=3)
+        model = OracleMADE(make_model([3, 3], context_dim=4, seed=3))
         x = np.zeros((2, 2), dtype=int)
         ctx0 = Tensor(np.zeros((2, 4)))
         ctx1 = Tensor(np.ones((2, 4)))
@@ -89,14 +100,10 @@ class TestLikelihoodTraining:
         # x1 uniform over 3 values; x2 = x1 deterministically.
         x1 = rng.integers(0, 3, size=600)
         data = np.stack([x1, x1], axis=1)
-        model = make_model([3, 3], seed=4)
+        made = make_model([3, 3], seed=4)
+        model = OracleMADE(made)
         initial = model.per_example_nll(data).mean()
-        result = train(
-            model, len(data),
-            loss_fn=lambda idx: model.nll(data[idx]),
-            eval_fn=lambda idx: float(model.per_example_nll(data[idx]).mean()),
-            config=TrainConfig(epochs=15, batch_size=128, lr=5e-3, seed=0),
-        )
+        result = fit(made, data, TrainConfig(epochs=15, batch_size=128, lr=5e-3, seed=0))
         final = model.per_example_nll(data).mean()
         assert final < initial
         assert result.best_val_loss < initial
@@ -105,13 +112,9 @@ class TestLikelihoodTraining:
         rng = np.random.default_rng(1)
         x1 = rng.integers(0, 3, size=800)
         data = np.stack([x1, (x1 + 1) % 3], axis=1)
-        model = make_model([3, 3], seed=5)
-        train(
-            model, len(data),
-            loss_fn=lambda idx: model.nll(data[idx]),
-            eval_fn=lambda idx: float(model.per_example_nll(data[idx]).mean()),
-            config=TrainConfig(epochs=25, batch_size=128, lr=1e-2, seed=0, patience=10),
-        )
+        made = make_model([3, 3], seed=5)
+        fit(made, data, TrainConfig(epochs=25, batch_size=128, lr=1e-2, seed=0, patience=10))
+        model = OracleMADE(made)
         probe = np.stack([np.arange(3), np.zeros(3, dtype=int)], axis=1)
         probs = model.conditional_probs(probe, variable=1)
         predicted = probs.argmax(axis=1)
@@ -119,21 +122,21 @@ class TestLikelihoodTraining:
         assert probs.max(axis=1).min() > 0.8
 
     def test_nll_variable_subset(self):
-        model = make_model([3, 3], seed=6)
+        model = OracleMADE(make_model([3, 3], seed=6))
         data = np.zeros((16, 2), dtype=int)
         full = model.nll(data).item()
         only_second = model.nll(data, variables=[1]).item()
         assert only_second <= full + 1e-9
 
     def test_nll_empty_subset_raises(self):
-        model = make_model([3, 3])
+        model = OracleMADE(make_model([3, 3]))
         with pytest.raises(ValueError):
             model.nll(np.zeros((4, 2), dtype=int), variables=[])
 
 
 class TestSampling:
     def test_sample_preserves_evidence(self):
-        model = make_model([5, 5, 5], seed=7)
+        model = OracleMADE(make_model([5, 5, 5], seed=7))
         evidence = np.zeros((10, 3), dtype=int)
         evidence[:, 0] = np.arange(10) % 5
         out = model.sample(evidence, start_variable=1, rng=np.random.default_rng(0))
@@ -141,7 +144,7 @@ class TestSampling:
         assert out[:, 1:].min() >= 0 and out[:, 1:].max() < 5
 
     def test_sample_start_bounds(self):
-        model = make_model([3, 3])
+        model = OracleMADE(make_model([3, 3]))
         with pytest.raises(ValueError):
             model.sample(np.zeros((1, 2), dtype=int), start_variable=5,
                          rng=np.random.default_rng(0))
@@ -150,13 +153,9 @@ class TestSampling:
         rng = np.random.default_rng(2)
         x1 = rng.integers(0, 2, size=1000)
         data = np.stack([x1, x1], axis=1)
-        model = make_model([2, 2], seed=8)
-        train(
-            model, len(data),
-            loss_fn=lambda idx: model.nll(data[idx]),
-            eval_fn=lambda idx: float(model.per_example_nll(data[idx]).mean()),
-            config=TrainConfig(epochs=20, batch_size=256, lr=1e-2, seed=0, patience=10),
-        )
+        made = make_model([2, 2], seed=8)
+        fit(made, data, TrainConfig(epochs=20, batch_size=256, lr=1e-2, seed=0, patience=10))
+        model = OracleMADE(made)
         evidence = np.zeros((400, 2), dtype=int)
         evidence[:200, 0] = 1
         samples = model.sample(evidence, 1, rng=np.random.default_rng(3))
@@ -164,14 +163,14 @@ class TestSampling:
         assert agree > 0.9
 
     def test_deterministic_given_rng(self):
-        model = make_model([4, 4], seed=9)
+        model = OracleMADE(make_model([4, 4], seed=9))
         ev = np.zeros((6, 2), dtype=int)
         a = model.sample(ev, 1, rng=np.random.default_rng(42))
         b = model.sample(ev, 1, rng=np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_temperature_zero_like_behaviour(self):
-        model = make_model([4, 4], seed=10)
+        model = OracleMADE(make_model([4, 4], seed=10))
         ev = np.zeros((50, 2), dtype=int)
         cold = model.sample(ev, 1, rng=np.random.default_rng(0), temperature=1e-4)
         # Near-zero temperature collapses to the argmax of the conditional.
@@ -197,12 +196,12 @@ class TestStateDict:
         model = make_model([3, 3], seed=11)
         state = model.state_dict()
         x = np.zeros((2, 2), dtype=int)
-        before = model.forward(x).numpy().copy()
-        for p in model.parameters():
+        before = OracleMADE(model).forward(x).numpy().copy()
+        for _name, p in model.named_parameters():
             p.data += 1.0
-        assert not np.allclose(model.forward(x).numpy(), before)
+        assert not np.allclose(OracleMADE(model).forward(x).numpy(), before)
         model.load_state_dict(state)
-        np.testing.assert_allclose(model.forward(x).numpy(), before)
+        np.testing.assert_allclose(OracleMADE(model).forward(x).numpy(), before)
 
     def test_names_are_stable_attribute_paths(self):
         """Two same-architecture builds produce identical parameter names —
@@ -221,20 +220,22 @@ class TestStateDict:
         x = np.zeros((2, 2), dtype=int)
         target.load_state_dict(source.state_dict())
         np.testing.assert_array_equal(
-            target.forward(x).numpy(), source.forward(x).numpy()
+            OracleMADE(target).forward(x).numpy(),
+            OracleMADE(source).forward(x).numpy(),
         )
 
     def test_legacy_order_based_state_dict_still_loads(self):
         source = make_model([3, 3], seed=11)
         legacy = {
             f"param_{i}": np.array(p.data, copy=True)
-            for i, p in enumerate(source.parameters())
+            for i, (_name, p) in enumerate(source.named_parameters())
         }
         target = make_model([3, 3], seed=99)
         target.load_state_dict(legacy)
         x = np.zeros((2, 2), dtype=int)
         np.testing.assert_array_equal(
-            target.forward(x).numpy(), source.forward(x).numpy()
+            OracleMADE(target).forward(x).numpy(),
+            OracleMADE(source).forward(x).numpy(),
         )
 
     def test_mismatched_names_raise(self):

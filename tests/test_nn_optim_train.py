@@ -1,37 +1,17 @@
-"""Tests for optimizers and the generic training loop."""
+"""Tests for the Adam update, gradient clipping and the generic training loop.
+
+The update and the clipping are the production array functions
+(``AdamArrays``, ``clip_grad_norm_arrays``), driven here through the test
+oracle's tensor wrappers; the loop runs the production fused stepper.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam, SGD, Tensor, TrainConfig, clip_grad_norm, train
-from repro.nn import functional as F
+from repro.nn import ResidualMADE, TrainConfig, train
+from repro.runtime import FusedTrainStepper
 
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        x = Tensor([5.0], requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            (x * x).backward()
-            opt.step()
-        assert abs(x.item()) < 1e-3
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            x = Tensor([5.0], requires_grad=True)
-            opt = SGD([x], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                (x * x).backward()
-                opt.step()
-            return abs(x.item())
-
-        assert run(0.9) < run(0.0)
-
-    def test_requires_parameters(self):
-        with pytest.raises(ValueError):
-            SGD([])
+from oracle import Adam, Tensor, clip_grad_norm, holder
 
 
 class TestAdam:
@@ -80,55 +60,61 @@ class TestGradClip:
 
 
 class TestTrainLoop:
-    def _regression_problem(self, seed=0):
+    def _problem(self, seed=0):
+        """x2 = (x1 >= 2) with 10% label noise, learned by a small MADE."""
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(300, 3))
-        y = (x.sum(axis=1) > 0).astype(int)
-        model = MLP(3, [16], 2, rng=np.random.default_rng(seed + 1))
+        x1 = rng.integers(0, 4, size=300)
+        x2 = np.where(rng.random(300) < 0.1, 1 - (x1 >= 2), x1 >= 2)
+        data = np.stack([x1, x2.astype(np.int64)], axis=1)
+        made = ResidualMADE([4, 2], embed_dim=4, hidden=(16, 16),
+                            rng=np.random.default_rng(seed + 1))
+        return data, made
 
-        def loss_fn(idx):
-            return F.cross_entropy(model(Tensor(x[idx])), y[idx])
-
-        def eval_fn(idx):
-            logits = model(Tensor(x[idx])).numpy()
-            return float(F.nll_from_logits(logits, y[idx]).mean())
-
-        return model, x, y, loss_fn, eval_fn
+    def _train(self, data, made, config):
+        stepper = FusedTrainStepper(holder(made=made), data, {}, config)
+        return stepper, train(stepper, len(data), config)
 
     def test_loss_decreases(self):
-        model, x, y, loss_fn, eval_fn = self._regression_problem()
-        result = train(model, len(x), loss_fn, eval_fn,
-                       TrainConfig(epochs=10, batch_size=64, lr=1e-2, seed=0))
+        data, made = self._problem()
+        _stepper, result = self._train(
+            data, made, TrainConfig(epochs=10, batch_size=64, lr=1e-2, seed=0)
+        )
         assert result.train_losses[-1] < result.train_losses[0]
         assert result.epochs_run >= 3
 
     def test_early_stopping_restores_best(self):
-        model, x, y, loss_fn, eval_fn = self._regression_problem(seed=1)
-        result = train(model, len(x), loss_fn, eval_fn,
-                       TrainConfig(epochs=40, batch_size=64, lr=5e-2, seed=0,
-                                   patience=2))
+        data, made = self._problem(seed=1)
+        stepper, result = self._train(
+            data, made, TrainConfig(epochs=40, batch_size=64, lr=5e-2, seed=0,
+                                    patience=2)
+        )
         # Final model must score (close to) the best recorded val loss.
         rng = np.random.default_rng(0)
-        order = rng.permutation(len(x))
-        val_idx = order[:max(1, int(len(x) * 0.1))]
-        np.testing.assert_allclose(eval_fn(val_idx), result.best_val_loss, atol=1e-9)
+        order = rng.permutation(len(data))
+        val_idx = order[:max(1, int(len(data) * 0.1))]
+        np.testing.assert_allclose(
+            stepper.evaluate(val_idx), result.best_val_loss, atol=1e-9
+        )
 
     def test_needs_two_examples(self):
-        model, *_ , loss_fn, eval_fn = self._regression_problem()
+        data, made = self._problem()
+        stepper = FusedTrainStepper(holder(made=made), data, {}, TrainConfig())
         with pytest.raises(ValueError):
-            train(model, 1, loss_fn, eval_fn)
+            train(stepper, 1)
 
     def test_deterministic_given_seed(self):
         res = []
         for _ in range(2):
-            model, x, y, loss_fn, eval_fn = self._regression_problem(seed=7)
-            r = train(model, len(x), loss_fn, eval_fn,
-                      TrainConfig(epochs=3, batch_size=64, seed=11))
+            data, made = self._problem(seed=7)
+            _stepper, r = self._train(
+                data, made, TrainConfig(epochs=3, batch_size=64, seed=11)
+            )
             res.append(r.train_losses)
         np.testing.assert_allclose(res[0], res[1])
 
     def test_records_wall_time(self):
-        model, x, y, loss_fn, eval_fn = self._regression_problem(seed=2)
-        result = train(model, len(x), loss_fn, eval_fn,
-                       TrainConfig(epochs=2, batch_size=128))
+        data, made = self._problem(seed=2)
+        _stepper, result = self._train(
+            data, made, TrainConfig(epochs=2, batch_size=128)
+        )
         assert result.wall_time_s > 0

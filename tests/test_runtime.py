@@ -3,10 +3,11 @@
 Covers the contract of :mod:`repro.runtime`:
 
 * float32 inference (the fused networks over a frozen parameter buffer)
-  matches the float64 autograd oracle within float32 tolerance,
+  matches the float64 test oracle within float32 tolerance,
 * inference snapshots pickle to float32 arrays only and follow the model's
   weights,
-* the incompleteness join builds no autograd graphs,
+* the incompleteness join builds no autograd graphs, and nothing under
+  ``src/`` holds a second network implementation,
 * chunked join execution reproduces the unchunked run exactly,
 * :class:`JoinCache` LRU eviction, invalidation on re-fit, and statistics.
 """
@@ -38,12 +39,10 @@ from repro.nn import (
     EvidenceTreeEncoder,
     Module,
     ResidualMADE,
-    Tensor,
     TrainConfig,
     TreeNodeBatch,
     TreeNodeSpec,
 )
-from repro.nn import tensor as tensor_mod
 from repro.relational import CompletionPath, fan_out_relations
 from repro.runtime import (
     FusedResidualMADE,
@@ -53,6 +52,9 @@ from repro.runtime import (
     kernels,
 )
 from repro.runtime import rng as rt_rng
+
+from oracle import OracleMADE, OracleTreeEncoder, Tensor
+from oracle import tensor as tensor_mod
 
 FAST = TrainConfig(epochs=3, batch_size=128, lr=1e-2, patience=2)
 
@@ -101,14 +103,15 @@ class TestInferenceOracle:
         made = ResidualMADE([4, 5, 3], embed_dim=4, hidden=(16, 16), rng=rng)
         sampler = _sampler(made)
         x = np.zeros((7, 3), dtype=np.int64)
+        oracle = OracleMADE(made)
         np.testing.assert_allclose(
-            sampler.forward_logits(x), made.forward(x).numpy(),
+            sampler.forward_logits(x), oracle.forward(x).numpy(),
             atol=1e-4, rtol=1e-3,
         )
         for variable in range(3):
             np.testing.assert_allclose(
                 sampler.conditional_probs(x, variable),
-                made.conditional_probs(x, variable), atol=1e-4, rtol=1e-3,
+                oracle.conditional_probs(x, variable), atol=1e-4, rtol=1e-3,
             )
 
     def test_sample_empty_range_needs_no_randomness(self):
@@ -128,7 +131,7 @@ class TestInferenceOracle:
         prefix[:, 0] = rng.integers(0, 4, size=n)
         draws = rng.random((n, 3))
         fast = _sampler(made).sample(prefix, 1, draws=draws)
-        exact = made.sample(prefix, 1, rng=None, draws=draws)
+        exact = OracleMADE(made).sample(prefix, 1, rng=None, draws=draws)
         assert (fast == exact).all(axis=1).mean() >= 0.99
 
     def test_freeze_copies_parameters_without_gradients(self):
@@ -156,7 +159,7 @@ class TestInferenceOracle:
         layer = made.input_layer
         np.testing.assert_array_equal(
             frozen.view(layer.weight),
-            (layer.weight.data * layer.mask.data).astype(np.float32),
+            (layer.weight.data * layer.mask).astype(np.float32),
         )
 
     def test_conditional_probs_are_batch_invariant(self):
@@ -204,7 +207,8 @@ class TestInferenceOracle:
         prefix[:, 0] = rng.integers(0, 4, size=n)
         draws = rng.random((n, 3))
         fast = sampler.sample(prefix, 1, draws=draws, temperature=0.5)
-        exact = made.sample(prefix, 1, rng=None, draws=draws, temperature=0.5)
+        exact = OracleMADE(made).sample(prefix, 1, rng=None, draws=draws,
+                                        temperature=0.5)
         assert (fast == exact).all(axis=1).mean() >= 0.99
         # Near zero temperature a draw takes the mode of its conditional.
         cold = sampler.sample(prefix, 1, stop_variable=2, draws=draws[:, :1],
@@ -237,7 +241,7 @@ class TestInferenceOracle:
         batches = _tree_batches(rng, tree, num_roots=60)
         fast = FusedTreeEncoder(tree, ParameterBuffer(tree).freeze())
         np.testing.assert_allclose(
-            fast.forward(batches, 60), tree(batches, 60).numpy(),
+            fast.forward(batches, 60), OracleTreeEncoder(tree)(batches, 60).numpy(),
             atol=1e-4, rtol=1e-3,
         )
 
@@ -309,7 +313,7 @@ class TestCompiledParity:
         ], axis=1)
         for variable in range(layout.num_variables):
             fast = model.conditional_probs(x, variable)
-            exact = model.made.conditional_probs(x, variable)
+            exact = OracleMADE(model.made).conditional_probs(x, variable)
             np.testing.assert_allclose(fast, exact, atol=1e-4, rtol=1e-3)
 
     def test_per_example_nll_matches_autograd(self, fitted_setup):
@@ -320,7 +324,7 @@ class TestCompiledParity:
             rng.integers(0, v.vocab_size, size=48) for v in layout.variables
         ], axis=1)
         fast = sampler.per_example_nll(x)
-        exact = model.made.per_example_nll(x)
+        exact = OracleMADE(model.made).per_example_nll(x)
         np.testing.assert_allclose(fast, exact, atol=1e-3, rtol=1e-3)
 
     def test_ssar_context_and_probs_match(self, fitted_ssar):
@@ -328,7 +332,7 @@ class TestCompiledParity:
         roots = np.arange(20, dtype=np.int64)
         batches = model.forest.batch_for_roots(roots)
         fast_ctx = model.context_for_roots(roots)
-        exact_ctx = model.tree_encoder(batches, len(roots)).numpy()
+        exact_ctx = OracleTreeEncoder(model.tree_encoder)(batches, len(roots)).numpy()
         np.testing.assert_allclose(fast_ctx, exact_ctx, atol=1e-4, rtol=1e-3)
 
         layout = model.layout
@@ -337,7 +341,7 @@ class TestCompiledParity:
             rng.integers(0, v.vocab_size, size=20) for v in layout.variables
         ], axis=1)
         fast = model.conditional_probs(x, 1, context=fast_ctx)
-        exact = model.made.conditional_probs(x, 1, context=Tensor(exact_ctx))
+        exact = OracleMADE(model.made).conditional_probs(x, 1, context=Tensor(exact_ctx))
         np.testing.assert_allclose(fast, exact, atol=1e-4, rtol=1e-3)
 
     def test_sample_matches_autograd_draws(self, fitted_setup):
@@ -352,7 +356,7 @@ class TestCompiledParity:
         )
         draws = rng.random((n, layout.num_variables - 1))
         fast = sampler.sample(prefix, 1, draws=draws)
-        exact = model.made.sample(prefix, 1, rng=None, draws=draws)
+        exact = OracleMADE(model.made).sample(prefix, 1, rng=None, draws=draws)
         # float32 vs float64 CDFs may flip a draw that lands within ~1e-6 of
         # a bin boundary; identical for virtually every row.
         agree = (fast == exact).all(axis=1).mean()
@@ -475,8 +479,49 @@ class TestNoAutogradDuringJoin:
 
         monkeypatch.setattr(tensor_mod.Tensor, "_make", staticmethod(spy))
         prefix = np.zeros((8, layout.num_variables), dtype=np.int64)
-        model.made.sample(prefix, 1, rng=np.random.default_rng(0))
+        OracleMADE(model.made).sample(prefix, 1, rng=np.random.default_rng(0))
         assert len(tracked) > 0
+
+
+class TestOneNetworkImplementation:
+    """The fused runtime is the only network code in ``src/``; the float64
+    graph engine lives in the test oracle, which nothing in ``src/`` imports."""
+
+    def test_nn_exports_no_graph_engine(self):
+        import repro.nn
+
+        retired = {
+            "Tensor", "functional", "concat", "zeros", "ones", "Optimizer",
+            "SGD", "Adam", "clip_grad_norm", "AutogradStepper",
+            "TRAIN_BACKENDS", "MLP", "Sequential", "ReLU",
+        }
+        assert retired.isdisjoint(repro.nn.__all__)
+        assert not any(hasattr(repro.nn, name) for name in retired)
+
+    def test_no_training_backend_options(self):
+        from dataclasses import fields
+
+        assert "backend" not in {f.name for f in fields(TrainConfig)}
+        assert "train_backend" not in {f.name for f in fields(ReStoreConfig)}
+
+    def test_src_does_not_import_the_oracle(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in ("oracle", "tests"), (
+                        f"{path} imports {name}"
+                    )
 
 
 # ----------------------------------------------------------------------

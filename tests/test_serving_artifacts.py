@@ -69,6 +69,17 @@ def _build_engine(
     return engine
 
 
+def _edit_json(artifact: Path, name: str, edit) -> None:
+    """Apply ``edit`` to one JSON file of ``artifact``; re-hash the manifest."""
+    path = artifact / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    manifest = json.loads((artifact / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (artifact / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _answers(engine: ReStore, scenario: str):
     out = {}
     for sql in SCENARIO_QUERIES[scenario]:
@@ -182,6 +193,48 @@ class TestRoundTrip:
             synthetic_engine, "synthetic/biased"
         )
 
+    def test_retired_training_backend_settings_still_load(
+        self, synthetic_engine, synthetic_artifact, tmp_path
+    ):
+        """Artifacts written while training had two backends recorded
+        ``train_backend`` in the engine config, ``train.backend`` in every
+        stored model config, ``backend`` in every train summary and
+        ``train_backends`` in the manifest; they load and answer unchanged."""
+        old = tmp_path / "old"
+        shutil.copytree(synthetic_artifact, old)
+
+        def engine_config(config):
+            config["train_backend"] = None
+            config["model"]["train"]["backend"] = "fused"
+
+        def models(meta):
+            assert len(meta["models"]) >= 2
+            for entry in meta["models"]:
+                entry["config"]["train"]["backend"] = "fused"
+                entry["train_summary"]["backend"] = "fused"
+
+        _edit_json(old, "config.json", engine_config)
+        _edit_json(old, "models.json", models)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["train_backends"] = ["fused"]
+        (old / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = ReStore.load(old)
+        assert _answers(loaded, "synthetic/biased") == _answers(
+            synthetic_engine, "synthetic/biased"
+        )
+
+    def test_loaded_models_point_selection_losses_at_stored_scores(
+        self, synthetic_artifact
+    ):
+        """An artifact keeps no training data, so the §5 losses cannot be
+        recomputed on a loaded model; they say where the stored ones are."""
+        loaded = ReStore.load(synthetic_artifact)
+        model = loaded.candidates("tb")[0].model
+        for loss in (model.target_test_loss, model.marginal_target_loss):
+            with pytest.raises(RuntimeError, match=r"engine\.candidates\(target\)"):
+                loss()
+
     def test_candidate_scores_preserved(self, synthetic_engine, synthetic_artifact):
         loaded = ReStore.load(synthetic_artifact)
         original = synthetic_engine.candidates("tb")
@@ -217,8 +270,6 @@ class TestRoundTrip:
         assert manifest["seed"] == synthetic_engine.config.seed
         assert manifest["scenario"] == "synthetic/biased"
         assert manifest["targets"] == ["tb"]
-        # Default training runs on the fused runtime; the manifest records it.
-        assert manifest["train_backends"] == ["fused"]
         assert set(manifest["files"]) == {
             "config.json", "schema.json", "database.npz",
             "encoders.json", "encoders.npz", "models.json", "models.npz",
@@ -228,32 +279,23 @@ class TestRoundTrip:
     def test_train_result_provenance_round_trips(
         self, synthetic_engine, synthetic_artifact
     ):
-        """Backend stamp and per-epoch wall times survive save/load."""
+        """Per-epoch wall times survive save/load."""
         loaded = ReStore.load(synthetic_artifact)
         for key, model in synthetic_engine.fitted_models().items():
             original = model.train_result
             restored = loaded.fitted_models()[key].train_result
-            assert original.backend == "fused"
-            assert restored.backend == original.backend
             assert restored.epoch_wall_times_s == pytest.approx(
                 original.epoch_wall_times_s
             )
             assert len(restored.epoch_wall_times_s) == original.epochs_run
 
-    @pytest.mark.parametrize("backend", ["fused", "autograd"])
-    def test_fresh_process_parity(self, backend, tmp_path):
-        """The acceptance check, for both training backends: a fresh OS
-        process loads the artifact and answers the workload with results
-        identical to the in-memory engine at the same seed."""
-        from dataclasses import replace as dc_replace
-
-        engine = _build_engine(
-            "synthetic/biased", train=dc_replace(FAST, backend=backend)
-        )
+    def test_fresh_process_parity(self, tmp_path):
+        """The acceptance check: a fresh OS process loads the artifact and
+        answers the workload with results identical to the in-memory
+        engine at the same seed."""
+        engine = _build_engine("synthetic/biased")
         artifact = tmp_path / "artifact"
         save_artifact(engine, artifact, scenario="synthetic/biased")
-        manifest = read_manifest(artifact)
-        assert manifest["train_backends"] == [backend]
         expected = _answers(engine, "synthetic/biased")
         script = (
             "import json, sys\n"
@@ -346,21 +388,20 @@ class TestErrors:
         with pytest.raises(ArtifactIntegrityError, match="expected artifact files"):
             load_artifact(hollow)
 
-    @pytest.mark.parametrize("level", ["engine", "model"])
+    @pytest.mark.parametrize("name,level", [
+        ("config.json", lambda config: config),
+        ("config.json", lambda config: config["model"]),
+        ("config.json", lambda config: config["model"]["train"]),
+        ("models.json", lambda meta: meta["models"][0]["config"]),
+        ("models.json", lambda meta: meta["models"][0]["config"]["train"]),
+    ], ids=["engine", "model", "train", "stored-model", "stored-train"])
     def test_unknown_config_field_still_rejected(
-        self, synthetic_artifact, tmp_path, level
+        self, synthetic_artifact, tmp_path, name, level
     ):
         """Only retired fields are dropped on load; any other field the
         config classes lack still marks the stored config inconsistent."""
         odd = self._copy_artifact(synthetic_artifact, tmp_path / "odd")
-        config = json.loads((odd / "config.json").read_text())
-        (config if level == "engine" else config["model"])["no_such_field"] = 1
-        (odd / "config.json").write_text(json.dumps(config))
-        manifest = json.loads((odd / "manifest.json").read_text())
-        manifest["files"]["config.json"] = hashlib.sha256(
-            (odd / "config.json").read_bytes()
-        ).hexdigest()
-        (odd / "manifest.json").write_text(json.dumps(manifest))
+        _edit_json(odd, name, lambda doc: level(doc).update(no_such_field=1))
         with pytest.raises(ArtifactIntegrityError,
                            match="stored config is inconsistent"):
             load_artifact(odd)

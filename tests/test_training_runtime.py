@@ -3,18 +3,18 @@
 The contract under test, per layer:
 
 * **Gradcheck parity** — the hand-derived fused forward+backward matches
-  the float64 autograd oracle to machine precision (and within 1e-4
-  relative error when run in float32) across randomized layouts: varying
-  vocabulary sizes, wide tuple-factor heads, context dimensions, residual
-  depths and per-variable loss weights.  Finite differences provide a
-  third, engine-independent opinion.
+  the float64 test oracle (``tests/oracle``) to machine precision (and
+  within 1e-4 relative error when run in float32) across randomized
+  layouts: varying vocabulary sizes, wide tuple-factor heads, context
+  dimensions, residual depths and per-variable loss weights.  Finite
+  differences provide a third, engine-independent opinion.
 * **Training-loop semantics** — remainder mini-batches fold into their
-  predecessor (every row trains each epoch), backends stamp
-  :class:`TrainResult`, and the backend knob plumbs from
-  :class:`ReStoreConfig` down to ``fit``.
+  predecessor (every row trains each epoch) and :class:`TrainResult`
+  records per-epoch wall times.
 * **Equivalence at the engine level** — fused-trained engines rank the
-  same candidates as autograd-trained ones and their snapshots stay
-  picklable for the process executors.
+  same candidates as an oracle-trained twin (the oracle stepper swapped
+  in for the one ``fit`` builds) and their snapshots stay picklable for
+  the process executors.
 """
 
 import pickle
@@ -26,8 +26,7 @@ from repro.core import ModelConfig, ReStore, ReStoreConfig
 from repro.core.models import _CompletionModelBase
 from repro.core.path_data import TrainingData
 from repro.incomplete.registry import make_scenario_dataset
-from repro.nn import MLP, Tensor, TrainConfig, batch_bounds, train
-from repro.nn import functional as F
+from repro.nn import TrainConfig, TrainStepper, batch_bounds, train
 from repro.nn.deepsets import EvidenceTreeEncoder, TreeNodeBatch, TreeNodeSpec
 from repro.nn.made import ResidualMADE
 from repro.runtime import kernels
@@ -38,6 +37,15 @@ from repro.runtime.training import (
 )
 
 from helpers import numeric_grad_arrays, relative_grad_error
+from oracle import (
+    OracleMADE,
+    OracleTreeEncoder,
+    Tensor,
+    functional as F,
+    holder,
+    oracle_training,
+    parameters,
+)
 
 #: The acceptance tolerance of the parity suite (ISSUE 5): fused gradients
 #: must match the autograd oracle within 1e-4 relative error.
@@ -82,19 +90,21 @@ def random_batch(rng, made: ResidualMADE):
 
 def autograd_reference(made, x, weights, context=None):
     """Loss and named parameter grads (plus context grad) from the oracle."""
-    made.zero_grad()
+    params = parameters(made)
     ctx_t = None
     if context is not None:
         ctx_t = Tensor(context, requires_grad=True)
-    loss = made.nll(x, context=ctx_t, variable_weights=weights or None)
+    loss = OracleMADE(made, params).nll(
+        x, context=ctx_t, variable_weights=weights or None
+    )
     loss.backward()
-    grads = {name: p.grad.copy() for name, p in made.named_parameters()}
+    grads = {name: t.grad.copy() for name, t in params.items()}
     d_context = None if ctx_t is None else ctx_t.grad.copy()
     return loss.item(), grads, d_context
 
 
 # ----------------------------------------------------------------------
-# Gradcheck parity: fused vs autograd vs finite differences
+# Gradcheck parity: fused vs the autograd oracle vs finite differences
 # ----------------------------------------------------------------------
 
 class TestGradcheckMADE:
@@ -231,20 +241,17 @@ class TestGradcheckTreeEncoder:
         x, weights = random_batch(rng, made)
         batches = self._random_batches(rng, tree, len(x))
 
-        named = dict(made.named_parameters())
-        named.update({
-            f"tree.{name}": p for name, p in tree.named_parameters()
-        })
-        for p in named.values():
-            p.grad = None
-        ctx = tree(batches, len(x))
-        loss = made.nll(x, context=ctx, variable_weights=weights or None)
+        # One module over both networks, as a completion model holds them.
+        module = holder(made=made, tree_encoder=tree)
+        params = parameters(module)
+        ctx = OracleTreeEncoder(tree, params, "tree_encoder.")(batches, len(x))
+        loss = OracleMADE(made, params, "made.").nll(
+            x, context=ctx, variable_weights=weights or None
+        )
         loss.backward()
-        ref = {name: p.grad.copy() for name, p in named.items()}
 
         # One buffer over both modules, as the stepper builds it.
-        combined = ParameterBuffer(_combined_module(made, tree),
-                                   dtype=np.float64)
+        combined = ParameterBuffer(module, dtype=np.float64)
         fused_made = FusedResidualMADE(made, combined)
         fused_tree = FusedTreeEncoder(tree, combined)
         fctx = fused_tree.forward(batches, len(x))
@@ -252,21 +259,9 @@ class TestGradcheckTreeEncoder:
         fused_tree.backward(d_context)
 
         assert floss == pytest.approx(loss.item(), rel=1e-12)
-        for name, param in named.items():
-            err = relative_grad_error(combined.grad_view(param), ref[name])
+        for name, tensor in params.items():
+            err = relative_grad_error(combined.grad_view(name), tensor.grad)
             assert err < 1e-10, f"layout {seed}, parameter {name}: {err}"
-
-
-def _combined_module(made, tree):
-    from repro.nn.layers import Module
-
-    class _Holder(Module):
-        pass
-
-    holder = _Holder()
-    holder.made = made
-    holder.tree_encoder = tree
-    return holder
 
 
 class TestMultiheadKernel:
@@ -340,40 +335,39 @@ class TestBatchBounds:
 
     def test_every_training_row_contributes_each_epoch(self):
         """Regression: a 1-row remainder used to be dropped silently."""
-        rng = np.random.default_rng(0)
         # 116 examples, 10% validation → 105 training rows; batch 26 leaves
         # a 1-row remainder (105 = 4*26 + 1).
         num_examples = 116
-        x = rng.normal(size=(num_examples, 3))
-        y = (x.sum(axis=1) > 0).astype(int)
-        model = MLP(3, [8], 2, rng=np.random.default_rng(1))
-        seen_per_epoch = []
-        seen = 0
 
-        def loss_fn(idx):
-            nonlocal seen
-            seen += len(idx)
-            return F.cross_entropy(model(Tensor(x[idx])), y[idx])
+        class CountingStepper(TrainStepper):
+            """Counts the rows each epoch trains on; evaluation marks the
+            epoch boundary."""
 
-        def eval_fn(idx):
-            nonlocal seen
-            # eval marks an epoch boundary in this instrumentation
-            seen_per_epoch.append(seen)
-            return float(
-                F.nll_from_logits(model(Tensor(x[idx])).numpy(), y[idx]).mean()
-            )
+            def __init__(self):
+                self.seen = 0
+                self.seen_per_epoch = []
 
-        config = TrainConfig(epochs=3, batch_size=26, seed=0, patience=10,
-                             backend="autograd")
-        train(model, num_examples, loss_fn, eval_fn, config)
+            def step(self, indices):
+                self.seen += len(indices)
+                return 1.0
+
+            def evaluate(self, indices):
+                self.seen_per_epoch.append(self.seen)
+                return 1.0
+
+            def snapshot(self):
+                return None
+
+            def restore(self, state):
+                pass
+
+        stepper = CountingStepper()
+        config = TrainConfig(epochs=3, batch_size=26, seed=0, patience=10)
+        train(stepper, num_examples, config)
         num_train = num_examples - max(1, int(num_examples * 0.1))
         assert num_train % 26 == 1  # the regression-triggering shape
-        totals = np.diff([0] + seen_per_epoch)
+        totals = np.diff([0] + stepper.seen_per_epoch)
         assert list(totals) == [num_train] * len(totals)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TrainConfig(backend="jit")
 
 
 # ----------------------------------------------------------------------
@@ -432,71 +426,72 @@ class TestDebiasWeights:
 
 
 # ----------------------------------------------------------------------
-# Backend plumbing and engine-level equivalence
+# Engine-level equivalence with an oracle-trained twin
 # ----------------------------------------------------------------------
 
 FAST = TrainConfig(epochs=4, batch_size=128, lr=1e-2, patience=3)
 
 
-def _engine(backend=None, **kwargs) -> ReStore:
+def _engine(**kwargs) -> ReStore:
     dataset = make_scenario_dataset(
         "synthetic/biased", keep_rate=0.5, seed=1, scale=0.2
     )
-    config = ReStoreConfig(
-        model=ModelConfig(train=FAST), seed=3, train_backend=backend, **kwargs
-    )
+    config = ReStoreConfig(model=ModelConfig(train=FAST), seed=3, **kwargs)
     return ReStore.from_dataset(dataset, config).fit()
 
 
-class TestBackendPlumbing:
-    def test_invalid_engine_backend_rejected(self):
-        with pytest.raises(ValueError, match="train_backend"):
-            ReStoreConfig(train_backend="compiled")
+def _oracle_twin() -> ReStore:
+    """The same engine, every model trained on the float64 oracle."""
+    with oracle_training():
+        return _engine()
 
-    def test_fused_is_the_default(self):
-        assert TrainConfig().backend == "fused"
+
+@pytest.fixture(scope="module")
+def twins():
+    return _engine(), _oracle_twin()
+
+
+class TestOracleTrainedTwin:
+    def test_fit_records_epoch_wall_times(self):
         engine = _engine()
         for model in engine.fitted_models().values():
-            assert model.train_result.backend == "fused"
             assert (
                 len(model.train_result.epoch_wall_times_s)
                 == model.train_result.epochs_run
             )
             assert all(t > 0 for t in model.train_result.epoch_wall_times_s)
 
-    def test_engine_override_reaches_models(self):
-        engine = _engine(backend="autograd")
-        for model in engine.fitted_models().values():
-            assert model.train_result.backend == "autograd"
-
-    def test_state_dict_names_identical_across_backends(self):
-        fused = _engine()
-        autograd = _engine(backend="autograd")
+    def test_state_dict_names_match_oracle_twin(self, twins):
+        fused, oracle = twins
+        differs = False
         for key, model in fused.fitted_models().items():
-            other = autograd.fitted_models()[key]
-            assert set(model.state_dict()) == set(other.state_dict())
+            other = oracle.fitted_models()[key].state_dict()
+            assert list(model.state_dict()) == list(other)
+            differs |= any(
+                not np.array_equal(value, other[name])
+                for name, value in model.state_dict().items()
+            )
+        assert differs, "the twin did not train on the oracle"
 
-    def test_model_selection_agrees_across_backends(self):
-        fused = _engine()
-        autograd = _engine(backend="autograd")
+    def test_model_selection_agrees_with_oracle_twin(self, twins):
+        fused, oracle = twins
         for target in ("tb",):
             ranked_fused = [
                 (c.model.kind, c.path.tables) for c in fused.candidates(target)
             ]
-            ranked_autograd = [
+            ranked_oracle = [
                 (c.model.kind, c.path.tables)
-                for c in autograd.candidates(target)
+                for c in oracle.candidates(target)
             ]
-            assert ranked_fused == ranked_autograd
-            for cf, ca in zip(fused.candidates(target),
-                              autograd.candidates(target)):
-                assert cf.target_loss == pytest.approx(ca.target_loss, abs=0.05)
+            assert ranked_fused == ranked_oracle
+            for cf, co in zip(fused.candidates(target),
+                              oracle.candidates(target)):
+                assert cf.target_loss == pytest.approx(co.target_loss, abs=0.05)
 
-    def test_fused_loss_tracks_autograd(self):
-        fused = _engine()
-        autograd = _engine(backend="autograd")
+    def test_fused_loss_tracks_oracle_twin(self, twins):
+        fused, oracle = twins
         for key, model in fused.fitted_models().items():
-            other = autograd.fitted_models()[key]
+            other = oracle.fitted_models()[key]
             assert model.train_result.final_train_loss == pytest.approx(
                 other.train_result.final_train_loss, abs=0.05
             )
@@ -586,23 +581,22 @@ class TestWarmStartFineTune:
         assert outcome["models_tuned"] == len(engine.fitted_models())
         for key, model in engine.fitted_models().items():
             assert model.train_result.warm_start is True
-            assert model.train_result.backend == "fused"
             assert model.train_result.train_losses[0] < cold_first[key], key
 
-    def test_warm_start_parity_across_backends(self):
-        """Fused and autograd fine-tunes of identically mutated twins
-        land on the same losses, mirroring the cold-fit parity suite."""
+    def test_warm_start_parity_with_oracle_twin(self):
+        """Fused and oracle fine-tunes of identically mutated twins land on
+        the same losses, mirroring the cold-fit parity suite."""
         fused = _engine()
-        autograd = _engine(backend="autograd")
-        for engine in (fused, autograd):
-            _mutate_root(engine)
-            assert engine.fine_tune()["skipped"] is False
+        _mutate_root(fused)
+        assert fused.fine_tune()["skipped"] is False
+        with oracle_training():
+            oracle = _engine()
+            _mutate_root(oracle)
+            assert oracle.fine_tune()["skipped"] is False
         for key, model in fused.fitted_models().items():
-            other = autograd.fitted_models()[key]
+            other = oracle.fitted_models()[key]
             assert model.train_result.warm_start is True
             assert other.train_result.warm_start is True
-            assert model.train_result.backend == "fused"
-            assert other.train_result.backend == "autograd"
             assert model.train_result.final_train_loss == pytest.approx(
                 other.train_result.final_train_loss, abs=0.05
             )
@@ -640,4 +634,3 @@ class TestWarmStartFineTune:
         for key, model in reloaded.fitted_models().items():
             assert model.train_result is not None, key
             assert model.train_result.warm_start is True, key
-            assert model.train_result.backend == "fused", key
