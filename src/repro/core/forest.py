@@ -232,16 +232,19 @@ class EvidenceForest:
 def _gather_children(
     index: ChildIndex, parent_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Children of each listed parent, plus batch-position parent ids."""
-    counts = index.offsets[parent_rows + 1] - index.offsets[parent_rows]
-    total = int(counts.sum())
-    child_rows = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for i, parent in enumerate(parent_rows):
-        n = int(counts[i])
-        if n:
-            start = index.offsets[parent]
-            child_rows[cursor:cursor + n] = index.child_rows[start:start + n]
-            cursor += n
+    """Children of each listed parent, plus batch-position parent ids.
+
+    One CSR gather: output slot ``j`` of parent ``i`` reads
+    ``child_rows[starts[i] + j - out_start[i]]``, so the positions are an
+    ``arange`` shifted per parent.
+    """
+    starts = index.offsets[parent_rows]
+    counts = index.offsets[parent_rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    positions = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - counts), counts
+    )
+    child_rows = index.child_rows[positions]
     parent_ids = np.repeat(np.arange(len(parent_rows), dtype=np.int64), counts)
     return child_rows, parent_ids

@@ -48,6 +48,7 @@ weights, directly consumable by the shared filter/aggregate operators.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -311,42 +312,47 @@ class _ChunkOutput:
         return self.rows.stop - self.rows.start
 
 
+#: The fixed fields of a spilled walk state, in record order.
+_SPILL_FIELDS = (
+    "codes", "weights", "synthesized", "current_rows", "streams", "counters",
+    "roots",
+)
+
+
 def _spill_state(state: _WalkState, path: str) -> None:
-    """Write a walk state to one ``.npz`` (object columns via pickle)."""
-    arrays: Dict[str, np.ndarray] = {
-        "codes": state.codes,
-        "weights": state.weights,
-        "synthesized": state.synthesized,
-        "current_rows": state.current_rows,
-        "streams": state.streams,
-        "counters": state.counters,
-        "roots": state.roots,
-    }
-    if state.context is not None:
-        arrays["context"] = state.context
-    for name, values in state.columns.items():
-        arrays[f"col::{name}"] = np.asarray(values)
+    """Write a walk state to one file of back-to-back ``.npy`` records.
+
+    Record order: the column names, the fixed fields, the columns in that
+    name order (object columns pickled), then the context if there is one.
+    Spill files live for one run and only :func:`_load_state` reads them,
+    so they need no archive index or checksum (``np.savez`` would write a
+    zip and CRC every byte).
+    """
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.lib.format.write_array(fh, np.array(list(state.columns), dtype=str))
+        for name in _SPILL_FIELDS:
+            np.lib.format.write_array(fh, getattr(state, name))
+        for values in state.columns.values():
+            np.lib.format.write_array(fh, np.asarray(values))
+        if state.context is not None:
+            np.lib.format.write_array(fh, state.context)
 
 
 def _load_state(path: str) -> _WalkState:
-    with np.load(path, allow_pickle=True) as npz:
-        columns = {
-            key[len("col::"):]: npz[key]
-            for key in npz.files if key.startswith("col::")
+    """Read back a :func:`_spill_state` file; a context record is present
+    exactly when bytes remain after the columns."""
+    with open(path, "rb") as fh:
+        names = np.lib.format.read_array(fh).tolist()
+        fields = {
+            name: np.lib.format.read_array(fh) for name in _SPILL_FIELDS
         }
-        return _WalkState(
-            codes=npz["codes"],
-            columns=columns,
-            weights=npz["weights"],
-            synthesized=npz["synthesized"],
-            current_rows=npz["current_rows"],
-            context=npz["context"] if "context" in npz.files else None,
-            streams=npz["streams"],
-            counters=npz["counters"],
-            roots=npz["roots"],
-        )
+        columns = {
+            name: np.lib.format.read_array(fh, allow_pickle=True)
+            for name in names
+        }
+        has_context = fh.tell() < os.fstat(fh.fileno()).st_size
+        context = np.lib.format.read_array(fh) if has_context else None
+    return _WalkState(columns=columns, context=context, **fields)
 
 
 @dataclass
@@ -410,6 +416,10 @@ class _ArrayStreamWriter:
         """Finish the file and reopen it as a read-only memory map."""
         self._fh.close()
         return np.load(self.path, mmap_mode="r")
+
+    def abort(self) -> None:
+        """Close the file unfinished (the assembly failed)."""
+        self._fh.close()
 
 
 def restrict_chunk_output(
@@ -506,7 +516,7 @@ def _maybe_spill_outputs(
     os.makedirs(spill_dir, exist_ok=True)
     spilled: List[AnyChunkOutput] = []
     for output, (start, stop) in zip(outputs, tasks):
-        path = os.path.join(spill_dir, f"chunk_{start}_{stop}.npz")
+        path = os.path.join(spill_dir, f"chunk_{start}_{stop}.spill")
         _spill_state(output.state, path)
         spilled.append(_SpilledChunkOutput(
             path=path, acc=output.acc, num_rows=output.num_rows
@@ -808,57 +818,64 @@ class IncompletenessJoin:
         writer: Optional[StoreWriter] = None
         col_names: List[str] = []
         codes_w = weights_w = synth_w = context_w = None
-        for state in states():
-            if state.num_rows == 0:
-                continue
-            if writer is None:
-                # Result schema comes from the first non-empty chunk; all
-                # chunks walk the same path, so they agree.
-                col_names = list(state.columns.keys())
-                writer = StoreWriter(
-                    result_dir, "completed_join", total_rows,
-                    primary_key=None,
-                )
-                for name in col_names:
-                    values = np.asarray(state.columns[name])
-                    if values.dtype == object:
-                        writer.add_column(name, ColumnKind.CATEGORICAL)
-                    elif np.issubdtype(values.dtype, np.integer):
-                        writer.add_column(
-                            name, ColumnKind.KEY, dtype=values.dtype
-                        )
-                    else:
-                        writer.add_column(
-                            name, ColumnKind.CONTINUOUS, dtype=values.dtype
-                        )
-                codes_w = _ArrayStreamWriter(
-                    os.path.join(result_dir, "join_codes.npy"),
-                    state.codes.dtype,
-                    (total_rows, state.codes.shape[1]),
-                )
-                weights_w = _ArrayStreamWriter(
-                    os.path.join(result_dir, "join_weights.npy"),
-                    state.weights.dtype, (total_rows,),
-                )
-                synth_w = _ArrayStreamWriter(
-                    os.path.join(result_dir, "join_synthesized.npy"),
-                    np.dtype(bool), (total_rows,),
-                )
-                if state.context is not None:
-                    context_w = _ArrayStreamWriter(
-                        os.path.join(result_dir, "join_context.npy"),
-                        state.context.dtype,
-                        (total_rows, state.context.shape[1]),
+        with contextlib.ExitStack() as on_error:
+            for state in states():
+                if state.num_rows == 0:
+                    continue
+                if writer is None:
+                    # Result schema comes from the first non-empty chunk; all
+                    # chunks walk the same path, so they agree.
+                    col_names = list(state.columns.keys())
+                    writer = StoreWriter(
+                        result_dir, "completed_join", total_rows,
+                        primary_key=None,
                     )
-            for name in col_names:
-                writer.append(name, np.asarray(state.columns[name]))
-            codes_w.append(state.codes)
-            weights_w.append(state.weights)
-            synth_w.append(state.synthesized)
-            if context_w is not None:
-                context_w.append(state.context)
-        assert writer is not None  # total_rows > 0 guarantees a chunk
-        store = writer.finalize()
+                    on_error.callback(writer.abort)
+                    for name in col_names:
+                        values = np.asarray(state.columns[name])
+                        if values.dtype == object:
+                            writer.add_column(name, ColumnKind.CATEGORICAL)
+                        elif np.issubdtype(values.dtype, np.integer):
+                            writer.add_column(
+                                name, ColumnKind.KEY, dtype=values.dtype
+                            )
+                        else:
+                            writer.add_column(
+                                name, ColumnKind.CONTINUOUS, dtype=values.dtype
+                            )
+                    codes_w = _ArrayStreamWriter(
+                        os.path.join(result_dir, "join_codes.npy"),
+                        state.codes.dtype,
+                        (total_rows, state.codes.shape[1]),
+                    )
+                    on_error.callback(codes_w.abort)
+                    weights_w = _ArrayStreamWriter(
+                        os.path.join(result_dir, "join_weights.npy"),
+                        state.weights.dtype, (total_rows,),
+                    )
+                    on_error.callback(weights_w.abort)
+                    synth_w = _ArrayStreamWriter(
+                        os.path.join(result_dir, "join_synthesized.npy"),
+                        np.dtype(bool), (total_rows,),
+                    )
+                    on_error.callback(synth_w.abort)
+                    if state.context is not None:
+                        context_w = _ArrayStreamWriter(
+                            os.path.join(result_dir, "join_context.npy"),
+                            state.context.dtype,
+                            (total_rows, state.context.shape[1]),
+                        )
+                        on_error.callback(context_w.abort)
+                for name in col_names:
+                    writer.append(name, np.asarray(state.columns[name]))
+                codes_w.append(state.codes)
+                weights_w.append(state.weights)
+                synth_w.append(state.synthesized)
+                if context_w is not None:
+                    context_w.append(state.context)
+            assert writer is not None  # total_rows > 0 guarantees a chunk
+            store = writer.finalize()
+            on_error.pop_all()  # success: nothing to abort
         columns = StoreColumns(store, col_names)
         return (
             columns,
@@ -1299,8 +1316,8 @@ class IncompletenessJoin:
         that would silently merge two different tuples in projection.
         """
         for table_name, id_arrays in issued_ids.items():
-            ids = np.concatenate(id_arrays)
-            if len(np.unique(ids)) != len(ids):
+            ids = np.sort(np.concatenate(id_arrays))
+            if (ids[1:] == ids[:-1]).any():
                 raise RuntimeError(
                     f"synthetic id collision for table {table_name!r} "
                     f"(seed {self.seed}); re-run with a different seed"

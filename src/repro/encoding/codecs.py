@@ -16,6 +16,7 @@ ReStore ever sees — and applied to evidence tuples at completion time.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -48,19 +49,22 @@ class CategoricalCodec:
         arr = np.asarray(values)
         if len(self._values) == 0:
             return np.full(len(arr), self.UNK, dtype=np.int64)
-        try:
-            # Vectorized path: the fitted values are sorted (np.unique), so
-            # dictionary encoding is a binary search plus an exact match.
-            pos = np.searchsorted(self._values, arr)
-            clipped = np.minimum(pos, len(self._values) - 1)
-            found = self._values[clipped] == arr
-            return np.where(found, clipped + 1, self.UNK).astype(np.int64)
-        except TypeError:
-            # Mixed/unorderable dtypes fall back to the dictionary.
-            return np.array(
-                [self._code_of.get(v, self.UNK) for v in arr.tolist()],
-                dtype=np.int64,
-            )
+        if arr.dtype != object:
+            try:
+                # Vectorized path: the fitted values are sorted (np.unique), so
+                # dictionary encoding is a binary search plus an exact match.
+                pos = np.searchsorted(self._values, arr)
+                clipped = np.minimum(pos, len(self._values) - 1)
+                found = self._values[clipped] == arr
+                return np.where(found, clipped + 1, self.UNK).astype(np.int64)
+            except TypeError:
+                pass  # unorderable against the fitted values
+        # Object arrays (strings) look each value up in the dictionary: a
+        # binary search would compare Python objects at every probe step.
+        return np.fromiter(
+            map(self._code_of.get, arr.tolist(), repeat(self.UNK)),
+            np.int64, count=len(arr),
+        )
 
     def decode(
         self,

@@ -26,6 +26,7 @@ mapped pages — so a generator can produce a table far larger than RAM.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -364,14 +365,19 @@ class _RawColumnWriter:
             self._fh.close()
             self._fh = None
 
+    abort = close
+
 
 class _DictColumnWriter:
     """Dictionary-encodes object values into a code file plus a JSON dict.
 
-    Codes start as ``int16``; the moment the dictionary outgrows the int16
-    code space, the already-written code file is stream-promoted to
-    ``int32`` and writing continues — no caller involvement, no second
-    pass over the source data.
+    A block is encoded by one C-level pass of dictionary lookups over the
+    object array; only a block holding unseen values takes a second pass,
+    after they get the next codes in first-occurrence order.  Codes start
+    as ``int16``; the moment the dictionary outgrows the int16 code space,
+    the already-written code file is stream-promoted to ``int32`` and
+    writing continues — no caller involvement, no second pass over the
+    source data.
     """
 
     def __init__(self, path: str, dict_path: str, num_rows: int):
@@ -427,28 +433,40 @@ class _DictColumnWriter:
 
     def append(self, values: Sequence) -> int:
         arr = np.asarray(values, dtype=object)
-        codes = np.empty(len(arr), dtype=np.int64)
-        for i, value in enumerate(arr):
-            code = self.codes.get(value)
-            if code is None:
+        try:
+            codes = self._encode(arr)
+        except KeyError:
+            # New values get the next codes in first-occurrence order.
+            for value in dict.fromkeys(arr):
+                if value in self.codes:
+                    continue
                 if not isinstance(value, str):
                     raise StorageError(
                         "object columns must contain strings to spill; got "
                         f"{type(value).__name__} ({value!r})"
-                    )
-                code = len(self.values)
-                self.codes[value] = code
+                    ) from None
+                self.codes[value] = len(self.values)
                 self.values.append(value)
-            codes[i] = code
+            codes = self._encode(arr)
         limit = np.iinfo(self._writer.dtype).max
         if self.values and len(self.values) - 1 > limit:
             self._promote()
         return self._writer.append(codes)
 
+    def _encode(self, arr: np.ndarray) -> np.ndarray:
+        """Codes of ``arr``'s values; ``KeyError`` on an unseen value."""
+        return np.fromiter(
+            map(self.codes.__getitem__, arr), np.int64, count=len(arr)
+        )
+
     def close(self) -> None:
         self._writer.close()
         with open(self.dict_path, "w", encoding="utf-8") as fh:
             json.dump(self.values, fh)
+
+    def abort(self) -> None:
+        """Close the code file without writing the dictionary."""
+        self._writer.close()
 
 
 class StoreWriter:
@@ -499,45 +517,67 @@ class StoreWriter:
         self._writers[name] = writer
 
     def append(self, name: str, values: Sequence) -> None:
-        if name not in self._writers:
-            raise StorageError(f"column {name!r} was never declared")
-        self._bytes_written += self._writers[name].append(values)
+        with self._closing_on_error():
+            if name not in self._writers:
+                raise StorageError(f"column {name!r} was never declared")
+            self._bytes_written += self._writers[name].append(values)
 
     def append_rows(self, columns: Mapping[str, Sequence]) -> None:
         """One row block touching every declared column."""
-        if set(columns) != set(self._order):
-            raise StorageError(
-                f"row block columns {sorted(columns)} != declared {sorted(self._order)}"
-            )
-        for name in self._order:
-            self.append(name, columns[name])
+        with self._closing_on_error():
+            if set(columns) != set(self._order):
+                raise StorageError(
+                    f"row block columns {sorted(columns)} != "
+                    f"declared {sorted(self._order)}"
+                )
+            for name in self._order:
+                self.append(name, columns[name])
+
+    def abort(self) -> None:
+        """Close every column file without finishing the store.
+
+        The partial files stay on disk and the writer is unusable after;
+        what this prevents is handles left open until garbage collection.
+        """
+        for writer in self._writers.values():
+            writer.abort()
+
+    @contextlib.contextmanager
+    def _closing_on_error(self):
+        """:meth:`abort` when the block raises, then re-raise."""
+        try:
+            yield
+        except BaseException:
+            self.abort()
+            raise
 
     def finalize(self) -> MappedStore:
-        specs: List[dict] = []
-        for name in self._order:
-            writer = self._writers[name]
-            if writer.written != self.num_rows:
-                raise StorageError(
-                    f"column {name!r} received {writer.written} rows, "
-                    f"expected {self.num_rows}"
-                )
-            writer.close()
-            safe = name.replace(os.sep, "_")
-            if isinstance(writer, _DictColumnWriter):
-                decoded = np.dtype(object)
-                specs.append(ColumnSpec(
-                    name=name, kind=self._kinds[name].value,
-                    dtype=decoded.str, encoding="dict",
-                    file=f"{safe}.codes.npy",
-                    code_dtype=np.dtype(writer.code_dtype).str,
-                    dict_file=f"{safe}.dict.json",
-                ).as_dict())
-            else:
-                specs.append(ColumnSpec(
-                    name=name, kind=self._kinds[name].value,
-                    dtype=np.dtype(writer.dtype).str, encoding="raw",
-                    file=f"{safe}.npy",
-                ).as_dict())
+        with self._closing_on_error():
+            specs: List[dict] = []
+            for name in self._order:
+                writer = self._writers[name]
+                if writer.written != self.num_rows:
+                    raise StorageError(
+                        f"column {name!r} received {writer.written} rows, "
+                        f"expected {self.num_rows}"
+                    )
+                writer.close()
+                safe = name.replace(os.sep, "_")
+                if isinstance(writer, _DictColumnWriter):
+                    decoded = np.dtype(object)
+                    specs.append(ColumnSpec(
+                        name=name, kind=self._kinds[name].value,
+                        dtype=decoded.str, encoding="dict",
+                        file=f"{safe}.codes.npy",
+                        code_dtype=np.dtype(writer.code_dtype).str,
+                        dict_file=f"{safe}.dict.json",
+                    ).as_dict())
+                else:
+                    specs.append(ColumnSpec(
+                        name=name, kind=self._kinds[name].value,
+                        dtype=np.dtype(writer.dtype).str, encoding="raw",
+                        file=f"{safe}.npy",
+                    ).as_dict())
         files = {}
         for spec in specs:
             for key in ("file", "dict_file"):

@@ -6,7 +6,9 @@ primitives: the hand-derived fused forward+backward passes of
 hot path samples with (the same classes over a frozen parameter buffer).
 Keeping the dense/embedding/softmax primitives in one module means there
 is exactly one float32 forward — the matmul an inference forward executes
-is the same line of code the training kernel differentiates.
+is the same line of code the training kernel differentiates.  Inference
+feeds that matmul fixed-shape row tiles (:func:`tile_apply`), several
+stacked per call, so a row's bits never depend on its batch.
 
 Everything here operates on plain numpy arrays.  Backward helpers return
 (or accumulate into) gradient arrays of the same dtype as their inputs, so
@@ -30,6 +32,12 @@ from ..obs import profile as _profile
 #: tiles pin the shape.
 TILE = 128
 
+#: Most tiles :func:`tile_apply` hands ``fn`` in one call.  A stacked
+#: ``(tiles, TILE, width) @ (width, out)`` matmul runs one fixed-shape GEMM
+#: per tile, so the stack size changes the call count, not the bits; it
+#: bounds the transient activations of one call to 2,048 rows.
+TILES_PER_CALL = 16
+
 #: Default execution dtype of both inference and fused training.
 DTYPE = np.float32
 
@@ -37,22 +45,28 @@ DTYPE = np.float32
 def tile_apply(x: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply ``fn`` over fixed-size row tiles of ``x`` (zero-padded).
 
-    ``fn`` must be row-local (each output row a function of the matching
-    input row only) — true for dense layers and elementwise nonlinearities.
+    ``fn`` receives a ``(tiles, TILE, width)`` stack of at most
+    :data:`TILES_PER_CALL` tiles and returns ``(tiles, TILE, out)``.  Full
+    tiles are a view of ``x``; only the last, partial tile is copied,
+    zero-padded in ``x``'s dtype.  ``fn`` must be row-local (each output
+    row a function of the matching input row only) — true for dense
+    layers and elementwise nonlinearities.
     """
-    n = len(x)
-    if n == 0:
-        probe = fn(np.zeros((TILE, x.shape[1]), dtype=DTYPE))
-        return np.zeros((0, probe.shape[1]), dtype=probe.dtype)
+    n, width = x.shape
+    full = n // TILE
     pieces: List[np.ndarray] = []
-    for start in range(0, n, TILE):
-        block = x[start:start + TILE]
-        if len(block) < TILE:
-            padded = np.zeros((TILE, x.shape[1]), dtype=DTYPE)
-            padded[: len(block)] = block
-            pieces.append(fn(padded)[: len(block)])
-        else:
-            pieces.append(fn(block))
+    for first in range(0, full, TILES_PER_CALL):
+        last = min(first + TILES_PER_CALL, full)
+        stack = x[first * TILE:last * TILE].reshape(last - first, TILE, width)
+        out = fn(stack)
+        pieces.append(out.reshape(-1, out.shape[-1]))
+    tail = n - full * TILE
+    if tail or n == 0:
+        # n == 0 still runs one padded tile: it gives the output's width
+        # and dtype.
+        padded = np.zeros((1, TILE, width), dtype=x.dtype)
+        padded[0, :tail] = x[full * TILE:]
+        pieces.append(fn(padded)[0, :tail])
     return np.concatenate(pieces, axis=0)
 
 
@@ -66,7 +80,8 @@ def dense(
 
     The single dense primitive every network forward is built from (MADE's
     input, residual and output layers, the deep-sets phi/rho); MADE layers
-    pass their mask-applied weight.
+    pass their mask-applied weight.  ``x`` may be a ``(tiles, TILE, width)``
+    stack from :func:`tile_apply`; its rows count across all tiles.
     """
     # Kernel profiling (repro.obs.profile) accumulates instead of
     # tracing: one attribute check when off, two clock reads when on.
@@ -79,7 +94,8 @@ def dense(
         np.maximum(out, 0.0, out=out)
     if profiler is not None:
         profiler.record(
-            "dense", time.perf_counter_ns() - started, rows=len(x)
+            "dense", time.perf_counter_ns() - started,
+            rows=x.size // x.shape[-1],
         )
     return out
 

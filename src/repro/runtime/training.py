@@ -21,7 +21,11 @@ Design:
   (:func:`~repro.runtime.kernels.tile_apply`), so a row's activations are
   bitwise identical no matter how the batch around it is chunked — which
   lets the chunked incompleteness join reproduce the unchunked run
-  exactly.  Training runs whole mini-batches.
+  exactly.  The layers receive up to
+  :data:`~repro.runtime.kernels.TILES_PER_CALL` tiles stacked in one
+  array: a stacked matmul is still one fixed-shape GEMM per tile, with
+  one Python call per stack instead of per tile.  Training runs whole
+  mini-batches.
 * **Flat buffers.**  :class:`ParameterBuffer` packs every named parameter
   of a module into one contiguous array (plus a matching gradient array)
   and hands out reshaped views keyed by the module's parameter objects.
@@ -430,7 +434,7 @@ class FusedResidualMADE:
         return head
 
     def _tile_logits(self, variable: int):
-        """Per-tile logits of one variable: hidden stack, then its head."""
+        """Tile-stack logits of one variable: hidden stack, then its head."""
         wm_in, wm_res, _wm_out = self._masked_weights()
         weight, bias = self._head(variable)
 

@@ -14,6 +14,7 @@ from repro.core import (
     build_child_index,
     build_encoders,
 )
+from repro.core.forest import ChildIndex, _gather_children
 from repro.datasets import SyntheticConfig, generate_synthetic
 from repro.incomplete import RemovalSpec, make_incomplete
 from repro.nn import TrainConfig
@@ -186,6 +187,63 @@ class TestChildIndexAndForest:
                                           exclude_target_rows=np.array([child]))
         without = forest.batch_for_roots(np.array([parent]))
         assert with_loo["ta/tb"].num_rows == without["ta/tb"].num_rows - 1
+
+
+def _gather_children_reference(index, parent_rows):
+    """The per-parent loop :func:`_gather_children` replaced."""
+    counts = index.offsets[parent_rows + 1] - index.offsets[parent_rows]
+    child_rows = np.empty(int(counts.sum()), dtype=np.int64)
+    cursor = 0
+    for i, parent in enumerate(parent_rows):
+        n = int(counts[i])
+        if n:
+            start = index.offsets[parent]
+            child_rows[cursor:cursor + n] = index.child_rows[start:start + n]
+            cursor += n
+    parent_ids = np.repeat(np.arange(len(parent_rows), dtype=np.int64), counts)
+    return child_rows, parent_ids
+
+
+class TestGatherChildren:
+    """The CSR gather against the per-parent loop, bitwise."""
+
+    @staticmethod
+    def _index(rng, num_parents):
+        counts = rng.integers(0, 4, size=num_parents)
+        counts[::3] = 0  # plenty of childless parents
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        child_rows = rng.permutation(int(offsets[-1])).astype(np.int64)
+        return ChildIndex(fk=None, child_rows=child_rows, offsets=offsets)
+
+    @pytest.mark.parametrize("case", [
+        "none", "childless", "repeated_unsorted", "all", "random",
+    ])
+    def test_matches_per_parent_loop(self, case):
+        rng = np.random.default_rng(11)
+        index = self._index(rng, 40)
+        childless = np.flatnonzero(index.counts() == 0)
+        parent_rows = {
+            "none": np.zeros(0, dtype=np.int64),
+            "childless": childless[:5],
+            "repeated_unsorted": np.array([7, 2, 7, 39, 0, 2, 2, 13]),
+            "all": np.arange(40),
+            "random": rng.integers(0, 40, size=200),
+        }[case]
+        got = _gather_children(index, parent_rows)
+        want = _gather_children_reference(index, parent_rows)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_real_index_matches_per_parent_loop(self, synthetic_setup):
+        _db, dataset, *_ = synthetic_setup
+        fk = dataset.incomplete.fk_between("tb", "ta")
+        index = build_child_index(dataset.incomplete, fk)
+        rng = np.random.default_rng(12)
+        parent_rows = rng.integers(0, len(index.offsets) - 1, size=500)
+        for g, w in zip(_gather_children(index, parent_rows),
+                        _gather_children_reference(index, parent_rows)):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSSARModel:

@@ -15,7 +15,40 @@ from repro.relational import ColumnKind, Table
 from repro.relational.tuple_factors import TF_UNKNOWN
 
 
+def _binary_search_codes(codec, values):
+    """The searchsorted encoding object arrays used to take."""
+    fitted = codec._values
+    pos = np.searchsorted(fitted, values)
+    clipped = np.minimum(pos, len(fitted) - 1)
+    found = fitted[clipped] == values
+    return np.where(found, clipped + 1, CategoricalCodec.UNK).astype(np.int64)
+
+
 class TestCategoricalCodec:
+    @pytest.mark.parametrize("fit_dtype", [object, str])
+    def test_object_arrays_match_binary_search(self, fit_dtype):
+        rng = np.random.default_rng(0)
+        vocab = np.array([f"v{i:03d}" for i in range(300)], dtype=object)
+        codec = CategoricalCodec().fit(
+            np.asarray(vocab[rng.integers(0, 250, size=2000)], dtype=fit_dtype)
+        )
+        # Values 250.. were never fitted; "" and "zzz" sort outside it.
+        values = np.concatenate([
+            vocab[rng.integers(0, 300, size=5000)],
+            np.array(["", "zzz", "v"], dtype=object),
+        ])
+        for arr in (values, values[::-1], values[:0], values[:1]):
+            got = codec.encode(arr)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _binary_search_codes(codec, arr))
+        assert (codec.encode(values) == CategoricalCodec.UNK).sum() > 0
+
+    def test_object_integers_match_binary_search(self):
+        codec = CategoricalCodec().fit([3, 1, 2, 7])
+        arr = np.array([1, 7, 5, 2, 0, 3], dtype=object)
+        np.testing.assert_array_equal(codec.encode(arr),
+                                      _binary_search_codes(codec, arr))
+
     def test_roundtrip(self):
         codec = CategoricalCodec().fit(["b", "a", "b", "c"])
         codes = codec.encode(["a", "b", "c"])

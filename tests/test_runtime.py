@@ -43,6 +43,7 @@ from repro.nn import (
     TreeNodeBatch,
     TreeNodeSpec,
 )
+from repro.obs import profile_kernels
 from repro.relational import CompletionPath, fan_out_relations
 from repro.runtime import (
     FusedResidualMADE,
@@ -299,6 +300,107 @@ def _first_parents(batch: TreeNodeBatch, keep: int) -> TreeNodeBatch:
             for name, child in batch.children.items()
         },
     )
+
+
+def _tile_apply_reference(x, fn):
+    """The per-tile loop :func:`kernels.tile_apply` replaced: ``fn`` on one
+    ``(TILE, width)`` tile at a time, the last one zero-padded."""
+    tile = kernels.TILE
+    if len(x) == 0:
+        probe = fn(np.zeros((tile, x.shape[1]), dtype=x.dtype))
+        return np.zeros((0, probe.shape[1]), dtype=probe.dtype)
+    pieces = []
+    for start in range(0, len(x), tile):
+        block = x[start:start + tile]
+        if len(block) < tile:
+            padded = np.zeros((tile, x.shape[1]), dtype=x.dtype)
+            padded[:len(block)] = block
+            pieces.append(fn(padded)[:len(block)])
+        else:
+            pieces.append(fn(block))
+    return np.concatenate(pieces, axis=0)
+
+
+def _assert_bitwise(a, b, what=""):
+    assert a.shape == b.shape and a.dtype == b.dtype, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+class TestTileApply:
+    """Stacked tiles against the per-tile loop, bitwise, on the real
+    networks: one fixed-shape GEMM per tile however many tiles a call
+    stacks, so neither the stack size nor a row's tile position changes a
+    bit."""
+
+    TILE = kernels.TILE
+    SIZES = (0, 1, TILE - 1, TILE, TILE + 1, 16 * TILE, 40 * TILE + 3)
+
+    @staticmethod
+    def _layer_fns(rng):
+        """(name, fn, input width) of every dense stack inference tiles."""
+        made = ResidualMADE([4, 6, 3], embed_dim=4, hidden=(64, 64), rng=rng,
+                            context_dim=5)
+        sampler = _sampler(made)
+        fns = [(f"made.v{v}", sampler._tile_logits(v), sampler.feature_dim)
+               for v in range(3)]
+        tree = _tree_encoder(rng)
+        for _name, param in tree.named_parameters():
+            param.data[...] = rng.normal(scale=0.3, size=param.data.shape)
+        nodes = list(FusedTreeEncoder(tree, ParameterBuffer(tree).freeze()).nodes)
+        nodes += [child for node in nodes for child in node.children]
+        for node in nodes:
+            fns.append((f"{node.name}.phi", node._phi, node.w_phi.shape[0]))
+            fns.append((f"{node.name}.rho", node._rho, node.w_rho.shape[0]))
+        return fns
+
+    def test_matches_per_tile_loop(self):
+        rng = np.random.default_rng(21)
+        for name, fn, width in self._layer_fns(rng):
+            base = rng.normal(size=(max(self.SIZES) + 2 * self.TILE + 5, width))
+            base = base.astype(np.float32)
+            for n in self.SIZES:
+                # Shifted offsets move every row to another tile position.
+                for offset in (0, 1, self.TILE + 5):
+                    x = base[offset:offset + n]
+                    _assert_bitwise(kernels.tile_apply(x, fn),
+                                    _tile_apply_reference(x, fn),
+                                    f"{name} n={n} offset={offset}")
+            full = kernels.tile_apply(base, fn)
+            for offset in (1, self.TILE + 5, 17 * self.TILE):
+                n = 40 * self.TILE + 3
+                _assert_bitwise(kernels.tile_apply(base[offset:offset + n], fn),
+                                full[offset:offset + n], f"{name} offset={offset}")
+
+    def test_dense_counts_rows_not_stacks(self):
+        rng = np.random.default_rng(22)
+        made = ResidualMADE([4, 6, 3], embed_dim=4, hidden=(64, 64), rng=rng)
+        sampler = _sampler(made)
+        n = 40 * self.TILE + 3
+        x = rng.normal(size=(n, sampler.feature_dim)).astype(np.float32)
+        with profile_kernels() as prof:
+            kernels.tile_apply(x, sampler._tile_logits(2))
+        dense = prof.snapshot()["dense"]
+        # Input, residual and head layers over 41 padded tiles, stacked 16
+        # at a time: 16 + 16 + 8 full tiles, then the partial one.
+        layers = 2 + len(sampler.residual_layers)
+        assert dense["rows"] == layers * 41 * self.TILE
+        assert dense["calls"] == layers * 4
+
+    def test_float64_partial_tile_is_not_rounded(self):
+        """A float64 network computes its last, partial tile in float64: a
+        row's conditionals are the same in a partial and in a full tile."""
+        rng = np.random.default_rng(23)
+        made = ResidualMADE([4, 6, 3], embed_dim=4, hidden=(32, 32), rng=rng)
+        sampler = FusedResidualMADE(
+            made, ParameterBuffer(made, dtype=np.float64).freeze()
+        )
+        n = 2 * self.TILE
+        x = np.stack([rng.integers(0, k, size=n) for k in (4, 6, 3)], axis=1)
+        for variable in range(3):
+            full = sampler.conditional_probs(x, variable)
+            assert full.dtype == np.float64
+            partial = sampler.conditional_probs(x[:self.TILE + 5], variable)
+            _assert_bitwise(partial, full[:self.TILE + 5])
 
 
 @pytest.mark.slow

@@ -66,7 +66,8 @@ class TestTransportAgnostic:
 
         import repro.serving.core as core_module
 
-        tree = ast.parse(open(core_module.__file__).read())
+        with open(core_module.__file__) as fh:
+            tree = ast.parse(fh.read())
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

@@ -8,10 +8,13 @@ the vectorized movie generator against a per-row reference, the process
 memory gauges, and the columnar artifact layout.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from repro.core import (
     ReStoreConfig,
     build_encoders,
 )
+from repro.core.incompleteness_join import _load_state, _spill_state, _WalkState
 from repro.datasets.movies import (
     COUNTRIES,
     COUNTRY_CODES,
@@ -65,6 +69,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry
 from repro.query import parse_query
 from repro.relational import ColumnKind, CompletionPath, Database, Table
+from repro.relational import storage
 from repro.relational.storage import (
     MappedStore,
     STORE_META,
@@ -100,6 +105,17 @@ def _assert_tables_equal(a: Table, b: Table) -> None:
 # ----------------------------------------------------------------------
 # ColumnStore edge cases
 # ----------------------------------------------------------------------
+@contextmanager
+def _no_leaked_files():
+    """Fail when a file opened inside the block is left for the collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+
+
 class TestStorageEdgeCases:
     def test_empty_table_round_trip(self, tmp_path):
         columns = {
@@ -131,24 +147,36 @@ class TestStorageEdgeCases:
         np.testing.assert_array_equal(store.read_full("s"),
                                       np.array(["a", "b", "b", "c"], dtype=object))
 
+    # A writer that raises closes every column file before re-raising.
     def test_underfilled_column_refuses_finalize(self, tmp_path):
-        writer = StoreWriter(str(tmp_path / "u"), "t", 3, primary_key=None)
-        writer.add_column("x", N, dtype=np.float64)
-        writer.append("x", np.array([1.0]))
-        with pytest.raises(StorageError, match="received 1 rows"):
-            writer.finalize()
+        with _no_leaked_files():
+            writer = StoreWriter(str(tmp_path / "u"), "t", 3, primary_key=None)
+            writer.add_column("s", C)
+            writer.add_column("x", N, dtype=np.float64)
+            writer.append("s", np.array(["a", "b", "c"], dtype=object))
+            writer.append("x", np.array([1.0]))
+            with pytest.raises(StorageError, match="received 1 rows"):
+                writer.finalize()
+            del writer
 
     def test_overfilled_column_refuses_append(self, tmp_path):
-        writer = StoreWriter(str(tmp_path / "o"), "t", 2, primary_key=None)
-        writer.add_column("x", N, dtype=np.float64)
-        with pytest.raises(StorageError, match="past the declared"):
-            writer.append("x", np.arange(3, dtype=np.float64))
+        with _no_leaked_files():
+            writer = StoreWriter(str(tmp_path / "o"), "t", 2, primary_key=None)
+            writer.add_column("x", N, dtype=np.float64)
+            writer.add_column("s", C)
+            with pytest.raises(StorageError, match="past the declared"):
+                writer.append("x", np.arange(3, dtype=np.float64))
+            del writer
 
     def test_non_string_object_value_rejected(self, tmp_path):
-        writer = StoreWriter(str(tmp_path / "ns"), "t", 2, primary_key=None)
-        writer.add_column("s", C)
-        with pytest.raises(StorageError, match="must contain strings"):
-            writer.append("s", np.array([1, 2], dtype=object))
+        with _no_leaked_files():
+            writer = StoreWriter(str(tmp_path / "ns"), "t", 2, primary_key=None)
+            writer.add_column("x", N, dtype=np.float64)
+            writer.add_column("s", C)
+            with pytest.raises(StorageError, match="must contain strings"):
+                writer.append_rows({"x": np.zeros(2),
+                                    "s": np.array(["a", 1], dtype=object)})
+            del writer
 
     def test_dict_overflow_promotes_to_int32(self, tmp_path):
         # More unique strings than int16 code space: the code file must be
@@ -211,6 +239,75 @@ class TestStorageEdgeCases:
         os.remove(tmp_path / "d" / "id.npy")
         with pytest.raises(StoreIntegrityError, match="missing"):
             MappedStore.open(str(tmp_path / "d"))
+
+
+def _dict_append_reference(self, values):
+    """The per-row loop ``_DictColumnWriter.append`` replaced."""
+    arr = np.asarray(values, dtype=object)
+    codes = np.empty(len(arr), dtype=np.int64)
+    for i, value in enumerate(arr):
+        code = self.codes.get(value)
+        if code is None:
+            if not isinstance(value, str):
+                raise StorageError("object columns must contain strings")
+            code = len(self.values)
+            self.codes[value] = code
+            self.values.append(value)
+        codes[i] = code
+    limit = np.iinfo(self._writer.dtype).max
+    if self.values and len(self.values) - 1 > limit:
+        self._promote()
+    return self._writer.append(codes)
+
+
+class TestDictColumnWriter:
+    """Store files byte-identical to the per-row encoding loop's."""
+
+    @staticmethod
+    def _blocks(case):
+        rng = np.random.default_rng(4)
+        if case == "low_cardinality":
+            vocab = np.array(["x", "y", "z"], dtype=object)
+            return [vocab[rng.integers(0, 3, size=26_000)] for _ in range(3)]
+        if case == "new_values_unsorted":
+            vocab = np.array([f"w{i:04d}" for i in range(2000)],
+                             dtype=object)[::-1]
+            return [
+                np.concatenate([vocab[start:start + 250],
+                                vocab[rng.integers(0, start + 250, size=750)]])
+                for start in range(0, 2000, 250)
+            ]
+        # Promotion: the dictionary outgrows int16 in the middle of a block.
+        vocab = np.array([f"v{i:05d}" for i in range(33_000)], dtype=object)
+        values = np.concatenate([vocab, vocab[rng.integers(0, 33_000, 5000)]])
+        return [values[start:start + 8192] for start in range(0, len(values), 8192)]
+
+    @pytest.mark.parametrize(
+        "case", ["low_cardinality", "new_values_unsorted", "promotion"]
+    )
+    def test_store_bytes_match_per_row_loop(self, tmp_path, monkeypatch, case):
+        blocks = self._blocks(case)
+
+        def write(directory):
+            writer = StoreWriter(str(directory), "t",
+                                 sum(len(b) for b in blocks), primary_key=None)
+            writer.add_column("s", C)
+            for block in blocks:
+                writer.append("s", block)
+            store = writer.finalize()
+            files = {name: (directory / name).read_bytes()
+                     for name in sorted(os.listdir(directory))}
+            return store, files
+
+        store, files = write(tmp_path / "vectorized")
+        monkeypatch.setattr(storage._DictColumnWriter, "append",
+                            _dict_append_reference)
+        _, reference = write(tmp_path / "loop")
+        assert files == reference
+        expected = "<i4" if case == "promotion" else "<i2"
+        assert store.spec("s").code_dtype == expected
+        np.testing.assert_array_equal(store.read_full("s"),
+                                      np.concatenate(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +539,81 @@ class TestSpilledJoin:
         b = IncompletenessJoin(mapped_model, seed=0, chunk_size=128,
                                spill_dir=str(tmp_path / "b")).run()
         _assert_same_rows(a, b)
+
+    @pytest.mark.parametrize("num_rows", [0, 37])
+    @pytest.mark.parametrize("with_context", [False, True])
+    def test_spill_record_round_trip(self, tmp_path, num_rows, with_context):
+        rng = np.random.default_rng(num_rows)
+        n = num_rows
+        state = _WalkState(
+            codes=rng.integers(0, 9, size=(n, 3)),
+            columns={
+                "site.id": np.arange(n, dtype=np.int64),
+                "site.region": np.array([f"r{i % 4}" for i in range(n)],
+                                        dtype=object),
+                "reading.value": rng.normal(size=n),
+            },
+            weights=rng.random(n),
+            synthesized=rng.random(n) < 0.5,
+            current_rows=rng.integers(-1, 50, size=n),
+            context=(rng.normal(size=(n, 4)).astype(np.float32)
+                     if with_context else None),
+            streams=rng.integers(0, 2 ** 63, size=n, dtype=np.uint64),
+            counters=rng.integers(0, 9, size=n, dtype=np.uint64),
+            roots=rng.integers(0, 200, size=n),
+        )
+        path = str(tmp_path / "chunk.spill")
+        _spill_state(state, path)
+        loaded = _load_state(path)
+        assert list(loaded.columns) == list(state.columns)
+        pairs = [(getattr(loaded, f), getattr(state, f)) for f in (
+            "codes", "weights", "synthesized", "current_rows", "streams",
+            "counters", "roots",
+        )] + [(loaded.columns[k], v) for k, v in state.columns.items()]
+        if with_context:
+            pairs.append((loaded.context, state.context))
+        else:
+            assert loaded.context is None
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_planted_synthetic_id_collision_raises(self, scale_join_setup):
+        model, _ = scale_join_setup
+        join = IncompletenessJoin(model, seed=7, chunk_size=64)
+        outputs = join.walk_chunks(join.chunk_tasks())
+        issued = [o.acc.issued_ids for o in outputs if o.acc.issued_ids]
+        table, ids = next(iter(issued[0].items()))
+        issued[-1][table].append(ids[0][:1].copy())
+        with pytest.raises(
+            RuntimeError,
+            match=rf"synthetic id collision for table '{table}' \(seed 7\)",
+        ):
+            join.assemble(outputs)
+
+    def test_distinct_synthetic_ids_pass(self, scale_join_setup):
+        model, _ = scale_join_setup
+        join = IncompletenessJoin(model, seed=7, chunk_size=64)
+        outputs = join.walk_chunks(join.chunk_tasks())
+        assert any(o.acc.issued_ids for o in outputs)
+        join.assemble(outputs)
+        # Equal ids in two different tables are no collision.
+        join._check_synth_ids({
+            "a": [np.array([5, 1], dtype=np.uint64), np.array([9], np.uint64)],
+            "b": [np.array([9, 5], dtype=np.uint64)],
+        })
+
+    def test_failed_assembly_closes_its_files(self, scale_join_setup, tmp_path, monkeypatch):
+        _, mapped_model = scale_join_setup
+
+        def fail(self, name, values):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(StoreWriter, "append", fail)
+        with _no_leaked_files():
+            with pytest.raises(RuntimeError, match="disk full"):
+                IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
+                                   spill_dir=str(tmp_path / "run")).run()
 
     def test_spilled_outputs_stay_out_of_partial_cache(self):
         class _Spilled:
