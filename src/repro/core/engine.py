@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import QueryValidationError
 from ..incomplete import IncompleteDataset
 from ..obs import trace
-from ..runtime import CacheStats, JoinCache, PartialCacheStats, PartialJoinCache
+from ..runtime import CacheStats, PartialCacheStats, PartialJoinCache
 from ..runtime.parallel import PARALLEL_BACKENDS, get_executor
 from ..runtime.rng import chunk_slices
 from ..query import (
@@ -63,7 +63,8 @@ from .selection import (
 #: budgeted runs to stream over and for root-row mutations to invalidate
 #: locally.
 GRID_CHUNKS = 16
-#: Capacity, in chunks, of the engine's partial-completion cache.
+#: Capacity, in entries, of the engine's completion cache: chunk outputs
+#: plus one memoized full join per cached join signature.
 PARTIAL_CACHE_CHUNKS = 256
 
 
@@ -75,9 +76,10 @@ class ReStoreConfig:
     many root evidence rows (peak memory); ``None`` walks every chunk a
     worker is given in one pass.  It also sets the canonical chunk grid —
     chunks of ``chunk_size`` roots, else about :data:`GRID_CHUNKS` chunks
-    — which is bookkeeping: the partial-completion cache and mutation
-    invalidation work per chunk.  ``join_cache_size`` bounds the LRU cache
-    of completed joins.
+    — which is bookkeeping: the completion cache and mutation
+    invalidation work per chunk.  That one cache also memoizes each
+    model's full completed join, within its :data:`PARTIAL_CACHE_CHUNKS`
+    bound.
 
     ``n_workers`` / ``parallel_backend`` fan work out over an executor
     (:mod:`repro.runtime.parallel`): the incompleteness join deals its
@@ -97,7 +99,6 @@ class ReStoreConfig:
     approximate_replacement: bool = True
     seed: int = 0
     chunk_size: Optional[int] = None
-    join_cache_size: int = 8
     n_workers: int = 1
     parallel_backend: str = "serial"
 
@@ -159,7 +160,6 @@ class ReStore:
         self.encoders = build_encoders(db, self.config.num_bins)
         self._models: Dict[Tuple[str, Tuple[str, ...]], _CompletionModelBase] = {}
         self._candidates: Dict[str, List[CandidateScore]] = {}
-        self.join_cache = JoinCache(self.config.join_cache_size)
         self.partial_cache = PartialJoinCache(PARTIAL_CACHE_CHUNKS)
         self.merge_stats: Dict[str, int] = {}
         #: Optional provenance: the registry scenario this engine's dataset
@@ -204,11 +204,10 @@ class ReStore:
         serial run regardless of scheduling.  Process workers train on a
         worker-local engine copy and ship the fitted models back.
 
-        Re-fitting invalidates the join cache and the partial-completion
-        cache: cached joins and chunks were sampled from the previous
-        models and no longer reflect the engine's state.
+        Re-fitting invalidates the completion cache: cached joins and
+        chunks were sampled from the previous models and no longer reflect
+        the engine's state.
         """
-        self.join_cache.invalidate()
         self.partial_cache.invalidate()
         targets = list(targets) if targets is not None else self.incomplete_targets()
         all_paths: List[CompletionPath] = []
@@ -432,8 +431,14 @@ class ReStore:
     # ------------------------------------------------------------------
     # Completion + caching (§4.5)
     # ------------------------------------------------------------------
-    def _join_key(self, model: _CompletionModelBase) -> Tuple:
-        """Cache key: every input that changes the completed join's content."""
+    def join_signature(self, model: _CompletionModelBase) -> Tuple:
+        """Identity of the completed join a model would produce: every
+        input that changes its content.
+
+        The completion cache keys chunks and memoized joins by it, and the
+        completion service groups concurrent requests by it so one
+        incompleteness join serves a whole micro-batch.
+        """
         return (
             model.kind,
             model.layout.path.tables,
@@ -485,7 +490,7 @@ class ReStore:
         model = join.model
         tables = join.effective_tables()
         grid = self._grid(model)
-        signature = self._join_key(model)
+        signature = self.join_signature(model)
         fingerprints = plan.fingerprint_set() if plan is not None else frozenset()
         mask = join.qualifying_root_mask(plan)
         outputs: List = []
@@ -557,43 +562,49 @@ class ReStore:
     def completed_join(self, model: _CompletionModelBase) -> CompletedJoin:
         """The completed join of a model's full path, memoized (§4.5).
 
-        The join cache memoizes the completion executor's unfiltered
-        assembly.  On a miss, chunks already in the partial cache (left by
-        pushdown, progressive or recompletion runs) are reused and the rest
-        walked; the result is bitwise identical (up to row order) to a
-        single-pass :meth:`IncompletenessJoin.run` at the same seed.
+        The completion cache memoizes the completion executor's unfiltered
+        assembly under the model's join signature.  On a miss, chunks
+        already cached (left by pushdown, progressive or recompletion runs)
+        are reused and the rest walked; the result is bitwise identical (up
+        to row order) to a single-pass :meth:`IncompletenessJoin.run` at
+        the same seed.  A hit comes back as a shallow copy whose
+        ``recompletion`` reports every chunk cached, so results already
+        handed out keep their own provenance.
         """
-        key = self._join_key(model)
+        signature = self.join_signature(model)
         with trace(
             "engine.completed_join", tables="/".join(model.layout.path.tables)
         ) as span:
-            completed = self.join_cache.get(key)
-            span.set("cache", "miss" if completed is None else "hit")
-            if completed is None:
+            cached = self.partial_cache.get_join(signature)
+            span.set("cache", "miss" if cached is None else "hit")
+            if cached is None:
                 completed = next(self._complete(self._join(model)))
-                self.join_cache.put(key, completed)
-            return completed
+                self.partial_cache.put_join(signature, completed)
+                return completed
+            total = cached.recompletion["chunks_total"]
+            return replace(cached, recompletion={
+                "chunks_total": total, "chunks_walked": 0,
+                "chunks_cached": total,
+            })
 
-    @property
-    def cache_hits(self) -> int:
-        """Join-cache hits since construction (see also :attr:`cache_stats`)."""
-        return self.join_cache.stats.hits
+    def join_cached(self, model: _CompletionModelBase) -> bool:
+        """Whether ``model``'s full completed join is memoized (a pure
+        probe: no cache statistics, no recency)."""
+        return self.partial_cache.has_join(self.join_signature(model))
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the completed-join cache."""
-        return self.join_cache.stats
+        """Hit/miss/eviction counters of the memoized full joins."""
+        return self.partial_cache.join_stats
 
     @property
     def partial_cache_stats(self) -> PartialCacheStats:
-        """Hit/miss/subset-hit counters of the partial-completion cache."""
+        """Hit/miss/subset-hit counters of the cached chunks."""
         return self.partial_cache.stats
 
     def clear_cache(self) -> None:
-        self.join_cache.invalidate()
-        self.join_cache.reset_stats()
-        self.partial_cache.invalidate()
-        self.partial_cache.reset_stats()
+        """Drop every cached chunk and join and zero the cache counters."""
+        self.partial_cache.clear()
 
     # ------------------------------------------------------------------
     # Incremental completion (repro.incremental)
@@ -646,24 +657,13 @@ class ReStore:
 
         Chunk-level provenance of *this* call is attached as
         ``completed.recompletion`` (``chunks_total`` / ``chunks_walked`` /
-        ``chunks_cached``); a join served whole from the join cache comes
-        back as a shallow copy reporting every chunk cached, so results
-        already handed out keep their own provenance.
+        ``chunks_cached``), as :meth:`completed_join` reports it.
         """
-        if model is None:
-            model = self._default_model()
         if delta is not None:
             self._invalidate_for_delta(delta)
-        key = self._join_key(model)
-        cached = self.join_cache.get(key)
-        if cached is None:
-            completed = next(self._complete(self._join(model)))
-            self.join_cache.put(key, completed)
-            return completed
-        total = len(self._grid(model))
-        return replace(cached, recompletion={
-            "chunks_total": total, "chunks_walked": 0, "chunks_cached": total,
-        })
+        return self.completed_join(
+            model if model is not None else self._default_model()
+        )
 
     def check_drift(self, thresholds=None) -> "DriftReport":
         """Compare today's encoded distributions against the fit baseline.
@@ -702,7 +702,6 @@ class ReStore:
         digest = self._database_digest()
         if digest == self._fitted_digest:
             return {"skipped": True, "digest": digest, "models_tuned": 0}
-        self.join_cache.invalidate()
         self.partial_cache.invalidate()
         for model in self._models.values():
             model.fit(warm_start=True)
@@ -748,11 +747,10 @@ class ReStore:
                 forest.rebind(self.db, self.encoders)
                 rebound_forests.add(id(forest))
 
-    def _invalidate_for_delta(self, delta: "MutationDelta") -> Dict[str, int]:
+    def _invalidate_for_delta(self, delta: "MutationDelta") -> None:
         """Evict exactly the cached state ``delta`` made stale."""
         from ..incremental.invalidation import plan_invalidation
 
-        evicted = {"chunks": 0, "joins": 0}
         for model in self._models.values():
             grid = self._grid(model)
             plan = plan_invalidation(
@@ -762,16 +760,11 @@ class ReStore:
                 num_roots=grid[-1][1],
                 chunk_size=grid[0][1],  # the first chunk is [0, chunk size)
             )
-            if not plan.touches_cache:
-                continue
-            signature = self._join_key(model)
-            tasks = None if plan.kind == "all" else plan.tasks
-            evicted["chunks"] += self.partial_cache.invalidate_delta(
-                signature, tasks
-            )
-            if self.join_cache.evict(signature):
-                evicted["joins"] += 1
-        return evicted
+            if plan.touches_cache:
+                self.partial_cache.invalidate_delta(
+                    self.join_signature(model),
+                    None if plan.kind == "all" else plan.tasks,
+                )
 
     def _database_digest(self) -> str:
         from ..serving.artifacts import database_digest
@@ -787,15 +780,6 @@ class ReStore:
     # ------------------------------------------------------------------
     # Serving artifacts (repro.serving)
     # ------------------------------------------------------------------
-    def join_signature(self, model: _CompletionModelBase) -> Tuple:
-        """Public identity of the completed join a model would produce.
-
-        The completion service groups concurrent requests by this signature
-        so one incompleteness join serves a whole micro-batch; it equals the
-        join cache key.
-        """
-        return self._join_key(model)
-
     def fitted_models(self) -> Dict[Tuple[str, Tuple[str, ...]], _CompletionModelBase]:
         """The trained models, keyed by ``(kind, path tables)`` (a copy)."""
         return dict(self._models)
@@ -813,9 +797,9 @@ class ReStore:
         """Install externally restored fitted state (an artifact load).
 
         Any cached completed joins were sampled from the *previous* models,
-        so the join cache is invalidated and its statistics reset: after
-        adoption, ``cache_stats`` describes only the loaded engine's era —
-        the first ``answer`` is a truthful miss, repeats are hits.
+        so the cache is cleared and its statistics reset: after adoption,
+        ``cache_stats`` describes only the loaded engine's era — the first
+        ``answer`` is a truthful miss, repeats are hits.
         """
         if encoders is not None:
             self.encoders = encoders
@@ -827,10 +811,7 @@ class ReStore:
                 unique_paths.append(model.layout.path)
         self.merge_stats = training_savings(unique_paths)
         self._rebind_models()
-        self.join_cache.invalidate()
-        self.join_cache.reset_stats()
-        self.partial_cache.invalidate()
-        self.partial_cache.reset_stats()
+        self.clear_cache()
         self._stash_fit_anchors()
         return self
 
@@ -948,7 +929,7 @@ class ReStore:
                     used_completion=False,
                 )
 
-            cached_before = self.join_cache.contains(self._join_key(model))
+            cached_before = self.join_cached(model)
             completed: Optional[CompletedJoin] = None
             if pushdown and not cached_before:
                 plan = plan_pushdown(self.db, model.layout.path.tables, query)

@@ -2,8 +2,8 @@
 
 Every layer of the pipeline used to keep private counters with private
 percentile code (``ServingCore.stats``, ``FleetRouter.router_stats``, the
-join caches); :class:`MetricsRegistry` is the one accounting surface they
-now share.  Three instrument kinds:
+completion cache); :class:`MetricsRegistry` is the one accounting surface
+they now share.  Three instrument kinds:
 
 * :class:`Counter` — monotonic, lock-protected ``add``; a
   Barrier-hammering concurrency test pins that increments are never lost.
@@ -14,7 +14,7 @@ now share.  Three instrument kinds:
   interpolation), so every layer's p50/p95 agrees by construction.
 
 Registries also accept *collectors* — callables returning a dict — for
-stats that already live elsewhere (the join caches' monotonic counters);
+stats that already live elsewhere (the completion cache's monotonic counters);
 ``snapshot()`` folds them in, so one call truthfully describes the whole
 process.  :func:`registry` returns the process-wide default instance.
 """

@@ -12,15 +12,15 @@
   so results are independent of batch chunking,
 * :mod:`~repro.runtime.rng` — counter-based per-row random streams, making
   sampling a pure function of a row's lineage rather than batch order,
-* :mod:`~repro.runtime.cache` — a bounded LRU cache for completed joins with
-  hit/miss/eviction accounting,
+* :mod:`~repro.runtime.cache` — the one bounded LRU cache of chunk outputs
+  and memoized completed joins, with hit/miss/eviction accounting,
 * :mod:`~repro.runtime.parallel` — serial/thread/process executors that fan
   chunked work out over workers with deterministic, ordered merging.
 """
 
 from . import kernels, rng
 from .kernels import TILE
-from .cache import CacheStats, JoinCache, PartialCacheStats, PartialJoinCache
+from .cache import CacheStats, PartialCacheStats, PartialJoinCache
 from .training import (
     FusedResidualMADE,
     FusedTrainStepper,
@@ -42,7 +42,6 @@ __all__ = [
     "kernels",
     "rng",
     "CacheStats",
-    "JoinCache",
     "PartialCacheStats",
     "PartialJoinCache",
     "ParameterBuffer",

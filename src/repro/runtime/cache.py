@@ -1,4 +1,4 @@
-"""Bounded LRU caches for completed and partial incompleteness joins (§4.5).
+"""The bounded LRU cache of completed incompleteness joins (§4.5).
 
 Every completed join the engine builds is assembled from *chunk outputs*
 of the incompleteness join over a canonical chunk grid.
@@ -9,13 +9,13 @@ and recompletions reuse each other's completed chunks, and a chunk walked
 under a *looser* predicate set serves a stricter query after post-hoc
 filtering (subset-fingerprint reuse).
 
-:class:`JoinCache` memoizes the unfiltered assembly of a model's chunks —
-the full completed join every query on that model reuses.  Completed joins
-can dwarf the database itself (one row per evidence combination), so it
-bounds the footprint with least-recently-used eviction, supports explicit
-invalidation on re-``fit`` (the models behind a cached join changed), and
-surfaces hit/miss/eviction counters so operators can size the cache
-against their workload.
+The same cache memoizes the unfiltered assembly of a model's chunks — the
+full completed join every query on that model reuses — as one more entry
+keyed by the join signature alone.  Completed joins can dwarf the database
+itself (one row per evidence combination), so chunks and memos share one
+least-recently-used bound, one invalidation on re-``fit`` (the models
+behind a cached join changed), and hit/miss/eviction counters so operators
+can size the cache against their workload.
 """
 
 from __future__ import annotations
@@ -53,97 +53,6 @@ class CacheStats:
         }
 
 
-class JoinCache:
-    """LRU cache keyed by the full identity of a completed join.
-
-    Keys are ``(kind, path_tables, seed, approximate_replacement)`` — every
-    input that changes the bitwise content of a completed join.  ``get``
-    refreshes recency and counts hits/misses; ``contains`` is a pure probe
-    (no stats, no reordering) for provenance reporting.
-
-    All operations are thread-safe: the completion service
-    (:mod:`repro.serving`) answers concurrent micro-batches on worker
-    threads that share one engine, so bookkeeping and eviction are guarded
-    by a lock.  The lock serializes cache *accounting*, not join
-    computation — callers that must avoid duplicate joins for one key
-    coalesce at a higher level (single-flight in the service).
-    """
-
-    def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError("JoinCache capacity must be >= 1")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def contains(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Keys from least- to most-recently used (for introspection)."""
-        with self._lock:
-            return tuple(self._entries.keys())
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
-            self.stats.misses += 1
-            return None
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop every entry (models were re-fitted; cached joins are stale)."""
-        with self._lock:
-            if self._entries:
-                self.stats.invalidations += 1
-            self._entries.clear()
-
-    def evict(self, key: Hashable) -> bool:
-        """Drop one entry by key, counting the eviction truthfully.
-
-        Returns whether the key was present.  Counters are monotonic —
-        partial invalidation must never look like a stats reset.
-        """
-        with self._lock:
-            if key not in self._entries:
-                return False
-            del self._entries[key]
-            self.stats.evictions += 1
-            self.stats.invalidations += 1
-            return True
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = CacheStats()
-
-    def register_metrics(self, reg, name: str = "join_cache") -> None:
-        """Expose the live counters as a collector on a ``MetricsRegistry``.
-
-        The collector closes over ``self`` (not the stats object), so it
-        keeps reporting truthfully after ``reset_stats`` swaps the stats.
-        """
-        reg.register_collector(name, lambda: self.stats.as_dict())
-
-
 @dataclass
 class PartialCacheStats(CacheStats):
     """Partial-cache counters; ``subset_hits`` are hits served from a chunk
@@ -158,16 +67,15 @@ class PartialCacheStats(CacheStats):
 
 
 class PartialJoinCache:
-    """Chunk-granular LRU cache of partial incompleteness-join results.
+    """The engine's one LRU cache of incompleteness-join results.
 
-    One entry is one chunk output (the walked rows of a root-row range plus
-    its parked dangling-FK side state), keyed by::
+    One chunk entry is one chunk output (the walked rows of a root-row
+    range plus its parked dangling-FK side state), keyed by::
 
         (join signature, chunk grid, chunk bounds, predicate fingerprints)
 
     * The *join signature* pins everything that changes bitwise content
-      (model identity, path, seed, replacement mode) — same key the
-      engine's :class:`JoinCache` uses.
+      (model identity, path, seed, replacement mode).
     * The *chunk grid* (the full task list the bounds came from) guards
       against mixing chunkings: bounds are only comparable within one grid.
     * The *predicate fingerprints* (a frozenset of canonical filter
@@ -183,8 +91,21 @@ class PartialJoinCache:
     Parked side state is plan-independent by planner construction, so it is
     reusable as-is in both cases.
 
-    Capacity is counted in chunks.  Thread-safe like :class:`JoinCache`;
-    invalidation drops everything (models were re-fitted).
+    A *memo* entry (:meth:`get_join` / :meth:`put_join`) holds a model's
+    assembled full join under a pseudo-chunk keyed by the join signature
+    alone — no grid, bounds or fingerprints — so a warm hit does no grid
+    work.  That is sound because a mutation can only change a model's grid
+    by changing its root table, which is in the model's closure, so
+    :meth:`invalidate_delta` drops the memo anyway.  Chunk counters live in
+    :attr:`stats`, memo counters in :attr:`join_stats`.
+
+    Capacity is counted in entries, chunks and memos alike.  All operations
+    are thread-safe: the completion service (:mod:`repro.serving`) answers
+    concurrent micro-batches on worker threads that share one engine, so
+    bookkeeping and eviction are guarded by a lock.  The lock serializes
+    cache *accounting*, not join computation — callers that must avoid
+    duplicate joins coalesce at a higher level (single-flight in the
+    service).
     """
 
     def __init__(self, capacity: int = 256):
@@ -192,8 +113,10 @@ class PartialJoinCache:
             raise ValueError("PartialJoinCache capacity must be >= 1")
         self.capacity = capacity
         self.stats = PartialCacheStats()
+        self.join_stats = CacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # base key (signature, grid, bounds) -> fingerprint sets present
+        # base key (signature, grid, bounds) -> fingerprint sets present;
+        # chunk entries only (memo keys carry ``None`` fingerprints)
         self._by_base: Dict[Hashable, Set[FrozenSet]] = {}
         self._lock = threading.RLock()
 
@@ -252,46 +175,84 @@ class PartialJoinCache:
         if not getattr(output, "cacheable", True):
             return
         base = (signature, grid, task)
-        key = (base, fingerprints)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = output
-                return
-            self._entries[key] = output
             self._by_base.setdefault(base, set()).add(fingerprints)
-            while len(self._entries) > self.capacity:
-                old_key, _ = self._entries.popitem(last=False)
-                old_base, old_fps = old_key
-                remaining = self._by_base.get(old_base)
-                if remaining is not None:
-                    remaining.discard(old_fps)
-                    if not remaining:
-                        del self._by_base[old_base]
-                self.stats.evictions += 1
+            self._store((base, fingerprints), output)
+
+    def get_join(self, signature: Hashable) -> Optional[Any]:
+        """The memoized full join of ``signature``; counts a hit or a miss."""
+        key = _memo_key(signature)
+        with self._lock:
+            completed = self._entries.get(key)
+            if completed is None:
+                self.join_stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.join_stats.hits += 1
+            return completed
+
+    def put_join(self, signature: Hashable, completed: Any) -> None:
+        """Memoize ``signature``'s full join as the most recent entry."""
+        with self._lock:
+            self._store(_memo_key(signature), completed)
+
+    def has_join(self, signature: Hashable) -> bool:
+        """Whether ``signature``'s full join is memoized: a pure probe (no
+        stats, no recency) for provenance reporting."""
+        with self._lock:
+            return _memo_key(signature) in self._entries
+
+    def _store(self, key: Tuple, value: Any) -> None:
+        """Insert or refresh ``key`` as most recent, then evict least
+        recently used entries past capacity (caller holds the lock)."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            (old_base, old_fps), _ = self._entries.popitem(last=False)
+            if old_fps is None:
+                self.join_stats.evictions += 1
+                continue
+            remaining = self._by_base[old_base]
+            remaining.discard(old_fps)
+            if not remaining:
+                del self._by_base[old_base]
+            self.stats.evictions += 1
 
     def invalidate(self) -> None:
-        """Drop every entry (models were re-fitted; cached chunks are stale)."""
+        """Drop every entry (models were re-fitted; everything is stale).
+
+        Each counter set counts one invalidation when it had entries."""
         with self._lock:
-            if self._entries:
+            if self._by_base:
                 self.stats.invalidations += 1
+            if any(fps is None for _, fps in self._entries):
+                self.join_stats.invalidations += 1
             self._entries.clear()
             self._by_base.clear()
+
+    def clear(self) -> None:
+        """Drop every entry and zero both counter sets: a fresh cache in
+        the same object, so registered collectors keep following it."""
+        with self._lock:
+            self.invalidate()
+            self.reset_stats()
 
     def invalidate_delta(
         self,
         signature: Hashable,
         tasks: Optional[FrozenSet[Tuple[int, int]]] = None,
     ) -> int:
-        """Evict the chunks a mutation delta made stale; count truthfully.
+        """Evict the entries a mutation delta made stale; count truthfully.
 
-        Drops every entry under ``signature`` whose chunk bounds are in
-        ``tasks`` — or *all* of the signature's entries when ``tasks`` is
-        ``None`` (grid change / non-root mutation).  Entries for other
+        Drops every chunk under ``signature`` whose bounds are in ``tasks``
+        — or *all* of the signature's chunks when ``tasks`` is ``None``
+        (grid change / non-root mutation) — and always the signature's
+        memo: any delta that touches the model makes the assembly stale,
+        even when none of its chunks are cached.  Entries for other
         signatures, and hit/miss history, are untouched: each removal
-        increments ``evictions``, and the call as a whole counts one
-        ``invalidation`` when anything was dropped (the PR 4 regression
-        class was counters silently resetting here).
+        increments ``evictions``, and each counter set counts one
+        ``invalidation`` when the call dropped something of its kind
+        (counters must never silently reset here).
 
         Returns the number of chunk entries evicted.
         """
@@ -310,12 +271,28 @@ class PartialJoinCache:
             if victims:
                 self.stats.evictions += len(victims)
                 self.stats.invalidations += 1
+            if self._entries.pop(_memo_key(signature), None) is not None:
+                self.join_stats.evictions += 1
+                self.join_stats.invalidations += 1
             return len(victims)
 
     def reset_stats(self) -> None:
         with self._lock:
             self.stats = PartialCacheStats()
+            self.join_stats = CacheStats()
 
-    def register_metrics(self, reg, name: str = "partial_cache") -> None:
-        """Expose the live counters as a collector on a ``MetricsRegistry``."""
-        reg.register_collector(name, lambda: self.stats.as_dict())
+    def register_metrics(self, reg) -> None:
+        """Expose the live counters as ``"join_cache"`` (memos) and
+        ``"partial_cache"`` (chunks) collectors on a ``MetricsRegistry``.
+
+        The collectors close over ``self`` (not the stats objects), so they
+        keep reporting truthfully after ``reset_stats`` swaps the stats.
+        """
+        reg.register_collector("join_cache", lambda: self.join_stats.as_dict())
+        reg.register_collector("partial_cache", lambda: self.stats.as_dict())
+
+
+def _memo_key(signature: Hashable) -> Tuple:
+    """The memo entry of ``signature``: a pseudo-chunk with no grid, bounds
+    or fingerprints."""
+    return ((signature, None, None), None)

@@ -105,12 +105,10 @@ _HASHED_FILES = (
 )
 
 #: The only config fields a load may override: they change how completion
-#: *executes* (chunking, pooling, cache sizing), never which rows it
-#: produces — the runtime's determinism contract.  Everything else (seed,
-#: binning, model architecture) is part of the trained state.
-EXECUTION_CONFIG_FIELDS = frozenset(
-    {"chunk_size", "n_workers", "parallel_backend", "join_cache_size"}
-)
+#: *executes* (chunking, pooling), never which rows it produces — the
+#: runtime's determinism contract.  Everything else (seed, binning, model
+#: architecture) is part of the trained state.
+EXECUTION_CONFIG_FIELDS = frozenset({"chunk_size", "n_workers", "parallel_backend"})
 
 
 # ======================================================================
@@ -325,11 +323,13 @@ def _config_to_dict(config: ReStoreConfig) -> dict:
 #: (``compiled_inference`` chose an inference backend, and
 #: ``train_backend`` / ``train.backend`` a training backend; there is one
 #: of each now.  ``partial_cache_chunks`` and ``progressive_chunks`` sized
-#: the chunk cache and grid; both are engine constants now).  The filter
-#: applies at every level: engine, model and training config.
+#: the chunk cache and grid; both are engine constants now.  The last key
+#: sized a separate cache of full joins, which are chunk-cache entries
+#: now).  The filter applies at every level: engine, model and training
+#: config.
 _RETIRED_CONFIG_KEYS = frozenset({
     "compiled_inference", "partial_cache_chunks", "progressive_chunks",
-    "train_backend", "backend",
+    "train_backend", "backend", "join_cache_size",
 })
 
 
@@ -749,8 +749,8 @@ def load_artifact(
 
     With ``engine`` given, the fitted state is loaded *into* that live
     engine instead (its database must match the artifact's digest —
-    anything else is an :class:`ArtifactSchemaError`); its join cache is
-    invalidated and its cache statistics reset, so ``cache_stats`` stays
+    anything else is an :class:`ArtifactSchemaError`); its cache is
+    cleared and its cache statistics reset, so ``cache_stats`` stays
     truthful.  ``config_overrides`` (fresh engines only) replaces
     execution settings such as ``chunk_size`` / ``n_workers`` /
     ``parallel_backend`` — the completed joins are identical for all of
@@ -786,6 +786,12 @@ def load_artifact(
     if engine is None:
         config = _config_from_dict(_read_json(path / _CONFIG, "config"))
         if config_overrides:
+            retired = set(config_overrides) & _RETIRED_CONFIG_KEYS
+            if retired:
+                raise ArtifactError(
+                    f"config_overrides {sorted(retired)} are retired settings "
+                    f"the engine no longer has; drop them"
+                )
             forbidden = set(config_overrides) - EXECUTION_CONFIG_FIELDS
             if forbidden:
                 raise ArtifactError(

@@ -409,10 +409,9 @@ class ServingCore:
         self._swap_lock = threading.Lock()
 
     def _register_cache_collectors(self) -> None:
-        """(Re-)point the cache collectors at the current engine's caches —
+        """(Re-)point the cache collectors at the current engine's cache —
         called at construction and after every hot swap."""
-        self.engine.join_cache.register_metrics(self.metrics, "join_cache")
-        self.engine.partial_cache.register_metrics(self.metrics, "partial_cache")
+        self.engine.partial_cache.register_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     # Front-end pieces (validation, admission, accounting)
@@ -514,7 +513,7 @@ class ServingCore:
         with self._join_lock:
             flight = self._inflight_joins.get(signature)
             if flight is None:
-                if engine.join_cache.contains(signature):
+                if engine.join_cached(model):
                     # An ordinary cache hit, counted by the cache stats.
                     return
                 flight = _InflightJoin()

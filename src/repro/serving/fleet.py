@@ -767,7 +767,7 @@ class FleetRouter:
 
         After at least one successful swap the router reloads its own
         routing replica from the new artifact and forgets warm-signature
-        affinity (the workers' join caches restarted cold).
+        affinity (the workers' completion caches restarted cold).
         """
         if not self._running:
             raise ServiceClosedError("fleet is not running; use 'async with'")

@@ -6,7 +6,7 @@ policy, join-signature grouping, single-flight coalescing, admission and
 every statistic; this shell contributes only what an event loop must —
 awaitable admission, an asyncio batch collector, futures for callers, and
 a thread pool so numpy crunches off the loop.  Joins for *different*
-signatures run concurrently (the join cache is thread-safe), and the
+signatures run concurrently (the completion cache is thread-safe), and the
 observable behaviour — answers, errors, counters, backpressure — is
 exactly the core's, which is also what the process workers of a
 :class:`~repro.serving.FleetRouter` expose over the wire.

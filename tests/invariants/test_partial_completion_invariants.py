@@ -100,7 +100,6 @@ def test_subset_reuse_reproduces_cold_run(fitted):
     strict = parse_query(_sql("a != 'v2' AND b = 'v1'"))
     engine.clear_cache()
     engine.answer(loose, pushdown=True)
-    engine.join_cache.invalidate()
     before = engine.partial_cache_stats.subset_hits
     warm = engine.answer(strict, pushdown=True)
     assert engine.partial_cache_stats.subset_hits > before

@@ -12,8 +12,8 @@ canonical chunk grid.  Contracts under test:
   on every backend;
 * a recompletion over non-adjacent missing chunks between cached ones
   equals a from-scratch run;
-* ``recomplete`` provenance is truthful for joins served from the join
-  cache and never rewrites results already returned.
+* ``recomplete`` and ``answer`` provenance is truthful for memoized joins
+  and never rewrites results already returned.
 """
 
 import numpy as np
@@ -127,7 +127,8 @@ class TestOnePassWalk:
         assert chunk_pass.attrs["chunks"] == GRID_CHUNKS
         assert chunk_pass.attrs["rows_scanned"] == len(
             engine.db.table("neighborhood"))
-        assert len(engine.partial_cache) == GRID_CHUNKS
+        # every chunk, plus the memoized full join
+        assert len(engine.partial_cache) == GRID_CHUNKS + 1
 
     @pytest.mark.parametrize("fitted", ["dangling", "movies"])
     def test_chunk_outputs_equal_solo_walks(self, request, fitted, tracer):
@@ -267,3 +268,19 @@ class TestRecompletion:
         assert second.recompletion["chunks_walked"] == 0
         assert first.recompletion == cold
         assert second.result is first.result  # a shallow copy, no arrays
+
+    def test_warm_answer_reports_its_own_provenance(self, engine):
+        """A memo hit served through ``answer`` reports every chunk cached,
+        and the cold answer's provenance stays the cold walk's."""
+        query = parse_query("SELECT AVG(price) FROM apartment;")
+        engine.clear_cache()
+        first = engine.answer(query)
+        second = engine.answer(query)
+        total = len(engine._grid(first.model))
+        assert total == GRID_CHUNKS
+        assert not first.from_cache and second.from_cache
+        assert second.completed.recompletion == {
+            "chunks_total": total, "chunks_walked": 0, "chunks_cached": total,
+        }
+        assert second.completed.result is first.completed.result
+        assert first.completed.recompletion["chunks_walked"] == total

@@ -212,7 +212,7 @@ class TestEngine:
         same_model = (a1.model.kind, a1.model.layout.path.tables) == (
             a2.model.kind, a2.model.layout.path.tables)
         if same_model:
-            assert engine.cache_hits >= 1
+            assert engine.cache_stats.hits >= 1
             assert a2.from_cache
 
     def test_merge_stats_populated(self, housing_engine):

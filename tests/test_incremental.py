@@ -294,6 +294,26 @@ class TestPartialCacheInvalidation:
         for task in self.GRID:
             assert cache.lookup(self.OTHER, self.GRID, task, frozenset()) is not None
 
+    def test_delta_drops_the_signature_memo(self):
+        """Any delta that touches a model makes its assembled join stale,
+        even when the delta's chunks are cached elsewhere or not at all."""
+        cache = self._seeded()
+        for sig in (self.SIG, self.OTHER):
+            cache.put_join(sig, f"{sig}:full")
+        evicted = cache.invalidate_delta(self.SIG, tasks={(10, 20)})
+        assert evicted == 1  # chunk entries only
+        assert not cache.has_join(self.SIG)
+        assert cache.join_stats.evictions == 1
+        assert cache.join_stats.invalidations == 1
+        assert cache.has_join(self.OTHER)
+        for task in ((0, 10), (20, 30)):
+            assert cache.lookup(self.SIG, self.GRID, task, frozenset()) is not None
+        # a delta on no cached chunk still drops the memo
+        cache.put_join(self.SIG, f"{self.SIG}:full")
+        assert cache.invalidate_delta(self.SIG, tasks={(999, 1000)}) == 0
+        assert not cache.has_join(self.SIG)
+        assert cache.join_stats.invalidations == 2
+
     def test_signature_scoped_eviction(self):
         cache = self._seeded()
         evicted = cache.invalidate_delta(self.SIG, tasks=None)

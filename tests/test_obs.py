@@ -453,15 +453,15 @@ class TestStatsEquivalence:
         snap = core.metrics.snapshot()
         assert snap["histograms"]["serving.latency_ms"]["count"] == 7
         assert snap["collected"]["join_cache"]["hits"] == \
-            engine.join_cache.stats.hits
+            engine.cache_stats.hits
         assert "partial_cache" in snap["collected"]
 
     def test_cache_collector_survives_reset_stats(self, engine):
         reg = MetricsRegistry()
-        engine.join_cache.register_metrics(reg)
-        engine.join_cache.get("no-such-key")  # one miss
+        engine.partial_cache.register_metrics(reg)
+        engine.partial_cache.get_join("no-such-key")  # one miss
         before = reg.snapshot()["collected"]["join_cache"]
         assert before["misses"] >= 1
-        engine.join_cache.reset_stats()
+        engine.partial_cache.reset_stats()
         after = reg.snapshot()["collected"]["join_cache"]
         assert after["misses"] == 0  # collector follows the live object

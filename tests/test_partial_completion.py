@@ -109,7 +109,6 @@ class TestChunkReuse:
         engine.clear_cache()
         first = engine.answer(selective, pushdown=True)
         assert first.pushdown["chunks_walked"] > 0
-        engine.join_cache.invalidate()  # keep chunks, drop the full join
         second = engine.answer(selective, pushdown=True)
         assert second.pushdown["chunks_walked"] == 0
         assert second.pushdown["chunks_cached"] > 0
@@ -121,7 +120,6 @@ class TestChunkReuse:
         _, stricter, _ = queries
         engine.clear_cache()
         loose, _ = queries[0], engine.answer(queries[0], pushdown=True)
-        engine.join_cache.invalidate()
         before = engine.partial_cache_stats.subset_hits
         warm = engine.answer(stricter, pushdown=True)
         assert engine.partial_cache_stats.subset_hits > before
@@ -145,8 +143,7 @@ class TestChunkReuse:
         assert engine.partial_cache_stats.invalidations == 1
         # post-refit pushed answers agree with post-refit full answers
         pushed = engine.answer(selective, pushdown=True)
-        engine.join_cache.invalidate()
-        engine.partial_cache.invalidate()
+        engine.clear_cache()
         full = engine.answer(selective)
         assert pushed.result.scalar == full.result.scalar
 

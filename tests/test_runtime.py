@@ -9,10 +9,13 @@ Covers the contract of :mod:`repro.runtime`:
 * the incompleteness join builds no autograd graphs, and nothing under
   ``src/`` holds a second network implementation,
 * chunked join execution reproduces the unchunked run exactly,
-* :class:`JoinCache` LRU eviction, invalidation on re-fit, and statistics.
+* the completion cache's memoized joins: LRU eviction, invalidation on
+  re-fit, and statistics.
 """
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -48,8 +51,8 @@ from repro.relational import CompletionPath, fan_out_relations
 from repro.runtime import (
     FusedResidualMADE,
     FusedTreeEncoder,
-    JoinCache,
     ParameterBuffer,
+    PartialJoinCache,
     kernels,
 )
 from repro.runtime import rng as rt_rng
@@ -757,60 +760,120 @@ class TestRuntimeRng:
 
 
 # ----------------------------------------------------------------------
-# JoinCache
+# Memoized joins: the full-join entries of the one completion cache
 # ----------------------------------------------------------------------
 
 class TestJoinCache:
     def test_lru_eviction_order(self):
-        cache = JoinCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1      # refresh "a" → "b" is now LRU
-        cache.put("c", 3)
-        assert cache.contains("a") and cache.contains("c")
-        assert not cache.contains("b")
-        assert cache.stats.evictions == 1
+        cache = PartialJoinCache(capacity=2)
+        cache.put_join("a", 1)
+        cache.put_join("b", 2)
+        assert cache.get_join("a") == 1     # refresh "a" → "b" is now LRU
+        cache.put_join("c", 3)
+        assert cache.has_join("a") and cache.has_join("c")
+        assert not cache.has_join("b")
+        assert cache.join_stats.evictions == 1
+        assert cache.stats.evictions == 0   # no chunk was evicted
+
+    def test_lru_is_shared_with_chunks(self):
+        grid = ((0, 1),)
+        cache = PartialJoinCache(capacity=2)
+        cache.put("sig", grid, (0, 1), frozenset(), "chunk")
+        cache.put_join("a", 1)
+        cache.put_join("b", 2)              # the chunk is the LRU entry
+        assert cache.lookup("sig", grid, (0, 1), frozenset()) is None
+        assert cache.stats.evictions == 1 and cache.join_stats.evictions == 0
+        cache.put("sig", grid, (0, 1), frozenset(), "chunk")  # evicts "a"
+        assert not cache.has_join("a") and cache.has_join("b")
+        assert cache.join_stats.evictions == 1
 
     def test_stats_counters(self):
-        cache = JoinCache(capacity=4)
-        assert cache.get("missing") is None
-        cache.put("x", 42)
-        assert cache.get("x") == 42
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-        assert cache.stats.requests == 2
-        assert set(cache.stats.as_dict()) == {
+        cache = PartialJoinCache(capacity=4)
+        assert cache.get_join("missing") is None
+        cache.put_join("x", 42)
+        assert cache.get_join("x") == 42
+        assert cache.join_stats.hits == 1
+        assert cache.join_stats.misses == 1
+        assert cache.join_stats.hit_rate == 0.5
+        assert cache.join_stats.requests == 2
+        assert set(cache.join_stats.as_dict()) == {
             "hits", "misses", "evictions", "invalidations", "hit_rate"
         }
+        # memo traffic never shows up in the chunk counters
+        assert cache.stats.requests == 0
 
     def test_contains_is_pure_probe(self):
-        cache = JoinCache(capacity=2)
-        cache.put("a", 1)
-        before = (cache.stats.hits, cache.stats.misses)
-        assert cache.contains("a")
-        assert not cache.contains("b")
-        assert (cache.stats.hits, cache.stats.misses) == before
+        cache = PartialJoinCache(capacity=2)
+        cache.put_join("a", 1)
+        cache.put_join("b", 2)
+        before = (cache.join_stats.hits, cache.join_stats.misses)
+        assert cache.has_join("a")
+        assert not cache.has_join("c")
+        assert (cache.join_stats.hits, cache.join_stats.misses) == before
+        cache.put_join("d", 4)              # probing "a" did not refresh it
+        assert not cache.has_join("a") and cache.has_join("b")
 
     def test_invalidate_clears_entries(self):
-        cache = JoinCache(capacity=2)
-        cache.put("a", 1)
+        cache = PartialJoinCache(capacity=2)
+        cache.put_join("a", 1)
         cache.invalidate()
         assert len(cache) == 0
-        assert cache.stats.invalidations == 1
+        assert cache.join_stats.invalidations == 1
+        assert cache.stats.invalidations == 0   # no chunk was cached
         cache.invalidate()  # empty → not counted again
-        assert cache.stats.invalidations == 1
+        assert cache.join_stats.invalidations == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            JoinCache(capacity=0)
+            PartialJoinCache(capacity=0)
 
     def test_put_updates_existing_key(self):
-        cache = JoinCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("a", 9)
-        assert cache.get("a") == 9
+        cache = PartialJoinCache(capacity=2)
+        cache.put_join("a", 1)
+        cache.put_join("a", 9)
+        assert cache.get_join("a") == 9
         assert len(cache) == 1
+
+    def test_threads_share_one_bound(self):
+        """Chunks and memos from many threads under one lock: the bound
+        holds, no request goes uncounted, and the chunk index matches the
+        chunk entries exactly."""
+        capacity, n_threads, per_thread = 6, 8, 1000
+        grid = tuple((i, i + 1) for i in range(4))
+        cache = PartialJoinCache(capacity=capacity)
+        barrier = threading.Barrier(n_threads)
+
+        def hammer(worker: int) -> None:
+            barrier.wait()
+            for i in range(per_thread):
+                sig = ("sig", (worker + i) % 3)
+                task = grid[i % len(grid)]
+                cache.put(sig, grid, task, frozenset(), (worker, i))
+                cache.put_join(sig, (worker, i))
+                cache.get_join(("sig", i % 3))
+                cache.lookup(sig, grid, task, frozenset())
+                if i % 50 == 0:
+                    cache.invalidate_delta(sig, frozenset({task}))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(cache) <= capacity
+        assert cache.join_stats.requests == n_threads * per_thread
+        assert cache.stats.requests == n_threads * per_thread
+        chunk_keys = {key for key in cache._entries if key[1] is not None}
+        indexed = {(base, fps) for base, fp_sets in cache._by_base.items()
+                   for fps in fp_sets}
+        assert chunk_keys == indexed
 
 
 @pytest.mark.slow
@@ -821,10 +884,7 @@ class TestEngineCache:
                                                 predictability=0.9, seed=0))
         dataset = make_incomplete(db, [RemovalSpec("tb", "b", 0.5, 0.4)],
                                   tf_keep_rate=0.5, seed=1)
-        config = ReStoreConfig(
-            model=ModelConfig(hidden=(32, 32), train=FAST),
-            join_cache_size=2,
-        )
+        config = ReStoreConfig(model=ModelConfig(hidden=(32, 32), train=FAST))
         engine = ReStore.from_dataset(dataset, config).fit()
         return engine, dataset
 
@@ -834,18 +894,17 @@ class TestEngineCache:
         model = engine.candidates("tb")[0].model
         first = engine.completed_join(model)
         again = engine.completed_join(model)
-        assert again is first
+        assert again.result is first.result
         assert engine.cache_stats.hits == 1
         assert engine.cache_stats.misses == 1
-        assert engine.cache_hits == 1
 
     def test_refit_invalidates_join_cache(self, engine_dataset):
         engine, _ = engine_dataset
         model = engine.candidates("tb")[0].model
         engine.completed_join(model)
-        assert len(engine.join_cache) > 0
+        assert engine.join_cached(model)
         engine.fit(targets=["tb"])
-        assert len(engine.join_cache) == 0
+        assert len(engine.partial_cache) == 0
         assert engine.cache_stats.invalidations >= 1
 
     def test_cache_key_includes_seed(self, engine_dataset):
@@ -853,7 +912,7 @@ class TestEngineCache:
         engine.clear_cache()
         model = engine.candidates("tb")[0].model
         engine.completed_join(model)
-        key = engine._join_key(model)
+        key = engine.join_signature(model)
         assert key[2] == engine.config.seed
         assert key[3] == engine.config.approximate_replacement
 

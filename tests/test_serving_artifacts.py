@@ -25,6 +25,7 @@ from repro.experiments import joins_bitwise_identical
 from repro.incomplete.registry import make_scenario_dataset
 from repro.nn import TrainConfig
 from repro.serving import (
+    ArtifactError,
     ArtifactIntegrityError,
     ArtifactSchemaError,
     ArtifactVersionError,
@@ -174,13 +175,15 @@ class TestRoundTrip:
     def test_retired_chunk_settings_still_load(
         self, synthetic_engine, synthetic_artifact, tmp_path
     ):
-        """Artifacts written while the chunk cache and the canonical grid
-        were settable recorded ``partial_cache_chunks`` and
-        ``progressive_chunks``; they load and answer unchanged."""
+        """Artifacts written while the chunk cache, the canonical grid and
+        a separate full-join cache were settable recorded
+        ``partial_cache_chunks``, ``progressive_chunks`` and
+        ``join_cache_size``; they load and answer unchanged."""
         old = tmp_path / "old"
         shutil.copytree(synthetic_artifact, old)
         config = json.loads((old / "config.json").read_text())
-        config.update(partial_cache_chunks=256, progressive_chunks=16)
+        config.update(partial_cache_chunks=256, progressive_chunks=16,
+                      join_cache_size=8)
         (old / "config.json").write_text(json.dumps(config))
         manifest = json.loads((old / "manifest.json").read_text())
         manifest["files"]["config.json"] = hashlib.sha256(
@@ -433,6 +436,19 @@ class TestErrors:
         with pytest.raises(ValueError, match="execution settings"):
             load_artifact(synthetic_artifact, config_overrides=overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"join_cache_size": 8},
+        {"partial_cache_chunks": 256},
+        {"compiled_inference": True},
+        {"chunk_size": 4, "join_cache_size": 8},
+    ])
+    def test_retired_overrides_rejected(self, synthetic_artifact, overrides):
+        """A setting the engine no longer has is named retired, not
+        trained state: re-fitting would not make it settable."""
+        with pytest.raises(ArtifactError, match="retired") as info:
+            load_artifact(synthetic_artifact, config_overrides=overrides)
+        assert "re-fit" not in str(info.value)
+
 
 # ----------------------------------------------------------------------
 # Join-cache truthfulness around loads (regression: stale caches)
@@ -441,7 +457,7 @@ class TestErrors:
 class TestCacheAfterLoad:
     def test_fresh_load_starts_with_empty_truthful_cache(self, synthetic_artifact):
         loaded = ReStore.load(synthetic_artifact)
-        assert len(loaded.join_cache) == 0
+        assert len(loaded.partial_cache) == 0
         assert loaded.cache_stats.requests == 0
         query = parse_query("SELECT COUNT(*) FROM tb;")
         first = loaded.answer(query)
@@ -463,12 +479,12 @@ class TestCacheAfterLoad:
         )
         query = parse_query("SELECT COUNT(*) FROM ta NATURAL JOIN tb;")
         engine.answer(query)
-        engine.answer(query)
-        assert engine.cache_stats.hits >= 1 and len(engine.join_cache) > 0
+        warm = engine.answer(query)
+        assert engine.cache_stats.hits >= 1 and engine.join_cached(warm.model)
 
         load_artifact(synthetic_artifact, engine=engine)
         # Stale joins are gone and the statistics describe the new era only.
-        assert len(engine.join_cache) == 0
+        assert len(engine.partial_cache) == 0
         assert engine.cache_stats.requests == 0
         answer = engine.answer(query)
         assert not answer.from_cache
@@ -481,10 +497,10 @@ class TestCacheAfterLoad:
 
     def test_refit_after_load_invalidates_and_retrains(self, synthetic_artifact):
         loaded = ReStore.load(synthetic_artifact)
-        loaded.answer(parse_query("SELECT COUNT(*) FROM tb;"))
-        assert len(loaded.join_cache) > 0
+        answer = loaded.answer(parse_query("SELECT COUNT(*) FROM tb;"))
+        assert loaded.join_cached(answer.model)
         loaded.fit()
-        assert len(loaded.join_cache) == 0  # stale joins dropped by re-fit
+        assert len(loaded.partial_cache) == 0  # stale joins dropped by re-fit
         for model in loaded.fitted_models().values():
             assert model.train_result is not None
             assert model.train_result.val_indices is not None  # really trained
@@ -494,7 +510,7 @@ class TestCacheAfterLoad:
         loaded = ReStore.load(synthetic_artifact)
         loaded.answer(parse_query("SELECT COUNT(*) FROM tb;"))
         loaded.clear_cache()
-        assert len(loaded.join_cache) == 0
+        assert len(loaded.partial_cache) == 0
         assert loaded.cache_stats.requests == 0
 
 
