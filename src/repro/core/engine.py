@@ -30,6 +30,7 @@ from ..query import (
     QueryResult,
     execute,
     execute_on_join,
+    resolve_query_columns,
 )
 from ..query.pushdown import PushdownPlan, plan_pushdown
 from ..relational import (
@@ -395,8 +396,11 @@ class ReStore:
             if derived_candidate is None:
                 return float("-inf")
             completed = derived_engine.completed_join(derived_candidate.model)
-            projected = derived_engine.project_to_tables(completed, (target,))
-            values = projected.resolve(f"{target}.{attribute}")
+            column = f"{target}.{attribute}"
+            projected = derived_engine.project_to_tables(
+                completed, (target,), (column,)
+            )
+            values = projected.resolve(column)
             weights = projected.effective_weights()
             if categorical:
                 stat = categorical_fraction(values, value, weights)
@@ -418,8 +422,9 @@ class ReStore:
         self, candidate: CandidateScore, target: str, bias: SuspectedBias
     ) -> float:
         completed = self.completed_join(candidate.model)
-        projected = self.project_to_tables(completed, (target,))
-        values = projected.resolve(f"{target}.{bias.attribute}")
+        column = f"{target}.{bias.attribute}"
+        projected = self.project_to_tables(completed, (target,), (column,))
+        values = projected.resolve(column)
         weights = projected.effective_weights()
         total = weights.sum()
         if total == 0:
@@ -853,7 +858,10 @@ class ReStore:
     # Projection (§4.4: completion path may exceed the query path)
     # ------------------------------------------------------------------
     def project_to_tables(
-        self, completed: CompletedJoin, tables: Sequence[str]
+        self,
+        completed: CompletedJoin,
+        tables: Sequence[str],
+        columns: Optional[Sequence[str]] = None,
     ) -> JoinResult:
         """Restrict a completed join to the query's tables.
 
@@ -861,7 +869,9 @@ class ReStore:
         combination); deduplicating by the logical identity of the kept
         tables' tuples restores correct query-path multiplicities.  Real
         tuples are identified by their primary key, synthetic ones by their
-        unique negative ids.
+        unique negative ids.  ``columns`` (qualified names of kept tables'
+        columns) limits the gathered columns; by default every column of
+        the kept tables is.
         """
         result = completed.result
         keep_tables = [t for t in completed.path.tables if t in set(tables)]
@@ -877,22 +887,22 @@ class ReStore:
                 identity_parts.append(
                     np.asarray(result.columns[f"{table_name}.{key_col}"], dtype=np.int64)
                 )
-        synth = completed.synthesized_mask.get(completed.path.target)
 
         if identity_parts:
-            identity = np.stack(identity_parts, axis=1)
-            _, first_idx = np.unique(identity, axis=0, return_index=True)
-            keep_rows = np.sort(first_idx)
+            keep_rows = _first_rows(identity_parts)
         else:
             keep_rows = np.arange(result.num_rows)
 
-        columns = {
-            name: arr[keep_rows]
-            for name, arr in result.columns.items()
-            if name.split(".", 1)[0] in set(keep_tables)
-        }
+        if columns is None:
+            kept = set(keep_tables)
+            columns = [
+                name for name in result.columns if name.split(".", 1)[0] in kept
+            ]
         weights = result.effective_weights()[keep_rows]
-        return JoinResult(columns, weights=weights)
+        return JoinResult(
+            {name: result.columns[name][keep_rows] for name in columns},
+            weights=weights,
+        )
 
     # ------------------------------------------------------------------
     # Query answering
@@ -920,6 +930,7 @@ class ReStore:
         with trace(
             "engine.answer", tables="/".join(query.tables), pushdown=pushdown
         ) as span:
+            columns = resolve_query_columns(self.db, query)
             model = self._completion_model(query, model, suspected_bias)
             if model is None:
                 span.set("used_completion", False)
@@ -941,7 +952,9 @@ class ReStore:
             span.set("used_completion", True)
             span.set("from_cache", cached_before)
             return Answer(
-                result=execute_on_join(self._query_rows(completed, query), query),
+                result=execute_on_join(
+                    self._query_rows(completed, query, columns), query
+                ),
                 query=query,
                 used_completion=True,
                 model=model,
@@ -972,6 +985,7 @@ class ReStore:
         reuse them instead of walking again.
         """
         budget = budget if budget is not None else SamplingBudget()
+        columns = resolve_query_columns(self.db, query)
         model = self._completion_model(query, model, suspected_bias)
         if model is None:
             yield Refinement(
@@ -991,7 +1005,9 @@ class ReStore:
         steps = self._complete(self._join(model), plan, schedule)
         previous_width: Optional[float] = None
         for index, (upto, completed) in enumerate(zip(schedule, steps)):
-            result = execute_on_join(self._query_rows(completed, query), query)
+            result = execute_on_join(
+                self._query_rows(completed, query, columns), query
+            )
 
             band: Optional[ConfidenceBand] = None
             if completed.num_rows:
@@ -1078,11 +1094,19 @@ class ReStore:
             )
         return model
 
-    def _query_rows(self, completed: CompletedJoin, query: Query) -> JoinResult:
-        """The completed join restricted to the query's tables (§4.4)."""
-        if set(completed.path.tables) == set(query.tables):
-            return completed.result
-        return self.project_to_tables(completed, query.tables)
+    def _query_rows(
+        self, completed: CompletedJoin, query: Query, columns: Sequence[str]
+    ) -> JoinResult:
+        """The completed join restricted to the query's tables (§4.4),
+        holding only ``columns`` (the query's resolved columns) and the
+        weights, so filtering copies just what the query reads."""
+        if set(completed.path.tables) != set(query.tables):
+            return self.project_to_tables(completed, query.tables, columns)
+        result = completed.result
+        return JoinResult(
+            {name: result.columns[name] for name in columns},
+            weights=result.effective_weights(),
+        )
 
     def _primary_target(self, query: Query, incomplete_tables: Sequence[str]) -> str:
         """The target whose candidates answer ``query`` (§5 selects among them).
@@ -1122,6 +1146,22 @@ class ReStore:
             )
         best = basic_filter([score for score, _t in covering], self.config.min_signal)[0]
         return next(target for score, target in covering if score is best)
+
+
+def _first_rows(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Ascending positions of the first row of each distinct key tuple.
+
+    Equals ``np.sort(np.unique(np.stack(keys, axis=1), axis=0,
+    return_index=True)[1])``, from one stable lexsort over the 1-D key
+    columns instead of a sort of the stacked rows as void records.
+    """
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ordered = key[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    return np.sort(order[first])
 
 
 # ----------------------------------------------------------------------

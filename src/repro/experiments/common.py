@@ -124,8 +124,9 @@ def evaluate_candidates(
     evaluations: List[SetupEvaluation] = []
     for candidate in engine.candidates(target):
         completed = engine.completed_join(candidate.model)
-        projected = engine.project_to_tables(completed, (target,))
-        values = projected.resolve(f"{target}.{attribute}")
+        column = f"{target}.{attribute}"
+        projected = engine.project_to_tables(completed, (target,), (column,))
+        values = projected.resolve(column)
         weights = projected.effective_weights()
         if value is not None:
             comp_stat = categorical_fraction(values, value, weights)

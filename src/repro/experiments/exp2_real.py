@@ -132,7 +132,7 @@ def run_scenario_matrix(
         engine.fit(targets=[target])
         best = engine.candidates(target)[0]
         completed = engine.completed_join(best.model)
-        projected = engine.project_to_tables(completed, (target,))
+        projected = engine.project_to_tables(completed, (target,), ())
         completed_card = float(projected.effective_weights().sum())
         true_card = len(db.table(target))
         incomplete_card = len(dataset.incomplete.table(target))

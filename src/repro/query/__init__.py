@@ -18,6 +18,7 @@ from .executor import (
     filter_mask,
     join_tables,
     predicate_mask,
+    resolve_query_columns,
     validate_query_columns,
 )
 from .pushdown import (
@@ -48,6 +49,7 @@ __all__ = [
     "execute",
     "execute_on_join",
     "available_columns",
+    "resolve_query_columns",
     "validate_query_columns",
     "parse_query",
     "SQLSyntaxError",

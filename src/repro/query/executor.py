@@ -17,7 +17,7 @@ is the weighted mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +26,26 @@ from ..relational import Database, join_order
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, GroupKey, Query, QueryResult
 
 
+def _column_matches(names: Collection[str], column: str) -> List[str]:
+    """The qualified names among ``names`` that ``column`` refers to.
+
+    The one resolution rule of the package: an exact qualified name matches
+    itself alone; otherwise every name whose column part equals ``column``
+    matches.  One match resolves; no match or several is the caller's
+    error to raise.
+    """
+    if column in names:
+        return [column]
+    return [name for name in names if name.split(".", 1)[-1] == column]
+
+
 @dataclass
 class JoinResult:
-    """A materialized join: qualified columns plus optional row weights."""
+    """A materialized join: qualified columns plus optional row weights.
+
+    A join may hold only the columns a query reads, or none at all (a
+    ``COUNT(*)``); its row count then comes from the weights.
+    """
 
     columns: Dict[str, np.ndarray]
     weights: Optional[np.ndarray] = None
@@ -37,7 +54,10 @@ class JoinResult:
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged join result: lengths {sorted(lengths)}")
-        self._num_rows = lengths.pop() if lengths else 0
+        if lengths:
+            self._num_rows = lengths.pop()
+        else:
+            self._num_rows = len(self.weights) if self.weights is not None else 0
         if self.weights is not None and len(self.weights) != self._num_rows:
             raise ValueError("weights must align with join rows")
 
@@ -52,11 +72,7 @@ class JoinResult:
 
     def resolve(self, column: str) -> np.ndarray:
         """Find a column by qualified or unambiguous unqualified name."""
-        if column in self.columns:
-            return self.columns[column]
-        matches = [
-            name for name in self.columns if name.split(".", 1)[-1] == column
-        ]
+        matches = _column_matches(self.columns, column)
         if not matches:
             raise KeyError(f"no column {column!r} in join ({sorted(self.columns)})")
         if len(matches) > 1:
@@ -93,34 +109,42 @@ def available_columns(db: Database, tables: Sequence[str]) -> List[str]:
     ]
 
 
-def validate_query_columns(db: Database, query: Query) -> None:
-    """Check every column the query references resolves in its tables.
+def resolve_query_columns(db: Database, query: Query) -> List[str]:
+    """The qualified name of every column ``query`` reads, each once.
 
-    Raises ``ValueError`` — never a raw ``KeyError`` from deep inside the
-    executor — naming the offending column and listing the candidate
-    qualified columns, so admission layers (the completion service) can
-    reject bad queries before any completion work is spent.
+    Names resolve by :func:`_column_matches` against the query's tables, the
+    rule :meth:`JoinResult.resolve` applies to a materialized join, so a
+    join holding just these columns answers the query.  Raises
+    :class:`~repro.errors.QueryValidationError` — never a raw ``KeyError``
+    from deep inside the executor — naming the offending table or column
+    and listing the candidates.
     """
     candidates = available_columns(db, query.tables)
-    unqualified: Dict[str, List[str]] = {}
-    for name in candidates:
-        unqualified.setdefault(name.split(".", 1)[1], []).append(name)
-    qualified = set(candidates)
+    resolved: Dict[str, None] = {}
     for column in query.columns_referenced():
-        if column in qualified:
-            continue
-        matches = unqualified.get(column, [])
-        if len(matches) == 1:
-            continue
+        matches = _column_matches(candidates, column)
         if len(matches) > 1:
             raise QueryValidationError(
                 f"column {column!r} is ambiguous across {sorted(matches)}; "
                 f"qualify it as one of them"
             )
-        raise QueryValidationError(
-            f"query references unknown column {column!r}; "
-            f"candidate columns: {sorted(candidates)}"
-        )
+        if not matches:
+            raise QueryValidationError(
+                f"query references unknown column {column!r}; "
+                f"candidate columns: {sorted(candidates)}"
+            )
+        resolved[matches[0]] = None
+    return list(resolved)
+
+
+def validate_query_columns(db: Database, query: Query) -> None:
+    """Check every column the query references resolves in its tables.
+
+    Raises like :func:`resolve_query_columns`, so admission layers (the
+    completion service) can reject bad queries before any completion work
+    is spent.
+    """
+    resolve_query_columns(db, query)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from typing import List, Union
 
+from ..errors import QueryValidationError
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, Query
 
 _TOKEN_RE = re.compile(
@@ -34,8 +35,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-class SQLSyntaxError(ValueError):
-    """Raised when a query string does not match the supported grammar."""
+class SQLSyntaxError(QueryValidationError):
+    """Raised when a query string does not match the supported grammar.
+
+    A :class:`~repro.errors.QueryValidationError` (so still a
+    ``ValueError``): a malformed query crosses the serving wire as
+    ``query_invalid``, like a query naming an unknown column.
+    """
 
 
 def _tokenize(sql: str) -> List[str]:
@@ -110,7 +116,6 @@ def parse_query(sql: str) -> Query:
     target = parser.next()
     column = None if target == "*" else target
     parser.expect_keyword(")")
-    aggregate = Aggregate(kind, column)
 
     parser.expect_keyword("FROM")
     tables = [parser.next()]
@@ -143,12 +148,15 @@ def parse_query(sql: str) -> Query:
     if parser.peek():
         raise SQLSyntaxError(f"trailing tokens: {parser.tokens[parser.pos:]}")
 
-    return Query(
-        tables=tuple(tables),
-        aggregate=aggregate,
-        filters=tuple(filters),
-        group_by=tuple(group_by),
-    )
+    try:
+        return Query(
+            tables=tuple(tables),
+            aggregate=Aggregate(kind, column),
+            filters=tuple(filters),
+            group_by=tuple(group_by),
+        )
+    except ValueError as exc:  # SUM(*), a table joined to itself
+        raise SQLSyntaxError(str(exc)) from exc
 
 
 def _parse_predicate(parser: _Parser) -> Filter:

@@ -12,12 +12,14 @@ from repro.core import (
     PathLayout,
     ReStore,
     ReStoreConfig,
+    SamplingBudget,
     SuspectedBias,
     build_encoders,
     compatible_order,
     merge_paths,
     training_savings,
 )
+from repro.core.engine import _first_rows
 from repro.datasets import (
     HousingConfig,
     SyntheticConfig,
@@ -28,7 +30,15 @@ from repro.errors import QueryValidationError
 from repro.incomplete import RemovalSpec, make_incomplete
 from repro.metrics import bias_reduction, cardinality_correction
 from repro.nn import TrainConfig
-from repro.query import Aggregate, AggregateKind, Query, execute, parse_query
+from repro.query import (
+    Aggregate,
+    AggregateKind,
+    Query,
+    execute,
+    execute_on_join,
+    parse_query,
+    validate_query_columns,
+)
 from repro.relational import CompletionPath
 
 FAST = TrainConfig(epochs=8, batch_size=128, lr=1e-2, patience=3)
@@ -254,6 +264,121 @@ class TestEngine:
         with pytest.raises(QueryValidationError,
                            match=r"\['landlord'\].*neighborhood -> apartment"):
             engine.answer(parse_query("SELECT COUNT(*) FROM landlord;"))
+
+
+class TestProjection:
+    """§4.4 projection and the columns a query's answer materializes."""
+
+    @staticmethod
+    def _reference_keep_rows(keys):
+        """The projection's dedup before it sorted 1-D keys: the rows of
+        the stacked identity sorted as void records."""
+        identity = np.stack(keys, axis=1)
+        _, first_idx = np.unique(identity, axis=0, return_index=True)
+        return np.sort(first_idx)
+
+    @pytest.mark.parametrize("num_keys", [1, 2, 3])
+    def test_first_rows_equals_void_row_unique(self, num_keys):
+        rng = np.random.default_rng(num_keys)
+        for num_rows in [0, 1, 2, *rng.integers(3, 400, size=20)]:
+            keys = []
+            for _ in range(num_keys):
+                key = rng.integers(0, 12, num_rows).astype(np.int64)
+                synthetic = rng.random(num_rows) < 0.3
+                key[synthetic] = -2 - rng.integers(
+                    0, 2**62, int(synthetic.sum()), dtype=np.int64)
+                keys.append(key)
+            if num_rows:  # duplicate whole identity rows
+                rows = rng.integers(0, num_rows, num_rows)
+                keys = [key[rows] for key in keys]
+            expected = self._reference_keep_rows(keys)
+            assert np.array_equal(_first_rows(keys), expected)
+
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """Records the join each ``execute_on_join`` call of the engine
+        gets, and each ``project_to_tables`` call's completed join."""
+        import repro.core.engine as engine_module
+
+        original_project = ReStore.project_to_tables
+        calls = {"joins": [], "projected": [], "project": original_project}
+
+        def recording_execute(joined, query):
+            calls["joins"].append(joined)
+            return execute_on_join(joined, query)
+
+        def recording_project(self, *args, **kwargs):
+            calls["projected"].append(args[0])
+            return original_project(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "execute_on_join", recording_execute)
+        monkeypatch.setattr(ReStore, "project_to_tables", recording_project)
+        return calls
+
+    @pytest.mark.parametrize("sql, columns", [
+        ("SELECT AVG(price) FROM apartment WHERE room_type = 'Private room'",
+         {"apartment.price", "apartment.room_type"}),
+        ("SELECT COUNT(*) FROM apartment", set()),
+        ("SELECT SUM(price) FROM neighborhood NATURAL JOIN apartment "
+         "WHERE apartment.price > 50 GROUP BY state",
+         {"apartment.price", "neighborhood.state"}),
+        ("SELECT COUNT(*) FROM neighborhood NATURAL JOIN apartment", set()),
+    ])
+    def test_answer_reads_only_referenced_columns(
+        self, housing_engine, executed, sql, columns
+    ):
+        _db, _dataset, engine = housing_engine
+        query = parse_query(sql)
+        engine.answer(query)                 # cold, then warm
+        answer = engine.answer(query)
+        assert answer.from_cache
+        completed = answer.completed
+        projects = set(completed.path.tables) != set(query.tables)
+        full = (executed["project"](engine, completed, query.tables)
+                if projects else completed.result)
+        joined = executed["joins"][-1]
+        assert set(joined.columns) == columns
+        assert joined.num_rows == full.num_rows
+        assert np.array_equal(joined.weights, full.effective_weights())
+        # Warm answers still project through the public method, handing
+        # it the completed join positionally (perfbench reads args[1]).
+        assert len(executed["projected"]) == (2 if projects else 0)
+        assert not projects or executed["projected"][-1] is completed
+        assert answer.result.values == execute_on_join(full, query).values
+
+    def test_progressive_steps_read_only_referenced_columns(
+        self, housing_engine, executed
+    ):
+        _db, _dataset, engine = housing_engine
+        query = parse_query("SELECT AVG(price) FROM apartment")
+        engine.clear_cache()
+        budget = SamplingBudget(initial_chunks=1, max_chunks=3)
+        steps = list(engine.answer_progressive(query, budget=budget))
+        assert len(executed["joins"]) == len(steps) > 1
+        assert all(set(j.columns) == {"apartment.price"}
+                   for j in executed["joins"])
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM ghost",                                # table
+        "SELECT SUM(nope) FROM apartment",                           # column
+        "SELECT SUM(id) FROM neighborhood NATURAL JOIN apartment",   # ambiguous
+    ])
+    @pytest.mark.parametrize("entry", ["answer", "pushdown", "progressive"])
+    def test_bad_columns_rejected_before_any_completion(
+        self, housing_engine, sql, entry
+    ):
+        _db, _dataset, engine = housing_engine
+        query = parse_query(sql)
+        with pytest.raises(QueryValidationError) as admission:
+            validate_query_columns(engine.db, query)
+        engine.clear_cache()
+        with pytest.raises(QueryValidationError) as err:
+            if entry == "progressive":
+                next(engine.answer_progressive(query))
+            else:
+                engine.answer(query, pushdown=entry == "pushdown")
+        assert str(err.value) == str(admission.value)
+        assert len(engine.partial_cache) == 0
 
 
 class TestConfidence:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import QueryValidationError
 from repro.query import (
     Aggregate,
     AggregateKind,
@@ -18,8 +19,10 @@ from repro.query import (
     execute_on_join,
     join_tables,
     parse_query,
+    resolve_query_columns,
     validate_query_columns,
 )
+from repro.workloads.queries import HOUSING_QUERIES, MOVIES_QUERIES
 
 
 class TestJoin:
@@ -93,6 +96,15 @@ class TestJoinResult:
         jr = JoinResult({"t.x": np.arange(3.0)}, weights=np.array([1.0, 2.0, 3.0]))
         sub = jr.select(np.array([True, False, True]))
         np.testing.assert_allclose(sub.weights, [1.0, 3.0])
+
+    def test_no_columns_counts_rows_from_weights(self):
+        """A join holding no column (what COUNT(*) reads) keeps its rows."""
+        jr = JoinResult({}, weights=np.array([1.0, 2.0, 3.0]))
+        assert jr.num_rows == 3
+        q = Query(("t",), Aggregate(AggregateKind.COUNT))
+        assert execute_on_join(jr, q).scalar == 6.0
+        assert jr.select(np.array([True, False, True])).num_rows == 2
+        assert JoinResult({}).num_rows == 0
 
 
 class TestAggregation:
@@ -240,6 +252,19 @@ class TestSQLParser:
             with pytest.raises(SQLSyntaxError):
                 parse_query(bad)
 
+    def test_syntax_errors_are_query_validation_errors(self):
+        """A malformed query is a taxonomy error (wire code
+        ``query_invalid``) and still a ``ValueError``."""
+        for bad in [
+            "SELECT AVG(price FROM t",
+            "SELECT SUM(*) FROM t",
+            "SELECT COUNT(*) FROM t NATURAL JOIN t",
+        ]:
+            with pytest.raises(QueryValidationError) as err:
+                parse_query(bad)
+            assert isinstance(err.value, ValueError)
+            assert err.value.code == "query_invalid"
+
     def test_executes_end_to_end(self, housing_mini):
         q = parse_query(
             "SELECT AVG(rent) FROM neighborhood NATURAL JOIN apartment "
@@ -247,6 +272,48 @@ class TestSQLParser:
         )
         result = execute(housing_mini, q)
         assert result[("NYC",)] == pytest.approx(2500.0)
+
+
+class TestSQLParserFuzz:
+    """Seeded mutations of the Table 1 SQL never escape the taxonomy."""
+
+    MUTATIONS = 2000
+    TOKENS = ("SELECT", "FROM", "WHERE", "AND", "GROUP", "BY", "NATURAL",
+              "JOIN", "IN", "COUNT", "SUM", "AVG", "(", ")", "*", ",", ";",
+              "'", ">=", "!=", "-7", "2.5", "id", "apartment")
+    CHARS = "()*,;'=<>!-. _09azAZ\t\n\"%"
+
+    def _mutate(self, rng, corpus):
+        sql = corpus[int(rng.integers(len(corpus)))]
+        at = int(rng.integers(len(sql) + 1))
+        kind = int(rng.integers(4))
+        if kind == 0:  # truncation
+            return sql[:at]
+        if kind == 1:  # insertion of a character or a token
+            pieces = self.CHARS if rng.random() < 0.5 else self.TOKENS
+            piece = pieces[int(rng.integers(len(pieces)))]
+            return sql[:at] + piece + sql[at:]
+        if kind == 2:  # deletion of a short span
+            return sql[:at] + sql[at + int(rng.integers(1, 12)):]
+        other = corpus[int(rng.integers(len(corpus)))]  # splice
+        return sql[:at] + other[int(rng.integers(len(other) + 1)):]
+
+    def test_mutated_table1_sql_parses_or_raises_query_validation_error(self):
+        corpus = [sql for _setup, sql in
+                  (*HOUSING_QUERIES.values(), *MOVIES_QUERIES.values())]
+        assert len(corpus) == 20
+        rng = np.random.default_rng(19)
+        rejected = 0
+        for _ in range(self.MUTATIONS):
+            sql = self._mutate(rng, corpus)
+            try:
+                parse_query(sql)
+            except QueryValidationError:
+                rejected += 1
+            except Exception as exc:
+                pytest.fail(f"{sql!r} raised {type(exc).__name__}: {exc}")
+        # The mutations reach the error paths, and not only them.
+        assert 0 < rejected < self.MUTATIONS
 
 
 class TestPropertyBased:
@@ -303,6 +370,17 @@ class TestColumnValidation:
         )
         with pytest.raises(ValueError, match="ambiguous"):
             validate_query_columns(housing_mini, query)
+
+    def test_resolve_returns_each_qualified_column_once(self, housing_mini):
+        query = parse_query(
+            "SELECT AVG(rent) FROM apartment NATURAL JOIN neighborhood "
+            "WHERE apartment.rent > 1 AND state = 'CA' GROUP BY state;"
+        )
+        assert resolve_query_columns(housing_mini, query) == [
+            "apartment.rent", "neighborhood.state",
+        ]
+        count = parse_query("SELECT COUNT(*) FROM apartment;")
+        assert resolve_query_columns(housing_mini, count) == []
 
     def test_available_columns_are_qualified(self, housing_mini):
         columns = available_columns(housing_mini, ["neighborhood"])

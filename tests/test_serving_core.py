@@ -14,7 +14,12 @@ import pytest
 
 from repro import ReStore, ReStoreConfig, parse_query
 from repro.core import ModelConfig
-from repro.errors import ConfigurationError, ServiceOverloadedError
+from repro.errors import (
+    ConfigurationError,
+    QueryValidationError,
+    ServiceOverloadedError,
+    wire_code,
+)
 from repro.incomplete.registry import make_scenario_dataset
 from repro.nn import TrainConfig
 from repro.serving import (
@@ -278,6 +283,12 @@ class TestCoreServing:
         # is never counted (same observable behaviour as the asyncio shell).
         with pytest.raises(ValueError, match="nonexistent"):
             core.submit("SELECT AVG(nonexistent) FROM ta;")
+        assert core.stats().requests == 0
+
+    def test_malformed_sql_raises_query_validation_error(self, core):
+        with pytest.raises(QueryValidationError) as err:
+            core.submit("SELECT AVG(b FROM ta;")
+        assert wire_code(err.value) == "query_invalid"
         assert core.stats().requests == 0
 
     def test_threaded_single_flight_across_groups(self, core):

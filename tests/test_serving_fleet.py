@@ -421,6 +421,29 @@ class TestServiceWorkerEndToEnd:
             ours.close()
             server.join(timeout=10)
 
+    def test_malformed_sql_maps_to_query_invalid(self, fleet_artifact):
+        """A query frame whose SQL does not parse is refused at admission
+        with the taxonomy's wire code, not as an internal failure."""
+        worker = ServiceWorker.from_artifact(fleet_artifact)
+        ours, theirs = socket.socketpair()
+        server = threading.Thread(
+            target=worker.serve_connection, args=(theirs,), daemon=True
+        )
+        server.start()
+        try:
+            send_frame(ours, "query", id=7, query="SELECT AVG(b FROM ta;")
+            frame = recv_frame(ours)
+            assert frame["kind"] == "error" and frame["id"] == 7
+            assert frame["code"] == "query_invalid"
+            assert frame["error_type"] == "SQLSyntaxError"
+            send_frame(ours, "shutdown")
+            assert recv_frame(ours)["kind"] == "bye"
+        finally:
+            ours.close()
+            server.join(timeout=10)
+            theirs.close()
+            assert not server.is_alive()
+
     def test_busy_worker_batches_a_burst_without_a_timer(
         self, fleet_artifact, monkeypatch
     ):
@@ -533,8 +556,10 @@ class TestFleetRouterEndToEnd:
                     await fleet.submit(GROUPED_SQL),
                 ]
                 stats = await fleet.stats()
-                with pytest.raises(ValueError, match="nope"):
+                with pytest.raises(QueryValidationError, match="nope"):
                     await fleet.submit("SELECT AVG(nope) FROM ta;")
+                with pytest.raises(QueryValidationError):
+                    await fleet.submit("SELECT AVG(b FROM ta;")
             # The bye snapshots land during close(), i.e. after the
             # context exits — read them only now.
             return answers, others, burst, stats, fleet.final_worker_stats
@@ -785,6 +810,7 @@ class TestWorkerHotSwap:
         finally:
             ours.close()
             server.join(timeout=10)
+            theirs.close()
             assert not server.is_alive()
 
 
