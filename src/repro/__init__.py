@@ -56,7 +56,7 @@ from .version import repro_version
 __version__ = repro_version()
 
 #: The public facade, grouped by concern.  Serving internals (protocol,
-#: batchers, admission gate) stay importable from :mod:`repro.serving`;
+#: dispatcher, admission gate) stay importable from :mod:`repro.serving`;
 #: the error taxonomy's canonical home is :mod:`repro.errors`.
 __all__ = [
     # engine

@@ -6,12 +6,15 @@ ReStore's train-once / query-many story in four layers:
   of a fitted engine (``save_artifact`` / ``load_artifact`` /
   ``ReStore.load``), with manifest hashes and clear schema/version errors;
 * **core** (:mod:`~repro.serving.core`) — :class:`ServingCore`, the
-  synchronous, asyncio-free brain owning micro-batching, join-signature
-  grouping, single-flight coalescing, admission/backpressure and stats;
+  synchronous, asyncio-free brain owning join-signature grouping,
+  single-flight coalescing, admission/backpressure and stats, and its
+  :class:`Dispatcher`, the one serving loop (queue, micro-batching,
+  serving threads, delivery, drain on close) every shell runs;
 * **shells** — :class:`CompletionService`, the asyncio front-end over the
   core, and :class:`ServiceWorker`, a process shell serving a loaded
   artifact over the length-prefixed wire protocol
-  (:mod:`~repro.serving.protocol`);
+  (:mod:`~repro.serving.protocol`); each only admits requests and says
+  how an answer reaches its caller;
 * **fleet** (:mod:`~repro.serving.fleet`) — :class:`FleetRouter`, which
   spawns N workers from one artifact, consistent-hash routes by join
   signature (single-flight keeps working fleet-wide), sheds oldest under
@@ -44,15 +47,14 @@ from .artifacts import (
     verify_artifact,
     verify_lineage,
 )
-from .batching import MicroBatcher, ServiceRequest
 from .core import (
     AdmissionGate,
     CoreRequest,
+    Dispatcher,
     ProgressiveFlight,
     ServiceConfig,
     ServiceStats,
     ServingCore,
-    SyncMicroBatcher,
 )
 from .fleet import ConsistentHashRing, FleetConfig, FleetRouter, FleetStats
 from .protocol import PROTOCOL_VERSION
@@ -76,14 +78,12 @@ __all__ = [
     "ServiceStats",
     "CoreRequest",
     "AdmissionGate",
-    "SyncMicroBatcher",
+    "Dispatcher",
     "ProgressiveFlight",
     # shells
     "CompletionService",
     "ServiceWorker",
     "worker_main",
-    "MicroBatcher",
-    "ServiceRequest",
     "PROTOCOL_VERSION",
     # fleet
     "FleetRouter",

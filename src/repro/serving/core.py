@@ -5,13 +5,16 @@ pure request-in/answer-out over one fitted engine, owning the four
 behaviours that make ReStore's train-once / query-many story scale —
 
 * **admission & backpressure** — :class:`AdmissionGate` bounds the number
-  of in-service requests; waiting is expressed as a *grant callback*, so
-  a thread can block on it, an event loop can await it, and a wire shell
-  can map it to an overload frame, all against one policy object;
-* **micro-batching** — batch accounting plus :class:`SyncMicroBatcher`, a
-  ``queue.Queue``-backed collector for thread-driven shells that hands
-  whatever is queued to the next free serving thread (the asyncio shell
-  keeps its own awaitable collector with the same policy);
+  of in-service requests and :meth:`ServingCore.admit` is the one
+  non-blocking admission step; waiting is expressed as a *grant
+  callback*, so a thread can block on it, an event loop can await it,
+  and a wire shell can map a refusal to an overload frame, all against
+  one policy object;
+* **micro-batching & dispatch** — batch accounting plus
+  :class:`Dispatcher`, the one serving loop every shell runs: a request
+  queue, a pool of ``n_workers`` serving threads, and a collector thread
+  that hands whatever is queued to the next free thread, then delivers
+  each answer through the callback the shell put on its request;
 * **join-signature grouping & single-flight** — a batch is partitioned by
   the engine's join signature and at most one incompleteness join per
   signature is ever in flight, fleet-ready because the bookkeeping is
@@ -22,15 +25,19 @@ behaviours that make ReStore's train-once / query-many story scale —
 This module imports **no asyncio** (a unit test enforces it).  The thin
 shells live next door: :class:`repro.serving.CompletionService` (asyncio),
 :class:`repro.serving.ServiceWorker` (process + wire protocol) and
-:class:`repro.serving.FleetRouter` (multi-worker fan-out).
+:class:`repro.serving.FleetRouter` (multi-worker fan-out).  A shell only
+admits requests into a :class:`Dispatcher` and says how an answer reaches
+its caller; closing the dispatcher answers everything admitted, so every
+shell drains the same way.
 """
 
 from __future__ import annotations
 
-import queue
+import contextvars
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -145,7 +152,7 @@ class _Counters:
 
 @dataclass
 class CoreRequest:
-    """One query travelling through the core (shells add transport state)."""
+    """One query travelling through the core; its shell sets ``deliver``."""
 
     query: Query
     enqueued_at: float
@@ -155,6 +162,10 @@ class CoreRequest:
     #: threads, so the context rides on the request and ``serve_group``
     #: re-activates it around the engine call.
     trace_ctx: Optional[TraceContext] = None
+    #: how a :class:`Dispatcher` hands back the outcome (an
+    #: :class:`Answer` or the exception the request failed with); called
+    #: once, from a serving or collector thread.
+    deliver: Optional[Callable[[object], None]] = None
 
 
 class AdmissionGate:
@@ -229,83 +240,125 @@ class AdmissionGate:
             grant()
 
 
-class SyncMicroBatcher:
-    """Dispatch-when-free micro-batch collection on a plain ``queue.Queue``.
+class Dispatcher:
+    """The one serving loop: queue, batch, fan out, deliver.
 
-    The thread-driven twin of the asyncio batcher.  A batch is whatever is
-    already queued, up to ``max_batch``, taken as soon as one of the
-    ``n_workers`` serving threads is free; no timer holds it open.  While
-    every thread is busy :meth:`next_batch` waits, so requests arriving
-    meanwhile form the next batch.  The collector :meth:`claim`\\ s a
-    thread for each group it dispatches and the group :meth:`release`\\ s
-    it when done; :meth:`wait_idle` blocks until every dispatched group
-    finished.  :meth:`stop` lets the collector drain what is queued and
-    then end (``next_batch`` returns ``None``) — no request is ever
-    dropped.
+    A shell admits requests through the core (:meth:`ServingCore.admit`)
+    and :meth:`put`\\ s them here; the rest happens on this object's
+    threads.  A collector thread waits until one of the ``n_workers``
+    serving threads is free, then takes whatever is queued, up to
+    ``max_batch`` — no timer holds a batch open, and while every thread
+    is busy the requests arriving meanwhile form the next batch.  It
+    records the batch, groups it by join signature and fans the groups
+    out over the pool.  Each request's outcome goes to its
+    :attr:`CoreRequest.deliver`, then its admission slot is released.
+
+    :meth:`close` answers everything put before it, stops the threads and
+    re-raises the first exception a delivery raised: one failing delivery
+    never keeps the other requests from their answers.
     """
 
-    def __init__(self, max_queue: int, max_batch: int, n_workers: int = 1):
-        self.max_batch = max_batch
-        self.n_workers = n_workers
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue)
-        self._stopped = threading.Event()
-        self._slots = threading.Condition()
-        self._busy = 0  #: dispatched groups not yet released
+    def __init__(self, core: "ServingCore"):
+        self.core = core
+        self.max_batch = core.config.max_batch
+        self.n_workers = core.config.n_workers
+        # Unbounded: the admission gate already caps in-service requests.
+        self._queue: deque = deque()
+        self._changed = threading.Condition()
+        self._busy = 0  #: dispatched groups not yet finished
+        self._closing = False
+        self._errors: List[BaseException] = []
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.n_workers, thread_name_prefix="restore-serve"
+        )
+        self._collector = threading.Thread(
+            target=self._collect, name="restore-serve-collect", daemon=True
+        )
+        self._collector.start()
+
+    def put(self, *requests: CoreRequest) -> None:
+        """Queue admitted requests (each holds its slot until delivery).
+
+        Requests put in one call are seen together, so they share a batch
+        as far as ``max_batch`` allows.
+        """
+        with self._changed:
+            self._queue.extend(requests)
+            # While every thread is busy the collector waits for a thread,
+            # not a request: waking it would only put it back to sleep.
+            if self._busy < self.n_workers:
+                self._changed.notify()
 
     def qsize(self) -> int:
-        return self._queue.qsize()
+        return len(self._queue)
 
-    def put(self, request, wait: bool = True) -> None:
-        """Admit a request; full queue ⇒ block (``wait``) or reject."""
-        try:
-            self._queue.put(request, block=wait)
-        except queue.Full:
-            raise ServiceOverloadedError(
-                f"admission queue is full ({self._queue.maxsize} requests); "
-                f"retry later or submit with wait=True"
-            ) from None
+    def run(self, fn: Callable, *args) -> Future:
+        """Run other serving work (a progressive flight, a hot swap) on
+        the pool, in a copy of the caller's context so its trace carries
+        on there; the caller owns the returned future."""
+        return self._pool.submit(contextvars.copy_context().run, fn, *args)
 
-    def next_batch(self, poll_s: float = 0.05) -> Optional[List]:
-        """Wait for a free serving thread, then take what is queued;
-        ``None`` once stopped and drained."""
-        with self._slots:
-            self._slots.wait_for(lambda: self._busy < self.n_workers)
+    def close(self) -> None:
+        """Answer everything put so far, stop, then re-raise the first
+        delivery error.  Nothing may be :meth:`put` once this is called."""
+        with self._changed:
+            self._closing = True
+            self._changed.notify()
+        self._collector.join()
+        self._pool.shutdown(wait=True)
+        if self._errors:
+            raise self._errors[0]
+
+    def _next_batch(self) -> Optional[List[CoreRequest]]:
+        """Wait for a free serving thread and a queued request, then take
+        what is queued; ``None`` once closing with nothing left."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: (self._queue and self._busy < self.n_workers)
+                or (self._closing and not self._queue)
+            )
+            take = min(len(self._queue), self.max_batch)
+            return [self._queue.popleft() for _ in range(take)] or None
+
+    def _collect(self) -> None:
+        core = self.core
         while True:
+            batch = self._next_batch()
+            if batch is None:
+                return
+            core.record_batch(len(batch))
+            groups, failures = core.group(batch)
+            for request, exc in failures:
+                self._deliver(request, exc)
+            for signature, (model, members) in groups.items():
+                # Never blocks: groups beyond the free threads wait in the
+                # pool's own queue.
+                with self._changed:
+                    self._busy += 1
+                self._pool.submit(self._serve, model, members, signature)
+
+    def _serve(self, model, requests: List[CoreRequest], signature) -> None:
+        """One group on a pool thread: answer, deliver, free the thread."""
+        try:
             try:
-                batch = [self._queue.get(timeout=poll_s)]
-                break
-            except queue.Empty:
-                if self._stopped.is_set():
-                    return None
-        while len(batch) < self.max_batch:
-            try:
-                batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return batch
+                results = self.core.serve_group(model, requests, signature)
+            except BaseException as exc:  # a fault in the core itself
+                self._errors.append(exc)
+                results = [exc] * len(requests)
+            for request, result in zip(requests, results):
+                self._deliver(request, result)
+        finally:
+            with self._changed:
+                self._busy -= 1
+                self._changed.notify()
 
-    def claim(self) -> None:
-        """Count one dispatched group as busy until its :meth:`release`.
-
-        Never blocks: the groups of one batch are all dispatched, and any
-        beyond the free threads wait in the shell's pool queue.
-        """
-        with self._slots:
-            self._busy += 1
-
-    def release(self) -> None:
-        """A dispatched group finished; its thread is free again."""
-        with self._slots:
-            self._busy -= 1
-            self._slots.notify_all()
-
-    def wait_idle(self) -> None:
-        """Block until every claimed group has been released."""
-        with self._slots:
-            self._slots.wait_for(lambda: self._busy == 0)
-
-    def stop(self) -> None:
-        self._stopped.set()
+    def _deliver(self, request: CoreRequest, outcome) -> None:
+        try:
+            request.deliver(outcome)
+        except BaseException as exc:  # re-raised by close()
+            self._errors.append(exc)
+        finally:
+            self.core.gate.release()
 
 
 class _InflightJoin:
@@ -365,12 +418,12 @@ class ServingCore:
 
     Pure request-in/answer-out: :meth:`submit` answers one query with
     admission control; :meth:`serve_batch` answers a whole micro-batch
-    with join-signature grouping and single-flight coalescing.  Shells
-    that bring their own concurrency call the pieces directly —
-    :meth:`prepare` / :meth:`group` on their front-end,
-    :meth:`serve_group` from worker threads — and every path lands in the
-    same counters, so :meth:`stats` is truthful no matter which transport
-    drove the work.
+    with join-signature grouping and single-flight coalescing, on the
+    calling thread.  Shells :meth:`prepare` and :meth:`admit` on their
+    front-end and hand requests to a :class:`Dispatcher`, which drives
+    :meth:`group` and :meth:`serve_group` on its threads; every path
+    lands in the same counters, so :meth:`stats` is truthful no matter
+    which transport drove the work.
 
     Thread-safe throughout; contains no event loop and no asyncio.
     """
@@ -423,13 +476,27 @@ class ServingCore:
         validate_query_columns(self.engine.db, query)
         return query
 
-    def count_request(self) -> None:
+    def admit(self, wait: bool) -> bool:
+        """Count one request and take an admission slot if one is free.
+
+        The non-blocking step every shell shares; each shell waits its
+        own way.  Returns ``False`` when the gate is full and the caller
+        is to wait for a slot (``gate.acquire``).  With ``wait=False`` a
+        full gate is counted as a rejection and raises
+        :class:`~repro.errors.ServiceOverloadedError` instead.
+        """
         with self._lock:
             self._counters.requests += 1
-
-    def count_rejected(self) -> None:
+        if self.gate.try_acquire():
+            return True
+        if wait:
+            return False
         with self._lock:
             self._counters.rejected += 1
+        raise ServiceOverloadedError(
+            f"{self.config.max_queue} requests already in service; "
+            f"retry later or submit with wait=True"
+        )
 
     def count_failed(self, n: int = 1) -> None:
         with self._lock:
@@ -440,20 +507,14 @@ class ServingCore:
             self._counters.batches += 1
         self._batch_hist.observe(size)
 
-    def overloaded_error(self) -> ServiceOverloadedError:
-        return ServiceOverloadedError(
-            f"{self.config.max_queue} requests already in service; "
-            f"retry later or submit with wait=True"
-        )
-
     # ------------------------------------------------------------------
     # Routing and grouping
     # ------------------------------------------------------------------
     def route(self, request: CoreRequest) -> Tuple[Optional[_CompletionModelBase], Tuple]:
         """Model selection → (model, join signature) for one request.
 
-        Must stay cheap (shells may call it on their event loop): plain
-        selection is a ranked-list lookup.  *Suspected-bias* selection
+        Must stay cheap (the dispatcher's collector runs it between
+        batches): plain selection is a ranked-list lookup.  *Suspected-bias* selection
         evaluates candidate aggregates on completed joins — real
         completion work — so those requests get a private group and the
         biased selection runs where the group is served.
@@ -476,13 +537,15 @@ class ServingCore:
         """Partition a batch by join signature (selection runs here).
 
         Returns ``(groups, failures)``: requests whose routing raised are
-        counted failed and returned for the shell to dispose of.
+        counted failed and returned for the caller to answer.
         """
         groups: Dict[Tuple, Tuple[Optional[_CompletionModelBase], List]] = {}
         failures: List[Tuple[object, BaseException]] = []
         for request in batch:
             try:
-                model, signature = self.route(request)
+                # Selection spans belong to the request's trace too.
+                with activate(request.trace_ctx):
+                    model, signature = self.route(request)
             except BaseException as exc:  # selection errors belong to the caller
                 self.count_failed()
                 failures.append((request, exc))
@@ -616,8 +679,8 @@ class ServingCore:
     def serve_batch(self, requests: List) -> List:
         """Group and answer one micro-batch; results align with ``requests``.
 
-        The fully synchronous path (direct use, tests, simple shells);
-        shells with their own worker pools fan the groups out themselves.
+        The fully synchronous path (direct use, tests): no threads, no
+        ``deliver``; shells go through a :class:`Dispatcher` instead.
         """
         self.record_batch(len(requests))
         results: List = [None] * len(requests)
@@ -646,11 +709,7 @@ class ServingCore:
         """
         with trace("serve.submit", tenant=tenant):
             query = self.prepare(query)
-            self.count_request()
-            if not self.gate.try_acquire():
-                if not wait:
-                    self.count_rejected()
-                    raise self.overloaded_error()
+            if not self.admit(wait):
                 self.gate.acquire()
             try:
                 request = CoreRequest(
@@ -781,7 +840,7 @@ class ServingCore:
     def stats(self, queued: int = 0) -> ServiceStats:
         """Latency percentiles, batching/coalescing counters, cache and
         progressive-refinement metrics; ``queued`` is supplied by the
-        shell that owns the front-end queue."""
+        shell, from its :class:`Dispatcher`."""
         with self._lock:
             counters = _Counters(**vars(self._counters))
         sizes = self._batch_hist.values()

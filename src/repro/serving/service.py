@@ -1,14 +1,16 @@
 """The asyncio shell over the transport-agnostic serving core.
 
 :class:`CompletionService` is a thin event-loop adapter around
-:class:`~repro.serving.core.ServingCore`: the core owns micro-batching
-policy, join-signature grouping, single-flight coalescing, admission and
-every statistic; this shell contributes only what an event loop must —
-awaitable admission, an asyncio batch collector, futures for callers, and
-a thread pool so numpy crunches off the loop.  Joins for *different*
-signatures run concurrently (the completion cache is thread-safe), and the
-observable behaviour — answers, errors, counters, backpressure — is
-exactly the core's, which is also what the process workers of a
+:class:`~repro.serving.core.ServingCore`: the core owns admission policy,
+join-signature grouping, single-flight coalescing and every statistic, and
+its :class:`~repro.serving.core.Dispatcher` queues, batches and serves on
+its own threads, so numpy crunches off the loop.  This shell contributes
+only what an event loop must — awaitable admission, and a ``deliver``
+callback that settles each caller's future through
+``loop.call_soon_threadsafe``.  Joins for *different* signatures run
+concurrently (the completion cache is thread-safe), and the observable
+behaviour — answers, errors, counters, backpressure, the drain on close —
+is exactly the core's, which is also what the process workers of a
 :class:`~repro.serving.FleetRouter` expose over the wire.
 
 Queries are validated on submission: a column that does not exist in the
@@ -19,18 +21,18 @@ never a raw ``KeyError`` from deep inside the executor.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import List, Optional, Sequence
 
 from ..core.engine import Answer, ReStore
-from ..core.models import _CompletionModelBase
 from ..core.progressive import SamplingBudget
 from ..core.selection import SuspectedBias
 from ..errors import ServiceClosedError
-from .batching import MicroBatcher, ServiceRequest
+from ..obs import current_context
 from .core import (
     FLIGHT_DONE,
+    CoreRequest,
+    Dispatcher,
     QueryLike,
     ServiceConfig,
     ServiceStats,
@@ -38,6 +40,16 @@ from .core import (
 )
 
 __all__ = ["CompletionService", "ServiceConfig", "ServiceStats"]
+
+
+def _settle(future: "asyncio.Future", outcome) -> None:
+    """Resolve a caller's future on its loop (unless the caller left)."""
+    if future.done():
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 class CompletionService:
@@ -54,66 +66,39 @@ class CompletionService:
     All submissions must come from the event loop the service was started
     on.  The engine is shared, not copied: answers are exactly what
     ``engine.answer`` would return, including completed-join provenance.
-
-    A pre-built :class:`~repro.serving.ServingCore` may be passed instead
-    of (engine, config) — e.g. to share one core between shells in tests.
     """
 
-    def __init__(
-        self,
-        engine: ReStore,
-        config: Optional[ServiceConfig] = None,
-        core: Optional[ServingCore] = None,
-    ):
-        self.core = core if core is not None else ServingCore(engine, config)
+    def __init__(self, engine: ReStore, config: Optional[ServiceConfig] = None):
+        self.core = ServingCore(engine, config)
         self.engine = self.core.engine
         self.config = self.core.config
-        self._batcher = MicroBatcher(
-            max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            n_workers=self.config.n_workers,
-        )
-        self._progressive_drivers: set = set()
-        self._group_tasks: set = set()
-        self._collector: Optional["asyncio.Task"] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._dispatcher: Optional[Dispatcher] = None
+        #: admitted this loop iteration, handed over together
+        self._pending: List[CoreRequest] = []
         self._running = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "CompletionService":
-        if self._running:
-            return self
-        self._batcher.start()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.n_workers,
-            thread_name_prefix="restore-serve",
-        )
-        self._collector = asyncio.get_running_loop().create_task(
-            self._collect_forever()
-        )
-        self._running = True
+        if not self._running:
+            self._dispatcher = Dispatcher(self.core)
+            self._running = True
         return self
 
     async def close(self) -> None:
-        """Stop admissions, finish in-flight groups, fail queued requests."""
+        """Stop admitting, answer every admitted request, stop the threads.
+
+        Requests still waiting for admission fail with
+        :class:`~repro.errors.ServiceClosedError`; every admitted one is
+        answered.  The drain runs off the loop, which keeps settling
+        answers meanwhile; the first error a delivery raised is re-raised.
+        """
         if not self._running:
             return
         self._running = False
-        assert self._collector is not None and self._pool is not None
-        self._collector.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._collector
-        for request in self._batcher.drain():
-            self.core.count_failed()
-            request.fail(ServiceClosedError("service closed before dispatch"))
-        if self._group_tasks:
-            await asyncio.gather(*list(self._group_tasks), return_exceptions=True)
-        if self._progressive_drivers:
-            await asyncio.gather(*list(self._progressive_drivers),
-                                 return_exceptions=True)
-        self._pool.shutdown(wait=True)
+        self._hand_over()
+        await asyncio.to_thread(self._dispatcher.close)
 
     async def __aenter__(self) -> "CompletionService":
         return await self.start()
@@ -124,25 +109,19 @@ class CompletionService:
     # ------------------------------------------------------------------
     # Admission (awaitable adapter over the core's gate)
     # ------------------------------------------------------------------
-    async def _acquire_slot(self, wait: bool) -> None:
-        core = self.core
-        if core.gate.try_acquire():
-            return
-        if not wait:
-            core.count_rejected()
-            raise core.overloaded_error()
+    async def _slot_granted(self) -> None:
+        """Await an admission slot (the core's gate, FIFO)."""
+        gate = self.core.gate
         loop = asyncio.get_running_loop()
         granted: "asyncio.Future" = loop.create_future()
 
         def _grant_on_loop() -> None:
             if granted.cancelled():
-                core.gate.release()  # slot arrived after the caller left
+                gate.release()  # slot arrived after the caller left
             else:
                 granted.set_result(None)
 
-        core.gate.acquire(
-            lambda: loop.call_soon_threadsafe(_grant_on_loop)
-        )
+        gate.acquire(lambda: loop.call_soon_threadsafe(_grant_on_loop))
         await granted
 
     # ------------------------------------------------------------------
@@ -166,21 +145,30 @@ class CompletionService:
         if not self._running:
             raise ServiceClosedError("service is not running; use 'async with'")
         query = self.core.prepare(query)
+        if not self.core.admit(wait):
+            await self._slot_granted()
+            if not self._running:  # closed while waiting for admission
+                self.core.gate.release()
+                raise ServiceClosedError("service closed while awaiting admission")
         loop = asyncio.get_running_loop()
-        self.core.count_request()
-        await self._acquire_slot(wait)
-        if not self._running:  # closed while waiting for admission
-            self.core.gate.release()
-            raise ServiceClosedError("service closed while awaiting admission")
-        request = ServiceRequest(
+        future = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._hand_over)
+        self._pending.append(CoreRequest(
             query=query,
-            future=loop.create_future(),
             enqueued_at=self.core.clock(),
             suspected_bias=suspected_bias,
-        )
-        request.future.add_done_callback(lambda _f: self.core.gate.release())
-        await self._batcher.put(request, wait=True)
-        return await request.future
+            trace_ctx=current_context(),
+            deliver=functools.partial(loop.call_soon_threadsafe, _settle, future),
+        ))
+        return await future
+
+    def _hand_over(self) -> None:
+        """Put what this loop iteration admitted in one call, so requests
+        submitted together share a batch whatever the dispatcher's
+        threads were doing meanwhile."""
+        pending, self._pending = self._pending, []
+        self._dispatcher.put(*pending)
 
     async def submit_many(self, queries: Sequence[QueryLike]) -> List[Answer]:
         """Submit queries concurrently (one micro-batch candidate) and await all."""
@@ -216,12 +204,12 @@ class CompletionService:
         key = self.core.progressive_key(query, budget, suspected_bias)
         flight, created = self.core.open_progressive(key)
         if created:
-            driver = loop.run_in_executor(
-                self._pool, self.core.drive_progressive,
+            # The driver hands engine errors to the subscribers itself;
+            # close() waits for it with the rest of the pool.
+            self._dispatcher.run(
+                self.core.drive_progressive,
                 key, flight, query, budget, suspected_bias,
             )
-            self._progressive_drivers.add(driver)
-            driver.add_done_callback(self._progressive_drivers.discard)
         queue: "asyncio.Queue" = asyncio.Queue()
         flight.subscribe(
             lambda item: loop.call_soon_threadsafe(queue.put_nowait, item)
@@ -235,65 +223,20 @@ class CompletionService:
             yield item
 
     # ------------------------------------------------------------------
-    # Batch collection and dispatch
-    # ------------------------------------------------------------------
-    async def _collect_forever(self) -> None:
-        while True:
-            batch = await self._batcher.next_batch()
-            self.core.record_batch(len(batch))
-            groups, failures = self.core.group(batch)
-            for request, exc in failures:
-                request.fail(exc)
-            for signature, (model, requests) in groups.items():
-                self._batcher.claim()
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_group(signature, model, requests)
-                )
-                self._group_tasks.add(task)
-                task.add_done_callback(self._group_done)
-
-    def _group_done(self, task: "asyncio.Task") -> None:
-        self._group_tasks.discard(task)
-        self._batcher.release()
-
-    async def _serve_group(
-        self,
-        signature: Tuple,
-        model: Optional[_CompletionModelBase],
-        requests: List[ServiceRequest],
-    ) -> None:
-        """One signature group: single-flight join + answers, off the loop.
-
-        The whole of :meth:`ServingCore.serve_group` runs on a pool
-        thread; the single-flight *leader* computes the join in that same
-        thread, so followers waiting on it can never starve the pool.
-        """
-        loop = asyncio.get_running_loop()
-        results = await loop.run_in_executor(
-            self._pool, self.core.serve_group, model, requests, signature
-        )
-        for request, result in zip(requests, results):
-            if isinstance(result, BaseException):
-                request.fail(result)
-            else:
-                request.succeed(result)
-
-    # ------------------------------------------------------------------
     # Hot swap
     # ------------------------------------------------------------------
     async def hot_swap(self, artifact_path) -> dict:
         """Swap to the engine stored at ``artifact_path`` without downtime.
 
-        Loading and validation run on the worker pool (no event-loop
+        Loading and validation run on the serving pool (no event-loop
         stall); the core performs the swap only after the replacement
         loaded cleanly, so a corrupt artifact raises here and the old
         engine keeps serving.  Groups already dispatched finish on the
         engine they were routed against; later batches use the new one.
         """
-        if self._running and self._pool is not None:
-            loop = asyncio.get_running_loop()
-            info = await loop.run_in_executor(
-                self._pool, self.core.hot_swap, artifact_path
+        if self._running:
+            info = await asyncio.wrap_future(
+                self._dispatcher.run(self.core.hot_swap, artifact_path)
             )
         else:
             info = self.core.hot_swap(artifact_path)
@@ -308,4 +251,7 @@ class CompletionService:
         progressive-refinement metrics (refinements per query, budget
         utilization, partial-cache hit rate) — the core's one truthful
         snapshot."""
-        return self.core.stats(queued=self._batcher.qsize())
+        queued = len(self._pending)
+        if self._dispatcher is not None:
+            queued += self._dispatcher.qsize()
+        return self.core.stats(queued=queued)

@@ -4,24 +4,22 @@ A :class:`ServiceWorker` is what a fleet spawns per process: it loads a
 versioned artifact (:mod:`repro.serving.artifacts`) into a fresh engine,
 wraps it in the transport-agnostic core, and serves the length-prefixed
 wire protocol (:mod:`repro.serving.protocol`) over a single router
-connection.  All serving behaviour — micro-batching, join-signature
-grouping, single-flight coalescing, admission, stats — is the core's;
-this shell only moves frames:
+connection.  All serving behaviour — admission, micro-batching,
+join-signature grouping, single-flight coalescing, stats, the drain — is
+the core's; this shell only moves frames:
 
-* a **reader** (the calling thread) decodes frames: queries are admitted
-  through the core's gate (overload ⇒ an ``error`` frame with the
-  ``service_overloaded`` wire code) into a :class:`SyncMicroBatcher`;
-  ``stats`` and ``shutdown`` are answered inline;
-* a **collector** thread takes a micro-batch — whatever is queued — as
-  soon as a serving thread is free, groups it by join signature and fans
-  the groups out over a small thread pool;
-* replies are written under a send lock, one ``answer``/``error`` frame
-  per request id — the router correlates them, so responses may arrive
-  in any order.
+* the **reader** (the calling thread) decodes frames: queries are admitted
+  through the core (a refusal ⇒ an ``error`` frame with the
+  ``service_overloaded`` wire code) into the core's
+  :class:`~repro.serving.core.Dispatcher`; ``stats`` and ``shutdown`` are
+  answered inline;
+* each request's ``deliver`` writes its ``answer``/``error`` frame under a
+  send lock, with that request's spans — the router correlates replies by
+  request id, so they may arrive in any order.
 
 Shutdown is drain-clean: on a ``shutdown`` frame (or EOF) the worker
-stops admitting, finishes every in-flight batch, answers everything it
-accepted, then sends a final ``bye`` frame carrying its closing stats —
+stops admitting, closes the dispatcher — which answers everything it
+accepted — then sends a final ``bye`` frame carrying its closing stats:
 zero dropped in-flight requests, which the fleet tests assert.
 
 :func:`worker_main` is the process entry point used by
@@ -33,22 +31,18 @@ where available, loopback TCP otherwise), reports the address through a
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.engine import ReStore
-from ..core.selection import SuspectedBias
-from ..errors import ServiceOverloadedError
 from ..obs import enable_tracing, get_logger, get_tracer, tracing_enabled
 from ..obs.trace import TraceContext
-from ..query import Query
 from ..version import repro_version
-from .core import ServiceConfig, ServingCore, SyncMicroBatcher
+from .core import CoreRequest, Dispatcher, ServiceConfig, ServingCore
 from .protocol import (
     PROTOCOL_VERSION,
     error_fields,
@@ -60,18 +54,6 @@ from .protocol import (
 __all__ = [
     "ServiceWorker", "worker_main", "bind_worker_socket", "close_worker_socket",
 ]
-
-
-@dataclass
-class _WireRequest:
-    """One admitted query frame (duck-typed for :meth:`ServingCore.group`)."""
-
-    query: Query
-    enqueued_at: float
-    request_id: object
-    suspected_bias: Optional[SuspectedBias] = None
-    tenant: str = "default"
-    trace_ctx: Optional[TraceContext] = None  #: router's trace context
 
 
 class ServiceWorker:
@@ -100,19 +82,7 @@ class ServiceWorker:
         Blocking; drives the reader loop on the calling thread and
         completes every admitted request before returning.
         """
-        config = self.core.config
         send_lock = threading.Lock()
-        batcher = SyncMicroBatcher(
-            max_queue=config.max_queue,
-            max_batch=config.max_batch,
-            n_workers=config.n_workers,
-        )
-        pool = ThreadPoolExecutor(
-            max_workers=config.n_workers, thread_name_prefix="restore-worker"
-        )
-        # The first exception a group raised past serve_group; re-raised
-        # once the session has drained.
-        group_errors: list = []
 
         def reply(kind: str, **fields) -> None:
             with send_lock:
@@ -121,48 +91,7 @@ class ServiceWorker:
                 except OSError:
                     pass  # router vanished; draining continues regardless
 
-        def serve_and_reply(model, members, signature) -> None:
-            results = self.core.serve_group(model, members, signature)
-            for request, result in zip(members, results):
-                spans = None
-                if request.trace_ctx is not None and tracing_enabled():
-                    # Drain this request's spans into the reply: the router
-                    # ingests them, stitching one cross-process trace tree.
-                    spans = get_tracer().take(request.trace_ctx.trace_id)
-                if isinstance(result, BaseException):
-                    reply("error", spans=spans,
-                          **error_fields(request.request_id, result))
-                else:
-                    reply("answer", id=request.request_id,
-                          answer=strip_answer(result), spans=spans)
-                self.core.gate.release()
-
-        def group_done(future) -> None:
-            error = future.exception()
-            if error is not None and not group_errors:
-                group_errors.append(error)
-            batcher.release()
-
-        def collect() -> None:
-            while True:
-                batch = batcher.next_batch()
-                if batch is None:
-                    return
-                self.core.record_batch(len(batch))
-                groups, failures = self.core.group(batch)
-                for request, exc in failures:
-                    reply("error", **error_fields(request.request_id, exc))
-                    self.core.gate.release()
-                for signature, (model, members) in groups.items():
-                    batcher.claim()
-                    pool.submit(
-                        serve_and_reply, model, members, signature
-                    ).add_done_callback(group_done)
-
-        collector = threading.Thread(
-            target=collect, name="restore-worker-collect", daemon=True
-        )
-        collector.start()
+        dispatcher = Dispatcher(self.core)
         saw_shutdown = False
         try:
             while True:
@@ -178,12 +107,12 @@ class ServiceWorker:
                         pid=os.getpid(),
                     )
                 elif kind == "query":
-                    self._admit(frame, batcher, reply)
+                    self._admit(frame, dispatcher, reply)
                 elif kind == "stats":
                     reply(
                         "stats_reply",
                         id=frame.get("id"),
-                        stats=self.core.stats(queued=batcher.qsize()).as_dict(),
+                        stats=self.core.stats(queued=dispatcher.qsize()).as_dict(),
                     )
                 elif kind == "swap":
                     # Hot swap runs inline on the reader thread: no new
@@ -207,15 +136,10 @@ class ServiceWorker:
                 # unknown kinds are ignored: a newer router may probe
         finally:
             self._log.info(
-                "worker.drain", pid=os.getpid(), queued=batcher.qsize(),
+                "worker.drain", pid=os.getpid(), queued=dispatcher.qsize(),
                 shutdown=saw_shutdown,
             )
-            batcher.stop()
-            collector.join()
-            batcher.wait_idle()
-            pool.shutdown(wait=True)
-            if group_errors:
-                raise group_errors[0]
+            dispatcher.close()
             if saw_shutdown:
                 reply(
                     "bye",
@@ -223,24 +147,14 @@ class ServiceWorker:
                 )
         return saw_shutdown
 
-    def _admit(self, frame: dict, batcher: SyncMicroBatcher, reply) -> None:
+    def _admit(self, frame: dict, dispatcher: Dispatcher, reply: Callable) -> None:
         """Validate + admit one query frame (reader thread, must stay cheap)."""
         request_id = frame.get("id")
         try:
             query = self.core.prepare(frame["query"])
-        except BaseException as exc:
+            self.core.admit(wait=False)
+        except Exception as exc:  # refused: the error frame is the answer
             reply("error", **error_fields(request_id, exc))
-            return
-        self.core.count_request()
-        if not self.core.gate.try_acquire():
-            self.core.count_rejected()
-            reply("error", **error_fields(
-                request_id,
-                ServiceOverloadedError(
-                    f"worker admission full "
-                    f"({self.core.config.max_queue} in service)"
-                ),
-            ))
             return
         trace_ctx = TraceContext.from_wire(frame.get("trace"))
         if trace_ctx is not None and trace_ctx.sampled and not tracing_enabled():
@@ -248,17 +162,29 @@ class ServiceWorker:
             # request's worker-side spans exist to ship back.  Requests
             # without a trace field never pay for this.
             enable_tracing()
-        request = _WireRequest(
+        dispatcher.put(CoreRequest(
             query=query,
             enqueued_at=self.core.clock(),
-            request_id=request_id,
             suspected_bias=frame.get("suspected_bias"),
             tenant=frame.get("tenant", "default"),
             trace_ctx=trace_ctx,
-        )
-        # The gate bounds in-service requests at max_queue, so the batcher
-        # queue (same capacity) can never be full here.
-        batcher.put(request, wait=True)
+            deliver=functools.partial(_send_outcome, reply, request_id, trace_ctx),
+        ))
+
+
+def _send_outcome(
+    reply: Callable, request_id, trace_ctx: Optional[TraceContext], outcome
+) -> None:
+    """One request's reply frame, carrying its spans when it was traced."""
+    spans = None
+    if trace_ctx is not None and tracing_enabled():
+        # Drain this request's spans into the reply: the router ingests
+        # them, stitching one cross-process trace tree.
+        spans = get_tracer().take(trace_ctx.trace_id)
+    if isinstance(outcome, BaseException):
+        reply("error", spans=spans, **error_fields(request_id, outcome))
+    else:
+        reply("answer", id=request_id, answer=strip_answer(outcome), spans=spans)
 
 
 # ----------------------------------------------------------------------

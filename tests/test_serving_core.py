@@ -8,7 +8,11 @@ with plain threads.  A source-level test pins the headline invariant:
 ``serving/core.py`` imports no asyncio.
 """
 
+import contextvars
+import functools
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -25,10 +29,10 @@ from repro.nn import TrainConfig
 from repro.serving import (
     AdmissionGate,
     CoreRequest,
+    Dispatcher,
     ProgressiveFlight,
     ServiceConfig,
     ServingCore,
-    SyncMicroBatcher,
 )
 from repro.serving.core import FLIGHT_DONE
 
@@ -179,63 +183,208 @@ class TestAdmissionGate:
 
 
 # ----------------------------------------------------------------------
-# SyncMicroBatcher
+# Dispatcher
 # ----------------------------------------------------------------------
 
 
-class TestSyncMicroBatcher:
-    def test_collects_up_to_max_batch(self):
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=3)
-        for i in range(5):
-            batcher.put(i)
-        assert batcher.next_batch() == [0, 1, 2]
-        assert batcher.next_batch() == [3, 4]
+def _admitted(core: ServingCore, deliver, **kwargs) -> CoreRequest:
+    """A request holding its admission slot, as a shell puts it."""
+    assert core.admit(wait=False)
+    return _request(core, COMPLETE_ONLY_SQL, deliver=deliver, **kwargs)
 
-    def test_stop_drains_then_signals_none(self):
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=8)
-        batcher.put("x")
-        batcher.stop()
-        assert batcher.next_batch(poll_s=0.01) == ["x"]
-        assert batcher.next_batch(poll_s=0.01) is None
 
-    def test_full_queue_rejects_without_wait(self):
-        batcher = SyncMicroBatcher(max_queue=1, max_batch=8)
-        batcher.put("x")
-        with pytest.raises(ServiceOverloadedError):
-            batcher.put("y", wait=False)
+class _Blocker:
+    """A ``deliver`` that holds its serving thread until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.proceed = threading.Event()
+        self.outcome = None
+
+    def __call__(self, outcome):
+        self.outcome = outcome
+        self.entered.set()
+        self.proceed.wait(timeout=30)
+
+
+class TestDispatcher:
+    """The one serving loop, driven with plain threads over a real core."""
 
     @staticmethod
-    def _collect_in_thread(batcher, **kwargs):
-        out: list = []
-        thread = threading.Thread(
-            target=lambda: out.append(batcher.next_batch(**kwargs)),
-            daemon=True,
+    def _start(engine, **config):
+        engine.clear_cache()
+        core = ServingCore(engine, ServiceConfig(**config))
+        return core, Dispatcher(core)
+
+    def test_collects_up_to_max_batch(self, engine):
+        core, dispatcher = self._start(engine, max_batch=3, n_workers=1)
+        blocker, outcomes = _Blocker(), []
+        try:
+            dispatcher.put(_admitted(core, blocker))
+            assert blocker.entered.wait(timeout=30)  # the only thread is busy
+            for _ in range(5):
+                dispatcher.put(_admitted(core, outcomes.append))
+            assert dispatcher.qsize() == 5
+        finally:
+            blocker.proceed.set()
+            dispatcher.close()
+        stats = core.stats()
+        assert (stats.batches, stats.max_batch_size) == (3, 3)  # 1, 3, 2
+        assert [o.used_completion for o in outcomes] == [False] * 5
+
+    def test_lone_request_is_taken_at_once(self, engine):
+        # No timer holds a batch open for company: the request is answered
+        # while the dispatcher keeps running, not by close().
+        core, dispatcher = self._start(engine)
+        delivered = threading.Event()
+        try:
+            dispatcher.put(_admitted(core, lambda _outcome: delivered.set()))
+            assert delivered.wait(timeout=10)
+        finally:
+            dispatcher.close()
+        assert core.stats().batches == 1
+
+    def test_requests_queued_while_all_threads_busy_form_one_batch(self, engine):
+        core, dispatcher = self._start(engine, n_workers=2)
+        blockers, outcomes = [_Blocker(), _Blocker()], []
+        try:
+            for blocker in blockers:  # one batch and one thread each
+                dispatcher.put(_admitted(core, blocker))
+                assert blocker.entered.wait(timeout=30)
+            for _ in range(3):
+                dispatcher.put(_admitted(core, outcomes.append))
+            assert dispatcher.qsize() == 3  # no thread free, so no batch yet
+        finally:
+            for blocker in blockers:
+                blocker.proceed.set()
+            dispatcher.close()
+        stats = core.stats()
+        assert (stats.batches, stats.max_batch_size) == (3, 3)
+        assert len(outcomes) == 3
+
+    def test_stress_delivers_every_request_exactly_once(self, engine):
+        # More serving threads than cores and a tiny switch interval: a
+        # lost update to the queue or the busy count would drop, repeat or
+        # strand a request, or leave its admission slot held.
+        core, dispatcher = self._start(
+            engine, max_queue=200, max_batch=7, n_workers=4
         )
-        thread.start()
-        return thread, out
+        delivered: Counter = Counter()
+        lock = threading.Lock()
 
-    def test_lone_request_is_taken_at_once(self):
-        # Nothing holds the batch open for company: with a poll interval
-        # far beyond the join timeout, only an immediate return passes.
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=8)
-        batcher.put("x")
-        thread, out = self._collect_in_thread(batcher, poll_s=600.0)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert out == [["x"]]
+        def deliver_to(i):
+            def deliver(outcome):
+                with lock:
+                    delivered[i] += 1
+            return deliver
 
-    def test_requests_queued_while_all_threads_busy_form_one_batch(self):
-        batcher = SyncMicroBatcher(max_queue=16, max_batch=8, n_workers=2)
-        batcher.claim()
-        batcher.claim()  # both serving threads busy
-        thread, out = self._collect_in_thread(batcher)
-        for item in "abc":
-            batcher.put(item)
-        assert out == []  # no thread free, so no batch yet
-        batcher.release()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert out == [["a", "b", "c"]]
+        def produce(first):
+            for i in range(first, first + 50):
+                dispatcher.put(_admitted(core, deliver_to(i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producers = [
+                threading.Thread(target=produce, args=(50 * k,), daemon=True)
+                for k in range(4)
+            ]
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in producers)
+        finally:
+            sys.setswitchinterval(interval)
+            closer = threading.Thread(target=dispatcher.close, daemon=True)
+            closer.start()
+            closer.join(timeout=60)
+        assert not closer.is_alive()  # a lost busy-count update hangs here
+        assert delivered == Counter(range(200))
+        assert core.gate.in_service() == 0
+        stats = core.stats()
+        assert stats.completed == 200 and stats.failed == 0
+
+    def test_close_drains_everything_queued_then_ends(self, engine):
+        core, dispatcher = self._start(engine, max_batch=2, n_workers=1)
+        blocker, outcomes = _Blocker(), []
+        dispatcher.put(_admitted(core, blocker))
+        assert blocker.entered.wait(timeout=30)
+        for _ in range(3):
+            dispatcher.put(_admitted(core, outcomes.append))
+        closer = threading.Thread(target=dispatcher.close, daemon=True)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # close() waits for the queued requests
+        blocker.proceed.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert blocker.outcome is not None and len(outcomes) == 3
+        assert core.gate.in_service() == 0  # every slot released
+
+    def test_close_reraises_a_failed_delivery_after_answering_the_rest(
+        self, engine
+    ):
+        core, dispatcher = self._start(engine, n_workers=1)
+        blocker, outcomes = _Blocker(), []
+
+        def broken(_outcome):
+            raise RuntimeError("caller went away")
+
+        dispatcher.put(_admitted(core, blocker))
+        assert blocker.entered.wait(timeout=30)
+        # One batch, one group: the broken delivery sits between two others.
+        for deliver in (outcomes.append, broken, outcomes.append):
+            dispatcher.put(_admitted(core, deliver))
+        blocker.proceed.set()
+        with pytest.raises(RuntimeError, match="caller went away"):
+            dispatcher.close()
+        assert len(outcomes) == 2
+        assert core.stats().max_batch_size == 3
+        assert core.gate.in_service() == 0
+
+    def test_routing_failure_is_delivered_and_frees_its_slot(
+        self, engine, monkeypatch
+    ):
+        core, dispatcher = self._start(engine)
+        real_route = core.route
+
+        def route(request):
+            if request.tenant == "doomed":
+                raise RuntimeError("no model for this request")
+            return real_route(request)
+
+        monkeypatch.setattr(core, "route", route)
+        outcomes: dict = {}
+        # One put, one batch: the failure sits between two good requests.
+        dispatcher.put(*(
+            _admitted(
+                core, functools.partial(outcomes.__setitem__, tenant),
+                tenant=tenant,
+            )
+            for tenant in ("first", "doomed", "last")
+        ))
+        dispatcher.close()  # a routing failure is an answer, not a fault
+        assert isinstance(outcomes.pop("doomed"), RuntimeError)
+        assert [o.used_completion for o in outcomes.values()] == [False, False]
+        stats = core.stats()
+        assert (stats.batches, stats.completed, stats.failed) == (1, 2, 1)
+        assert core.gate.in_service() == 0
+
+    def test_run_carries_the_callers_context_onto_the_pool(self, engine):
+        core, dispatcher = self._start(engine)
+        caller = contextvars.ContextVar("caller", default=None)
+        token = caller.set("client")
+        try:
+            future = dispatcher.run(
+                lambda: (caller.get(), threading.current_thread().name)
+            )
+            value, thread_name = future.result(timeout=30)
+        finally:
+            caller.reset(token)
+            dispatcher.close()
+        assert value == "client"
+        assert thread_name.startswith("restore-serve")
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +426,21 @@ class TestCoreServing:
             small.submit(COMPLETE_ONLY_SQL, wait=False)
         small.gate.release()
         assert small.stats().rejected == 1
+
+    def test_admit_counts_every_request_and_rejects_only_without_wait(
+        self, core
+    ):
+        small = ServingCore(core.engine, ServiceConfig(max_queue=1))
+        assert small.admit(wait=False)  # takes the only slot
+        assert small.admit(wait=True) is False  # the shell waits its own way
+        with pytest.raises(
+            ServiceOverloadedError, match="1 requests already in service"
+        ):
+            small.admit(wait=False)
+        small.gate.release()
+        stats = small.stats()
+        assert (stats.requests, stats.rejected) == (3, 1)
+        assert small.gate.in_service() == 0
 
     def test_unknown_column_raises_naming_candidates(self, core):
         # Validation happens in prepare(), before admission: the request

@@ -396,6 +396,7 @@ class TestServiceWorkerEndToEnd:
         finally:
             ours.close()
             server.join(timeout=10)
+            theirs.close()
             assert not server.is_alive()
 
     def test_worker_overload_maps_to_wire_code(self, fleet_artifact):
@@ -420,6 +421,8 @@ class TestServiceWorkerEndToEnd:
             worker.core.gate.release()
             ours.close()
             server.join(timeout=10)
+            theirs.close()
+        assert not server.is_alive()
 
     def test_malformed_sql_maps_to_query_invalid(self, fleet_artifact):
         """A query frame whose SQL does not parse is refused at admission
@@ -496,17 +499,17 @@ class TestServiceWorkerEndToEnd:
     def test_long_connection_retains_no_finished_groups(
         self, fleet_artifact, monkeypatch
     ):
-        import repro.serving.worker as worker_module
+        import repro.serving.core as core_module
 
         submitted = []
 
-        class RecordingPool(worker_module.ThreadPoolExecutor):
+        class RecordingPool(core_module.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 future = super().submit(*args, **kwargs)
                 submitted.append(weakref.ref(future))
                 return future
 
-        monkeypatch.setattr(worker_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(core_module, "ThreadPoolExecutor", RecordingPool)
         worker = ServiceWorker.from_artifact(fleet_artifact)
         ours, theirs = socket.socketpair()
         server = threading.Thread(

@@ -3,11 +3,13 @@
 Covers answer parity with direct engine calls, single-flight join
 coalescing (N identical concurrent queries → exactly one incompleteness
 join), admission backpressure and overload rejection, lifecycle edges
-(double start, close with queued work, submit after close), query
-validation errors, concurrent multi-client load, and the stats surface.
+(double start, close answering everything admitted, submit after
+close), the submitter's trace, query validation errors, concurrent
+multi-client load, and the stats surface.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -16,9 +18,15 @@ from repro import ReStore, ReStoreConfig, parse_query
 from repro.core import ModelConfig
 from repro.incomplete.registry import make_scenario_dataset
 from repro.nn import TrainConfig
+from repro.obs import (
+    Tracer,
+    disable_tracing,
+    enable_tracing,
+    set_tracer,
+    trace,
+)
 from repro.serving import (
     CompletionService,
-    MicroBatcher,
     ServiceClosedError,
     ServiceConfig,
     ServiceOverloadedError,
@@ -280,6 +288,124 @@ class TestLifecycle:
 
         assert run(main()).result.scalar > 0
 
+    def test_close_answers_every_admitted_request(
+        self, fresh_engine, monkeypatch
+    ):
+        """close() drains like a worker or a fleet: requests admitted
+        before it are answered, none fail with ServiceClosedError."""
+        real_answer = fresh_engine.answer
+        started = threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            started.set()
+            time.sleep(0.3)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_engine, "answer", slow_answer)
+
+        async def main():
+            config = ServiceConfig(n_workers=1, max_batch=1)
+            service = await CompletionService(fresh_engine, config).start()
+            pending = [
+                asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+                for _ in range(4)
+            ]
+            assert await asyncio.to_thread(started.wait, 30)
+            await service.close()
+            outcomes = await asyncio.gather(*pending, return_exceptions=True)
+            return outcomes, service.stats()
+
+        outcomes, stats = run(main())
+        assert [type(o).__name__ for o in outcomes] == ["Answer"] * 4
+        assert stats.completed == 4 and stats.failed == 0
+
+    def test_close_refuses_requests_still_waiting_for_admission(
+        self, fresh_engine, monkeypatch
+    ):
+        """Only admitted requests are answered: one still waiting for a
+        slot when close() starts fails with ServiceClosedError."""
+        real_answer = fresh_engine.answer
+        started = threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            started.set()
+            time.sleep(0.3)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_engine, "answer", slow_answer)
+
+        async def main():
+            config = ServiceConfig(max_queue=1, n_workers=1)
+            service = await CompletionService(fresh_engine, config).start()
+            admitted = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+            waiting = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+            assert await asyncio.to_thread(started.wait, 30)
+            await service.close()
+            outcomes = await asyncio.gather(
+                admitted, waiting, return_exceptions=True
+            )
+            return outcomes, service
+
+        (answer, refused), service = run(main())
+        assert type(answer).__name__ == "Answer"
+        assert isinstance(refused, ServiceClosedError)
+        assert service.core.gate.in_service() == 0
+
+    def test_close_does_not_block_the_event_loop(
+        self, fresh_engine, monkeypatch
+    ):
+        real_answer = fresh_engine.answer
+        started = threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            started.set()
+            time.sleep(0.3)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_engine, "answer", slow_answer)
+
+        async def main():
+            config = ServiceConfig(n_workers=1, max_batch=1)
+            service = await CompletionService(fresh_engine, config).start()
+            pending = [
+                asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+                for _ in range(2)
+            ]
+            assert await asyncio.to_thread(started.wait, 30)
+            closing = asyncio.ensure_future(service.close())
+            ticks = 0
+            while not closing.done():  # a blocked loop ticks once at most
+                await asyncio.sleep(0.01)
+                ticks += 1
+            await closing
+            await asyncio.gather(*pending)
+            return ticks
+
+        assert run(main()) >= 5
+
+
+class TestTracing:
+    def test_served_spans_join_the_submitters_trace(self, fresh_engine):
+        tracer = enable_tracing(tracer=Tracer())
+
+        async def main():
+            async with CompletionService(fresh_engine) as service:
+                with trace("client") as client:
+                    await service.submit(COMPLETION_SQL)
+                    async for _ in service.submit_progressive(COMPLETION_SQL):
+                        pass
+                return client.trace_id
+
+        try:
+            client_trace = run(main())
+            spans = tracer.spans()
+        finally:
+            disable_tracing()
+            set_tracer(Tracer())
+        names = {s.name for s in spans}
+        assert {"serve.group", "engine.answer", "engine.complete"} <= names
+        assert {s.trace_id for s in spans} == {client_trace}
+
 
 class TestConcurrentClients:
     @pytest.mark.parametrize("num_clients", [8, 32])
@@ -331,61 +457,6 @@ class TestStats:
         assert as_dict["max_batch_size"] <= 4
         assert as_dict["p50_latency_ms"] > 0
         assert 0 <= as_dict["cache"]["hit_rate"] <= 1
-
-
-class TestMicroBatcher:
-    def test_put_rejects_before_start(self):
-        batcher = MicroBatcher(max_queue=2, max_batch=2)
-
-        async def main():
-            with pytest.raises(ServiceClosedError):
-                await batcher.put(object())
-
-        run(main())
-
-    def test_nowait_put_rejects_when_full(self):
-        async def main():
-            batcher = MicroBatcher(max_queue=1, max_batch=4)
-            batcher.start()
-            await batcher.put("a", wait=False)
-            with pytest.raises(ServiceOverloadedError):
-                await batcher.put("b", wait=False)
-            return batcher.drain()
-
-        assert run(main()) == ["a"]
-
-    def test_next_batch_respects_max_batch(self):
-        async def main():
-            batcher = MicroBatcher(max_queue=8, max_batch=3)
-            batcher.start()
-            for item in range(5):
-                await batcher.put(item)
-            first = await batcher.next_batch()
-            second = await batcher.next_batch()
-            return first, second
-
-        first, second = run(main())
-        assert first == [0, 1, 2]
-        assert second == [3, 4]
-
-    def test_cancelled_collector_loses_nothing(self):
-        """Cancelled while it waits for a free serving thread, the
-        collector has taken nothing: drain() returns every request."""
-        async def main():
-            batcher = MicroBatcher(max_queue=8, max_batch=4, n_workers=1)
-            batcher.start()
-            batcher.claim()  # the only serving thread is busy
-            task = asyncio.ensure_future(batcher.next_batch())
-            for item in "xyz":
-                await batcher.put(item)
-            await asyncio.sleep(0)  # let the collector reach its wait
-            assert not task.done()
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-            return batcher.drain()
-
-        assert run(main()) == ["x", "y", "z"]
 
 
 class TestServiceHotSwap:
