@@ -6,7 +6,6 @@ from .path_data import (
     VariableSpec,
     assemble_training_data,
     build_encoders,
-    build_training_matrix,
 )
 from .forest import ChildIndex, EvidenceForest, build_child_index
 from .models import (
@@ -36,7 +35,6 @@ __all__ = [
     "TrainingData",
     "VariableSpec",
     "assemble_training_data",
-    "build_training_matrix",
     "build_encoders",
     "ChildIndex",
     "EvidenceForest",

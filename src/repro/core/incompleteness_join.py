@@ -1148,6 +1148,7 @@ class IncompletenessJoin:
             sampled = self.model.predict_tuple_factors(
                 prefix, slot, context=ctx,
                 min_counts=existing_counts[unknown], draws=u_tf[unknown],
+                context_ids=state.roots[unknown],
             )
             totals[unknown] = sampled
         totals = np.maximum(totals, existing_counts)
@@ -1362,6 +1363,7 @@ class IncompletenessJoin:
         sampled = self.model.sample_slot(
             part.codes, slot, context=part.context,
             draws=None if draws is None else draws[:, :num_vars],
+            context_ids=part.roots,
         )
         part.codes = sampled
         start, stop = self.layout.slot_range(slot)

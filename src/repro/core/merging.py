@@ -15,10 +15,9 @@ one model per merged group.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from ..relational import CompletionPath
 
@@ -43,27 +42,35 @@ class MergedGroup:
         return len(self.paths)
 
 
-def _order_graph(paths: Sequence[CompletionPath]) -> nx.DiGraph:
-    """Arcs from evidence tables to completed tables for all paths.
+def compatible_order(paths: Sequence[CompletionPath]) -> Optional[Tuple[str, ...]]:
+    """A table order serving all paths, or ``None`` if orders conflict.
 
     Along a path every table is completed using all tables before it, so
-    each prefix table points at each later table.
+    each earlier table must precede each later one.  Of the orders obeying
+    every path, this is the lexicographically smallest (Kahn's algorithm
+    with a heap); a cycle among the constraints leaves tables unplaced.
     """
-    graph = nx.DiGraph()
+    later: Dict[str, Set[str]] = {}
     for path in paths:
-        graph.add_nodes_from(path.tables)
-        for i, later in enumerate(path.tables):
+        for i, table in enumerate(path.tables):
+            later.setdefault(table, set())
             for earlier in path.tables[:i]:
-                graph.add_edge(earlier, later)
-    return graph
-
-
-def compatible_order(paths: Sequence[CompletionPath]) -> Optional[Tuple[str, ...]]:
-    """A table order serving all paths, or ``None`` if orders conflict."""
-    graph = _order_graph(paths)
-    if not nx.is_directed_acyclic_graph(graph):
-        return None
-    return tuple(nx.lexicographical_topological_sort(graph))
+                later[earlier].add(table)
+    waiting = dict.fromkeys(later, 0)
+    for successors in later.values():
+        for table in successors:
+            waiting[table] += 1
+    ready = [table for table, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
+    order: List[str] = []
+    while ready:
+        table = heapq.heappop(ready)
+        order.append(table)
+        for successor in later[table]:
+            waiting[successor] -= 1
+            if waiting[successor] == 0:
+                heapq.heappush(ready, successor)
+    return tuple(order) if len(order) == len(later) else None
 
 
 def _mergeable(group: MergedGroup, path: CompletionPath) -> bool:

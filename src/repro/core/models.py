@@ -86,26 +86,13 @@ class _HopSamplingAPI:
         raise NotImplementedError
 
     def _cond_probs(
-        self, prefix: np.ndarray, variable: int, context: Optional[np.ndarray]
+        self, prefix: np.ndarray, variable: int, context: Optional[np.ndarray],
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``P(x_variable | earlier, context)``."""
         made, _tree = self._networks()
-        return made.conditional_probs(prefix, variable, context=context)
-
-    def _sample_range(
-        self,
-        prefix: np.ndarray,
-        first_column: int,
-        stop: int,
-        rng: Optional[np.random.Generator],
-        context: Optional[np.ndarray],
-        draws: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Autoregressively sample variables ``first_column .. stop - 1``."""
-        made, _tree = self._networks()
-        return made.sample(
-            prefix, first_column, rng,
-            context=context, stop_variable=stop, draws=draws,
+        return made.conditional_probs(
+            prefix, variable, context=context, context_ids=context_ids
         )
 
     def context_for_roots(self, root_rows: np.ndarray) -> Optional[np.ndarray]:
@@ -128,6 +115,7 @@ class _HopSamplingAPI:
         context: Optional[np.ndarray] = None,
         min_counts: Optional[np.ndarray] = None,
         draws: Optional[np.ndarray] = None,
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Sample tuple factors for the fan-out hop entering ``slot``.
 
@@ -140,13 +128,15 @@ class _HopSamplingAPI:
         ``draws`` (one uniform per row, the runtime's counter-based streams)
         when given, else from ``rng``.  Accepts row-chunked batches: rows
         are independent, so any partition of a batch yields the same result.
+        ``context_ids`` (each row's root row) lets rows that share a root
+        and a prefix share one forward; see :meth:`sample_slot`.
         """
         self._require_fitted()
         tf_idx = self.layout.tf_variable_index(slot)
         if tf_idx is None:
             raise ValueError(f"slot {slot} is not a fan-out hop")
         codec = self.layout.tf_codec_for(slot)
-        probs = self._cond_probs(prefix, tf_idx, context)
+        probs = self._cond_probs(prefix, tf_idx, context, context_ids)
         probs = probs * codec.sampling_mask()[None, :]
         if min_counts is not None:
             counts_axis = np.arange(probs.shape[1])
@@ -190,6 +180,7 @@ class _HopSamplingAPI:
         rng: Optional[np.random.Generator] = None,
         context: Optional[np.ndarray] = None,
         draws: Optional[np.ndarray] = None,
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Synthesize the column variables of path slot ``slot``.
 
@@ -198,12 +189,20 @@ class _HopSamplingAPI:
         matrix with the slot filled in.  ``draws`` supplies the
         ``(rows, num_slot_columns)`` sampling uniforms for the
         chunk-invariant runtime path; otherwise ``rng`` is used.
+        ``context_ids`` names each row's context: rows with equal ids must
+        have bitwise-equal contexts (the join passes root rows, of which
+        SSAR contexts are a function), and rows that also share their
+        codes so far are forwarded once.
         """
         self._require_fitted()
         start, stop = self.layout.slot_range(slot)
         tf_idx = self.layout.tf_variable_index(slot)
         first_column = start if tf_idx is None else tf_idx + 1
-        return self._sample_range(prefix, first_column, stop, rng, context, draws)
+        made, _tree = self._networks()
+        return made.sample(
+            prefix, first_column, rng, context=context, stop_variable=stop,
+            draws=draws, context_ids=context_ids,
+        )
 
     def slot_sample_width(self, slot: int) -> int:
         """Number of variables :meth:`sample_slot` draws for ``slot``."""

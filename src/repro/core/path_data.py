@@ -278,11 +278,6 @@ def assemble_training_data(layout: PathLayout) -> TrainingData:
     return TrainingData(matrix=matrix, row_positions=row_positions)
 
 
-def build_training_matrix(layout: PathLayout) -> np.ndarray:
-    """Backward-compatible wrapper returning only the encoded matrix."""
-    return assemble_training_data(layout).matrix
-
-
 def build_encoders(db: Database, num_bins: int = 32) -> Dict[str, TableEncoder]:
     """Fit one shared :class:`TableEncoder` per table of the database."""
     return {name: TableEncoder(db.table(name), num_bins) for name in db.table_names()}

@@ -18,7 +18,6 @@ registry, so ``repro.obs.registry().snapshot()`` includes it.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, Optional
 
 from .metrics import registry
@@ -118,10 +117,3 @@ class profile_kernels:
             registry().register_collector("kernels", self._previous.snapshot)
         else:
             registry().unregister_collector("kernels")
-
-
-def record_kernel(name: str, started_ns: int, rows: int = 0) -> None:
-    """Helper the kernels call on their instrumented (slow) path."""
-    profiler = ACTIVE
-    if profiler is not None:
-        profiler.record(name, time.perf_counter_ns() - started_ns, rows)

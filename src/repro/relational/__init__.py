@@ -23,7 +23,6 @@ from .graph import (
     enumerate_completion_paths,
     fan_out_relations,
     join_order,
-    schema_graph,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "enumerate_completion_paths",
     "fan_out_relations",
     "join_order",
-    "schema_graph",
 ]

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import networkx as nx
-
 from .schema import Database, SchemaAnnotation
 
 
@@ -54,15 +52,6 @@ class CompletionPath:
 
     def __str__(self) -> str:
         return " -> ".join(self.tables)
-
-
-def schema_graph(db: Database) -> nx.Graph:
-    """Undirected view of the FK graph (edges annotated with the FK)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(db.table_names())
-    for fk in db.foreign_keys:
-        graph.add_edge(fk.child_table, fk.parent_table, fk=fk)
-    return graph
 
 
 def enumerate_completion_paths(

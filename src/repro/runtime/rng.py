@@ -104,14 +104,20 @@ def root_streams(row_indices: np.ndarray) -> np.ndarray:
     return _splitmix64(np.asarray(row_indices, dtype=np.uint64))
 
 
-def sample_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_categorical(
+    probs: np.ndarray, u: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Invert the per-row CDF of ``probs`` at the uniforms ``u``.
 
     The counter-based analogue of ``rng.random`` + CDF inversion; row order
-    does not influence any other row's draw.
+    does not influence any other row's draw.  ``rows[i]`` names the row of
+    ``probs`` that uniform ``i`` draws from (row ``i`` when ``None``): each
+    distinct row's CDF is computed once and gathered for its draws.
     """
     cdf = np.cumsum(probs, axis=-1)
     cdf[:, -1] = 1.0  # guard against round-off
+    if rows is not None:
+        cdf = cdf[rows]
     return (np.asarray(u).reshape(-1, 1) > cdf).sum(axis=-1).astype(np.int64)
 
 

@@ -444,14 +444,70 @@ class FusedResidualMADE:
 
         return fn
 
+    def _refine(
+        self, groups: np.ndarray, num_groups: int, codes: np.ndarray,
+        variable: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Split ``groups`` by the rows' ``codes`` of ``variable``."""
+        vocab = int(self.logit_offsets[variable + 1] - self.logit_offsets[variable])
+        return _dense_rank(groups * vocab + codes, num_groups * vocab)
+
+    def _prefix_groups(
+        self, x: np.ndarray, stop: int, context: Optional[np.ndarray],
+        context_ids: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Group rows by (context, ``x[:, :stop]``): ``(groups, rows)``.
+
+        ``groups[i]`` is row i's group, ``rows[g]`` one row of group g.
+        Rows with equal ``context_ids`` must have bitwise-equal contexts;
+        a context without ids puts every row in its own group.
+        """
+        n = len(x)
+        if context is None:
+            groups = np.zeros(n, dtype=np.int64)
+            rows = np.zeros(min(n, 1), dtype=np.int64)
+        elif context_ids is None or n == 0:
+            return np.arange(n), np.arange(n)
+        else:
+            ids = np.asarray(context_ids, dtype=np.int64)
+            low = ids.min()
+            groups, rows = _dense_rank(ids - low, int(ids.max() - low) + 1)
+        for column in range(stop):
+            if len(rows) == n:
+                break
+            groups, rows = self._refine(groups, len(rows), x[:, column], column)
+        return groups, rows
+
+    def _distinct_features(
+        self, x: np.ndarray, stop: int, context: Optional[np.ndarray],
+        context_ids: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(groups, rows, features)``: the groups of :meth:`_prefix_groups`
+        and one feature row per group, built from its representative."""
+        groups, rows = self._prefix_groups(x, stop, context, context_ids)
+        features = self._features(
+            x[rows], None if context is None else context[rows]
+        )
+        return groups, rows, features
+
     def conditional_probs(
-        self, x: np.ndarray, variable: int, context: Optional[np.ndarray] = None
+        self, x: np.ndarray, variable: int, context: Optional[np.ndarray] = None,
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``P(x_variable | x_<variable>, context)`` as ``(batch, K)``."""
-        features = self._features(x, context)
-        return kernels.softmax(
+        """``P(x_variable | x_<variable>, context)`` as ``(batch, K)``.
+
+        Forwards each distinct (context, prefix) row once, like
+        :meth:`sample`, and gathers its probabilities for every row.
+        """
+        x = np.asarray(x)
+        groups, rows, features = self._distinct_features(
+            x, variable, context, context_ids
+        )
+        probs = kernels.softmax(
             kernels.tile_apply(features, self._tile_logits(variable))
         )
+        _record_distinct(len(x), len(rows))
+        return probs[groups]
 
     def sample(
         self,
@@ -462,6 +518,7 @@ class FusedResidualMADE:
         temperature: float = 1.0,
         stop_variable: Optional[int] = None,
         draws: Optional[np.ndarray] = None,
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Iterative conditional sampling, one variable per forward.
 
@@ -471,6 +528,17 @@ class FusedResidualMADE:
         per variable) or from precomputed ``draws`` of shape
         ``(batch, stop - start)`` — the chunk-invariant path used by the
         incompleteness join.
+
+        MADE's masks make variable v's logits a function of the context
+        and the codes before v alone, so rows that share both share them:
+        each step forwards one row per distinct (context, prefix) group —
+        features, hidden stack, head, softmax and CDF — and every row
+        draws from its group's CDF with its own uniform.  Drawing v then
+        splits the groups by the codes drawn.  ``context_ids`` tells
+        contexts apart cheaply (the join passes each row's root row:
+        SSAR contexts are a function of it).  A row's bits equal its solo
+        run's: tiles make a forward row-local, and the masked weights are
+        exact zeros, so a representative's later columns never count.
         """
         profiler = _profile.ACTIVE
         started = time.perf_counter_ns() if profiler is not None else 0
@@ -483,29 +551,75 @@ class FusedResidualMADE:
             return x
         if draws is None and rng is None:
             raise ValueError("sample needs either rng or draws")
-        # The feature matrix is built and tile-padded once; each step
-        # refreshes only the embedding slice of the variable it drew.
-        padded = np.zeros(
-            (-(-n // kernels.TILE) * kernels.TILE, self.feature_dim),
-            dtype=self.dtype,
+        groups, rows, features = self._distinct_features(
+            x, start_variable, context, context_ids
         )
-        padded[:n] = self._features(x, context)
+        forwarded = 0
         for step, variable in enumerate(range(start_variable, stop)):
-            logits = kernels.tile_apply(padded, self._tile_logits(variable))[:n]
+            forwarded += len(rows)
+            logits = kernels.tile_apply(features, self._tile_logits(variable))
             probs = kernels.softmax(logits)
             if temperature != 1.0:
                 log_probs = np.log(np.maximum(probs, 1e-300)) / temperature
                 probs = kernels.softmax(log_probs)
             u = draws[:, step] if draws is not None else rng.random(n)
-            x[:, variable] = _rng.sample_categorical(probs, u)
+            x[:, variable] = _rng.sample_categorical(probs, u, groups)
+            if variable + 1 == stop:
+                break
+            if len(rows) < n:  # else every row is its own group already
+                previous = groups
+                groups, rows = self._refine(
+                    groups, len(rows), x[:, variable], variable
+                )
+                features = features[previous[rows]]
             lo = self._embed_start(variable)
             emb = self.embeddings[variable]
-            padded[:n, lo:lo + self.embed_dim] = emb[x[:, variable]]
+            features[:, lo:lo + self.embed_dim] = emb[x[rows, variable]]
         if profiler is not None:
             profiler.record(
                 "made.sample", time.perf_counter_ns() - started, rows=n
             )
+        _record_distinct(n * (stop - start_variable), forwarded)
         return x
+
+
+#: Presence-table cells per row :func:`_dense_rank` may allocate; beyond
+#: that it sorts, so no table grows with a vocabulary alone.
+_PRESENCE_CELLS_PER_ROW = 4
+
+
+def _dense_rank(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of the non-negative ``keys`` (all below ``span``).
+
+    Returns ``(ranks, rows)``: ``ranks[i]`` is the rank of ``keys[i]``
+    among the distinct keys in key order, and ``rows[r]`` one index ``i``
+    with rank ``r``.  A boolean presence table ranks in linear time while
+    ``span`` stays within :data:`_PRESENCE_CELLS_PER_ROW` cells per key;
+    wider spans are ranked by sorting.
+    """
+    n = len(keys)
+    if span <= _PRESENCE_CELLS_PER_ROW * n:
+        present = np.zeros(span, dtype=bool)
+        present[keys] = True
+        table = np.cumsum(present) - 1
+        ranks = table[keys]
+        count = int(table[-1]) + 1
+    else:
+        distinct, ranks = np.unique(keys, return_inverse=True)
+        count = len(distinct)
+    rows = np.empty(count, dtype=np.int64)
+    rows[ranks] = np.arange(n)
+    return ranks, rows
+
+
+def _record_distinct(row_steps: int, forwarded: int) -> None:
+    """Kernel-profile counts of MADE sampling forwards: ``made.row_steps``
+    counts the rows asked for (per sampled variable), ``made.distinct``
+    the distinct rows actually forwarded."""
+    profiler = _profile.ACTIVE
+    if profiler is not None:
+        profiler.record("made.row_steps", 0, rows=row_steps)
+        profiler.record("made.distinct", 0, rows=forwarded)
 
 
 class _FusedNode:

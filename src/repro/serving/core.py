@@ -250,8 +250,8 @@ class Dispatcher:
     ``max_batch`` — no timer holds a batch open, and while every thread
     is busy the requests arriving meanwhile form the next batch.  It
     records the batch, groups it by join signature and fans the groups
-    out over the pool.  Each request's outcome goes to its
-    :attr:`CoreRequest.deliver`, then its admission slot is released.
+    out over the pool.  Each request's admission slot is released, then
+    its outcome goes to its :attr:`CoreRequest.deliver`.
 
     :meth:`close` answers everything put before it, stops the threads and
     re-raises the first exception a delivery raised: one failing delivery
@@ -350,15 +350,19 @@ class Dispatcher:
         finally:
             with self._changed:
                 self._busy -= 1
-                self._changed.notify()
+                # A free thread matters to the collector only when a
+                # request waits for it, or to let close() finish.
+                if self._queue or self._closing:
+                    self._changed.notify()
 
     def _deliver(self, request: CoreRequest, outcome) -> None:
+        # Free the slot first: a client that sends its next request as
+        # soon as this reply lands must find the slot free.
+        self.core.gate.release()
         try:
             request.deliver(outcome)
         except BaseException as exc:  # re-raised by close()
             self._errors.append(exc)
-        finally:
-            self.core.gate.release()
 
 
 class _InflightJoin:

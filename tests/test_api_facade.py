@@ -3,8 +3,14 @@
 The api_redesign contract: ``repro`` and ``repro.serving`` declare an
 explicit, documented ``__all__`` whose every name resolves; the error
 taxonomy lives in :mod:`repro.errors` under :class:`ReStoreError` with
-stable wire codes.
+stable wire codes.  Every module imports with nothing installed beyond
+the dependencies ``pyproject.toml`` declares.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -45,6 +51,49 @@ class TestFacadeAll:
                      "ServiceWorker", "FleetRouter", "PROTOCOL_VERSION",
                      "save_artifact", "load_artifact", "ReStoreError"):
             assert name in repro.serving.__all__
+
+
+#: Imports every ``repro`` module while a meta-path finder refuses any
+#: top-level package outside the standard library and the declared
+#: dependencies.
+_ONLY_DECLARED = textwrap.dedent("""
+    import importlib, importlib.abc, pkgutil, sys
+
+    ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "repro"}
+
+    class OnlyDeclared(importlib.abc.MetaPathFinder):
+        def find_spec(self, fullname, path=None, target=None):
+            top = fullname.partition(".")[0]
+            # sysconfig's build-time data module is named per platform and
+            # is missing from stdlib_module_names.
+            if top not in ALLOWED and not top.startswith("_sysconfigdata"):
+                raise ModuleNotFoundError(
+                    f"undeclared dependency {top!r}", name=fullname
+                )
+            return None
+
+    sys.meta_path.insert(0, OnlyDeclared())
+    import repro
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    print("ok")
+""")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="sys.stdlib_module_names is new in 3.10")
+def test_every_module_imports_with_declared_dependencies_only():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _ONLY_DECLARED], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 class TestErrorTaxonomy:

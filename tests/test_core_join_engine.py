@@ -1,5 +1,8 @@
 """Integration tests: incompleteness join, merging, selection, engine, confidence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,9 +30,10 @@ from repro.datasets import (
     generate_synthetic,
 )
 from repro.errors import QueryValidationError
-from repro.incomplete import RemovalSpec, make_incomplete
+from repro.incomplete import RemovalSpec, make_incomplete, registry
 from repro.metrics import bias_reduction, cardinality_correction
 from repro.nn import TrainConfig
+from repro.relational import CompletionPath, enumerate_completion_paths
 from repro.query import (
     Aggregate,
     AggregateKind,
@@ -135,6 +139,28 @@ class TestIncompletenessJoin:
         assert len(completed.codes) == completed.num_rows
 
 
+MERGE_GROUPS = Path(__file__).parent / "data" / "merge_groups.json"
+
+
+def _scenario_paths(name):
+    """Every completion path of a registry scenario's incomplete tables."""
+    dataset = registry.make_scenario_dataset(name, seed=0, scale=0.05)
+    return [
+        path
+        for target in sorted(dataset.annotation.incomplete_tables)
+        for path in enumerate_completion_paths(
+            dataset.incomplete, dataset.annotation, target
+        )
+    ]
+
+
+def _merged(paths):
+    return [
+        (" ".join(group.table_order), [" ".join(p.tables) for p in group.paths])
+        for group in merge_paths(paths)
+    ]
+
+
 class TestMerging:
     def test_subset_paths_merge(self):
         long = CompletionPath(("t3", "t2", "t1"))
@@ -160,6 +186,44 @@ class TestMerging:
         a = CompletionPath(("t1", "t2"))
         b = CompletionPath(("t2", "t1"))
         assert compatible_order([a, b]) is None
+
+    def test_groups_and_orders_pinned_on_every_registry_scenario(self):
+        """``merge_paths`` groups and orders, as recorded when the order
+        came from networkx's lexicographic topological sort."""
+        pinned = json.loads(MERGE_GROUPS.read_text())
+        assert sorted(pinned) == sorted(registry.names())
+        for name in registry.names():
+            assert _merged(_scenario_paths(name)) == [
+                (order, paths) for order, paths in pinned[name]
+            ], name
+
+    def test_orders_match_networkx(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+
+        def reference(paths):
+            graph = nx.DiGraph()
+            for path in paths:
+                graph.add_nodes_from(path.tables)
+                for i, later in enumerate(path.tables):
+                    for earlier in path.tables[:i]:
+                        graph.add_edge(earlier, later)
+            if not nx.is_directed_acyclic_graph(graph):
+                return None
+            return tuple(nx.lexicographical_topological_sort(graph))
+
+        # Random path sets over few tables: ties and cycles are common.
+        rng = np.random.default_rng(0)
+        tables = ["a", "b", "c", "d", "e", "f"]
+        for _ in range(300):
+            paths = [
+                CompletionPath(tuple(rng.permutation(tables)[:rng.integers(2, 5)]))
+                for _ in range(rng.integers(1, 4))
+            ]
+            assert compatible_order(paths) == reference(paths), paths
+        ours = {name: _merged(_scenario_paths(name)) for name in registry.names()}
+        monkeypatch.setattr("repro.core.merging.compatible_order", reference)
+        for name in registry.names():
+            assert _merged(_scenario_paths(name)) == ours[name], name
 
     def test_training_savings(self):
         paths = [

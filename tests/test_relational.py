@@ -17,7 +17,6 @@ from repro.relational import (
     fan_out_relations,
     join_order,
     observed_tuple_factors,
-    schema_graph,
 )
 
 K = ColumnKind.KEY
@@ -321,8 +320,3 @@ class TestJoinOrder:
 
     def test_single_table(self, star_db):
         assert join_order(star_db, ["state"]) == []
-
-    def test_schema_graph(self, star_db):
-        graph = schema_graph(star_db)
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 3

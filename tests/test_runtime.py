@@ -406,6 +406,190 @@ class TestTileApply:
             _assert_bitwise(partial, full[:self.TILE + 5])
 
 
+# ----------------------------------------------------------------------
+# Distinct-row sampling: one forward per (context, prefix) group
+# ----------------------------------------------------------------------
+
+VOCABS = (4, 6, 3, 5, 7)
+CONTEXT_DIM = 3
+
+
+def _siblings(rng, vocabs, start, parents=40, most=8):
+    """``np.repeat`` siblings of random parent prefixes, with random codes
+    in every column from ``start`` on (a representative's own later
+    columns must not reach its group's draws)."""
+    prefix = np.stack([rng.integers(0, k, size=parents) for k in vocabs], axis=1)
+    x = np.repeat(prefix, rng.integers(1, most + 1, size=parents), axis=0)
+    later = np.stack([rng.integers(0, k, size=len(x)) for k in vocabs], axis=1)
+    x[:, start:] = later[:, start:]
+    return x
+
+
+def _contexts(rng, x, num_roots=7):
+    """Context ids and their (float32) contexts, a function of the id."""
+    ids = rng.integers(0, num_roots, size=len(x)) * 1000 + 12
+    table = rng.normal(size=(ids.max() + 1, CONTEXT_DIM)).astype(np.float32)
+    return ids, table[ids]
+
+
+def _solo_samples(sampler, x, start, draws, context=None, context_ids=None,
+                  **kwargs):
+    """Each row sampled alone: the bitwise reference of a batch, since
+    tiles make a row's bits independent of its batch."""
+    rows = [
+        sampler.sample(
+            x[i:i + 1], start, draws=draws[i:i + 1],
+            context=None if context is None else context[i:i + 1],
+            context_ids=None if context_ids is None else context_ids[i:i + 1],
+            **kwargs,
+        )[0]
+        for i in range(len(x))
+    ]
+    return np.stack(rows)
+
+
+def _solo_probs(sampler, x, variable, context=None):
+    return np.concatenate([
+        sampler.conditional_probs(
+            x[i:i + 1], variable,
+            context=None if context is None else context[i:i + 1],
+        )
+        for i in range(len(x))
+    ])
+
+
+class TestDistinctRowSampling:
+    """``sample`` and ``conditional_probs`` forward each distinct
+    (context, prefix) row once; every row keeps its solo bits."""
+
+    @staticmethod
+    def _made(context_dim=0, vocabs=VOCABS, seed=11):
+        rng = np.random.default_rng(seed)
+        made = ResidualMADE(list(vocabs), embed_dim=4, hidden=(32, 32),
+                            rng=rng, context_dim=context_dim)
+        for _name, param in made.named_parameters():  # biases start at zero
+            param.data[...] += rng.normal(scale=0.3, size=param.data.shape)
+        return _sampler(made)
+
+    @pytest.mark.parametrize("start", [0, 1, 3])
+    def test_ar_siblings_match_solo_rows(self, start):
+        rng = np.random.default_rng(start)
+        sampler = self._made()
+        x = _siblings(rng, VOCABS, start)
+        draws = rng.random((len(x), len(VOCABS) - start))
+        batch = sampler.sample(x, start, draws=draws)
+        _assert_bitwise(batch, _solo_samples(sampler, x, start, draws))
+        assert (batch[:, :start] == x[:, :start]).all()
+
+    def test_ssar_contexts_with_and_without_ids(self):
+        rng = np.random.default_rng(12)
+        sampler = self._made(context_dim=CONTEXT_DIM)
+        x = _siblings(rng, VOCABS, 2)
+        ids, context = _contexts(rng, x)
+        draws = rng.random((len(x), 3))
+        solo = _solo_samples(sampler, x, 2, draws, context=context)
+        with_ids = sampler.sample(x, 2, draws=draws, context=context,
+                                  context_ids=ids)
+        without = sampler.sample(x, 2, draws=draws, context=context)
+        _assert_bitwise(with_ids, solo)
+        _assert_bitwise(without, solo)
+
+    def test_temperature_matches_solo_rows(self):
+        rng = np.random.default_rng(13)
+        sampler = self._made(context_dim=CONTEXT_DIM)
+        x = _siblings(rng, VOCABS, 1)
+        ids, context = _contexts(rng, x)
+        draws = rng.random((len(x), 4))
+        batch = sampler.sample(x, 1, draws=draws, context=context,
+                               context_ids=ids, temperature=0.5)
+        _assert_bitwise(batch, _solo_samples(sampler, x, 1, draws,
+                                             context=context, temperature=0.5))
+
+    def test_rng_path_takes_one_uniform_per_row_per_step(self):
+        rng = np.random.default_rng(14)
+        sampler = self._made()
+        x = _siblings(rng, VOCABS, 1)
+        drawn = sampler.sample(x, 1, rng=np.random.default_rng(99))
+        uniforms = np.random.default_rng(99).random((4, len(x))).T
+        _assert_bitwise(drawn, sampler.sample(x, 1, draws=uniforms))
+
+    def test_sort_fallback_for_wide_vocabularies(self, monkeypatch):
+        """A vocabulary too large for the presence table is ranked by a
+        sort, with the same groups and the same bits."""
+        import repro.runtime.training as training
+
+        vocabs = (3, 2000, 4, 5)
+        rng = np.random.default_rng(15)
+        sampler = self._made(vocabs=vocabs)
+        x = _siblings(rng, vocabs, 2, parents=30)
+        assert 2000 > training._PRESENCE_CELLS_PER_ROW * len(x)
+        draws = rng.random((len(x), 2))
+        batch = sampler.sample(x, 2, draws=draws)
+        _assert_bitwise(batch, _solo_samples(sampler, x, 2, draws))
+        monkeypatch.setattr(training, "_PRESENCE_CELLS_PER_ROW", 0)
+        _assert_bitwise(sampler.sample(x, 2, draws=draws), batch)
+
+    def test_presence_table_and_sort_rank_alike(self, monkeypatch):
+        import repro.runtime.training as training
+
+        keys = np.random.default_rng(16).integers(0, 50, size=40)
+        table_ranks, table_rows = training._dense_rank(keys, 50)
+        monkeypatch.setattr(training, "_PRESENCE_CELLS_PER_ROW", 0)
+        sort_ranks, sort_rows = training._dense_rank(keys, 50)
+        np.testing.assert_array_equal(table_ranks, sort_ranks)
+        np.testing.assert_array_equal(
+            np.unique(keys, return_inverse=True)[1], table_ranks
+        )
+        for rows in (table_rows, sort_rows):  # each rank's row holds it
+            np.testing.assert_array_equal(table_ranks[rows],
+                                          np.arange(len(rows)))
+
+    @pytest.mark.parametrize("context_dim", [0, CONTEXT_DIM])
+    def test_conditional_probs_match_solo_rows(self, context_dim):
+        rng = np.random.default_rng(17)
+        sampler = self._made(context_dim=context_dim)
+        x = _siblings(rng, VOCABS, 0)
+        ids, context = _contexts(rng, x)
+        if not context_dim:
+            ids = context = None
+        for variable in range(len(VOCABS)):
+            solo = _solo_probs(sampler, x, variable, context)
+            grouped = sampler.conditional_probs(x, variable, context=context,
+                                                context_ids=ids)
+            _assert_bitwise(grouped, solo)
+
+    def test_empty_batches_and_ranges(self):
+        sampler = self._made(context_dim=CONTEXT_DIM)
+        empty = np.zeros((0, len(VOCABS)), dtype=np.int64)
+        context = np.zeros((0, CONTEXT_DIM), dtype=np.float32)
+        ids = np.zeros(0, dtype=np.int64)
+        out = sampler.sample(empty, 1, context=context, context_ids=ids,
+                             draws=np.zeros((0, 4)))
+        assert out.shape == (0, len(VOCABS))
+        probs = sampler.conditional_probs(empty, 2, context=context,
+                                          context_ids=ids)
+        assert probs.shape == (0, VOCABS[2])
+        x = np.ones((3, len(VOCABS)), dtype=np.int64)
+        same = sampler.sample(x, 2, stop_variable=2,
+                              context=np.zeros((3, CONTEXT_DIM), np.float32))
+        np.testing.assert_array_equal(same, x)
+
+    def test_siblings_forward_one_row_at_the_first_variable(self):
+        rng = np.random.default_rng(18)
+        sampler = self._made()
+        k = 37
+        x = np.repeat(rng.integers(0, 3, size=(1, len(VOCABS))), k, axis=0)
+        x[:, 2:] = rng.integers(0, 3, size=(k, len(VOCABS) - 2))
+        with profile_kernels() as prof:
+            sampler.sample(x, 2, stop_variable=3, draws=rng.random((k, 1)))
+        counts = prof.snapshot()
+        assert counts["made.distinct"]["rows"] == 1
+        assert counts["made.row_steps"]["rows"] == k
+        assert counts["made.sample"]["rows"] == k
+        layers = 2 + len(sampler.residual_layers)
+        assert counts["dense"]["rows"] == layers * kernels.TILE
+
+
 @pytest.mark.slow
 class TestCompiledParity:
     """The fitted models' float32 runtime against their float64 modules."""
@@ -701,6 +885,33 @@ class TestChunkedJoin:
             np.testing.assert_array_equal(cols_a[name], cols_b[name])
         np.testing.assert_array_equal(w_a, w_b)
         np.testing.assert_array_equal(syn_a, syn_b)
+
+    def test_grouped_forwards_match_per_row_forwards(
+        self, fitted_setup, fitted_ssar, fitted_dangling, monkeypatch
+    ):
+        """The join's distinct-row sampling gives the bits of forwarding
+        every row on its own, on AR, SSAR and dangling-parent paths."""
+        models = (fitted_setup[-1], fitted_ssar, fitted_dangling)
+        grouped = []
+        for model in models:
+            with profile_kernels() as prof:
+                grouped.append(IncompletenessJoin(model, seed=5).run())
+            counts = prof.snapshot()
+            assert counts["made.distinct"]["rows"] < counts["made.row_steps"]["rows"]
+        monkeypatch.setattr(
+            FusedResidualMADE, "_prefix_groups",
+            lambda self, x, stop, context, context_ids: (
+                np.arange(len(x)), np.arange(len(x))
+            ),
+        )
+        for model, ours in zip(models, grouped):
+            per_row = IncompletenessJoin(model, seed=5).run()
+            cols_a, w_a, syn_a = _canonical(ours)
+            cols_b, w_b, syn_b = _canonical(per_row)
+            for name in cols_a:
+                np.testing.assert_array_equal(cols_a[name], cols_b[name])
+            _assert_bitwise(w_a, w_b)
+            np.testing.assert_array_equal(syn_a, syn_b)
 
     def test_seed_still_changes_output(self, fitted_setup):
         *_, model = fitted_setup

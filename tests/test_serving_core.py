@@ -12,6 +12,7 @@ import contextvars
 import functools
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -369,6 +370,35 @@ class TestDispatcher:
         assert [o.used_completion for o in outcomes.values()] == [False, False]
         stats = core.stats()
         assert (stats.batches, stats.completed, stats.failed) == (1, 2, 1)
+        assert core.gate.in_service() == 0
+
+    def test_finished_group_wakes_the_collector_only_for_waiting_work(
+        self, engine
+    ):
+        # One request at a time, each answered and its thread freed before
+        # the next: the put is the only wake-up each request needs.
+        core, dispatcher = self._start(engine, n_workers=1)
+        wakes = []
+        notify = dispatcher._changed.notify
+
+        def counting_notify(*args):
+            wakes.append(threading.current_thread().name)
+            notify(*args)
+
+        dispatcher._changed.notify = counting_notify
+        try:
+            for _ in range(5):
+                delivered = threading.Event()
+                dispatcher.put(_admitted(core, lambda _o: delivered.set()))
+                assert delivered.wait(timeout=30)
+                deadline = time.monotonic() + 30
+                while dispatcher._busy:  # the group's thread is finishing
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            assert len(wakes) == 5
+            assert not any(name.startswith("restore-serve") for name in wakes)
+        finally:
+            dispatcher.close()
         assert core.gate.in_service() == 0
 
     def test_run_carries_the_callers_context_onto_the_pool(self, engine):

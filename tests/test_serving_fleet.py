@@ -20,6 +20,7 @@ import shutil
 import socket
 import tempfile
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -423,6 +424,50 @@ class TestServiceWorkerEndToEnd:
             server.join(timeout=10)
             theirs.close()
         assert not server.is_alive()
+
+    def test_refilled_window_finds_its_slots_free(
+        self, fleet_artifact, monkeypatch
+    ):
+        """A client keeping ``max_queue`` requests in flight sends the next
+        one as each reply lands: the replied request's slot must already be
+        free, even when the releasing thread runs late."""
+        window = 2
+        worker = ServiceWorker.from_artifact(
+            fleet_artifact, ServiceConfig(max_queue=window, n_workers=window)
+        )
+        gate = worker.core.gate
+        release = gate.release
+
+        def late_release():
+            time.sleep(0.02)
+            release()
+
+        monkeypatch.setattr(gate, "release", late_release)
+        ours, theirs = socket.socketpair()
+        server = threading.Thread(
+            target=worker.serve_connection, args=(theirs,), daemon=True
+        )
+        server.start()
+        query = parse_query(COMPLETE_ONLY_SQL)
+        replies = []
+        try:
+            for request_id in range(window):
+                send_frame(ours, "query", id=request_id, query=query)
+            for request_id in range(window, 20):
+                replies.append(recv_frame(ours))
+                send_frame(ours, "query", id=request_id, query=query)
+            replies.extend(recv_frame(ours) for _ in range(window))
+            send_frame(ours, "shutdown")
+            assert recv_frame(ours)["kind"] == "bye"
+        finally:
+            ours.close()
+            server.join(timeout=10)
+            theirs.close()
+        assert not server.is_alive()
+        assert [r["kind"] for r in replies] == ["answer"] * 20, [
+            r.get("code") for r in replies
+        ]
+        assert sorted(r["id"] for r in replies) == list(range(20))
 
     def test_malformed_sql_maps_to_query_invalid(self, fleet_artifact):
         """A query frame whose SQL does not parse is refused at admission
