@@ -5,76 +5,25 @@ off each evidence tuple: 1:n related rows discovered by an acyclic schema
 walk, and — for the incomplete target table itself — the already-available
 sibling tuples (*self-evidence*).
 
-This module pre-indexes the children of every row (a CSR-style adjacency)
-so that per-batch evidence trees can be materialized quickly during both
-training and completion.  Self-evidence uses leave-one-out during training:
-the tuple being predicted is removed from its own evidence set, otherwise
-the model could trivially copy it.
+This module pre-indexes the children of every row (a CSR-style adjacency
+from :mod:`repro.relational.keys`) so that per-batch evidence trees can be
+materialized quickly during both training and completion.  Self-evidence
+uses leave-one-out during training: the tuple being predicted is removed
+from its own evidence set, otherwise the model could trivially copy it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..encoding import TableEncoder
 from ..nn import TreeNodeBatch, TreeNodeSpec
-from ..relational import Database, ForeignKey
-
-
-@dataclass
-class ChildIndex:
-    """CSR adjacency from parent rows to child rows along one foreign key."""
-
-    fk: ForeignKey
-    child_rows: np.ndarray   # child row positions, grouped by parent
-    offsets: np.ndarray      # (num_parents + 1,) start offsets into child_rows
-
-    def children_of(self, parent_row: int) -> np.ndarray:
-        return self.child_rows[self.offsets[parent_row]:self.offsets[parent_row + 1]]
-
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-
-def match_keys(
-    parent_keys: np.ndarray,
-    refs: np.ndarray,
-    key_order: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row position in ``parent_keys`` for each ref, ``-1`` where unmatched.
-
-    Negative refs (sentinels) never match.  ``key_order`` optionally supplies
-    a precomputed stable argsort of ``parent_keys`` so repeated lookups
-    against the same table (e.g. chunked joins) skip the sort.
-    """
-    parent_keys = np.asarray(parent_keys)
-    refs = np.asarray(refs)
-    if key_order is None:
-        key_order = np.argsort(parent_keys, kind="stable")
-    if len(parent_keys) == 0:
-        return np.full(len(refs), -1, dtype=np.int64)
-    sorted_keys = parent_keys[key_order]
-    pos = np.clip(np.searchsorted(sorted_keys, refs), 0, len(sorted_keys) - 1)
-    matched = (sorted_keys[pos] == refs) & (refs >= 0)
-    return np.where(matched, key_order[pos], -1).astype(np.int64)
-
-
-def build_child_index(db: Database, fk: ForeignKey) -> ChildIndex:
-    """Index child rows by parent row position for one relationship."""
-    parent = db.table(fk.parent_table)
-    child = db.table(fk.child_table)
-    parent_rows = match_keys(parent[fk.parent_column], child[fk.child_column])
-
-    valid_children = np.flatnonzero(parent_rows >= 0)
-    owner = parent_rows[valid_children]
-    order = np.argsort(owner, kind="stable")
-    grouped_children = valid_children[order]
-    counts = np.bincount(owner, minlength=len(parent))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return ChildIndex(fk, grouped_children.astype(np.int64), offsets.astype(np.int64))
+from ..relational import Database
+from ..relational.keys import ChildIndex, build_child_index, gather_children
+# perfbench/layers.py traces the key primitives by their names in this module.
+from ..relational.keys import match_keys  # noqa: F401
 
 
 class EvidenceForest:
@@ -206,7 +155,7 @@ class EvidenceForest:
         for walk in self.level1:
             child = walk[1]
             index = self._indexes[(walk[0], child)]
-            child_rows, parent_ids = _gather_children(index, root_rows)
+            child_rows, parent_ids = gather_children(index, root_rows)
             if (
                 exclude_target_rows is not None
                 and child == self.self_evidence_table
@@ -220,31 +169,10 @@ class EvidenceForest:
             )
             for ext in self.level2.get(child, []):
                 sub_index = self._indexes[(ext[1], ext[2])]
-                sub_rows, sub_parents = _gather_children(sub_index, child_rows)
+                sub_rows, sub_parents = gather_children(sub_index, child_rows)
                 node.children[f"{ext[1]}/{ext[2]}"] = TreeNodeBatch(
                     values=self._encoded[ext[2]][sub_rows],
                     parent_ids=sub_parents,
                 )
             batches[f"{walk[0]}/{child}"] = node
         return batches
-
-
-def _gather_children(
-    index: ChildIndex, parent_rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Children of each listed parent, plus batch-position parent ids.
-
-    One CSR gather: output slot ``j`` of parent ``i`` reads
-    ``child_rows[starts[i] + j - out_start[i]]``, so the positions are an
-    ``arange`` shifted per parent.
-    """
-    starts = index.offsets[parent_rows]
-    counts = index.offsets[parent_rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    positions = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (ends - counts), counts
-    )
-    child_rows = index.child_rows[positions]
-    parent_ids = np.repeat(np.arange(len(parent_rows), dtype=np.int64), counts)
-    return child_rows, parent_ids

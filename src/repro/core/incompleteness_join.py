@@ -61,12 +61,17 @@ from ..query import JoinResult
 from ..query.pushdown import PushdownPlan, conjunction_mask
 from ..relational import MISSING_KEY, CompletionPath
 from ..relational.column import ColumnKind
-from ..relational.storage import StoreColumns, StoreWriter
+from ..relational.keys import (
+    ChildIndex,
+    build_child_index,
+    gather_children,
+    match_keys,
+)
+from ..relational.storage import StoreColumns, StoreWriter, _RawColumnWriter
 from ..relational.tuple_factors import TF_UNKNOWN
 from ..runtime import rng as rt_rng
 from ..runtime.parallel import default_chunk_size, get_executor
 from ..runtime.rng import chunk_slices
-from .forest import ChildIndex, _gather_children, build_child_index, match_keys
 from .models import _CompletionModelBase
 from .nn_replacement import EuclideanReplacer
 
@@ -312,6 +317,9 @@ class _ChunkOutput:
         return self.rows.stop - self.rows.start
 
 
+#: The walk-state fields a spilled result stores as ``join_<field>.npy``.
+_RESULT_FIELDS = ("codes", "weights", "synthesized", "context")
+
 #: The fixed fields of a spilled walk state, in record order.
 _SPILL_FIELDS = (
     "codes", "weights", "synthesized", "current_rows", "streams", "counters",
@@ -392,36 +400,6 @@ def _chunk_states(outputs: List[AnyChunkOutput]) -> List[_WalkState]:
     return [o.state for o in outputs]
 
 
-class _ArrayStreamWriter:
-    """Streams blocks into a pre-sized ``.npy`` of known final shape.
-
-    Plain buffered writes after an upfront header — no dirty mapped
-    pages, so writing a result far larger than RAM does not grow RSS.
-    """
-
-    def __init__(self, path: str, dtype, shape: Tuple[int, ...]):
-        self.path = path
-        self.dtype = np.dtype(dtype)
-        self._fh = open(path, "wb")
-        np.lib.format.write_array_header_2_0(
-            self._fh,
-            {"descr": np.lib.format.dtype_to_descr(self.dtype),
-             "fortran_order": False, "shape": tuple(shape)},
-        )
-
-    def append(self, block: np.ndarray) -> None:
-        self._fh.write(np.ascontiguousarray(block, dtype=self.dtype).tobytes())
-
-    def close(self) -> np.ndarray:
-        """Finish the file and reopen it as a read-only memory map."""
-        self._fh.close()
-        return np.load(self.path, mmap_mode="r")
-
-    def abort(self) -> None:
-        """Close the file unfinished (the assembly failed)."""
-        self._fh.close()
-
-
 def restrict_chunk_output(
     output: _ChunkOutput, filters: Sequence
 ) -> _ChunkOutput:
@@ -466,8 +444,8 @@ class _JoinWorkerSpec:
 def _build_worker_join(spec: _JoinWorkerSpec):
     """Process-pool initializer hook: a worker-local join from the spec.
 
-    Built once per worker, so per-table caches (child indexes, replacers,
-    encoded root codes) amortize across all chunks the worker executes.
+    Built once per worker, so per-table caches (child indexes, key orders,
+    replacers) amortize across all chunks the worker executes.
     """
     join = IncompletenessJoin(
         spec.model,
@@ -594,8 +572,6 @@ class IncompletenessJoin:
         self._replacers: Dict[str, EuclideanReplacer] = {}
         self._child_indexes: Dict[Tuple[str, str, str], ChildIndex] = {}
         self._orphan_weights: Dict[Tuple[str, str, str], float] = {}
-        self._root_codes: Optional[np.ndarray] = None
-        self._root_columns: Optional[Dict[str, np.ndarray]] = None
         self._key_orders: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
@@ -635,8 +611,8 @@ class IncompletenessJoin:
             chunk_size = default_chunk_size(num_roots, self.n_workers)
         return [(s.start, s.stop) for s in chunk_slices(num_roots, chunk_size)]
 
-    #: Root rows per block when streaming a mapped root table's filter
-    #: columns (qualifying-root mask, pre-walk pruning).
+    #: Root rows per block when streaming the root table's filter columns
+    #: for the qualifying-root mask.
     _ROOT_BLOCK = 1 << 18
 
     def qualifying_root_mask(
@@ -645,9 +621,9 @@ class IncompletenessJoin:
         """Boolean mask of root rows passing the plan's pre-walk filters
         (None when there are none: every root qualifies).
 
-        A mapped root table is streamed in blocks — only the filters' own
-        columns are read, one block at a time, so the mask costs O(block)
-        transient memory regardless of table size.
+        The root table is streamed in blocks — only the filters' own
+        columns are read, one block at a time, so on a mapped store the
+        mask costs O(block) transient memory regardless of table size.
         """
         if plan is None or not plan.has_root_filters:
             return None
@@ -655,10 +631,6 @@ class IncompletenessJoin:
         table = self.db.table(root)
         num_roots = len(table)
         filters = plan.filters_at(0)
-        if not table.is_mapped:
-            self._ensure_root_columns(root)
-            assert self._root_columns is not None
-            return conjunction_mask(self._root_columns, filters, num_roots)
         mask = np.ones(num_roots, dtype=bool)
         prefix = f"{root}."
         for start in range(0, num_roots, self._ROOT_BLOCK):
@@ -817,7 +789,7 @@ class IncompletenessJoin:
 
         writer: Optional[StoreWriter] = None
         col_names: List[str] = []
-        codes_w = weights_w = synth_w = context_w = None
+        arrays: Dict[str, _RawColumnWriter] = {}
         with contextlib.ExitStack() as on_error:
             for state in states():
                 if state.num_rows == 0:
@@ -843,46 +815,34 @@ class IncompletenessJoin:
                             writer.add_column(
                                 name, ColumnKind.CONTINUOUS, dtype=values.dtype
                             )
-                    codes_w = _ArrayStreamWriter(
-                        os.path.join(result_dir, "join_codes.npy"),
-                        state.codes.dtype,
-                        (total_rows, state.codes.shape[1]),
-                    )
-                    on_error.callback(codes_w.abort)
-                    weights_w = _ArrayStreamWriter(
-                        os.path.join(result_dir, "join_weights.npy"),
-                        state.weights.dtype, (total_rows,),
-                    )
-                    on_error.callback(weights_w.abort)
-                    synth_w = _ArrayStreamWriter(
-                        os.path.join(result_dir, "join_synthesized.npy"),
-                        np.dtype(bool), (total_rows,),
-                    )
-                    on_error.callback(synth_w.abort)
-                    if state.context is not None:
-                        context_w = _ArrayStreamWriter(
-                            os.path.join(result_dir, "join_context.npy"),
-                            state.context.dtype,
-                            (total_rows, state.context.shape[1]),
+                    for field_name in _RESULT_FIELDS:
+                        values = getattr(state, field_name)
+                        if values is None:  # no context
+                            continue
+                        arrays[field_name] = _RawColumnWriter(
+                            os.path.join(result_dir, f"join_{field_name}.npy"),
+                            values.dtype, total_rows, values.shape[1:],
                         )
-                        on_error.callback(context_w.abort)
+                        on_error.callback(arrays[field_name].abort)
                 for name in col_names:
                     writer.append(name, np.asarray(state.columns[name]))
-                codes_w.append(state.codes)
-                weights_w.append(state.weights)
-                synth_w.append(state.synthesized)
-                if context_w is not None:
-                    context_w.append(state.context)
+                for field_name, array_writer in arrays.items():
+                    array_writer.append(getattr(state, field_name))
             assert writer is not None  # total_rows > 0 guarantees a chunk
             store = writer.finalize()
+            for array_writer in arrays.values():
+                array_writer.close()
             on_error.pop_all()  # success: nothing to abort
-        columns = StoreColumns(store, col_names)
+        mapped = {
+            field_name: np.load(array_writer.path, mmap_mode="r")
+            for field_name, array_writer in arrays.items()
+        }
         return (
-            columns,
-            weights_w.close(),
-            synth_w.close(),
-            codes_w.close(),
-            context_w.close() if context_w is not None else None,
+            StoreColumns(store, col_names),
+            mapped["weights"],
+            mapped["synthesized"],
+            mapped["codes"],
+            mapped.get("context"),
         )
 
     def _validate_plan(
@@ -952,25 +912,15 @@ class IncompletenessJoin:
         )
         if plan is not None and plan.has_root_filters and len(rows):
             # Pre-walk pruning: drop non-qualifying roots before any model
-            # sampling.  Only the filters' own columns are sliced here —
-            # gathered straight from a mapped store (nothing cached), or
-            # sliced from the materialized root columns otherwise.
+            # sampling.  Only the filters' own columns are gathered.
             root = tables[0]
             table = self.db.table(root)
             filters = plan.filters_at(0)
-            if table.is_mapped:
-                prefix = f"{root}."
-                cols = {
-                    p.column: table.gather(p.column[len(prefix):], rows)
-                    for p in filters
-                }
-            else:
-                self._ensure_root_columns(root)
-                assert self._root_columns is not None
-                cols = {
-                    p.column: self._root_columns[p.column][rows]
-                    for p in filters
-                }
+            prefix = f"{root}."
+            cols = {
+                p.column: table.gather(p.column[len(prefix):], rows)
+                for p in filters
+            }
             rows = rows[conjunction_mask(cols, filters, len(rows))]
         return acc.split(
             self._walk(self._initial_state(rows), 1, len(tables), acc, plan)
@@ -979,25 +929,11 @@ class IncompletenessJoin:
     def _prepare_shared_caches(self, tables: List[str]) -> None:
         """Materialize every lazily built read-only cache up front.
 
-        Concurrent thread walks then never write shared state: root
-        encodings, child indexes, key orders, orphan weights, replacers and
-        the model's float32 networks all exist before the first worker
-        starts.
+        Concurrent thread walks then never write shared state: child
+        indexes, key orders, orphan weights, replacers and the model's
+        float32 networks all exist before the first worker starts.  Root
+        rows have no cache: each chunk gathers and encodes its own.
         """
-        root = tables[0]
-        table = self.db.table(root)
-        encoder = self.layout.encoders[root]
-        # Mapped roots stay on disk: chunks gather and encode their own rows
-        # (see _initial_state), so warming full-table codes/columns here
-        # would defeat the out-of-core memory bound.
-        if not table.is_mapped:
-            if encoder.columns and self._root_codes is None:
-                self._root_codes = encoder.encode_table(table)
-            if self._root_columns is None:
-                self._root_columns = {
-                    f"{root}.{c}": np.asarray(table[c])
-                    for c in table.column_names
-                }
         for slot in range(1, len(tables)):
             prev, new = tables[slot - 1], tables[slot]
             if self.db.is_fan_out_step(prev, new):
@@ -1016,62 +952,29 @@ class IncompletenessJoin:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _ensure_root_columns(self, root: str) -> None:
-        if self._root_columns is None:  # materialized once, sliced per chunk
-            table = self.db.table(root)
-            self._root_columns = {
-                f"{root}.{c}": np.asarray(table[c]) for c in table.column_names
-            }
-
     def _initial_state(self, rows: np.ndarray) -> _WalkState:
         """Root evidence state for an explicit array of root-row indices.
 
         Each row's stream is derived from its index alone, so a pruned row
-        set yields streams identical to the same rows of a full run.
-        A mapped root table is never materialized: the chunk gathers and
-        encodes only its own rows, so peak memory scales with the chunk
-        size rather than the table.
+        set yields streams identical to the same rows of a full run.  The
+        root's tuples are attached like every later hop's
+        (:meth:`_fill_real_table`): the chunk gathers and encodes only its
+        own rows, so peak memory scales with the chunk, not the table.
         """
-        root = self.path.tables[0]
-        table = self.db.table(root)
         rows = np.asarray(rows, dtype=np.int64)
-        codes = np.zeros((len(rows), self.layout.num_variables), dtype=np.int64)
-        start, stop = self.layout.slot_range(0)
-        encoder = self.layout.encoders[root]
-        if table.is_mapped:
-            gathered = {c: table.gather(c, rows) for c in table.column_names}
-            if encoder.columns:
-                codes[:, start:stop] = encoder.encode_columns(
-                    {c: gathered[c] for c in encoder.columns}
-                )
-            columns = {f"{root}.{c}": v for c, v in gathered.items()}
-            return self._initial_state_from(rows, codes, columns)
-        if encoder.columns:
-            if self._root_codes is None:  # encoded once, sliced per chunk
-                self._root_codes = encoder.encode_table(table)
-            codes[:, start:stop] = self._root_codes[rows]
-        self._ensure_root_columns(root)
-        assert self._root_columns is not None
-        # Fancy indexing copies, so chunk states never alias the database.
-        columns = {k: v[rows] for k, v in self._root_columns.items()}
-        return self._initial_state_from(rows, codes, columns)
-
-    def _initial_state_from(
-        self, rows: np.ndarray, codes: np.ndarray,
-        columns: Dict[str, np.ndarray],
-    ) -> _WalkState:
-        context = self.model.context_for_roots(rows)
-        return _WalkState(
-            codes=codes,
-            columns=columns,
+        state = _WalkState(
+            codes=np.zeros((len(rows), self.layout.num_variables), dtype=np.int64),
+            columns={},
             weights=np.ones(len(rows)),
             synthesized=np.zeros(len(rows), dtype=bool),
             current_rows=rows,
-            context=context,
+            context=self.model.context_for_roots(rows),
             streams=rt_rng.root_streams(rows),
             counters=np.zeros(len(rows), dtype=np.uint64),
             roots=rows,
         )
+        self._fill_real_table(state, 0, self.path.tables[0], rows)
+        return state
 
     def _replacer(self, table_name: str) -> EuclideanReplacer:
         if table_name not in self._replacers:
@@ -1158,7 +1061,7 @@ class IncompletenessJoin:
         parts: List[_WalkState] = []
         if real.any():
             rows_real = np.flatnonzero(real)
-            child_rows, local_owner = _gather_children(
+            child_rows, local_owner = gather_children(
                 child_index, state.current_rows[rows_real]
             )
             owners = rows_real[local_owner]
@@ -1333,7 +1236,8 @@ class IncompletenessJoin:
 
         Rows are gathered, not sliced from a materialized column: a mapped
         table reads only the touched rows, and the gathered block is reused
-        for encoding rather than read twice.
+        for encoding rather than read twice.  Contiguous rows come back as
+        views of the table's columns; no walk writes into a column array.
         """
         table = self.db.table(table_name)
         gathered = {c: table.gather(c, rows) for c in table.column_names}
@@ -1457,16 +1361,13 @@ class IncompletenessJoin:
         cache_key = (fk.child_table, fk.child_column, fk.parent_table)
         if cache_key in self._orphan_weights:
             return self._orphan_weights[cache_key]
-        child = self.db.table(fk.child_table)
-        refs = np.asarray(child[fk.child_column])
-        parent_keys = np.asarray(
-            self.db.table(fk.parent_table)[fk.parent_column], dtype=np.int64
-        )
+        refs = np.asarray(self.db.table(fk.child_table)[fk.child_column])
         valid = refs[refs >= 0]
         if len(valid) == 0:
             weight = 1.0
         else:
-            dangling = (~np.isin(valid, parent_keys)).mean()
+            parent_keys = self.db.table(fk.parent_table)[fk.parent_column]
+            dangling = (match_keys(parent_keys, valid) < 0).mean()
             mean_children = self._mean_children_per_parent(fk)
             if dangling > 0:
                 weight = float(dangling) / mean_children

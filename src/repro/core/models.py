@@ -153,26 +153,6 @@ class _HopSamplingAPI:
         prefix[:, tf_idx] = codes
         return codec.decode(codes)
 
-    def expected_tuple_factors(
-        self,
-        prefix: np.ndarray,
-        slot: int,
-        context: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Expected (mean) tuple factor per row — used for reweighting."""
-        self._require_fitted()
-        tf_idx = self.layout.tf_variable_index(slot)
-        if tf_idx is None:
-            raise ValueError(f"slot {slot} is not a fan-out hop")
-        codec = self.layout.tf_codec_for(slot)
-        probs = self._cond_probs(prefix, tf_idx, context)
-        probs = probs * codec.sampling_mask()[None, :]
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        counts = np.arange(probs.shape[1], dtype=float)
-        # Row-local reduction (not a matvec) so the result is independent of
-        # how the batch was chunked.
-        return (probs * counts[None, :]).sum(axis=1)
-
     def sample_slot(
         self,
         prefix: np.ndarray,

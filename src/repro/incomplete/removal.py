@@ -24,6 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..relational import Database, SchemaAnnotation, Table
+from ..relational.keys import match_keys
 from ..relational.tuple_factors import TF_UNKNOWN, observed_tuple_factors
 from .mechanisms import MissingnessMechanism, _biased_scores
 
@@ -244,11 +245,10 @@ def make_incomplete(
             if fk.parent_table not in (incomplete_tables & cascade_parents):
                 continue
             child = working.table(fk.child_table)
-            parent_keys = set(working.table(fk.parent_table)[fk.parent_column].tolist())
-            refs = child[fk.child_column]
-            keep = np.fromiter(
-                (v in parent_keys for v in refs.tolist()), dtype=bool, count=len(refs)
-            )
+            keep = match_keys(
+                working.table(fk.parent_table)[fk.parent_column],
+                child[fk.child_column],
+            ) >= 0
             if keep.all():
                 continue
             prior = keep_masks.get(fk.child_table)

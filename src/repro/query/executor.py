@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import QueryValidationError
 from ..relational import Database, join_order
+from ..relational.keys import build_child_index, gather_children, match_keys
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, GroupKey, Query, QueryResult
 
 
@@ -155,7 +156,9 @@ def join_tables(db: Database, tables: Sequence[str]) -> JoinResult:
     """Inner equi-join of ``tables`` along their foreign keys.
 
     Negative key values (the missing-key sentinel of synthesized tuples)
-    never match, so partially synthesized data joins conservatively.
+    never match, so partially synthesized data joins conservatively.  Rows
+    keep the first table's order; each row's children follow in ascending
+    row position (:mod:`repro.relational.keys`).
     """
     tables = list(tables)
     first = tables[0]
@@ -182,49 +185,22 @@ def join_tables(db: Database, tables: Sequence[str]) -> JoinResult:
 def _join_to_parent(db, row_idx, anchor, new, fk):
     """n:1 hop — each current row keeps at most one partner."""
     child_vals = db.table(anchor)[fk.child_column][row_idx[anchor]]
-    parent_keys = db.table(new)[fk.parent_column]
-    positions = _lookup_positions(parent_keys, child_vals)
+    positions = match_keys(db.table(new)[fk.parent_column], child_vals)
     keep = positions >= 0
     out = {name: idx[keep] for name, idx in row_idx.items()}
     out[new] = positions[keep]
     return out
 
+
 def _join_to_children(db, row_idx, anchor, new, fk):
-    """1:n hop — each current row expands to all of its children."""
-    anchor_keys = db.table(anchor)[fk.parent_column][row_idx[anchor]]
-    child_refs = db.table(new)[fk.child_column]
-    order = np.argsort(child_refs, kind="stable")
-    sorted_refs = child_refs[order]
-    starts = np.searchsorted(sorted_refs, anchor_keys, side="left")
-    stops = np.searchsorted(sorted_refs, anchor_keys, side="right")
-    counts = stops - starts
-    total = int(counts.sum())
-
-    expand = np.repeat(np.arange(len(anchor_keys)), counts)
-    child_positions = np.empty(total, dtype=np.int64)
-    cursor = 0
-    nonzero = np.flatnonzero(counts)
-    for i in nonzero:
-        n = counts[i]
-        child_positions[cursor:cursor + n] = order[starts[i]:stops[i]]
-        cursor += n
-
-    out = {name: idx[expand] for name, idx in row_idx.items()}
-    out[new] = child_positions
+    """1:n hop — each current row expands to all of its children, listed
+    in ascending row position."""
+    child_rows, owners = gather_children(
+        build_child_index(db, fk), row_idx[anchor]
+    )
+    out = {name: idx[owners] for name, idx in row_idx.items()}
+    out[new] = child_rows
     return out
-
-
-def _lookup_positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row positions of ``queries`` in unique ``keys`` (-1 where absent)."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    pos = np.searchsorted(sorted_keys, queries)
-    pos = np.clip(pos, 0, max(len(sorted_keys) - 1, 0))
-    if len(sorted_keys) == 0:
-        return np.full(len(queries), -1, dtype=np.int64)
-    found = (sorted_keys[pos] == queries) & (queries >= 0)
-    result = np.where(found, order[pos], -1)
-    return result.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

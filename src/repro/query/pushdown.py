@@ -42,6 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..relational import Database
+from ..relational.keys import match_keys
 from .ast import Filter, Query
 from .executor import predicate_mask
 
@@ -155,14 +156,9 @@ def dangling_hop_slots(db: Database, path_tables: Sequence[str]) -> Tuple[int, .
         if db.is_fan_out_step(prev, new):
             continue
         fk = db.fk_between(prev, new)
-        refs = np.asarray(db.table(fk.child_table)[fk.child_column], dtype=np.int64)
-        valid = refs[refs >= 0]
-        if len(valid) == 0:
-            continue
-        parents = np.asarray(
-            db.table(fk.parent_table)[fk.parent_column], dtype=np.int64
-        )
-        if not np.isin(valid, parents).all():
+        refs = np.asarray(db.table(fk.child_table)[fk.child_column])
+        parent_rows = match_keys(db.table(fk.parent_table)[fk.parent_column], refs)
+        if ((parent_rows < 0) & (refs >= 0)).any():
             slots.append(slot)
     return tuple(slots)
 

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
+from .keys import match_keys
 from .table import Table
 
 
@@ -187,12 +188,10 @@ class Database:
         """
         problems = []
         for fk in self.foreign_keys:
-            child = self.tables[fk.child_table]
-            parent = self.tables[fk.parent_table]
-            child_vals = np.asarray(child[fk.child_column])
-            parent_keys = np.asarray(parent[fk.parent_column])
-            real = child_vals[child_vals >= 0]
-            dangling = int(len(real) - np.isin(real, parent_keys).sum())
+            refs = np.asarray(self.tables[fk.child_table][fk.child_column])
+            parent_keys = self.tables[fk.parent_table][fk.parent_column]
+            unmatched = match_keys(parent_keys, refs) < 0
+            dangling = int((unmatched & (refs >= 0)).sum())
             if dangling:
                 problems.append(f"{fk}: {dangling} dangling references")
         return problems

@@ -1,10 +1,11 @@
 """Out-of-core column stores: the backend seam behind :class:`Table`.
 
-A :class:`ColumnStore` owns the physical bytes of a table's columns.  Two
-implementations exist:
+A :class:`ColumnStore` owns the physical bytes of a table's columns; every
+:class:`~repro.relational.table.Table` holds one.  Two implementations
+exist:
 
-* :class:`InMemoryStore` — the historical backend: plain numpy arrays in
-  RAM.  ``read_range`` returns basic-slice *views*, so contiguous chunk
+* :class:`InMemoryStore` — what ``Table(...)`` builds: plain numpy arrays
+  in RAM.  ``read_range`` returns basic-slice *views*, so contiguous chunk
   walks stop paying the fancy-indexing copy tax.
 * :class:`MappedStore` — one ``.npy`` file per column under a spill
   directory, read through short-lived ``numpy`` memory maps.  Numeric
@@ -30,7 +31,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,8 +122,6 @@ def contiguous_range(indices: np.ndarray) -> Optional[Tuple[int, int]]:
 class ColumnStore:
     """Read interface shared by both backends."""
 
-    persistent = False  # True when the bytes live on disk (picklable by path)
-
     @property
     def num_rows(self) -> int:
         raise NotImplementedError
@@ -148,6 +147,10 @@ class ColumnStore:
 
     def _gather_fancy(self, name: str, rows: np.ndarray) -> np.ndarray:
         return self.read_full(name)[rows]
+
+    def nbytes_materialized(self) -> int:
+        """Bytes the columns occupy (or would occupy) materialized in RAM."""
+        raise NotImplementedError
 
 
 class InMemoryStore(ColumnStore):
@@ -183,6 +186,9 @@ class InMemoryStore(ColumnStore):
     def _gather_fancy(self, name: str, rows: np.ndarray) -> np.ndarray:
         return self._columns[name][rows]
 
+    def nbytes_materialized(self) -> int:
+        return int(sum(arr.nbytes for arr in self._columns.values()))
+
 
 class MappedStore(ColumnStore):
     """Memory-mapped columnar backend rooted at one spill directory.
@@ -194,8 +200,6 @@ class MappedStore(ColumnStore):
     path — process workers reopen the store instead of receiving array
     bytes, making fan-out cost O(1) in the table size.
     """
-
-    persistent = True
 
     def __init__(self, directory: str, meta: dict):
         self.directory = str(directory)
@@ -332,23 +336,32 @@ class MappedStore(ColumnStore):
         return total
 
 
-def _npy_header(fh, dtype: np.dtype, num_rows: int) -> None:
+def _npy_header(fh, dtype: np.dtype, shape: Tuple[int, ...]) -> None:
     np.lib.format.write_array_header_2_0(
         fh, {"descr": np.lib.format.dtype_to_descr(dtype),
-             "fortran_order": False, "shape": (num_rows,)}
+             "fortran_order": False, "shape": shape}
     )
 
 
 class _RawColumnWriter:
-    """Streams fixed-dtype blocks into a pre-sized npy file."""
+    """Streams fixed-dtype row blocks into a pre-sized npy file.
 
-    def __init__(self, path: str, dtype: np.dtype, num_rows: int):
+    The file holds ``num_rows`` rows of ``trailing_shape`` each (a column
+    by default; ``(width,)`` for a row-major matrix).  Plain buffered
+    writes after the header — no dirty mapped pages, so a file far larger
+    than RAM does not grow RSS.
+    """
+
+    def __init__(
+        self, path: str, dtype: np.dtype, num_rows: int,
+        trailing_shape: Tuple[int, ...] = (),
+    ):
         self.path = path
         self.dtype = np.dtype(dtype)
         self.num_rows = num_rows
         self.written = 0
         self._fh = open(path, "wb")
-        _npy_header(self._fh, self.dtype, num_rows)
+        _npy_header(self._fh, self.dtype, (num_rows,) + tuple(trailing_shape))
 
     def append(self, values: np.ndarray) -> int:
         block = np.ascontiguousarray(values, dtype=self.dtype)

@@ -1,19 +1,21 @@
 """Column-oriented tables over a pluggable storage backend.
 
 A :class:`Table` stores equal-length columns keyed by name plus per-column
-:class:`~repro.relational.column.ColumnMeta`.  The physical bytes live
-behind a :class:`~repro.relational.storage.ColumnStore` seam: the default
-backend keeps plain numpy arrays in RAM; :meth:`Table.spill_to` /
-:meth:`Table.from_store` move a table onto the memory-mapped columnar
-backend, where columns materialize lazily and row ranges are read through
-short-lived maps.  Operations return new (in-RAM) tables; contiguous row
-selections return zero-copy range views on both backends, everything else
-falls back to fancy indexing (which copies).
+:class:`~repro.relational.column.ColumnMeta`.  Every read goes through the
+table's :class:`~repro.relational.storage.ColumnStore`: ``Table(...)``
+builds an :class:`~repro.relational.storage.InMemoryStore` over plain numpy
+arrays; :meth:`Table.spill_to` / :meth:`Table.from_store` put a table on a
+:class:`~repro.relational.storage.MappedStore`, where columns materialize
+lazily and row ranges are read through short-lived maps.  Operations
+return new (in-RAM) tables; contiguous row selections return zero-copy
+range views on both backends, everything else falls back to fancy
+indexing (which copies).  A table pickles with its store, and a mapped
+store pickles as its directory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +55,8 @@ class Table:
         primary_key: Optional[str] = "id",
     ):
         self.name = name
-        self._columns: Dict[str, np.ndarray] = {}
+        arrays: Dict[str, np.ndarray] = {}
         self._meta: Dict[str, ColumnMeta] = {}
-        self._store: Optional[MappedStore] = None
         lengths = set()
         for col_name, values in columns.items():
             if col_name not in kinds:
@@ -64,7 +65,7 @@ class Table:
             arr = coerce_values(kind, values)
             if arr.ndim != 1:
                 raise ValueError(f"{name}.{col_name}: columns must be 1-D")
-            self._columns[col_name] = arr
+            arrays[col_name] = arr
             self._meta[col_name] = ColumnMeta(col_name, kind)
             lengths.add(len(arr))
         extra = set(kinds) - set(columns)
@@ -73,9 +74,10 @@ class Table:
         if len(lengths) > 1:
             raise ValueError(f"{name}: ragged columns with lengths {sorted(lengths)}")
         self._num_rows = lengths.pop() if lengths else 0
-        if primary_key is not None and primary_key not in self._columns:
+        if primary_key is not None and primary_key not in arrays:
             raise ValueError(f"{name}: primary key {primary_key!r} is not a column")
         self.primary_key = primary_key
+        self._store: ColumnStore = InMemoryStore(arrays, self.kinds())
 
     # ------------------------------------------------------------------
     # Storage backends
@@ -94,7 +96,6 @@ class Table:
         table = cls.__new__(cls)
         table.name = name if name is not None else store.table_name
         table._store = store
-        table._columns = {}
         table._meta = {
             col: ColumnMeta(col, store.kind(col)) for col in store.names()
         }
@@ -117,30 +118,7 @@ class Table:
     @property
     def is_mapped(self) -> bool:
         """True when the bytes live in a mapped store (lazy columns)."""
-        return self._store is not None
-
-    @property
-    def store(self) -> Optional[MappedStore]:
-        return self._store
-
-    def __getstate__(self) -> dict:
-        if self._store is not None and self._store.persistent:
-            # Ship the store path, not the bytes: workers reopen the mmap.
-            return {
-                "name": self.name,
-                "primary_key": self.primary_key,
-                "store_dir": self._store.directory,
-            }
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        store_dir = state.pop("store_dir", None)
-        if store_dir is not None:
-            restored = Table.from_store(store_dir, name=state["name"])
-            self.__dict__.update(restored.__dict__)
-            self.primary_key = state["primary_key"]
-            return
-        self.__dict__.update(state)
+        return isinstance(self._store, MappedStore)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -154,7 +132,7 @@ class Table:
 
     @property
     def column_names(self) -> List[str]:
-        return list(self._meta) if self._store is not None else list(self._columns)
+        return self._store.names()
 
     def __contains__(self, column: str) -> bool:
         return column in self._meta
@@ -167,13 +145,9 @@ class Table:
         dictionary columns) — deliberately *not* cached, so large columns
         do not accumulate in RSS behind the caller's back.
         """
-        if self._store is not None:
-            if name not in self._meta:
-                raise KeyError(f"{self.name} has no column {name!r}")
-            return self._store.read_full(name)
-        if name not in self._columns:
+        if name not in self._meta:
             raise KeyError(f"{self.name} has no column {name!r}")
-        return self._columns[name]
+        return self._store.read_full(name)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
@@ -187,9 +161,7 @@ class Table:
         """
         if name not in self._meta:
             raise KeyError(f"{self.name} has no column {name!r}")
-        if self._store is not None:
-            return self._store.read_range(name, start, stop)
-        return self._columns[name][start:stop]
+        return self._store.read_range(name, start, stop)
 
     def gather(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Rows of one column at the given positions.
@@ -198,12 +170,7 @@ class Table:
         gather (mapped columns read only the touched rows)."""
         if name not in self._meta:
             raise KeyError(f"{self.name} has no column {name!r}")
-        if self._store is not None:
-            return self._store.gather(name, rows)
-        bounds = contiguous_range(rows)
-        if bounds is not None:
-            return self._columns[name][bounds[0]:bounds[1]]
-        return self._columns[name][np.asarray(rows)]
+        return self._store.gather(name, rows)
 
     def meta(self, name: str) -> ColumnMeta:
         if name not in self._meta:
@@ -219,12 +186,10 @@ class Table:
 
     def nbytes_materialized(self) -> int:
         """Bytes this table occupies (or would occupy) materialized in RAM."""
-        if self._store is not None:
-            return self._store.nbytes_materialized()
-        return int(sum(arr.nbytes for arr in self._columns.values()))
+        return self._store.nbytes_materialized()
 
     def __repr__(self) -> str:
-        backend = "mapped" if self._store is not None else "ram"
+        backend = "mapped" if self.is_mapped else "ram"
         return (
             f"Table({self.name!r}, rows={self.num_rows}, "
             f"cols={self.column_names}, backend={backend})"
@@ -300,11 +265,9 @@ class Table:
     def _with_columns(self, columns: Dict[str, np.ndarray]) -> "Table":
         table = Table.__new__(Table)
         table.name = self.name
-        table._columns = columns
         table._meta = self._meta
-        table._store = None
-        lengths = {len(arr) for arr in columns.values()}
-        table._num_rows = lengths.pop() if lengths else 0
+        table._store = InMemoryStore(columns, self.kinds())
+        table._num_rows = table._store.num_rows
         table.primary_key = self.primary_key
         return table
 

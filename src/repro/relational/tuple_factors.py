@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .keys import match_keys
 from .schema import Database, ForeignKey
 
 TF_UNKNOWN = -1
@@ -28,25 +29,10 @@ def observed_tuple_factors(db: Database, fk: ForeignKey) -> np.ndarray:
     values) are ignored.
     """
     parent = db.table(fk.parent_table)
-    child = db.table(fk.child_table)
-    parent_keys = parent[fk.parent_column]
-    child_refs = child[fk.child_column]
-
-    counts = np.zeros(len(parent), dtype=np.int64)
-    if len(child_refs) == 0:
-        return counts
-    valid = child_refs >= 0
-    if not valid.any():
-        return counts
-    refs = child_refs[valid]
-    # Parent keys are unique; map key value -> row position.
-    order = np.argsort(parent_keys, kind="stable")
-    sorted_keys = parent_keys[order]
-    pos = np.searchsorted(sorted_keys, refs)
-    pos = np.clip(pos, 0, len(sorted_keys) - 1)
-    matched = sorted_keys[pos] == refs
-    np.add.at(counts, order[pos[matched]], 1)
-    return counts
+    parent_rows = match_keys(
+        parent[fk.parent_column], db.table(fk.child_table)[fk.child_column]
+    )
+    return np.bincount(parent_rows[parent_rows >= 0], minlength=len(parent))
 
 
 def annotated_tuple_factors(

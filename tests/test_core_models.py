@@ -14,7 +14,7 @@ from repro.core import (
     build_child_index,
     build_encoders,
 )
-from repro.core.forest import ChildIndex, _gather_children
+from repro.relational.keys import ChildIndex, gather_children
 from repro.datasets import SyntheticConfig, generate_synthetic
 from repro.incomplete import RemovalSpec, make_incomplete
 from repro.nn import TrainConfig
@@ -94,14 +94,6 @@ class TestARModel:
         tfs = model.predict_tuple_factors(prefix, 1, np.random.default_rng(0),
                                           min_counts=mins)
         assert (tfs == codec.cap).all()
-
-    def test_expected_tuple_factors_reasonable(self, synthetic_setup):
-        db, dataset, _, layout = synthetic_setup
-        model = fitted_ar(layout, epochs=12)
-        prefix = np.zeros((50, layout.num_variables), dtype=np.int64)
-        expected = model.expected_tuple_factors(prefix, 1)
-        assert expected.shape == (50,)
-        assert (expected >= 0).all()
 
     def test_sample_slot_fills_target(self, synthetic_setup):
         *_, layout = synthetic_setup
@@ -190,7 +182,7 @@ class TestChildIndexAndForest:
 
 
 def _gather_children_reference(index, parent_rows):
-    """The per-parent loop :func:`_gather_children` replaced."""
+    """The per-parent loop :func:`gather_children` replaced."""
     counts = index.offsets[parent_rows + 1] - index.offsets[parent_rows]
     child_rows = np.empty(int(counts.sum()), dtype=np.int64)
     cursor = 0
@@ -229,7 +221,7 @@ class TestGatherChildren:
             "all": np.arange(40),
             "random": rng.integers(0, 40, size=200),
         }[case]
-        got = _gather_children(index, parent_rows)
+        got = gather_children(index, parent_rows)
         want = _gather_children_reference(index, parent_rows)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
@@ -241,7 +233,7 @@ class TestGatherChildren:
         index = build_child_index(dataset.incomplete, fk)
         rng = np.random.default_rng(12)
         parent_rows = rng.integers(0, len(index.offsets) - 1, size=500)
-        for g, w in zip(_gather_children(index, parent_rows),
+        for g, w in zip(gather_children(index, parent_rows),
                         _gather_children_reference(index, parent_rows)):
             np.testing.assert_array_equal(g, w)
 

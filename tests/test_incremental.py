@@ -403,7 +403,8 @@ def fitted_engine():
 
 @pytest.mark.slow
 class TestEngineIncremental:
-    def test_recomplete_reuses_untouched_chunks(self, fitted_engine, tmp_path):
+    def test_recomplete_reuses_untouched_chunks(self, fitted_engine, tmp_path,
+                                                monkeypatch):
         engine = ReStore.load(self._artifact(fitted_engine, tmp_path))
         cold = engine.recomplete()
         assert cold.recompletion["chunks_walked"] == cold.recompletion["chunks_total"]
@@ -412,12 +413,25 @@ class TestEngineIncremental:
         delta = engine.apply_mutations(updates={root: [
             {"id": int(tbl["id"][0]), "a": str(tbl["a"][1])}
         ]})
+        model = engine._default_model()
+        encoder = model.layout.encoders[root]
+        encoded = []
+        encode = encoder.encode_columns
+
+        def counting(columns):
+            encoded.append(len(next(iter(columns.values()))))
+            return encode(columns)
+
+        monkeypatch.setattr(encoder, "encode_columns", counting)
         again = engine.recomplete(delta)
-        assert again.recompletion["chunks_walked"] >= 1
-        assert again.recompletion["chunks_cached"] >= 1
+        assert again.recompletion["chunks_walked"] == 1
+        assert again.recompletion["chunks_total"] == 16
         assert (again.recompletion["chunks_walked"]
                 + again.recompletion["chunks_cached"]
                 == again.recompletion["chunks_total"])
+        # Only the walked chunk's root rows are gathered and encoded.
+        start, stop = engine._grid(model)[0]
+        assert encoded == [stop - start] and stop - start < len(tbl)
 
     def test_fine_tune_is_digest_gated(self, fitted_engine, tmp_path):
         engine = ReStore.load(self._artifact(fitted_engine, tmp_path))

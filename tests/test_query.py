@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ReStore
 from repro.errors import QueryValidationError
 from repro.query import (
     Aggregate,
@@ -22,10 +23,79 @@ from repro.query import (
     resolve_query_columns,
     validate_query_columns,
 )
+from repro.relational import join_order
+from repro.workloads import ALL_SETUPS, base_database
 from repro.workloads.queries import HOUSING_QUERIES, MOVIES_QUERIES
 
 
+def _reference_join(db, tables):
+    """Row positions of the equi-join, one dict of row lists per hop.
+
+    Anchor rows keep their order, each anchor's partner and children come
+    in ascending row position, and a negative reference matches nothing.
+    """
+    rows = {tables[0]: list(range(len(db.table(tables[0]))))}
+    for anchor, new in join_order(db, tables):
+        fk = db.fk_between(anchor, new)
+        row_of_key = {
+            key: row for row, key in
+            enumerate(db.table(fk.parent_table)[fk.parent_column].tolist())
+        }
+        refs = db.table(fk.child_table)[fk.child_column].tolist()
+        partners = {}  # parent row -> child rows, ascending
+        for child, ref in enumerate(refs):
+            if ref >= 0 and ref in row_of_key:
+                partners.setdefault(row_of_key[ref], []).append(child)
+        if fk.child_table == anchor:  # n:1: a child's one parent
+            partners = {
+                child: [parent]
+                for parent, children in partners.items() for child in children
+            }
+        out = {name: [] for name in [*rows, new]}
+        for i, row in enumerate(rows[anchor]):
+            for partner in partners.get(row, []):
+                for name in rows:
+                    out[name].append(rows[name][i])
+                out[new].append(partner)
+        rows = out
+    return rows
+
+
+@pytest.fixture(scope="module", params=sorted(ALL_SETUPS))
+def table1_incomplete(request):
+    """One Table 1 setup's incomplete database plus its candidate paths."""
+    setup = ALL_SETUPS[request.param]
+    dataset = setup.make(
+        base_database(setup.dataset, seed=0, scale=0.25),
+        keep_rate=0.5, removal_correlation=0.6, seed=1,
+    )
+    engine = ReStore.from_dataset(dataset)
+    paths = [
+        path for target in engine.incomplete_targets()
+        for path in engine.paths_for(target)
+    ]
+    return dataset.incomplete, paths
+
+
 class TestJoin:
+    def test_matches_reference_join_on_table1_candidate_paths(
+        self, table1_incomplete
+    ):
+        """Row order included: training matrices are built on this join."""
+        db, paths = table1_incomplete
+        assert paths
+        for path in paths:
+            joined = join_tables(db, list(path.tables))
+            expected = _reference_join(db, list(path.tables))
+            for table in path.tables:
+                rows = np.asarray(expected[table], dtype=np.int64)
+                for column in db.table(table).column_names:
+                    np.testing.assert_array_equal(
+                        joined.columns[f"{table}.{column}"],
+                        db.table(table)[column][rows],
+                        err_msg=f"{path}: {table}.{column}",
+                    )
+
     def test_n_to_1_join(self, housing_mini):
         joined = join_tables(housing_mini, ["apartment", "neighborhood"])
         assert joined.num_rows == 5

@@ -12,11 +12,11 @@ import asyncio
 
 import pytest
 
-from repro import ReStore, ReStoreConfig, parse_query
+from repro import ReStore, ReStoreConfig
 from repro.core import ModelConfig, SamplingBudget
 from repro.incomplete.registry import make_scenario_dataset
 from repro.nn import TrainConfig
-from repro.serving import CompletionService, ServiceClosedError, ServiceConfig
+from repro.serving import CompletionService, ServiceClosedError
 
 FAST = TrainConfig(epochs=3, batch_size=128, lr=1e-2, patience=2)
 

@@ -11,6 +11,7 @@ memory gauges, and the columnar artifact layout.
 import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -68,7 +69,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.query import parse_query
-from repro.relational import ColumnKind, CompletionPath, Database, Table
+from repro.relational import ColumnKind, CompletionPath, Table
 from repro.relational import storage
 from repro.relational.storage import (
     MappedStore,
@@ -374,6 +375,36 @@ class TestRangeViews:
         ram, mapped = both_backends
         assert mapped.is_mapped and not ram.is_mapped
         _assert_tables_equal(ram, mapped)
+
+
+class TestTablePickling:
+    """A table pickles with its store; a mapped store as its directory."""
+
+    @pytest.mark.parametrize("num_rows", [10, 200_000])
+    def test_mapped_table_pickles_small_whatever_its_rows(self, tmp_path,
+                                                          num_rows):
+        rng = np.random.default_rng(num_rows)
+        ram = Table("t", {
+            "id": np.arange(num_rows, dtype=np.int64),
+            "label": np.array([f"l{i % 7}" for i in range(num_rows)],
+                              dtype=object),
+            "v": rng.normal(size=num_rows),
+        }, {"id": K, "label": C, "v": N})
+        blob = pickle.dumps(ram.spill_to(str(tmp_path / "t")))
+        assert len(blob) < 2048
+        restored = pickle.loads(blob)
+        assert restored.is_mapped
+        assert restored.kinds() == ram.kinds()
+        assert restored.primary_key == ram.primary_key
+        _assert_tables_equal(restored, ram)
+
+    def test_in_ram_table_round_trips(self, both_backends):
+        ram, _ = both_backends
+        restored = pickle.loads(pickle.dumps(ram))
+        assert not restored.is_mapped
+        assert restored.kinds() == ram.kinds()
+        assert restored.primary_key == ram.primary_key
+        _assert_tables_equal(restored, ram)
 
 
 # ----------------------------------------------------------------------
