@@ -7,7 +7,8 @@ from .path_data import (
     assemble_training_data,
     build_encoders,
 )
-from .forest import ChildIndex, EvidenceForest, build_child_index
+from ..relational.keys import ChildIndex, build_child_index
+from .forest import EvidenceForest
 from .models import (
     ARCompletionModel,
     CompletionSnapshot,

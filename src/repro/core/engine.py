@@ -273,8 +273,7 @@ class ReStore:
                 model.layout = layouts[tables]
                 forest = getattr(model, "forest", None)
                 if forest is not None:
-                    forest.db = self.db
-                    forest.encoders = self.encoders
+                    forest.rebind(self.db, self.encoders)
 
     def _train_path(self, path: CompletionPath, seed_offset: int = 0):
         """Train this path's AR/SSAR candidates (pure: registration is the
@@ -740,8 +739,8 @@ class ReStore:
 
         Layouts swap their data references in place (the variable layout,
         codecs and trained parameters are fit-time state and must not
-        change); evidence forests rebuild their precomputed child indexes
-        and encoded evidence against the new rows.
+        change); evidence forests drop their encoded evidence, which is
+        re-encoded from the new rows on first use.
         """
         rebound_forests: set = set()
         for model in self._models.values():

@@ -5,9 +5,12 @@ off each evidence tuple: 1:n related rows discovered by an acyclic schema
 walk, and — for the incomplete target table itself — the already-available
 sibling tuples (*self-evidence*).
 
-This module pre-indexes the children of every row (a CSR-style adjacency
-from :mod:`repro.relational.keys`) so that per-batch evidence trees can be
-materialized quickly during both training and completion.  Self-evidence
+A forest keeps no key structure of its own: each batch gathers children
+through the database's memoized child indexes
+(:func:`repro.relational.keys.child_index`, built once per database and
+shared with the incompleteness join), and each evidence table is encoded
+on first use.  Re-anchoring on a mutated database (:meth:`EvidenceForest.rebind`)
+therefore only swaps references and drops the encodings.  Self-evidence
 uses leave-one-out during training: the tuple being predicted is removed
 from its own evidence set, otherwise the model could trivially copy it.
 """
@@ -21,13 +24,13 @@ import numpy as np
 from ..encoding import TableEncoder
 from ..nn import TreeNodeBatch, TreeNodeSpec
 from ..relational import Database
-from ..relational.keys import ChildIndex, build_child_index, gather_children
+from ..relational.keys import child_index, gather_children
 # perfbench/layers.py traces the key primitives by their names in this module.
-from ..relational.keys import match_keys  # noqa: F401
+from ..relational.keys import build_child_index, match_keys  # noqa: F401
 
 
 class EvidenceForest:
-    """Walk specs plus child indexes rooted at one evidence table.
+    """Walk specs rooted at one evidence table.
 
     Parameters
     ----------
@@ -66,21 +69,22 @@ class EvidenceForest:
             if len(walk) == 3:
                 self.level2.setdefault(walk[1], []).append(walk)
 
-        self._indexes: Dict[Tuple[str, str], ChildIndex] = {}
         self._encoded: Dict[str, np.ndarray] = {}
-        for walk in self.level1:
-            self._prepare_edge(walk[0], walk[1])
-            for ext in self.level2.get(walk[1], []):
-                self._prepare_edge(ext[1], ext[2])
 
-    def _prepare_edge(self, parent: str, child: str) -> None:
-        key = (parent, child)
-        if key in self._indexes:
-            return
-        fk = self.db.fk_between(child, parent)
-        self._indexes[key] = build_child_index(self.db, fk)
-        if child not in self._encoded:
-            self._encoded[child] = self.encoders[child].encode_table(self.db.table(child))
+    def _children(
+        self, parent: str, child: str, parent_rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        index = child_index(self.db, self.db.fk_between(child, parent))
+        return gather_children(index, parent_rows)
+
+    def _encoded_rows(self, table: str, rows: np.ndarray) -> np.ndarray:
+        # Concurrent thread walks may each encode a table once; the copies
+        # are equal, so whichever is kept yields the same trees.
+        if table not in self._encoded:
+            self._encoded[table] = self.encoders[table].encode_table(
+                self.db.table(table)
+            )
+        return self._encoded[table][rows]
 
     # ------------------------------------------------------------------
     # Specs
@@ -122,19 +126,13 @@ class EvidenceForest:
     def rebind(self, db: Database, encoders: Dict[str, TableEncoder]) -> None:
         """Re-anchor the forest on a (possibly mutated) database.
 
-        Child indexes and encoded evidence are precomputed from the
-        database at construction, so a plain attribute swap would leave
-        them stale; this rebuilds them against the new rows while keeping
-        the walk structure (and therefore the model's input layout).
+        Keeps the walk structure (and therefore the model's input layout)
+        and drops the encoded evidence, which is re-encoded from the new
+        rows on first use; child indexes come from the new database's memo.
         """
         self.db = db
         self.encoders = encoders
-        self._indexes = {}
         self._encoded = {}
-        for walk in self.level1:
-            self._prepare_edge(walk[0], walk[1])
-            for ext in self.level2.get(walk[1], []):
-                self._prepare_edge(ext[1], ext[2])
 
     # ------------------------------------------------------------------
     # Batch materialization
@@ -154,8 +152,7 @@ class EvidenceForest:
         batches: Dict[str, TreeNodeBatch] = {}
         for walk in self.level1:
             child = walk[1]
-            index = self._indexes[(walk[0], child)]
-            child_rows, parent_ids = gather_children(index, root_rows)
+            child_rows, parent_ids = self._children(walk[0], child, root_rows)
             if (
                 exclude_target_rows is not None
                 and child == self.self_evidence_table
@@ -164,14 +161,13 @@ class EvidenceForest:
                 keep = child_rows != np.asarray(exclude_target_rows)[parent_ids]
                 child_rows, parent_ids = child_rows[keep], parent_ids[keep]
             node = TreeNodeBatch(
-                values=self._encoded[child][child_rows],
+                values=self._encoded_rows(child, child_rows),
                 parent_ids=parent_ids,
             )
             for ext in self.level2.get(child, []):
-                sub_index = self._indexes[(ext[1], ext[2])]
-                sub_rows, sub_parents = gather_children(sub_index, child_rows)
+                sub_rows, sub_parents = self._children(ext[1], ext[2], child_rows)
                 node.children[f"{ext[1]}/{ext[2]}"] = TreeNodeBatch(
-                    values=self._encoded[ext[2]][sub_rows],
+                    values=self._encoded_rows(ext[2], sub_rows),
                     parent_ids=sub_parents,
                 )
             batches[f"{walk[0]}/{child}"] = node

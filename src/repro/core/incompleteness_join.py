@@ -34,8 +34,9 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   of that chunk alone, so chunks cache and reuse however they were walked.
 * Passes fan out over an executor (``n_workers`` / ``parallel_backend`` —
   see :mod:`repro.runtime.parallel`).  Thread workers share this join
-  object (walks accumulate into pass-local accumulators, shared caches
-  are pre-warmed); process workers receive a picklable
+  object (walks accumulate into pass-local accumulators; key structures
+  come from the database's memo in :mod:`repro.relational.keys`);
+  process workers receive a picklable
   :class:`~repro.core.models.CompletionSnapshot` — the float32 networks
   the model samples with, never the parameter module — and rebuild a
   worker-local join from it.  Dangling-FK parents are parked per chunk and
@@ -61,12 +62,7 @@ from ..query import JoinResult
 from ..query.pushdown import PushdownPlan, conjunction_mask
 from ..relational import MISSING_KEY, CompletionPath
 from ..relational.column import ColumnKind
-from ..relational.keys import (
-    ChildIndex,
-    build_child_index,
-    gather_children,
-    match_keys,
-)
+from ..relational.keys import child_index, gather_children, lookup
 from ..relational.storage import StoreColumns, StoreWriter, _RawColumnWriter
 from ..relational.tuple_factors import TF_UNKNOWN
 from ..runtime import rng as rt_rng
@@ -569,10 +565,10 @@ class IncompletenessJoin:
         self.spill_dir = spill_dir
         self._executor = get_executor(parallel_backend, self.n_workers)
         self._seed64 = rt_rng.fold_seed(self.seed)
+        # Built on first use.  Concurrent thread walks may each build a
+        # replacer (or the model's float32 networks) once; the copies are
+        # equal, so whichever is kept samples the same rows.
         self._replacers: Dict[str, EuclideanReplacer] = {}
-        self._child_indexes: Dict[Tuple[str, str, str], ChildIndex] = {}
-        self._orphan_weights: Dict[Tuple[str, str, str], float] = {}
-        self._key_orders: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -865,10 +861,8 @@ class IncompletenessJoin:
         """Dispatch walk passes to the executor; chunk outputs in task order."""
         init = None
         if self._executor.shares_caller_state:
-            # Serial/thread workers operate on this join directly.  Warm the
-            # shared per-table caches first: afterwards concurrent walks only
-            # read them (walk side-state goes to pass-local accumulators).
-            self._prepare_shared_caches(tables)
+            # Serial/thread workers operate on this join directly; walk
+            # side-state goes to pass-local accumulators.
             payload = (self, tables, plan, current_context(), self.spill_dir)
         else:
             payload = _JoinWorkerSpec(
@@ -926,29 +920,6 @@ class IncompletenessJoin:
             self._walk(self._initial_state(rows), 1, len(tables), acc, plan)
         )
 
-    def _prepare_shared_caches(self, tables: List[str]) -> None:
-        """Materialize every lazily built read-only cache up front.
-
-        Concurrent thread walks then never write shared state: child
-        indexes, key orders, orphan weights, replacers and the model's
-        float32 networks all exist before the first worker starts.  Root
-        rows have no cache: each chunk gathers and encodes its own.
-        """
-        for slot in range(1, len(tables)):
-            prev, new = tables[slot - 1], tables[slot]
-            if self.db.is_fan_out_step(prev, new):
-                self._child_index(self.layout.fan_out_hops[slot])
-            else:
-                fk = self.db.fk_between(prev, new)
-                self._partner_rows(
-                    new, self.db.table(new), np.zeros(0, dtype=np.int64)
-                )
-                self._child_index(fk)
-                self._orphan_weight(fk)
-            if self.replace_synthesized and self.annotation.is_complete(new):
-                self._replacer(new)
-        self.model.inference_snapshot()
-
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
@@ -988,12 +959,6 @@ class IncompletenessJoin:
             )
         return self._replacers[table_name]
 
-    def _child_index(self, fk) -> ChildIndex:
-        key = (fk.child_table, fk.child_column, fk.parent_table)
-        if key not in self._child_indexes:
-            self._child_indexes[key] = build_child_index(self.db, fk)
-        return self._child_indexes[key]
-
     def _draw(self, state: _WalkState, k: int) -> np.ndarray:
         """``(rows, k)`` uniforms from the rows' streams; advances counters."""
         return rt_rng.draw(self._seed64, state.streams, state.counters, k)
@@ -1032,10 +997,10 @@ class IncompletenessJoin:
                      acc: _ShardAccumulator) -> _WalkState:
         fk = self.layout.fan_out_hops[slot]
         tf_idx = self.layout.tf_variable_index(slot)
-        child_index = self._child_index(fk)
+        index = child_index(self.db, fk)
         existing_counts = np.zeros(state.num_rows, dtype=np.int64)
         real = state.current_rows >= 0
-        existing_counts[real] = child_index.counts()[state.current_rows[real]]
+        existing_counts[real] = index.counts()[state.current_rows[real]]
 
         # Total tuple factor: annotated truth where available, else sampled.
         # Every row consumes one uniform (used only where unknown) so draw
@@ -1062,7 +1027,7 @@ class IncompletenessJoin:
         if real.any():
             rows_real = np.flatnonzero(real)
             child_rows, local_owner = gather_children(
-                child_index, state.current_rows[rows_real]
+                index, state.current_rows[rows_real]
             )
             owners = rows_real[local_owner]
             if len(child_rows):
@@ -1107,9 +1072,10 @@ class IncompletenessJoin:
     def _n_to_1_hop(self, state: _WalkState, slot: int, prev: str, new: str,
                     acc: _ShardAccumulator) -> _WalkState:
         fk = self.db.fk_between(prev, new)
-        parent_table = self.db.table(new)
         fk_values = state.columns[f"{prev}.{fk.child_column}"]
-        partner = self._partner_rows(new, parent_table, fk_values)
+        partner = lookup(
+            self.db, new, fk.parent_column, np.asarray(fk_values, dtype=np.int64)
+        )
 
         parts: List[_WalkState] = []
         has_partner = partner >= 0
@@ -1147,20 +1113,6 @@ class IncompletenessJoin:
         if not parts:
             return self._empty_after_slot(state, slot, new)
         return _concat_many(parts)
-
-    def _partner_rows(self, table_name: str, parent_table,
-                      fk_values: np.ndarray) -> np.ndarray:
-        """Vectorized key → row resolution (``-1`` where unresolvable)."""
-        if table_name not in self._key_orders:
-            if parent_table.primary_key is None:
-                raise ValueError(f"{parent_table.name} has no primary key")
-            keys = np.asarray(parent_table[parent_table.primary_key], dtype=np.int64)
-            self._key_orders[table_name] = (
-                keys, np.argsort(keys, kind="stable").astype(np.int64)
-            )
-        keys, order = self._key_orders[table_name]
-        return match_keys(keys, np.asarray(fk_values, dtype=np.int64),
-                          key_order=order)
 
     def _resolve_dangling(self, state: _WalkState, slot: int,
                           acc: _ShardAccumulator) -> _WalkState:
@@ -1337,14 +1289,6 @@ class IncompletenessJoin:
             roots=state.roots[:0],
         )
 
-    def _mean_children_per_parent(self, fk) -> float:
-        """Average observed fan-out (children per matched parent) >= 1."""
-        counts = self._child_index(fk).counts()
-        positive = counts[counts > 0]
-        if len(positive) == 0:
-            return 1.0
-        return float(positive.mean())
-
     def _orphan_weight(self, fk) -> float:
         """§4.3 over-generation correction for keyless synthesized children.
 
@@ -1358,20 +1302,15 @@ class IncompletenessJoin:
         children of missing parents are known to be gone), every synthesized
         child stands for a missing parent: weight ``1 / mean``.
         """
-        cache_key = (fk.child_table, fk.child_column, fk.parent_table)
-        if cache_key in self._orphan_weights:
-            return self._orphan_weights[cache_key]
+        index = child_index(self.db, fk)
         refs = np.asarray(self.db.table(fk.child_table)[fk.child_column])
-        valid = refs[refs >= 0]
-        if len(valid) == 0:
-            weight = 1.0
-        else:
-            parent_keys = self.db.table(fk.parent_table)[fk.parent_column]
-            dangling = (match_keys(parent_keys, valid) < 0).mean()
-            mean_children = self._mean_children_per_parent(fk)
-            if dangling > 0:
-                weight = float(dangling) / mean_children
-            else:
-                weight = 1.0 / mean_children
-        self._orphan_weights[cache_key] = weight
-        return weight
+        valid = refs >= 0
+        if not valid.any():
+            return 1.0
+        dangling = (index.parent_of[valid] < 0).mean()
+        counts = index.counts()
+        positive = counts[counts > 0]
+        mean_children = float(positive.mean()) if len(positive) else 1.0
+        if dangling > 0:
+            return float(dangling) / mean_children
+        return 1.0 / mean_children

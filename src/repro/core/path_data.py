@@ -20,7 +20,7 @@ reserved ``unknown`` code elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class PathLayout:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode_slot_columns(self, slot: int, columns: Dict[str, Sequence]) -> np.ndarray:
-        """Encode raw column values of one table into its slot's code block
-        (excluding any TF variable)."""
-        table = self.path.tables[slot]
-        return self.encoders[table].encode_columns(columns)
-
     def decode_slot_codes(
         self,
         slot: int,

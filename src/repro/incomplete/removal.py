@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..relational import Database, SchemaAnnotation, Table
-from ..relational.keys import match_keys
+from ..relational.keys import child_index
 from ..relational.tuple_factors import TF_UNKNOWN, observed_tuple_factors
 from .mechanisms import MissingnessMechanism, _biased_scores
 
@@ -245,10 +245,7 @@ def make_incomplete(
             if fk.parent_table not in (incomplete_tables & cascade_parents):
                 continue
             child = working.table(fk.child_table)
-            keep = match_keys(
-                working.table(fk.parent_table)[fk.parent_column],
-                child[fk.child_column],
-            ) >= 0
+            keep = child_index(working, fk).parent_of >= 0
             if keep.all():
                 continue
             prior = keep_masks.get(fk.child_table)

@@ -4,8 +4,12 @@ Soundness argument (why chunk-granular invalidation is safe at all):
 chunk walks in :class:`~repro.core.IncompletenessJoin` slice root-table
 state strictly per row (codes, raw columns and RNG streams are functions
 of the root row index), while every whole-table structure a walk consults
-— child indexes, key orders, nearest-neighbour replacers, orphan weights
-— derives from *non-root* path tables only, and dangling-FK resolution
+— the database's child indexes and key orders
+(:mod:`repro.relational.keys`), nearest-neighbour replacers, orphan
+weights, the SSAR forests' encoded evidence — derives from *non-root*
+path tables and the root's primary key only.  Updates never change a
+primary key, and every mutation builds a new database whose structures
+are built afresh, so no walk reads a stale one.  Dangling-FK resolution
 happens at assembly time over all parked states.  Hence:
 
 * root-table **updates** invalidate exactly the chunks whose ``[start,

@@ -25,6 +25,7 @@ import numpy as np
 from ..errors import MutationError
 from ..relational import Database, SchemaAnnotation, Table
 from ..relational.column import coerce_values
+from ..relational.keys import lookup
 from ..relational.tuple_factors import TF_UNKNOWN
 
 __all__ = ["TableDelta", "MutationDelta", "apply_mutations"]
@@ -108,18 +109,20 @@ def _apply_updates(
     for name, rows in updates.items():
         table = _require_table(db, name)
         pk_col = _require_pk(table, "update")
-        index = table.key_index()
+        positions = lookup(db, name, pk_col, np.array(
+            [int(row[pk_col]) if pk_col in row else -1 for row in rows],
+            dtype=np.int64,
+        ))
         new_columns = {c: table.column(c) for c in table.column_names}
         touched: Dict[str, np.ndarray] = {}
-        for row in rows:
+        for row, pos in zip(rows, positions.tolist()):
             if pk_col not in row:
                 raise MutationError(
                     f"update on {name!r} must carry the primary key {pk_col!r}"
                 )
             key = int(row[pk_col])
-            if key not in index:
+            if pos < 0:
                 raise MutationError(f"update on {name!r}: no row with {pk_col}={key}")
-            pos = index[key]
             payload = {c: v for c, v in row.items() if c != pk_col}
             if not payload:
                 raise MutationError(
@@ -162,15 +165,19 @@ def _apply_inserts(
                 )
         pk_col = table.primary_key
         if pk_col is not None:
-            existing = set(table.column(pk_col).tolist())
-            for row in rows:
-                key = int(row[pk_col])
-                if key in existing:
-                    raise MutationError(
-                        f"insert into {name!r}: duplicate {pk_col}={key}"
-                    )
-                existing.add(key)
-                delta[name]["inserted"].append(key)
+            keys = np.array([int(row[pk_col]) for row in rows], dtype=np.int64)
+            # A key is taken by an existing row or by an earlier row of the
+            # batch (every occurrence but the first).
+            duplicate = lookup(db, name, pk_col, keys) >= 0
+            repeats = np.ones(len(keys), dtype=bool)
+            repeats[np.unique(keys, return_index=True)[1]] = False
+            duplicate |= repeats
+            if duplicate.any():
+                key = int(keys[np.argmax(duplicate)])
+                raise MutationError(
+                    f"insert into {name!r}: duplicate {pk_col}={key}"
+                )
+            delta[name]["inserted"].extend(keys.tolist())
         else:
             start = table.num_rows
             delta[name]["inserted"].extend(range(start, start + len(rows)))
@@ -221,14 +228,12 @@ def _apply_deletes(
     for name, keys in deletes.items():
         table = _require_table(db, name)
         pk_col = _require_pk(table, "delete")
-        index = table.key_index()
-        keyset = set()
-        for key in keys:
-            key = int(key)
-            if key not in index:
-                raise MutationError(f"delete on {name!r}: no row with {pk_col}={key}")
-            keyset.add(key)
-        requested[name] = keyset
+        keys = np.array([int(key) for key in keys], dtype=np.int64)
+        missing = lookup(db, name, pk_col, keys) < 0
+        if missing.any():
+            key = int(keys[np.argmax(missing)])
+            raise MutationError(f"delete on {name!r}: no row with {pk_col}={key}")
+        requested[name] = set(keys.tolist())
     doomed = _cascade_closure(db, requested) if cascade else {
         t: set(k) for t, k in requested.items()
     }

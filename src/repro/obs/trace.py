@@ -92,19 +92,6 @@ class Span:
         """Mark an instant within the span (exported as its offset)."""
         self.events.append((name, time.perf_counter_ns() // 1000))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_us": self.start_us,
-            "duration_us": self.duration_us,
-            "attrs": dict(self.attrs),
-            "pid": self.pid,
-            "thread": self.thread,
-        }
-
 
 @dataclass(frozen=True)
 class TraceContext:

@@ -100,11 +100,6 @@ class Query:
         if len(set(self.tables)) != len(self.tables):
             raise ValueError("duplicate tables in query (self-joins unsupported)")
 
-    def predicate_fingerprint(self) -> Tuple:
-        """Order-independent identity of the WHERE clause (see
-        :meth:`Filter.fingerprint`)."""
-        return tuple(sorted(f.fingerprint() for f in self.filters))
-
     def columns_referenced(self) -> List[str]:
         cols = [f.column for f in self.filters]
         cols.extend(self.group_by)

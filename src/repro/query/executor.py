@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import QueryValidationError
 from ..relational import Database, join_order
-from ..relational.keys import build_child_index, gather_children, match_keys
+from ..relational.keys import child_index, gather_children
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, GroupKey, Query, QueryResult
 
 
@@ -184,8 +184,7 @@ def join_tables(db: Database, tables: Sequence[str]) -> JoinResult:
 
 def _join_to_parent(db, row_idx, anchor, new, fk):
     """n:1 hop — each current row keeps at most one partner."""
-    child_vals = db.table(anchor)[fk.child_column][row_idx[anchor]]
-    positions = match_keys(db.table(new)[fk.parent_column], child_vals)
+    positions = child_index(db, fk).parent_of[row_idx[anchor]]
     keep = positions >= 0
     out = {name: idx[keep] for name, idx in row_idx.items()}
     out[new] = positions[keep]
@@ -195,9 +194,7 @@ def _join_to_parent(db, row_idx, anchor, new, fk):
 def _join_to_children(db, row_idx, anchor, new, fk):
     """1:n hop — each current row expands to all of its children, listed
     in ascending row position."""
-    child_rows, owners = gather_children(
-        build_child_index(db, fk), row_idx[anchor]
-    )
+    child_rows, owners = gather_children(child_index(db, fk), row_idx[anchor])
     out = {name: idx[owners] for name, idx in row_idx.items()}
     out[new] = child_rows
     return out

@@ -42,7 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..relational import Database
-from ..relational.keys import match_keys
+from ..relational.keys import child_index
 from .ast import Filter, Query
 from .executor import predicate_mask
 
@@ -157,8 +157,7 @@ def dangling_hop_slots(db: Database, path_tables: Sequence[str]) -> Tuple[int, .
             continue
         fk = db.fk_between(prev, new)
         refs = np.asarray(db.table(fk.child_table)[fk.child_column])
-        parent_rows = match_keys(db.table(fk.parent_table)[fk.parent_column], refs)
-        if ((parent_rows < 0) & (refs >= 0)).any():
+        if ((child_index(db, fk).parent_of < 0) & (refs >= 0)).any():
             slots.append(slot)
     return tuple(slots)
 

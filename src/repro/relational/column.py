@@ -34,10 +34,6 @@ class ColumnMeta:
     kind: ColumnKind
 
     @property
-    def is_key(self) -> bool:
-        return self.kind is ColumnKind.KEY
-
-    @property
     def is_modelable(self) -> bool:
         """Whether completion models learn a distribution over this column."""
         return self.kind in (ColumnKind.CATEGORICAL, ColumnKind.CONTINUOUS)

@@ -38,10 +38,6 @@ class CompletionPath:
             raise ValueError(f"completion path revisits a table: {self.tables}")
 
     @property
-    def evidence_tables(self) -> Tuple[str, ...]:
-        return self.tables[:-1]
-
-    @property
     def target(self) -> str:
         return self.tables[-1]
 

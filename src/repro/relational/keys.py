@@ -6,25 +6,36 @@ Every join of the package rests on two primitives over a
 * :func:`match_keys` — the n:1 direction: the parent row each reference
   points at;
 * :func:`build_child_index` + :func:`gather_children` — the 1:n direction:
-  the children of each parent row, as a CSR adjacency.
+  the children of each parent row, as a CSR adjacency, plus each child's
+  parent row (:attr:`ChildIndex.parent_of`).
+
+Consumers do not call the builders themselves: :func:`child_index` and
+:func:`lookup` memoize, per :class:`~repro.relational.schema.Database`,
+one :class:`ChildIndex` per foreign key and one stable sort order per key
+column, so each is built at most once per database.
 
 Semantics shared by all of them: negative references (the missing-key
 sentinel of synthesized tuples) never match, and parent keys are unique
-(every foreign key targets a primary key).  :func:`gather_children` lists
-each parent's children in ascending row position, which fixes the row
-order of :func:`~repro.query.executor.join_tables` and so of every
-training matrix.
+(every foreign key targets its parent's primary key, which
+:class:`~repro.relational.schema.Database` checks).
+:func:`gather_children` lists each parent's children in ascending row
+position, which fixes the row order of
+:func:`~repro.query.executor.join_tables` and so of every training matrix.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 import numpy as np
 
 if TYPE_CHECKING:  # schema imports this module (validate_references)
     from .schema import Database, ForeignKey
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -34,6 +45,12 @@ class ChildIndex:
     fk: "ForeignKey"
     child_rows: np.ndarray   # child row positions, grouped by parent
     offsets: np.ndarray      # (num_parents + 1,) start offsets into child_rows
+    parent_of: np.ndarray    # parent row of each child row, -1 if negative/dangling
+
+    def __post_init__(self) -> None:
+        # A memoized index is shared by every caller: a write would corrupt it.
+        for array in (self.child_rows, self.offsets, self.parent_of):
+            array.flags.writeable = False
 
     def children_of(self, parent_row: int) -> np.ndarray:
         return self.child_rows[self.offsets[parent_row]:self.offsets[parent_row + 1]]
@@ -77,7 +94,10 @@ def build_child_index(db: "Database", fk: "ForeignKey") -> ChildIndex:
     grouped_children = valid_children[order]
     counts = np.bincount(owner, minlength=len(parent))
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return ChildIndex(fk, grouped_children.astype(np.int64), offsets.astype(np.int64))
+    return ChildIndex(
+        fk, grouped_children.astype(np.int64), offsets.astype(np.int64),
+        parent_rows,
+    )
 
 
 def gather_children(
@@ -101,4 +121,52 @@ def gather_children(
     return child_rows, parent_ids
 
 
-__all__ = ["ChildIndex", "build_child_index", "gather_children", "match_keys"]
+# A Database is never written in place: every change (Database.replace_table,
+# repro.incremental.apply_mutations) builds a new one, and no caller writes
+# into a column array.  So an entry keyed by the database object never goes
+# stale and nothing invalidates it; it dies with its database.  Nothing is
+# stored on the database itself, which therefore pickles unchanged.
+_MEMO: "weakref.WeakKeyDictionary[Database, Dict[Hashable, object]]" = (
+    weakref.WeakKeyDictionary()
+)
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(db: "Database", key: Hashable, build: Callable[[], _T]) -> _T:
+    """``build()`` once per ``(db, key)``.
+
+    The value is built outside the lock, so concurrent first callers may
+    each build one; they compute equal arrays, and the first one stored wins.
+    """
+    with _MEMO_LOCK:
+        entries = _MEMO.get(db)
+        if entries is not None and key in entries:
+            return entries[key]
+    value = build()
+    with _MEMO_LOCK:
+        return _MEMO.setdefault(db, {}).setdefault(key, value)
+
+
+def child_index(db: "Database", fk: "ForeignKey") -> ChildIndex:
+    """The database's :class:`ChildIndex` for ``fk``, built on first use."""
+    return _memoized(db, ("child", fk), lambda: build_child_index(db, fk))
+
+
+def lookup(db: "Database", table: str, column: str, refs: np.ndarray) -> np.ndarray:
+    """:func:`match_keys` of ``refs`` against ``table.column``, with the
+    column's stable sort order built once per database."""
+    keys = db.table(table)[column]
+    order = _memoized(
+        db, ("order", table, column), lambda: np.argsort(keys, kind="stable")
+    )
+    return match_keys(keys, refs, key_order=order)
+
+
+__all__ = [
+    "ChildIndex",
+    "build_child_index",
+    "child_index",
+    "gather_children",
+    "lookup",
+    "match_keys",
+]

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .keys import match_keys
+from .keys import child_index
 from .table import Table
 
 
@@ -70,6 +70,13 @@ class Database:
                     raise ValueError(f"foreign key {fk} references unknown table")
                 if column not in self.tables[table_name]:
                     raise ValueError(f"foreign key {fk} references unknown column")
+            # Key resolution (repro.relational.keys) assumes unique parent
+            # keys: every foreign key targets its parent's primary key.
+            if fk.parent_column != self.tables[fk.parent_table].primary_key:
+                raise ValueError(
+                    f"foreign key {fk} must reference the primary key of "
+                    f"{fk.parent_table!r}"
+                )
 
     # ------------------------------------------------------------------
     # Access
@@ -189,8 +196,7 @@ class Database:
         problems = []
         for fk in self.foreign_keys:
             refs = np.asarray(self.tables[fk.child_table][fk.child_column])
-            parent_keys = self.tables[fk.parent_table][fk.parent_column]
-            unmatched = match_keys(parent_keys, refs) < 0
+            unmatched = child_index(self, fk).parent_of < 0
             dangling = int((unmatched & (refs >= 0)).sum())
             if dangling:
                 problems.append(f"{fk}: {dangling} dangling references")

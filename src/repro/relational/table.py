@@ -270,21 +270,3 @@ class Table:
         table._num_rows = table._store.num_rows
         table.primary_key = self.primary_key
         return table
-
-    # ------------------------------------------------------------------
-    # Conversion helpers (mostly for tests and examples)
-    # ------------------------------------------------------------------
-    def to_dicts(self) -> List[dict]:
-        """Row dictionaries — convenient for assertions on small tables."""
-        columns = {name: self.column(name) for name in self.column_names}
-        return [
-            {name: columns[name][i] for name in columns}
-            for i in range(self._num_rows)
-        ]
-
-    def key_index(self) -> Dict[int, int]:
-        """Map primary-key value → row position (requires a primary key)."""
-        if self.primary_key is None:
-            raise ValueError(f"{self.name} has no primary key")
-        keys = self.column(self.primary_key)
-        return {int(k): i for i, k in enumerate(keys)}

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .keys import match_keys
+from .keys import child_index
 from .schema import Database, ForeignKey
 
 TF_UNKNOWN = -1
@@ -26,13 +26,10 @@ def observed_tuple_factors(db: Database, fk: ForeignKey) -> np.ndarray:
     """Count children per parent row, aligned with the parent table's rows.
 
     Synthesized children carrying the missing-key sentinel (negative FK
-    values) are ignored.
+    values) are ignored.  These are the counts of the database's memoized
+    child index (:func:`repro.relational.keys.child_index`).
     """
-    parent = db.table(fk.parent_table)
-    parent_rows = match_keys(
-        parent[fk.parent_column], db.table(fk.child_table)[fk.child_column]
-    )
-    return np.bincount(parent_rows[parent_rows >= 0], minlength=len(parent))
+    return child_index(db, fk).counts()
 
 
 def annotated_tuple_factors(

@@ -96,10 +96,6 @@ class ParameterBuffer:
             self._name_by_id[id(param)] = name
             self._views[name][...] = param.data
 
-    @property
-    def num_parameters(self) -> int:
-        return self.flat.size
-
     def _name_of(self, key) -> str:
         if isinstance(key, str):
             return key

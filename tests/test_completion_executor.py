@@ -19,6 +19,8 @@ canonical chunk grid.  Contracts under test:
 import numpy as np
 import pytest
 
+from repro.core import forest as forest_module
+from repro.core import incompleteness_join as join_module
 from repro.core import (
     IncompletenessJoin,
     ModelConfig,
@@ -29,12 +31,15 @@ from repro.core import (
 from repro.core.engine import GRID_CHUNKS
 from repro.core.incompleteness_join import _PassAccumulator
 from repro.datasets import HousingConfig, generate_housing
+from repro.encoding import TableEncoder
 from repro.experiments import joins_bitwise_identical
 from repro.incomplete import RemovalSpec, make_incomplete, registry
 from repro.nn import TrainConfig
 from repro.obs import disable_tracing, enable_tracing
+from repro.query import executor as executor_module
 from repro.query import parse_query
 from repro.relational import ColumnKind
+from repro.relational import keys as keys_module
 
 FAST = TrainConfig(epochs=4, batch_size=128, lr=1e-2, patience=2)
 
@@ -220,8 +225,56 @@ class TestSameJoinsAsSinglePass:
                                            single)
 
 
+def _count_encoded_tables(monkeypatch):
+    """Names of the tables ``TableEncoder.encode_table`` encodes from now on."""
+    encoded = []
+    encode_table = TableEncoder.encode_table
+
+    def counting(self, table):
+        encoded.append(table.name)
+        return encode_table(self, table)
+
+    monkeypatch.setattr(TableEncoder, "encode_table", counting)
+    return encoded
+
+
+def _count_child_index_builds(monkeypatch):
+    """FKs ``build_child_index`` builds from now on, wherever it is called
+    from: every module that imports the name is patched."""
+    builds = []
+    build = keys_module.build_child_index
+
+    def counting(db, fk):
+        builds.append(str(fk))
+        return build(db, fk)
+
+    for module in (keys_module, forest_module, join_module, executor_module):
+        monkeypatch.setattr(module, "build_child_index", counting,
+                            raising=False)
+    return builds
+
+
 class TestRecompletion:
-    def test_mixed_cache_matches_scratch(self, dataset, tracer):
+    def test_cold_completions_share_one_child_index(self, dataset,
+                                                    monkeypatch):
+        """Key structures are built once per database: after a write, the
+        first cold completion builds its hop's child index and a second
+        one, with the cache cleared in between, reuses it."""
+        engine = make_engine(dataset)
+        model = _model(engine, ("neighborhood", "apartment"))
+        table = engine.db.table("neighborhood")
+        column = next(c for c in table.column_names
+                      if table.meta(c).kind == ColumnKind.CONTINUOUS)
+        engine.apply_mutations(updates={"neighborhood": [
+            {"id": int(table["id"][0]), column: float(table[column][0]) + 1.0}
+        ]})
+        builds = _count_child_index_builds(monkeypatch)
+        for _ in range(2):
+            engine.clear_cache()
+            engine.completed_join(model)
+        assert builds == [str(model.layout.fan_out_hops[1])]
+
+    def test_mixed_cache_matches_scratch(self, dataset, tracer, monkeypatch):
         engine = make_engine(dataset)
         model = engine._default_model()
         engine.recomplete()
@@ -231,11 +284,15 @@ class TestRecompletion:
         pk = table.primary_key
         column = next(c for c in table.column_names
                       if table.meta(c).kind == ColumnKind.CONTINUOUS)
+        encoded = _count_encoded_tables(monkeypatch)
         delta = engine.apply_mutations(updates={root: [
             {pk: int(table[pk][grid[i][0]]),
              column: float(table[column][grid[i][0]]) + 1.0}
             for i in (2, 9)
         ]})
+        # Evidence forests re-encode on first use, not on every write.
+        assert any(m.kind == "ssar" for m in engine.fitted_models().values())
+        assert encoded == []
         tracer.clear()
         warm = engine.recomplete(delta)
         assert warm.recompletion == {

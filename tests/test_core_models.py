@@ -205,7 +205,10 @@ class TestGatherChildren:
         counts[::3] = 0  # plenty of childless parents
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         child_rows = rng.permutation(int(offsets[-1])).astype(np.int64)
-        return ChildIndex(fk=None, child_rows=child_rows, offsets=offsets)
+        parent_of = np.empty(len(child_rows), dtype=np.int64)
+        parent_of[child_rows] = np.repeat(np.arange(num_parents), counts)
+        return ChildIndex(fk=None, child_rows=child_rows, offsets=offsets,
+                          parent_of=parent_of)
 
     @pytest.mark.parametrize("case", [
         "none", "childless", "repeated_unsorted", "all", "random",

@@ -171,12 +171,16 @@ class TestMutationNegativePaths:
             apply_mutations(_mini_db(), updates={"nope": [{"id": 1, "x": 0.0}]})
 
     def test_unknown_row(self):
-        with pytest.raises(MutationError, match="no row with id=77"):
-            apply_mutations(_mini_db(), updates={"pa": [{"id": 77, "x": 0.0}]})
+        # The error names the first unknown key in input order.
+        for ids in ([77], [1, 77, 2, 78]):
+            rows = [{"id": i, "x": 0.0} for i in ids]
+            with pytest.raises(MutationError, match="no row with id=77$"):
+                apply_mutations(_mini_db(), updates={"pa": rows})
 
     def test_unknown_delete_row(self):
-        with pytest.raises(MutationError, match="no row with id=77"):
-            apply_mutations(_mini_db(), deletes={"pa": [77]})
+        for ids in ([77], [3, 77, 1, 78], np.array([77, 78])):
+            with pytest.raises(MutationError, match="no row with id=77$"):
+                apply_mutations(_mini_db(), deletes={"pa": ids})
 
     def test_unknown_column(self):
         with pytest.raises(MutationError, match="unknown column"):
@@ -195,10 +199,15 @@ class TestMutationNegativePaths:
             apply_mutations(_mini_db(), inserts={"pa": [{"id": 9}]})
 
     def test_insert_duplicate_pk(self):
-        with pytest.raises(MutationError, match="duplicate id=1"):
-            apply_mutations(
-                _mini_db(), inserts={"pa": [{"id": 1, "x": 0.0, "c": "u"}]}
-            )
+        for ids, first in (
+            ([1], 1),            # an existing key
+            ([9, 2, 1], 2),      # the first of several existing keys
+            ([9, 10, 9, 2], 9),  # an earlier key of the same batch
+            ([9, 3, 9], 3),      # an existing key before a repeat
+        ):
+            rows = [{"id": i, "x": 0.0, "c": "u"} for i in ids]
+            with pytest.raises(MutationError, match=f"duplicate id={first}$"):
+                apply_mutations(_mini_db(), inserts={"pa": rows})
 
     def test_empty_batch(self):
         with pytest.raises(MutationError, match="empty"):

@@ -1,8 +1,16 @@
-"""Tests for tables, schemas, tuple factors and schema-graph walks."""
+"""Tests for tables, schemas, key structures, tuple factors and schema-graph
+walks."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.incomplete import registry
+from repro.incremental import apply_mutations
+from repro.relational import keys
+from repro.relational.keys import build_child_index, child_index, lookup, match_keys
 from repro.relational import (
     ColumnKind,
     CompletionPath,
@@ -51,8 +59,6 @@ class TestTable:
         t = Table("link", {"a_id": [1], "b_id": [2]}, {"a_id": K, "b_id": K},
                   primary_key=None)
         assert t.primary_key is None
-        with pytest.raises(ValueError):
-            t.key_index()
 
     def test_take_and_select(self):
         t = Table("t", {"id": [1, 2, 3], "x": [1.0, 2.0, 3.0]}, {"id": K, "x": N})
@@ -95,10 +101,6 @@ class TestTable:
         t = Table("t", {"id": [1], "x": [1.0], "c": ["a"]}, {"id": K, "x": N, "c": C})
         assert t.modelable_columns() == ["x", "c"]
 
-    def test_key_index(self):
-        t = Table("t", {"id": [7, 3]}, {"id": K})
-        assert t.key_index() == {7: 0, 3: 1}
-
     def test_unknown_column_raises(self):
         t = Table("t", {"id": [1]}, {"id": K})
         with pytest.raises(KeyError):
@@ -114,6 +116,16 @@ class TestDatabase:
             Database([t], [ForeignKey("t", "id", "ghost")])
         with pytest.raises(ValueError):
             Database([t], [ForeignKey("t", "ghost_col", "t")])
+        # A foreign key must target its parent's primary key: key
+        # resolution relies on unique parent keys.
+        p = Table("p", {"id": [1, 2], "code": [5, 5]}, {"id": K, "code": K})
+        c = Table("c", {"id": [1], "p_code": [5]}, {"id": K, "p_code": K})
+        with pytest.raises(ValueError, match="primary key"):
+            Database([p, c], [ForeignKey("c", "p_code", "p", "code")])
+        link = Table("link", {"p_id": [1]}, {"p_id": K}, primary_key=None)
+        with pytest.raises(ValueError, match="primary key"):
+            Database([link, c], [ForeignKey("c", "p_code", "link", "p_id")])
+        Database([p, c], [ForeignKey("c", "p_code", "p", "id")])
 
     def test_duplicate_table_rejected(self):
         t = Table("t", {"id": [1]}, {"id": K})
@@ -152,6 +164,79 @@ class TestDatabase:
         )
         db2 = housing_mini.replace_table(apt)
         assert db2.validate_references() == []
+
+
+def _key_structure_dbs(name):
+    """The complete and incomplete databases of a scenario, plus the
+    incomplete one with every fifth reference of each FK set to the
+    missing-key sentinel."""
+    dataset = registry.make_scenario_dataset(name, keep_rate=0.5, seed=1,
+                                             scale=0.1)
+    sentinel = dataset.incomplete
+    for fk in sentinel.foreign_keys:
+        child = sentinel.table(fk.child_table)
+        refs = child[fk.child_column].copy()
+        refs[::5] = -1
+        sentinel = sentinel.replace_table(
+            child.with_column(fk.child_column, refs, ColumnKind.KEY))
+    return [dataset.complete, dataset.incomplete, sentinel]
+
+
+class TestKeyStructures:
+    """The memoized structures of :mod:`repro.relational.keys` equal the
+    builders and the full-column matches they replace, per database."""
+
+    @pytest.mark.parametrize(
+        "name", ["housing/multi_table", "movies/M4", "synthetic/biased"])
+    def test_memo_matches_full_builds(self, name):
+        for db in _key_structure_dbs(name):
+            for fk in db.foreign_keys:
+                memo = child_index(db, fk)
+                assert child_index(db, fk) is memo
+                built = build_child_index(db, fk)
+                assert memo.fk == built.fk
+                for field in ("child_rows", "offsets", "parent_of"):
+                    got, want = getattr(memo, field), getattr(built, field)
+                    assert got.dtype == want.dtype == np.int64
+                    assert not got.flags.writeable  # shared by every caller
+                    np.testing.assert_array_equal(got, want)
+                parent = db.table(fk.parent_table)
+                refs = db.table(fk.child_table)[fk.child_column]
+                matched = match_keys(parent[fk.parent_column], refs)
+                np.testing.assert_array_equal(memo.parent_of, matched)
+                np.testing.assert_array_equal(
+                    lookup(db, fk.parent_table, fk.parent_column, refs),
+                    matched)
+                tfs = observed_tuple_factors(db, fk)
+                want_tfs = np.bincount(matched[matched >= 0],
+                                       minlength=len(parent))
+                assert tfs.dtype == want_tfs.dtype
+                np.testing.assert_array_equal(tfs, want_tfs)
+
+    def test_mutated_database_gets_its_own_index(self, housing_mini):
+        db = housing_mini.copy()  # the fixture's own object outlives the test
+        fk = db.fk_between("apartment", "neighborhood")
+        old = child_index(db, fk)
+        old_arrays = [a.copy() for a in (old.child_rows, old.offsets,
+                                         old.parent_of)]
+        new_db, _, _ = apply_mutations(db, deletes={"apartment": [1]})
+        new = child_index(new_db, fk)
+        assert new is not old
+        for field in ("child_rows", "offsets", "parent_of"):
+            np.testing.assert_array_equal(
+                getattr(new, field), getattr(build_child_index(new_db, fk), field))
+        assert new.counts().sum() == old.counts().sum() - 1
+        assert child_index(db, fk) is old
+        for before, after in zip(old_arrays, (old.child_rows, old.offsets,
+                                              old.parent_of)):
+            np.testing.assert_array_equal(before, after)
+
+        entries = len(keys._MEMO)
+        ref = weakref.ref(db)
+        del db, new_db
+        gc.collect()
+        assert ref() is None
+        assert len(keys._MEMO) <= entries - 1
 
 
 class TestAnnotation:

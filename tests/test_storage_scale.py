@@ -69,8 +69,9 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.query import parse_query
-from repro.relational import ColumnKind, CompletionPath, Table
+from repro.relational import ColumnKind, CompletionPath, Database, ForeignKey, Table
 from repro.relational import storage
+from repro.relational.keys import child_index, lookup
 from repro.relational.storage import (
     MappedStore,
     STORE_META,
@@ -397,6 +398,29 @@ class TestTablePickling:
         assert restored.kinds() == ram.kinds()
         assert restored.primary_key == ram.primary_key
         _assert_tables_equal(restored, ram)
+
+    @pytest.mark.parametrize("num_rows", [10, 200_000])
+    def test_mapped_database_with_built_indexes_pickles_small(self, tmp_path,
+                                                              num_rows):
+        """Key structures live in a per-database memo, not on the database:
+        a mapped database still ships as its directories."""
+        rng = np.random.default_rng(num_rows)
+        parent = Table("p", {"id": np.arange(num_rows, dtype=np.int64)},
+                       {"id": K})
+        child = Table("c", {
+            "id": np.arange(num_rows, dtype=np.int64),
+            "p_id": rng.integers(-1, num_rows + 5, size=num_rows),
+        }, {"id": K, "p_id": K})
+        fk = ForeignKey("c", "p_id", "p")
+        db = Database([parent, child], [fk]).spill_to(str(tmp_path / "db"))
+        index = child_index(db, fk)
+        lookup(db, "c", "id", np.arange(3))
+        blob = pickle.dumps(db)
+        assert len(blob) < 2048
+        restored = pickle.loads(blob)
+        assert all(t.is_mapped for t in restored.tables.values())
+        np.testing.assert_array_equal(child_index(restored, fk).parent_of,
+                                      index.parent_of)
 
     def test_in_ram_table_round_trips(self, both_backends):
         ram, _ = both_backends
