@@ -17,7 +17,9 @@ Run from a checkout, this imports the program from that checkout's
 * ``refresh/<i>`` — six live-refresh recompletions (``apply_mutations``
   then ``recomplete``) over perfbench's live-refresh stream at seed 1;
 * ``scale-join/seed5`` — the spilled SF-1 join at seed 5: its canonical
-  rows and its result files byte for byte.
+  rows, every chunk spill as the walk state read back from it (string
+  columns decoded, so the digest does not depend on the spill file
+  format), and its result files byte for byte.
 
 The set-ups are perfbench's (``perfbench/workloads.py``), so the engines,
 databases and streams are the benchmark's own.  Two checkouts that print
@@ -58,6 +60,10 @@ def _update(h, value) -> None:
         for key in sorted(value, key=repr):
             _update(h, repr(key))
             _update(h, value[key])
+    elif isinstance(value, list):
+        h.update(f"list{len(value)}".encode())
+        for item in value:
+            _update(h, item)
     elif isinstance(value, np.ndarray):
         h.update(f"{value.dtype.str}{value.shape}".encode())
         if value.dtype == object:
@@ -132,24 +138,43 @@ def live_refresh(workdir: str) -> dict:
     return out
 
 
+#: The arrays of a walk state, in the order a chunk spill stores them.
+WALK_FIELDS = ("codes", "weights", "synthesized", "current_rows", "streams",
+               "counters", "roots", "context")
+
+
+def _walk_state(state) -> dict:
+    """A walk state's arrays, string columns decoded to values."""
+    return {
+        "fields": {name: getattr(state, name) for name in WALK_FIELDS},
+        "column_order": list(state.columns),
+        "columns": {name: np.asarray(values)
+                    for name, values in state.columns.items()},
+    }
+
+
 def scale_join(workdir: str) -> dict:
     workload = ScaleJoin(workdir)
     workload.setup()
     try:
         spill_dir = os.path.join(workdir, "scale-join-spill")
-        completed = IncompletenessJoin(
+        join = IncompletenessJoin(
             workload.model, seed=SCALE_JOIN_SEED,
             chunk_size=workload.CHUNK_SIZE, spill_dir=spill_dir,
-        ).run()
+        )
+        # run() is assemble(walk_chunks(chunk_tasks())); the handles give
+        # each chunk spill's state back.
+        outputs = join.walk_chunks(join.chunk_tasks())
+        chunks = [_walk_state(output.load().state) for output in outputs]
+        completed = join.assemble(outputs)
+        result_dir = os.path.join(spill_dir, "result")
         files = {}
-        for dirpath, _dirs, names in os.walk(spill_dir):
-            for name in names:
-                path = os.path.join(dirpath, name)
-                with open(path, "rb") as fh:
-                    files[os.path.relpath(path, spill_dir)] = digest(fh.read())
+        for name in sorted(os.listdir(result_dir)):
+            with open(os.path.join(result_dir, name), "rb") as fh:
+                files[name] = digest(fh.read())
         rows = completed.num_rows
         key = f"scale-join/seed{SCALE_JOIN_SEED}"
-        return {key: digest(rows, _completed(completed), files)}
+        return {key: digest(rows, _completed(completed), chunks, files)}
     finally:
         workload.teardown()
 

@@ -43,6 +43,22 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   merged deterministically after the fan-out barrier, so output rows are
   bitwise identical (up to order) across backends and worker counts.
 
+String columns walk as dictionary columns
+(:class:`~repro.relational.DictColumn`): a table's rows are read as codes
+into its store's vocabulary, which the join extends once by the codec
+values the table lacks, so sampled strings take codes in the same
+vocabulary and every part of a column concatenates by codes.  Chunks
+cached by an earlier join (or database) unite their vocabularies by value.
+Strings are decoded only when an in-RAM join is assembled; a spilled join
+hands the codes to its result store.
+
+With a ``spill_dir``, each chunk's walked rows go to one file of raw
+records aligned to 64 bytes: the fixed state fields, the context, then
+every column (a dictionary column as its codes plus its vocabulary, the
+ASCII bytes of a JSON list).  The files hold no headers and no pickles;
+the handle the walk returns (:class:`_SpilledChunkOutput`) carries each
+record's offset, dtype and shape, and loading reads the file once.
+
 The result is a :class:`~repro.query.JoinResult` with fractional row
 weights, directly consumable by the shared filter/aggregate operators.
 """
@@ -50,6 +66,7 @@ weights, directly consumable by the shared filter/aggregate operators.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -57,11 +74,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..errors import StorageError
 from ..obs import activate, current_context, trace, tracing_enabled
 from ..query import JoinResult
 from ..query.pushdown import PushdownPlan, conjunction_mask
 from ..relational import MISSING_KEY, CompletionPath
 from ..relational.column import ColumnKind
+from ..relational.dictionary import (
+    DictColumn,
+    code_dtype,
+    concat_columns,
+    decoded,
+    object_array,
+)
 from ..relational.keys import child_index, gather_children, lookup
 from ..relational.storage import StoreColumns, StoreWriter, _RawColumnWriter
 from ..relational.tuple_factors import TF_UNKNOWN
@@ -72,6 +97,7 @@ from .models import _CompletionModelBase
 from .nn_replacement import EuclideanReplacer
 
 _SYNTH_ID_MASK = np.uint64((1 << 62) - 1)
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -114,11 +140,13 @@ class _WalkState:
     ``streams``/``counters`` are the rows' counter-based random streams
     (see :mod:`repro.runtime.rng`): the stream identifies the row's lineage,
     the counter how many uniforms it has consumed.  ``roots`` (the root row
-    of each row) splits a multi-chunk pass back into chunks.
+    of each row) splits a multi-chunk pass back into chunks.  Columns of
+    ``str`` values are :class:`~repro.relational.DictColumn`, not object
+    arrays.
     """
 
     codes: np.ndarray                 # (R, V) model-space codes, prefix filled
-    columns: Dict[str, np.ndarray]    # qualified raw columns of visited tables
+    columns: Dict[str, object]        # qualified raw columns of visited tables
     weights: np.ndarray               # (R,) fractional multiplicities
     synthesized: np.ndarray           # (R,) latest-table tuple is synthetic
     current_rows: np.ndarray          # (R,) row in the db table, -1 if synthetic
@@ -170,7 +198,7 @@ def _concat_many(states: List[_WalkState]) -> _WalkState:
     return _WalkState(
         codes=np.concatenate([s.codes for s in non_empty]),
         columns={
-            k: np.concatenate([s.columns[k] for s in non_empty])
+            k: concat_columns([s.columns[k] for s in non_empty])
             for k in first.columns
         },
         weights=np.concatenate([s.weights for s in non_empty]),
@@ -322,41 +350,100 @@ _SPILL_FIELDS = (
     "roots",
 )
 
+#: Spill records start at multiples of this many bytes, so every array
+#: read back is aligned.
+_SPILL_ALIGN = 64
 
-def _spill_state(state: _WalkState, path: str) -> None:
-    """Write a walk state to one file of back-to-back ``.npy`` records.
+#: One raw record of a spill file: byte offset, dtype string and shape.
+_Record = Tuple[int, str, Tuple[int, ...]]
 
-    Record order: the column names, the fixed fields, the columns in that
-    name order (object columns pickled), then the context if there is one.
+
+@dataclass(frozen=True)
+class _SpillIndex:
+    """Where each array of a spilled walk state lies in its file.
+
+    ``fields`` holds the fixed fields, plus ``context`` when the state has
+    one; ``columns`` each column's name, its values record (a dictionary
+    column's codes) and its vocabulary record, or None for a plain column.
+    """
+
+    fields: Dict[str, _Record]
+    columns: Tuple[Tuple[str, _Record, Optional[_Record]], ...]
+
+
+def _spill_state(state: _WalkState, path: str) -> _SpillIndex:
+    """Write a walk state to one file of raw, aligned records.
+
+    The records hold the arrays' bytes and nothing else: the returned
+    index knows each one's offset, dtype and shape, so :func:`_load_state`
+    parses no header and unpickles nothing.  A dictionary column is two
+    records: its codes, and its vocabulary as the ASCII bytes of a JSON
+    list (non-ASCII escaped), which round-trips any ``str`` exactly.
     Spill files live for one run and only :func:`_load_state` reads them,
-    so they need no archive index or checksum (``np.savez`` would write a
-    zip and CRC every byte).
+    so they need no archive index or checksum.  A column of objects cannot
+    be spilled (:class:`~repro.errors.StorageError`).
     """
     with open(path, "wb") as fh:
-        np.lib.format.write_array(fh, np.array(list(state.columns), dtype=str))
-        for name in _SPILL_FIELDS:
-            np.lib.format.write_array(fh, getattr(state, name))
-        for values in state.columns.values():
-            np.lib.format.write_array(fh, np.asarray(values))
+        def record(array: np.ndarray) -> _Record:
+            array = np.ascontiguousarray(array)
+            fh.write(bytes(-fh.tell() % _SPILL_ALIGN))
+            offset = fh.tell()
+            fh.write(array)
+            return offset, array.dtype.str, array.shape
+
+        fields = {name: record(getattr(state, name)) for name in _SPILL_FIELDS}
         if state.context is not None:
-            np.lib.format.write_array(fh, state.context)
+            fields["context"] = record(state.context)
+        columns = []
+        for name, values in state.columns.items():
+            if isinstance(values, DictColumn):
+                columns.append(
+                    (name, record(values.codes), record(_vocab_bytes(values.vocab)))
+                )
+            elif values.dtype == object:
+                raise StorageError(
+                    f"column {name!r} holds objects; a spill stores strings "
+                    "as dictionary columns"
+                )
+            else:
+                columns.append((name, record(values), None))
+    return _SpillIndex(fields, tuple(columns))
 
 
-def _load_state(path: str) -> _WalkState:
-    """Read back a :func:`_spill_state` file; a context record is present
-    exactly when bytes remain after the columns."""
-    with open(path, "rb") as fh:
-        names = np.lib.format.read_array(fh).tolist()
-        fields = {
-            name: np.lib.format.read_array(fh) for name in _SPILL_FIELDS
-        }
-        columns = {
-            name: np.lib.format.read_array(fh, allow_pickle=True)
-            for name in names
-        }
-        has_context = fh.tell() < os.fstat(fh.fileno()).st_size
-        context = np.lib.format.read_array(fh) if has_context else None
-    return _WalkState(columns=columns, context=context, **fields)
+def _vocab_bytes(vocab: np.ndarray) -> np.ndarray:
+    values = vocab.tolist()
+    for value in values:
+        if not isinstance(value, str):
+            raise StorageError(
+                "a spilled vocabulary must hold strings; got "
+                f"{type(value).__name__} ({value!r})"
+            )
+    return np.frombuffer(json.dumps(values).encode("ascii"), dtype=np.uint8)
+
+
+def _load_state(path: str, index: _SpillIndex) -> _WalkState:
+    """Read back a :func:`_spill_state` file: one read, then views."""
+    data = np.fromfile(path, dtype=np.uint8)
+
+    def array(record: _Record) -> np.ndarray:
+        offset, dtype, shape = record
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        return data[offset:offset + nbytes].view(dtype).reshape(shape)
+
+    columns = {}
+    for name, values, vocab in index.columns:
+        if vocab is None:
+            columns[name] = array(values)
+        else:
+            words = json.loads(array(vocab).tobytes())
+            columns[name] = DictColumn(array(values), object_array(words))
+    context = index.fields.get("context")
+    return _WalkState(
+        columns=columns,
+        context=None if context is None else array(context),
+        **{name: array(index.fields[name]) for name in _SPILL_FIELDS},
+    )
 
 
 @dataclass
@@ -365,20 +452,24 @@ class _SpilledChunkOutput:
 
     Produced when the join runs with a ``spill_dir``: the worker (thread
     or process) writes the state to ``path`` and ships back only this
-    handle plus the small synthesis side-state, so fan-out result
-    transfer and caller-side residency are O(1) in the chunk's row count.
-    ``cacheable`` is False — the backing file is scoped to one run, so
-    the partial-completion cache must not retain the handle.
+    handle (with the file's record index) plus the small synthesis
+    side-state, so fan-out result transfer and caller-side residency are
+    O(1) in the chunk's row count.  ``cacheable`` is False — the backing
+    file is scoped to one run, so the partial-completion cache must not
+    retain the handle.
     """
 
     path: str
+    index: _SpillIndex
     acc: _ShardAccumulator
     num_rows: int
 
     cacheable = False
 
     def load(self) -> _ChunkOutput:
-        return _ChunkOutput(walked=_load_state(self.path), acc=self.acc)
+        return _ChunkOutput(
+            walked=_load_state(self.path, self.index), acc=self.acc
+        )
 
 
 AnyChunkOutput = Union[_ChunkOutput, _SpilledChunkOutput]
@@ -417,6 +508,22 @@ def restrict_chunk_output(
     return _ChunkOutput(
         walked=state.take(np.flatnonzero(mask)), acc=output.acc
     )
+
+
+@dataclass(frozen=True)
+class _JoinVocab:
+    """One string column's vocabulary for the span of a join.
+
+    ``vocab`` is the table's vocabulary (``table_vocab``, its store's) with
+    the codec values it lacks appended, so real codes index it unchanged
+    and real and synthesized parts concatenate by codes.  ``from_codec``
+    maps a codec value's position to its position in ``vocab`` (None when
+    the codec's values have another dtype).
+    """
+
+    table_vocab: np.ndarray
+    vocab: np.ndarray
+    from_codec: Optional[np.ndarray]
 
 
 @dataclass
@@ -491,9 +598,9 @@ def _maybe_spill_outputs(
     spilled: List[AnyChunkOutput] = []
     for output, (start, stop) in zip(outputs, tasks):
         path = os.path.join(spill_dir, f"chunk_{start}_{stop}.spill")
-        _spill_state(output.state, path)
         spilled.append(_SpilledChunkOutput(
-            path=path, acc=output.acc, num_rows=output.num_rows
+            path=path, index=_spill_state(output.state, path),
+            acc=output.acc, num_rows=output.num_rows,
         ))
     return spilled
 
@@ -569,6 +676,9 @@ class IncompletenessJoin:
         # replacer (or the model's float32 networks) once; the copies are
         # equal, so whichever is kept samples the same rows.
         self._replacers: Dict[str, EuclideanReplacer] = {}
+        # String columns' vocabularies for this join, by (table, column);
+        # None for a column its table does not dictionary encode.
+        self._vocabs: Dict[Tuple[str, str], Optional[_JoinVocab]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -707,7 +817,11 @@ class IncompletenessJoin:
             # One concatenation at the end — pairwise accumulation would
             # copy the growing result once per chunk (quadratic in rows).
             completed = _concat_many(chunks)
-            columns = dict(completed.columns)
+            # Strings leave their dictionary form here, once per column.
+            columns = {
+                name: decoded(values)
+                for name, values in completed.columns.items()
+            }
             weights = completed.weights
             synthesized = completed.synthesized
             codes = completed.codes
@@ -765,10 +879,11 @@ class IncompletenessJoin:
         """Concatenate chunk states into a store-backed result, streaming.
 
         One spilled chunk is resident at a time: its raw columns append to
-        a :class:`StoreWriter` (strings dictionary-encoded) and its codes /
-        weights / synthesized flags / context stream into pre-sized
-        ``.npy`` files.  Everything reopens as read-only memory maps, so
-        the assembled join's RSS cost is one chunk, not the result.
+        a :class:`StoreWriter` (dictionary columns as codes, remapped into
+        the store's dictionary) and its codes / weights / synthesized flags
+        / context stream into pre-sized ``.npy`` files.  Everything reopens
+        as read-only memory maps, so the assembled join's RSS cost is one
+        chunk, not the result.
         """
         assert self.spill_dir is not None
         result_dir = os.path.join(self.spill_dir, "result")
@@ -800,8 +915,8 @@ class IncompletenessJoin:
                     )
                     on_error.callback(writer.abort)
                     for name in col_names:
-                        values = np.asarray(state.columns[name])
-                        if values.dtype == object:
+                        values = state.columns[name]
+                        if isinstance(values, DictColumn) or values.dtype == object:
                             writer.add_column(name, ColumnKind.CATEGORICAL)
                         elif np.issubdtype(values.dtype, np.integer):
                             writer.add_column(
@@ -821,7 +936,7 @@ class IncompletenessJoin:
                         )
                         on_error.callback(arrays[field_name].abort)
                 for name in col_names:
-                    writer.append(name, np.asarray(state.columns[name]))
+                    writer.append(name, state.columns[name])
                 for field_name, array_writer in arrays.items():
                     array_writer.append(getattr(state, field_name))
             assert writer is not None  # total_rows > 0 guarantees a chunk
@@ -830,7 +945,7 @@ class IncompletenessJoin:
                 array_writer.close()
             on_error.pop_all()  # success: nothing to abort
         mapped = {
-            field_name: np.load(array_writer.path, mmap_mode="r")
+            field_name: array_writer.layout.map(array_writer.path)
             for field_name, array_writer in arrays.items()
         }
         return (
@@ -912,7 +1027,7 @@ class IncompletenessJoin:
             filters = plan.filters_at(0)
             prefix = f"{root}."
             cols = {
-                p.column: table.gather(p.column[len(prefix):], rows)
+                p.column: table.gather_encoded(p.column[len(prefix):], rows)
                 for p in filters
             }
             rows = rows[conjunction_mask(cols, filters, len(rows))]
@@ -1190,9 +1305,13 @@ class IncompletenessJoin:
         table reads only the touched rows, and the gathered block is reused
         for encoding rather than read twice.  Contiguous rows come back as
         views of the table's columns; no walk writes into a column array.
+        String columns stay codes (:meth:`_gather`), and the encoder reads
+        them through their vocabulary.
         """
-        table = self.db.table(table_name)
-        gathered = {c: table.gather(c, rows) for c in table.column_names}
+        gathered = {
+            c: self._gather(table_name, c, rows)
+            for c in self.db.table(table_name).column_names
+        }
         for column, values in gathered.items():
             part.columns[f"{table_name}.{column}"] = values
         start, stop = self.layout.slot_range(slot)
@@ -1205,6 +1324,44 @@ class IncompletenessJoin:
             )
         part.synthesized = np.zeros(part.num_rows, dtype=bool)
         part.current_rows = np.asarray(rows, dtype=np.int64)
+
+    def _gather(self, table_name: str, column: str, rows: np.ndarray):
+        """A column's values at ``rows``, a string column as codes into
+        the join's vocabulary for it (:meth:`_vocab`)."""
+        values = self.db.table(table_name).gather_encoded(column, rows)
+        if isinstance(values, DictColumn):
+            vocab = self._vocab(table_name, column)
+            if vocab is not None and values.vocab is vocab.table_vocab:
+                # The table's codes index the join's vocabulary unchanged.
+                return DictColumn(values.codes, vocab.vocab)
+        return values
+
+    def _vocab(self, table_name: str, column: str) -> Optional["_JoinVocab"]:
+        key = (table_name, column)
+        if key not in self._vocabs:
+            self._vocabs.setdefault(key, self._build_vocab(table_name, column))
+        return self._vocabs[key]
+
+    def _build_vocab(self, table_name: str, column: str) -> Optional["_JoinVocab"]:
+        """The table's vocabulary of a string column, extended by the codec
+        values it lacks, and the map of codec values into it."""
+        current = self.db.table(table_name).gather_encoded(column, _NO_ROWS)
+        if not isinstance(current, DictColumn):
+            return None
+        vocab = current.vocab
+        values = self.layout.encoders[table_name].codec(column).values
+        if values.dtype != vocab.dtype:
+            return _JoinVocab(vocab, vocab, None)
+        position = dict(zip(vocab.tolist(), range(len(vocab))))
+        lacking = [v for v in values.tolist() if v not in position]
+        if lacking:
+            position.update(zip(lacking, range(len(vocab), len(vocab) + len(lacking))))
+            vocab = np.concatenate([vocab, object_array(lacking)])
+        from_codec = np.fromiter(
+            map(position.__getitem__, values.tolist()),
+            code_dtype(len(vocab)), count=len(values),
+        )
+        return _JoinVocab(current.vocab, vocab, from_codec)
 
     def _synthesize_table(self, part: _WalkState, slot: int, table_name: str,
                           acc: _ShardAccumulator) -> None:
@@ -1233,7 +1390,9 @@ class IncompletenessJoin:
         ids = None
         for column in table.column_names:
             if column in decoded:
-                part.columns[f"{table_name}.{column}"] = decoded[column]
+                part.columns[f"{table_name}.{column}"] = self._synthesized_values(
+                    table_name, column, decoded[column]
+                )
             elif column == table.primary_key:
                 # Negative ids below the -1 sentinel, derived from the row's
                 # stream so chunked and unchunked runs assign the same id to
@@ -1250,6 +1409,17 @@ class IncompletenessJoin:
         part.synthesized = np.ones(part.num_rows, dtype=bool)
         part.current_rows = np.full(part.num_rows, -1, dtype=np.int64)
         acc.record_synth(table_name, part, ids)
+
+    def _synthesized_values(self, table_name: str, column: str, values):
+        """Decoded model values of a column, in the form the table's real
+        values take: sampled strings (codec value positions) become codes
+        into the join's vocabulary."""
+        if not isinstance(values, DictColumn):
+            return values
+        vocab = self._vocab(table_name, column)
+        if vocab is None or vocab.from_codec is None:
+            return values.decode()
+        return DictColumn(vocab.from_codec[values.codes], vocab.vocab)
 
     def _maybe_replace(self, part: _WalkState, slot: int, table_name: str) -> _WalkState:
         """Euclidean replacement for synthesized tuples of complete tables."""
@@ -1273,10 +1443,9 @@ class IncompletenessJoin:
         return np.full(state.num_rows, MISSING_KEY, dtype=np.int64)
 
     def _empty_after_slot(self, state: _WalkState, slot: int, new: str) -> _WalkState:
-        table = self.db.table(new)
         columns = {k: v[:0] for k, v in state.columns.items()}
-        for column in table.column_names:
-            columns[f"{new}.{column}"] = np.array(table[column][:0])
+        for column in self.db.table(new).column_names:
+            columns[f"{new}.{column}"] = self._gather(new, column, _NO_ROWS)
         return _WalkState(
             codes=state.codes[:0],
             columns=columns,

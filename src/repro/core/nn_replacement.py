@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..relational import ColumnKind, Table
+from ..relational import ColumnKind, DictColumn, Table
 
 
 class TupleSpace:
@@ -58,22 +58,33 @@ class TupleSpace:
         return total
 
     def transform(self, columns: Dict[str, Sequence]) -> np.ndarray:
-        """Feature matrix ``(rows, dim)`` for a dict of column arrays."""
+        """Feature matrix ``(rows, dim)`` for a dict of column arrays.
+
+        A :class:`~repro.relational.DictColumn` is one-hot encoded per
+        distinct code it holds, then gathered back by row: the rows of the
+        decoded values' one-hot matrix, bit for bit.
+        """
         parts: List[np.ndarray] = []
         num_rows = None
         for column in self.columns:
-            values = np.asarray(columns[column])
+            values = columns[column]
             num_rows = len(values)
             if self._kinds[column] is ColumnKind.CONTINUOUS:
-                arr = (values.astype(float) - self._means[column]) / self._stds[column]
+                arr = np.asarray(values).astype(float)
+                arr = (arr - self._means[column]) / self._stds[column]
                 parts.append(arr[:, None])
+            elif isinstance(values, DictColumn):
+                used, rows = np.unique(values.codes, return_inverse=True)
+                parts.append(self._onehot(column, values.vocab[used])[rows])
             else:
-                cats = self._categories[column]
-                onehot = (values[:, None] == cats[None, :]).astype(float)
-                parts.append(onehot)
+                parts.append(self._onehot(column, np.asarray(values)))
         if num_rows is None:
             return np.zeros((0, 0))
         return np.concatenate(parts, axis=1)
+
+    def _onehot(self, column: str, values: np.ndarray) -> np.ndarray:
+        cats = self._categories[column]
+        return (values[:, None] == cats[None, :]).astype(float)
 
     def transform_table(self, table: Table) -> np.ndarray:
         return self.transform({c: table[c] for c in self.columns})

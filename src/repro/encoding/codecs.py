@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..relational.dictionary import DictColumn, code_dtype
 from ..relational.tuple_factors import TF_UNKNOWN
 
 
@@ -66,6 +67,12 @@ class CategoricalCodec:
             np.int64, count=len(arr),
         )
 
+    @property
+    def values(self) -> np.ndarray:
+        """The fitted values, sorted: code ``i + 1`` stands for ``values[i]``."""
+        self._require_fitted()
+        return self._values  # type: ignore[return-value]
+
     def decode(
         self,
         codes: np.ndarray,
@@ -80,18 +87,43 @@ class CategoricalCodec:
         (the runtime's counter-based streams) so the fallback does not
         depend on batch chunking.
         """
-        self._require_fitted()
+        return self.values[self._positions(codes, rng, uniforms)]
+
+    def decode_column(
+        self,
+        codes: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        uniforms: Optional[np.ndarray] = None,
+    ):
+        """:meth:`decode`, with string values kept as a
+        :class:`~repro.relational.dictionary.DictColumn` over
+        :attr:`values`."""
+        positions = self._positions(codes, rng, uniforms)
+        if self.values.dtype != object:
+            return self.values[positions]
+        return DictColumn(
+            positions.astype(code_dtype(len(self.values))), self.values
+        )
+
+    def _positions(
+        self,
+        codes: np.ndarray,
+        rng: Optional[np.random.Generator],
+        uniforms: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Each code's position in :attr:`values`."""
+        num_values = len(self.values)
         codes = np.asarray(codes)
-        out = np.empty(len(codes), dtype=self._values.dtype)  # type: ignore[union-attr]
+        out = np.empty(len(codes), dtype=np.int64)
         known = codes > 0
-        out[known] = self._values[codes[known] - 1]  # type: ignore[index]
+        out[known] = codes[known] - 1
         if (~known).any():
             if uniforms is not None:
-                picks = (np.asarray(uniforms)[~known] * len(self._values)).astype(int)
-                out[~known] = self._values[np.minimum(picks, len(self._values) - 1)]
+                picks = (np.asarray(uniforms)[~known] * num_values).astype(int)
+                out[~known] = np.minimum(picks, num_values - 1)
             else:
                 rng = rng or np.random.default_rng(0)
-                out[~known] = rng.choice(self._values, size=int((~known).sum()))
+                out[~known] = rng.choice(num_values, size=int((~known).sum()))
         return out
 
     def _require_fitted(self) -> None:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..relational import ColumnKind, Table
+from ..relational import ColumnKind, DictColumn, Table
 from .codecs import CategoricalCodec, ContinuousCodec
 
 Codec = Union[CategoricalCodec, ContinuousCodec]
@@ -24,6 +24,7 @@ class TableEncoder:
         self.table_name = table.name
         self.columns: List[str] = table.modelable_columns()
         self._codecs: Dict[str, Codec] = {}
+        self._last_vocab: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for column in self.columns:
             kind = table.meta(column).kind
             if kind is ColumnKind.CATEGORICAL:
@@ -47,11 +48,38 @@ class TableEncoder:
         return self.encode_columns({c: table[c] for c in self.columns})
 
     def encode_columns(self, columns: Dict[str, Sequence]) -> np.ndarray:
-        """Encode a column dict (e.g. a slice of a join result)."""
+        """Encode a column dict (e.g. a slice of a join result).
+
+        A :class:`~repro.relational.dictionary.DictColumn` is encoded
+        through its vocabulary: one vocabulary-sized array of codec codes,
+        gathered by the column's codes (:meth:`_vocab_codes`).
+        """
         if not self.columns:
             return np.zeros((self._infer_len(columns), 0), dtype=np.int64)
-        encoded = [self._codecs[c].encode(columns[c]) for c in self.columns]
+        encoded = []
+        for column in self.columns:
+            values = columns[column]
+            if isinstance(values, DictColumn):
+                encoded.append(self._vocab_codes(column, values.vocab)[values.codes])
+            else:
+                encoded.append(self._codecs[column].encode(values))
         return np.stack(encoded, axis=1)
+
+    def _vocab_codes(self, column: str, vocab: np.ndarray) -> np.ndarray:
+        """The codec codes of ``vocab``'s values.
+
+        The last vocabulary encoded per column is kept with its codes: a
+        join passes every block of a column with one vocabulary object, so
+        it is encoded once per join, not once per block.
+        """
+        last = self._last_vocab.get(column)
+        if last is None or last[0] is not vocab:
+            last = (vocab, self._codecs[column].encode(vocab))
+            self._last_vocab[column] = last
+        return last[1]
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_last_vocab": {}}
 
     def decode_codes(
         self,
@@ -64,7 +92,9 @@ class TableEncoder:
         ``uniforms`` optionally supplies a ``(rows, cols)`` matrix of
         ``[0, 1)`` draws — column ``i`` drives the dequantization (or
         unknown-code fallback) of the ``i``-th encoded column, keeping
-        decoding independent of how rows were batched.
+        decoding independent of how rows were batched.  String columns
+        come back as :class:`~repro.relational.dictionary.DictColumn` over
+        their codec's values.
         """
         if codes.ndim != 2 or codes.shape[1] != len(self.columns):
             raise ValueError(
@@ -76,7 +106,10 @@ class TableEncoder:
         for i, column in enumerate(self.columns):
             codec = self._codecs[column]
             u = None if uniforms is None else uniforms[:, i]
-            out[column] = codec.decode(codes[:, i], rng=rng, uniforms=u)
+            if isinstance(codec, CategoricalCodec):
+                out[column] = codec.decode_column(codes[:, i], rng=rng, uniforms=u)
+            else:
+                out[column] = codec.decode(codes[:, i], rng=rng, uniforms=u)
         return out
 
     @staticmethod
@@ -103,6 +136,7 @@ class TableEncoder:
         encoder.table_name = state["table"]
         encoder.columns = list(state["columns"])
         encoder._codecs = {}
+        encoder._last_vocab = {}
         for column in encoder.columns:
             codec_state = state["codecs"][column]
             kind = codec_state["kind"]

@@ -22,7 +22,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import QueryValidationError
-from ..relational import Database, join_order
+from ..relational import Database, DictColumn, join_order
 from ..relational.keys import child_index, gather_children
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, GroupKey, Query, QueryResult
 
@@ -214,13 +214,19 @@ _OPS = {
 }
 
 
-def predicate_mask(col: np.ndarray, predicate: Filter) -> np.ndarray:
+def predicate_mask(col, predicate: Filter) -> np.ndarray:
     """Boolean mask of one predicate over a column array.
 
     The single evaluation rule shared by post-hoc filtering and the
     pushdown planner (:mod:`repro.query.pushdown`) — pruning a walk row
-    mid-join and filtering the materialized join must agree bitwise.
+    mid-join and filtering the materialized join must agree bitwise.  A
+    :class:`~repro.relational.DictColumn` is evaluated once per vocabulary
+    value and gathered by codes: the comparisons are elementwise, so that
+    gives the bits evaluating the decoded values would.
     """
+    if isinstance(col, DictColumn):
+        on_vocab = predicate_mask(col.vocab, predicate)
+        return np.broadcast_to(on_vocab, col.vocab.shape)[col.codes]
     if predicate.op is FilterOp.IN:
         sub = np.zeros(len(col), dtype=bool)
         for value in predicate.value:  # type: ignore[union-attr]

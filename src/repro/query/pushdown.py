@@ -136,10 +136,11 @@ def conjunction_mask(
     filters: Sequence[PushedFilter],
     num_rows: int,
 ) -> np.ndarray:
-    """AND of pushed predicates over qualified column arrays."""
+    """AND of pushed predicates over qualified column arrays (a walk's
+    string columns are dictionary columns: see :func:`predicate_mask`)."""
     mask = np.ones(num_rows, dtype=bool)
     for pushed in filters:
-        mask &= predicate_mask(np.asarray(columns[pushed.column]), pushed.filter)
+        mask &= predicate_mask(columns[pushed.column], pushed.filter)
     return mask
 
 

@@ -1,6 +1,7 @@
 """Relational substrate: tables, schemas, tuple factors, schema-graph walks."""
 
 from .column import MISSING_KEY, ColumnKind, ColumnMeta, coerce_values
+from .dictionary import DictColumn
 from .storage import (
     ColumnStore,
     InMemoryStore,
@@ -30,6 +31,7 @@ __all__ = [
     "ColumnMeta",
     "MISSING_KEY",
     "coerce_values",
+    "DictColumn",
     "ColumnStore",
     "InMemoryStore",
     "MappedStore",

@@ -126,14 +126,35 @@ def gather_children(
 # into a column array.  So an entry keyed by the database object never goes
 # stale and nothing invalidates it; it dies with its database.  Nothing is
 # stored on the database itself, which therefore pickles unchanged.
-_MEMO: "weakref.WeakKeyDictionary[Database, Dict[Hashable, object]]" = (
+#
+# Each entry also names the key columns it was built from, with a weak
+# reference to each column's array as the build read it.  A database that
+# Database.copy or Database.replace_table derives from another one inherits
+# every entry whose columns are the very same array objects there: since no
+# array is written in place, the same array holds the same keys.  A mapped
+# column's read_full returns a fresh map on every call (its reference is
+# dead once the build drops it), so an entry over mapped columns never
+# carries over.
+_MEMO: "weakref.WeakKeyDictionary[Database, Dict[Hashable, _Entry]]" = (
     weakref.WeakKeyDictionary()
 )
 _MEMO_LOCK = threading.Lock()
 
 
-def _memoized(db: "Database", key: Hashable, build: Callable[[], _T]) -> _T:
-    """``build()`` once per ``(db, key)``.
+@dataclass(frozen=True)
+class _Entry:
+    value: object
+    #: (table, column, weak reference to the array the build read)
+    sources: Tuple[Tuple[str, str, "weakref.ref"], ...]
+
+
+def _memoized(
+    db: "Database",
+    key: Hashable,
+    columns: Tuple[Tuple[str, str], ...],
+    build: Callable[[], _T],
+) -> _T:
+    """``build()`` once per ``(db, key)``; ``build`` reads ``columns``.
 
     The value is built outside the lock, so concurrent first callers may
     each build one; they compute equal arrays, and the first one stored wins.
@@ -141,15 +162,48 @@ def _memoized(db: "Database", key: Hashable, build: Callable[[], _T]) -> _T:
     with _MEMO_LOCK:
         entries = _MEMO.get(db)
         if entries is not None and key in entries:
-            return entries[key]
-    value = build()
+            return entries[key].value
+    sources = tuple(
+        (table, column, weakref.ref(db.table(table).column(column)))
+        for table, column in columns
+    )
+    entry = _Entry(build(), sources)
     with _MEMO_LOCK:
-        return _MEMO.setdefault(db, {}).setdefault(key, value)
+        return _MEMO.setdefault(db, {}).setdefault(key, entry).value
+
+
+def carry_over(old: "Database", new: "Database") -> None:
+    """Hand ``old``'s memo entries to ``new`` where every key column an
+    entry was built from is the same array object in ``new``."""
+    with _MEMO_LOCK:
+        entries = dict(_MEMO.get(old, {}))
+    kept = {
+        key: entry for key, entry in entries.items()
+        if all(_same_array(new, table, column, ref)
+               for table, column, ref in entry.sources)
+    }
+    if kept:
+        with _MEMO_LOCK:
+            current = _MEMO.setdefault(new, {})
+            for key, entry in kept.items():
+                current.setdefault(key, entry)
+
+
+def _same_array(db: "Database", table: str, column: str, ref) -> bool:
+    array = ref()
+    if array is None or table not in db.tables or column not in db.tables[table]:
+        return False
+    return db.tables[table].column(column) is array
 
 
 def child_index(db: "Database", fk: "ForeignKey") -> ChildIndex:
     """The database's :class:`ChildIndex` for ``fk``, built on first use."""
-    return _memoized(db, ("child", fk), lambda: build_child_index(db, fk))
+    columns = (
+        (fk.parent_table, fk.parent_column), (fk.child_table, fk.child_column),
+    )
+    return _memoized(
+        db, ("child", fk), columns, lambda: build_child_index(db, fk)
+    )
 
 
 def lookup(db: "Database", table: str, column: str, refs: np.ndarray) -> np.ndarray:
@@ -157,7 +211,8 @@ def lookup(db: "Database", table: str, column: str, refs: np.ndarray) -> np.ndar
     column's stable sort order built once per database."""
     keys = db.table(table)[column]
     order = _memoized(
-        db, ("order", table, column), lambda: np.argsort(keys, kind="stable")
+        db, ("order", table, column), ((table, column),),
+        lambda: np.argsort(keys, kind="stable"),
     )
     return match_keys(keys, refs, key_order=order)
 
@@ -165,6 +220,7 @@ def lookup(db: "Database", table: str, column: str, refs: np.ndarray) -> np.ndar
 __all__ = [
     "ChildIndex",
     "build_child_index",
+    "carry_over",
     "child_index",
     "gather_children",
     "lookup",

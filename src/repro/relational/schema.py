@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .keys import child_index
+from .keys import carry_over, child_index
 from .table import Table
 
 
@@ -94,10 +94,16 @@ class Database:
         if table.name not in self.tables:
             raise KeyError(f"no table {table.name!r} to replace")
         tables = [table if t.name == table.name else t for t in self.tables.values()]
-        return Database(tables, self.foreign_keys)
+        return self._derived(Database(tables, self.foreign_keys))
 
     def copy(self) -> "Database":
-        return Database(list(self.tables.values()), self.foreign_keys)
+        return self._derived(Database(list(self.tables.values()), self.foreign_keys))
+
+    def _derived(self, new: "Database") -> "Database":
+        """``new``, holding the key structures of this database whose key
+        columns it shares (:func:`~repro.relational.keys.carry_over`)."""
+        carry_over(self, new)
+        return new
 
     # ------------------------------------------------------------------
     # Storage backends

@@ -11,10 +11,19 @@ exist:
   directory, read through short-lived ``numpy`` memory maps.  Numeric
   columns are stored verbatim; object (string) columns are dictionary
   encoded (``int16`` codes, promoted to ``int32`` when a dictionary
-  outgrows 32767 entries) with the dictionary in a JSON sidecar.  Every
-  read opens a fresh read-only map and drops it with the returned array,
-  so resident pages are bounded by what callers keep alive — a chunked
-  walk over a 10M-row table holds one chunk's pages, not the table.
+  outgrows 32767 entries) with the dictionary in a JSON sidecar.  Each
+  column file's ``.npy`` header is parsed once per store object; every
+  read then opens a fresh read-only map at the known offset and drops it
+  with the returned array, so resident pages are bounded by what callers
+  keep alive — a chunked walk over a 10M-row table holds one chunk's
+  pages, not the table.
+
+Both stores serve a string column in dictionary form too
+(:meth:`ColumnStore.gather_encoded`, a
+:class:`~repro.relational.dictionary.DictColumn`): the mapped store its
+stored codes with the cached dictionary, the in-RAM store codes and a
+first-occurrence vocabulary it builds once, on first use.  Reads through
+``read_*``/``gather`` return the values.
 
 ``store.json`` records the schema (row count, per-column dtype/kind/
 encoding, file sizes) and a self-digest; :meth:`MappedStore.open` refuses
@@ -32,18 +41,17 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StorageError, StoreIntegrityError
 from .column import ColumnKind
+from .dictionary import CODE_DTYPES, DictColumn, dictionary_encode
 
 STORE_META = "store.json"
 STORE_FORMAT_VERSION = 1
-
-#: dictionary code dtype ladder: start narrow, promote on overflow
-_CODE_DTYPES = (np.dtype(np.int16), np.dtype(np.int32))
 
 
 def _counter(name: str):
@@ -148,13 +156,26 @@ class ColumnStore:
     def _gather_fancy(self, name: str, rows: np.ndarray) -> np.ndarray:
         return self.read_full(name)[rows]
 
+    def gather_encoded(self, name: str, rows: np.ndarray):
+        """:meth:`gather`, with a string column as a :class:`DictColumn`.
+
+        The codes index a vocabulary that is one array object per store
+        and column, so parts gathered from one store concatenate by codes.
+        """
+        return self.gather(name, rows)
+
     def nbytes_materialized(self) -> int:
         """Bytes the columns occupy (or would occupy) materialized in RAM."""
         raise NotImplementedError
 
 
 class InMemoryStore(ColumnStore):
-    """The in-RAM backend: a dict of arrays plus their kinds."""
+    """The in-RAM backend: a dict of arrays plus their kinds.
+
+    A string column's dictionary form is built on first use and kept:
+    sound because a store is never written in place.  It does not ride
+    the store's pickle.
+    """
 
     def __init__(
         self, columns: Mapping[str, np.ndarray], kinds: Mapping[str, ColumnKind]
@@ -165,6 +186,10 @@ class InMemoryStore(ColumnStore):
         if len(lengths) > 1:
             raise StorageError(f"ragged columns with lengths {sorted(lengths)}")
         self._num_rows = lengths.pop() if lengths else 0
+        self._encoded: Dict[str, Optional[DictColumn]] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_encoded": {}}
 
     @property
     def num_rows(self) -> int:
@@ -186,6 +211,18 @@ class InMemoryStore(ColumnStore):
     def _gather_fancy(self, name: str, rows: np.ndarray) -> np.ndarray:
         return self._columns[name][rows]
 
+    def gather_encoded(self, name: str, rows: np.ndarray):
+        if name not in self._encoded:
+            # Concurrent first callers may each build one; the first stored wins.
+            self._encoded.setdefault(name, dictionary_encode(self._columns[name]))
+        whole = self._encoded[name]
+        if whole is None:
+            return self.gather(name, rows)
+        bounds = contiguous_range(rows)
+        if bounds is not None:
+            return whole[bounds[0]:bounds[1]]
+        return whole[np.asarray(rows)]
+
     def nbytes_materialized(self) -> int:
         return int(sum(arr.nbytes for arr in self._columns.values()))
 
@@ -193,10 +230,11 @@ class InMemoryStore(ColumnStore):
 class MappedStore(ColumnStore):
     """Memory-mapped columnar backend rooted at one spill directory.
 
-    Every read opens a *fresh* read-only memmap of the column file and
-    returns a slice view (zero-copy for numeric columns); the map is
-    released when the caller drops the array, so nothing this store does
-    pins table-sized resident memory.  Instances pickle as their directory
+    Every read opens a *fresh* read-only memmap of the column file (at the
+    data offset its header gave on the first read) and returns a slice
+    view (zero-copy for numeric columns); the map is released when the
+    caller drops the array, so nothing this store does pins table-sized
+    resident memory.  Instances pickle as their directory
     path — process workers reopen the store instead of receiving array
     bytes, making fan-out cost O(1) in the table size.
     """
@@ -208,6 +246,7 @@ class MappedStore(ColumnStore):
             spec["name"]: ColumnSpec.from_dict(spec) for spec in meta["columns"]
         }
         self._dicts: Dict[str, np.ndarray] = {}
+        self._layouts: Dict[str, _NpyLayout] = {}
 
     # -- lifecycle -----------------------------------------------------
     @classmethod
@@ -274,8 +313,13 @@ class MappedStore(ColumnStore):
 
     # -- reads ---------------------------------------------------------
     def _mmap(self, spec: ColumnSpec) -> np.ndarray:
+        """A fresh read-only map of a column file; its header is parsed
+        on the first map only."""
         path = os.path.join(self.directory, spec.file)
-        return np.load(path, mmap_mode="r")
+        layout = self._layouts.get(spec.file)
+        if layout is None:
+            layout = self._layouts.setdefault(spec.file, _NpyLayout.read(path))
+        return layout.map(path)
 
     def dictionary(self, name: str) -> np.ndarray:
         """The decode dictionary of a dict-encoded column (cached: small)."""
@@ -286,7 +330,7 @@ class MappedStore(ColumnStore):
             path = os.path.join(self.directory, spec.dict_file)
             with open(path, "r", encoding="utf-8") as fh:
                 values = json.load(fh)
-            self._dicts[name] = np.array(values, dtype=object)
+            self._dicts.setdefault(name, np.array(values, dtype=object))
         return self._dicts[name]
 
     def read_full(self, name: str) -> np.ndarray:
@@ -313,12 +357,18 @@ class MappedStore(ColumnStore):
             return self.dictionary(name)[picked]
         return picked
 
-    def read_codes(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Raw dictionary codes of a range (no decode)."""
+    def gather_encoded(self, name: str, rows: np.ndarray):
         spec = self.spec(name)
         if spec.encoding != "dict":
-            raise StorageError(f"column {name!r} is not dictionary encoded")
-        return self._mmap(spec)[start:stop]
+            return self.gather(name, rows)
+        bounds = contiguous_range(rows)
+        if bounds is not None:
+            codes = np.array(self._mmap(spec)[bounds[0]:bounds[1]])
+        else:
+            codes = self._mmap(spec)[np.asarray(rows)]
+        _counter("storage.spill.reads").add(1)
+        _counter("storage.spill.bytes_read").add(int(codes.nbytes))
+        return DictColumn(codes, self.dictionary(name))
 
     def nbytes_materialized(self) -> int:
         """Bytes the table would occupy fully materialized in RAM.
@@ -336,11 +386,36 @@ class MappedStore(ColumnStore):
         return total
 
 
-def _npy_header(fh, dtype: np.dtype, shape: Tuple[int, ...]) -> None:
+@dataclass(frozen=True)
+class _NpyLayout:
+    """Where an ``.npy`` file's array lies: enough to map it unparsed."""
+
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    offset: int                # first byte after the header
+
+    @classmethod
+    def read(cls, path: str) -> "_NpyLayout":
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            # _npy_header always writes format 2.0, in C order
+            shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+            return cls(dtype, shape, fh.tell())
+
+    def map(self, path: str) -> np.memmap:
+        """A read-only map of the array, as ``np.load(mmap_mode="r")``."""
+        return np.memmap(
+            path, dtype=self.dtype, mode="r", offset=self.offset,
+            shape=self.shape,
+        )
+
+
+def _npy_header(fh, dtype: np.dtype, shape: Tuple[int, ...]) -> _NpyLayout:
     np.lib.format.write_array_header_2_0(
         fh, {"descr": np.lib.format.dtype_to_descr(dtype),
              "fortran_order": False, "shape": shape}
     )
+    return _NpyLayout(np.dtype(dtype), shape, fh.tell())
 
 
 class _RawColumnWriter:
@@ -349,7 +424,8 @@ class _RawColumnWriter:
     The file holds ``num_rows`` rows of ``trailing_shape`` each (a column
     by default; ``(width,)`` for a row-major matrix).  Plain buffered
     writes after the header — no dirty mapped pages, so a file far larger
-    than RAM does not grow RSS.
+    than RAM does not grow RSS.  ``layout`` maps the finished file without
+    parsing its header.
     """
 
     def __init__(
@@ -361,7 +437,9 @@ class _RawColumnWriter:
         self.num_rows = num_rows
         self.written = 0
         self._fh = open(path, "wb")
-        _npy_header(self._fh, self.dtype, (num_rows,) + tuple(trailing_shape))
+        self.layout = _npy_header(
+            self._fh, self.dtype, (num_rows,) + tuple(trailing_shape)
+        )
 
     def append(self, values: np.ndarray) -> int:
         block = np.ascontiguousarray(values, dtype=self.dtype)
@@ -369,7 +447,7 @@ class _RawColumnWriter:
             raise StorageError(
                 f"{self.path}: writing past the declared {self.num_rows} rows"
             )
-        self._fh.write(block.tobytes())
+        self._fh.write(block)
         self.written += len(block)
         return int(block.nbytes)
 
@@ -386,7 +464,9 @@ class _DictColumnWriter:
 
     A block is encoded by one C-level pass of dictionary lookups over the
     object array; only a block holding unseen values takes a second pass,
-    after they get the next codes in first-occurrence order.  Codes start
+    after they get the next codes in first-occurrence order.  A
+    :class:`DictColumn` block is mapped through its vocabulary instead,
+    into the same codes, so the files do not depend on the form.  Codes start
     as ``int16``; the moment the dictionary outgrows the int16 code space,
     the already-written code file is stream-promoted to ``int32`` and
     writing continues — no caller involvement, no second pass over the
@@ -399,7 +479,7 @@ class _DictColumnWriter:
         self.num_rows = num_rows
         self.codes: Dict[object, int] = {}
         self.values: List[object] = []
-        self._writer = _RawColumnWriter(path, _CODE_DTYPES[0], num_rows)
+        self._writer = _RawColumnWriter(path, CODE_DTYPES[0], num_rows)
 
     @property
     def code_dtype(self) -> np.dtype:
@@ -417,54 +497,76 @@ class _DictColumnWriter:
         back as raw bytes instead.
         """
         self._writer.close()
-        old_dtype = self._writer.dtype
-        new_dtype = _CODE_DTYPES[_CODE_DTYPES.index(old_dtype) + 1]
+        old = self._writer
+        new_dtype = CODE_DTYPES[CODE_DTYPES.index(old.dtype) + 1]
         tmp = self.path + ".promote"
         promoted = _RawColumnWriter(tmp, new_dtype, self.num_rows)
-        done = self._writer.written
         step = 1 << 20
         with open(self.path, "rb") as fh:
-            np.lib.format.read_magic(fh)
-            # _npy_header always writes format 2.0
-            np.lib.format.read_array_header_2_0(fh)
-            for start in range(0, done, step):
-                count = min(step, done - start)
+            fh.seek(old.layout.offset)
+            for start in range(0, old.written, step):
+                count = min(step, old.written - start)
                 block = np.frombuffer(
-                    fh.read(count * old_dtype.itemsize), dtype=old_dtype
+                    fh.read(count * old.dtype.itemsize), dtype=old.dtype
                 )
                 promoted.append(block)
         promoted.close()
         os.replace(tmp, self.path)
-        reopened = _RawColumnWriter.__new__(_RawColumnWriter)
-        reopened.path = self.path
-        reopened.dtype = new_dtype
-        reopened.num_rows = self.num_rows
-        reopened.written = done
-        reopened._fh = open(self.path, "r+b")
-        reopened._fh.seek(0, os.SEEK_END)
-        self._writer = reopened
+        promoted.path = self.path
+        promoted._fh = open(self.path, "r+b")
+        promoted._fh.seek(0, os.SEEK_END)
+        self._writer = promoted
 
-    def append(self, values: Sequence) -> int:
-        arr = np.asarray(values, dtype=object)
-        try:
-            codes = self._encode(arr)
-        except KeyError:
-            # New values get the next codes in first-occurrence order.
-            for value in dict.fromkeys(arr):
-                if value in self.codes:
-                    continue
-                if not isinstance(value, str):
-                    raise StorageError(
-                        "object columns must contain strings to spill; got "
-                        f"{type(value).__name__} ({value!r})"
-                    ) from None
-                self.codes[value] = len(self.values)
-                self.values.append(value)
-            codes = self._encode(arr)
+    def append(self, values) -> int:
+        if isinstance(values, DictColumn):
+            codes = self._map_vocab(values)
+        else:
+            codes = self._encode_values(np.asarray(values, dtype=object))
         limit = np.iinfo(self._writer.dtype).max
         if self.values and len(self.values) - 1 > limit:
             self._promote()
         return self._writer.append(codes)
+
+    def _encode_values(self, arr: np.ndarray) -> np.ndarray:
+        try:
+            return self._encode(arr)
+        except KeyError:
+            pass
+        # New values get the next codes in first-occurrence order.
+        for value in dict.fromkeys(arr):
+            self._code_of(value)
+        return self._encode(arr)
+
+    def _map_vocab(self, column: DictColumn) -> np.ndarray:
+        """A dictionary block's codes in this file's dictionary, mapped
+        through one vocabulary-sized array; the vocabulary values its rows
+        use for the first time get the next codes in first-occurrence
+        order, as in :meth:`_encode_values`."""
+        vocab = column.vocab.tolist()
+        mapped = np.fromiter(
+            map(self.codes.get, vocab, repeat(-1)), np.int64, count=len(vocab)
+        )
+        codes = mapped[column.codes]
+        unseen = codes < 0
+        if unseen.any():
+            positions, first = np.unique(column.codes[unseen], return_index=True)
+            for position in positions[np.argsort(first)].tolist():
+                mapped[position] = self._code_of(vocab[position])
+            codes = mapped[column.codes]
+        return codes
+
+    def _code_of(self, value) -> int:
+        """``value``'s code, the next one if it is new."""
+        code = self.codes.get(value)
+        if code is None:
+            if not isinstance(value, str):
+                raise StorageError(
+                    "object columns must contain strings to spill; got "
+                    f"{type(value).__name__} ({value!r})"
+                )
+            code = self.codes[value] = len(self.values)
+            self.values.append(value)
+        return code
 
     def _encode(self, arr: np.ndarray) -> np.ndarray:
         """Codes of ``arr``'s values; ``KeyError`` on an unseen value."""

@@ -9,8 +9,9 @@ arrays; :meth:`Table.spill_to` / :meth:`Table.from_store` put a table on a
 lazily and row ranges are read through short-lived maps.  Operations
 return new (in-RAM) tables; contiguous row selections return zero-copy
 range views on both backends, everything else falls back to fancy
-indexing (which copies).  A table pickles with its store, and a mapped
-store pickles as its directory.
+indexing (which copies).  :meth:`Table.gather_encoded` reads a string
+column as codes into its store's vocabulary, on both backends.  A table
+pickles with its store, and a mapped store pickles as its directory.
 """
 
 from __future__ import annotations
@@ -171,6 +172,19 @@ class Table:
         if name not in self._meta:
             raise KeyError(f"{self.name} has no column {name!r}")
         return self._store.gather(name, rows)
+
+    def gather_encoded(self, name: str, rows: np.ndarray):
+        """:meth:`gather`, with a string column kept dictionary encoded.
+
+        A column of ``str`` values comes back as a
+        :class:`~repro.relational.dictionary.DictColumn` whose vocabulary
+        is one array per store and column (a mapped store's dictionary, or
+        an in-RAM store's first-occurrence vocabulary built on first use);
+        any other column as :meth:`gather` returns it.
+        """
+        if name not in self._meta:
+            raise KeyError(f"{self.name} has no column {name!r}")
+        return self._store.gather_encoded(name, rows)
 
     def meta(self, name: str) -> ColumnMeta:
         if name not in self._meta:

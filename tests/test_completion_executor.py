@@ -38,7 +38,7 @@ from repro.nn import TrainConfig
 from repro.obs import disable_tracing, enable_tracing
 from repro.query import executor as executor_module
 from repro.query import parse_query
-from repro.relational import ColumnKind
+from repro.relational import ColumnKind, DictColumn
 from repro.relational import keys as keys_module
 
 FAST = TrainConfig(epochs=4, batch_size=128, lr=1e-2, patience=2)
@@ -163,6 +163,31 @@ class TestOnePassWalk:
                 for a, b in zip(output.acc.issued_ids[table], ids):
                     assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("fitted", ["dangling", "movies"])
+    def test_walk_states_hold_no_objects(self, request, fitted):
+        """String columns walk as dictionary columns, parked rows too, and
+        leave that form only when the in-RAM join is assembled."""
+        if fitted == "dangling":
+            model = request.getfixturevalue("dangling_model")
+        else:
+            _, model = request.getfixturevalue("movies_model")
+        join = IncompletenessJoin(model, seed=7, chunk_size=50)
+        outputs = join.walk_chunks(join.chunk_tasks())
+        states = [o.state for o in outputs] + [
+            state for o in outputs
+            for parked in o.acc.parked.values() for state in parked
+        ]
+        if fitted == "dangling":
+            assert any(o.acc.parked for o in outputs)
+        columns = [v for state in states for v in state.columns.values()]
+        assert any(isinstance(v, DictColumn) for v in columns)
+        assert not any(isinstance(v, np.ndarray) and v.dtype == object
+                       for v in columns)
+        result = join.assemble(outputs).result
+        strings = [name for name, v in outputs[0].state.columns.items()
+                   if isinstance(v, DictColumn)]
+        assert all(result.columns[name].dtype == object for name in strings)
+
     def test_side_state_follows_root_chunks_in_walk_order(
         self, dangling_model
     ):
@@ -257,9 +282,12 @@ def _count_child_index_builds(monkeypatch):
 class TestRecompletion:
     def test_cold_completions_share_one_child_index(self, dataset,
                                                     monkeypatch):
-        """Key structures are built once per database: after a write, the
-        first cold completion builds its hop's child index and a second
-        one, with the cache cleared in between, reuses it."""
+        """Key structures are built once per database, and a write that
+        leaves the key columns' arrays untouched hands them on: after a
+        non-key update no cold completion builds its hop's child index.
+        After an insert into the child table the first cold completion
+        builds it and a second one, with the cache cleared in between,
+        reuses it."""
         engine = make_engine(dataset)
         model = _model(engine, ("neighborhood", "apartment"))
         table = engine.db.table("neighborhood")
@@ -272,7 +300,58 @@ class TestRecompletion:
         for _ in range(2):
             engine.clear_cache()
             engine.completed_join(model)
+        assert builds == []
+        child = engine.db.table("apartment")
+        row = {c: child[c][0] for c in child.column_names}
+        row[child.primary_key] = int(child[child.primary_key].max()) + 1
+        engine.apply_mutations(inserts={"apartment": [row]})
+        for _ in range(2):
+            engine.clear_cache()
+            engine.completed_join(model)
         assert builds == [str(model.layout.fan_out_hops[1])]
+
+    @pytest.mark.parametrize("table_name,column,write", [
+        ("apartment", "room_type", "insert_delete"),
+        ("neighborhood", "state", "update"),
+    ])
+    def test_vocabulary_changes_recomplete_like_scratch(
+        self, dataset, table_name, column, write
+    ):
+        """A write that brings a string no row held and removes the row of
+        another value's first occurrence changes the table's vocabulary.
+        An insert and delete in the walked child table re-walks every chunk
+        under the new vocabulary; root updates re-walk only their chunks,
+        and the cached ones, under the old vocabulary, assemble with them.
+        Either way the join equals a from-scratch completion."""
+        engine = make_engine(dataset)
+        model = _model(engine, ("neighborhood", "apartment"))
+        engine.recomplete(model=model)
+        table = engine.db.table(table_name)
+        values = table[column].tolist()
+        second = list(dict.fromkeys(values))[1]
+        if write == "insert_delete":
+            row = {c: table[c][0] for c in table.column_names}
+            row["id"] = int(table["id"].max()) + 1
+            row[column] = "Treehouse"
+            delta = engine.apply_mutations(
+                inserts={table_name: [row]},
+                deletes={table_name: [int(table["id"][values.index(second)])]},
+            )
+        else:
+            other = next(v for v in values if v != second)
+            delta = engine.apply_mutations(updates={table_name: [
+                {"id": int(table["id"][0]), column: "Treehouse"},
+                {"id": int(table["id"][values.index(second)]), column: other},
+            ]})
+        warm = engine.recomplete(delta, model=model)
+        walked = warm.recompletion["chunks_walked"]
+        total = len(engine._grid(model))
+        assert walked == total if write == "insert_delete" else 0 < walked < total
+        assert "Treehouse" in warm.result.columns[f"{table_name}.{column}"]
+        engine.clear_cache()
+        scratch = engine.recomplete(model=model)
+        assert scratch.recompletion["chunks_cached"] == 0
+        assert joins_bitwise_identical(warm, scratch)
 
     def test_mixed_cache_matches_scratch(self, dataset, tracer, monkeypatch):
         engine = make_engine(dataset)

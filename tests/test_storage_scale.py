@@ -69,8 +69,16 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.query import parse_query
-from repro.relational import ColumnKind, CompletionPath, Database, ForeignKey, Table
+from repro.relational import (
+    ColumnKind,
+    CompletionPath,
+    Database,
+    DictColumn,
+    ForeignKey,
+    Table,
+)
 from repro.relational import storage
+from repro.relational.dictionary import code_dtype, object_array
 from repro.relational.keys import child_index, lookup
 from repro.relational.storage import (
     MappedStore,
@@ -197,6 +205,17 @@ class TestStorageEdgeCases:
         np.testing.assert_array_equal(
             store.read_range("s", 32_700, 32_800), values[32_700:32_800]
         )
+        # Dictionary blocks, each with its own vocabulary, write the same
+        # code file and dictionary, byte for byte.
+        rng = np.random.default_rng(5)
+        coded = StoreWriter(str(tmp_path / "coded"), "t", num, primary_key=None)
+        coded.add_column("s", C)
+        for start in range(0, num, step):
+            coded.append("s", _as_dict_column(values[start:start + step], rng))
+        coded.finalize()
+        for name in ("s.codes.npy", "s.dict.json"):
+            assert ((tmp_path / "coded" / name).read_bytes()
+                    == (tmp_path / "wide" / name).read_bytes()), name
 
     def test_reopen_from_fresh_process(self, tmp_path):
         columns = {
@@ -241,6 +260,18 @@ class TestStorageEdgeCases:
         os.remove(tmp_path / "d" / "id.npy")
         with pytest.raises(StoreIntegrityError, match="missing"):
             MappedStore.open(str(tmp_path / "d"))
+
+
+def _as_dict_column(values: np.ndarray, rng) -> DictColumn:
+    """``values`` as a dictionary block over a vocabulary of its own: its
+    distinct values shuffled, plus one value no row uses."""
+    vocab = list(dict.fromkeys(values.tolist()))
+    rng.shuffle(vocab)
+    vocab = object_array(vocab + [f"unused{rng.integers(1 << 30)}"])
+    position = {value: i for i, value in enumerate(vocab.tolist())}
+    codes = np.array([position[v] for v in values.tolist()],
+                     dtype=code_dtype(len(vocab)))
+    return DictColumn(codes, vocab)
 
 
 def _dict_append_reference(self, values):
@@ -311,6 +342,28 @@ class TestDictColumnWriter:
         np.testing.assert_array_equal(store.read_full("s"),
                                       np.concatenate(blocks))
 
+    @pytest.mark.parametrize("case", ["low_cardinality", "new_values_unsorted"])
+    def test_dictionary_blocks_write_the_same_bytes(self, tmp_path, case):
+        """Dictionary blocks, each over a vocabulary of its own, write the
+        files the decoded blocks write (promotion: see
+        ``test_dict_overflow_promotes_to_int32``)."""
+        blocks = self._blocks(case)
+        rng = np.random.default_rng(6)
+        files = []
+        for name, written in (
+            ("values", blocks),
+            ("dictionary", [_as_dict_column(b, rng) for b in blocks]),
+        ):
+            writer = StoreWriter(str(tmp_path / name), "t",
+                                 sum(len(b) for b in blocks), primary_key=None)
+            writer.add_column("s", C)
+            for block in written:
+                writer.append("s", block)
+            writer.finalize()
+            files.append({f: (tmp_path / name / f).read_bytes()
+                          for f in ("s.codes.npy", "s.dict.json")})
+        assert files[0] == files[1]
+
 
 # ----------------------------------------------------------------------
 # Row selection: range views vs. copies on both backends
@@ -371,6 +424,23 @@ class TestRangeViews:
                 table.gather("v", np.arange(10, 60)),
                 table.column_range("v", 10, 60),
             )
+
+    @pytest.mark.parametrize("rows", [
+        np.arange(40, 260), np.array([3, 9, 9, 470, 22]),
+        np.array([], dtype=np.int64),
+    ], ids=["contiguous", "fancy", "empty"])
+    def test_gather_encoded_decodes_to_gather(self, both_backends, rows):
+        for table in both_backends:
+            for name in table.column_names:
+                got = table.gather_encoded(name, rows)
+                want = table.gather(name, rows)
+                assert isinstance(got, DictColumn) == (name == "label")
+                decoded = np.asarray(got)
+                assert decoded.dtype == want.dtype
+                np.testing.assert_array_equal(decoded, want)
+            # One vocabulary object per store and column.
+            first = table.gather_encoded("label", np.arange(3))
+            assert table.gather_encoded("label", rows).vocab is first.vocab
 
     def test_backends_read_identically(self, both_backends):
         ram, mapped = both_backends
@@ -595,19 +665,12 @@ class TestSpilledJoin:
                                spill_dir=str(tmp_path / "b")).run()
         _assert_same_rows(a, b)
 
-    @pytest.mark.parametrize("num_rows", [0, 37])
-    @pytest.mark.parametrize("with_context", [False, True])
-    def test_spill_record_round_trip(self, tmp_path, num_rows, with_context):
-        rng = np.random.default_rng(num_rows)
-        n = num_rows
-        state = _WalkState(
+    @staticmethod
+    def _state(n, columns, with_context=False) -> _WalkState:
+        rng = np.random.default_rng(n)
+        return _WalkState(
             codes=rng.integers(0, 9, size=(n, 3)),
-            columns={
-                "site.id": np.arange(n, dtype=np.int64),
-                "site.region": np.array([f"r{i % 4}" for i in range(n)],
-                                        dtype=object),
-                "reading.value": rng.normal(size=n),
-            },
+            columns=columns,
             weights=rng.random(n),
             synthesized=rng.random(n) < 0.5,
             current_rows=rng.integers(-1, 50, size=n),
@@ -617,14 +680,32 @@ class TestSpilledJoin:
             counters=rng.integers(0, 9, size=n, dtype=np.uint64),
             roots=rng.integers(0, 200, size=n),
         )
+
+    @pytest.mark.parametrize("num_rows", [0, 37])
+    @pytest.mark.parametrize("with_context", [False, True])
+    def test_spill_record_round_trip(self, tmp_path, num_rows, with_context):
+        rng = np.random.default_rng(num_rows)
+        n = num_rows
+        regions = object_array([f"r{i}" for i in range(4)])
+        state = self._state(n, {
+            "site.id": np.arange(n, dtype=np.int64),
+            "site.region": DictColumn(
+                rng.integers(0, 4, size=n).astype(np.int16), regions),
+            "reading.value": rng.normal(size=n),
+        }, with_context)
         path = str(tmp_path / "chunk.spill")
-        _spill_state(state, path)
-        loaded = _load_state(path)
+        loaded = _load_state(path, _spill_state(state, path))
         assert list(loaded.columns) == list(state.columns)
+        region = loaded.columns["site.region"]
+        assert isinstance(region, DictColumn)
+        assert region.vocab.dtype == object
+        assert region.vocab.tolist() == regions.tolist()
         pairs = [(getattr(loaded, f), getattr(state, f)) for f in (
             "codes", "weights", "synthesized", "current_rows", "streams",
             "counters", "roots",
-        )] + [(loaded.columns[k], v) for k, v in state.columns.items()]
+        )] + [(loaded.columns[k], state.columns[k])
+              for k in ("site.id", "reading.value")]
+        pairs.append((region.codes, state.columns["site.region"].codes))
         if with_context:
             pairs.append((loaded.context, state.context))
         else:
@@ -632,6 +713,76 @@ class TestSpilledJoin:
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+
+    def test_spilled_vocabulary_round_trips_any_string(self, tmp_path):
+        vocab = object_array(["", "grün", "日本語", "tail\x00", "\x00", 'q"\\',
+                              "\ud800", "x" * 5000])
+        codes = np.arange(len(vocab), dtype=np.int16)[::-1].copy()
+        state = self._state(len(vocab), {"t.s": DictColumn(codes, vocab)})
+        path = str(tmp_path / "chunk.spill")
+        loaded = _load_state(path, _spill_state(state, path)).columns["t.s"]
+        assert loaded.vocab.tolist() == vocab.tolist()
+        assert [type(v) for v in loaded.vocab.tolist()] == [str] * len(vocab)
+        np.testing.assert_array_equal(loaded.codes, codes)
+
+    @pytest.mark.parametrize("column", [
+        DictColumn(np.zeros(2, dtype=np.int16), object_array(["a", 1])),
+        object_array(["a", "b"]),
+    ], ids=["non-string vocabulary", "object column"])
+    def test_spill_refuses_objects(self, tmp_path, column):
+        state = self._state(2, {"t.s": column})
+        with pytest.raises(StorageError, match="strings"):
+            _spill_state(state, str(tmp_path / "chunk.spill"))
+
+    def test_spilled_join_keeps_strings_as_codes(self, scale_join_setup,
+                                                 tmp_path, monkeypatch):
+        """No walk state holds an object column, and nothing decodes a
+        dictionary column before the result store writes its codes."""
+        model, mapped_model = scale_join_setup
+        baseline = IncompletenessJoin(model, seed=0).run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dictionary column was decoded")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(DictColumn, "decode", refuse)
+            patched.setattr(DictColumn, "__array__", refuse)
+            join = IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
+                                      spill_dir=str(tmp_path / "run"))
+            outputs = join.walk_chunks(join.chunk_tasks())
+            states = [output.load().state for output in outputs]
+            spilled = join.assemble(outputs)
+        columns = [v for state in states for v in state.columns.values()]
+        assert any(isinstance(v, DictColumn) for v in columns)
+        assert not any(isinstance(v, np.ndarray) and v.dtype == object
+                       for v in columns)
+        _assert_same_rows(baseline, spilled)
+
+    def test_spilled_join_parses_each_header_once(self, scale_join_setup,
+                                                  tmp_path, monkeypatch):
+        """Mapped columns parse their ``.npy`` header once per store
+        object, and chunk spills carry no header at all."""
+        _, mapped_model = scale_join_setup
+        # Every header read of numpy.lib.format goes through this function.
+        format_globals = np.lib.format.read_array_header_2_0.__globals__
+        read_header = format_globals["_read_array_header"]
+        parsed = []
+
+        def counting(fp, *args, **kwargs):
+            parsed.append(str(fp.name))
+            return read_header(fp, *args, **kwargs)
+
+        monkeypatch.setitem(format_globals, "_read_array_header", counting)
+        for run in ("a", "b"):
+            completed = IncompletenessJoin(
+                mapped_model, seed=0, chunk_size=64,
+                spill_dir=str(tmp_path / run),
+            ).run()
+            np.asarray(completed.result.columns["reading.kind"])
+        assert parsed, "the result stores' columns were never read"
+        assert not [p for p in parsed if p.endswith(".spill")]
+        repeated = {p for p in parsed if parsed.count(p) > 1}
+        assert not repeated
 
     def test_planted_synthetic_id_collision_raises(self, scale_join_setup):
         model, _ = scale_join_setup
