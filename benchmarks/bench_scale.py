@@ -3,9 +3,11 @@
 Sizes the pipeline at SF 1/10/100 (≈100k/1M/10M root rows): the
 counter-based generator streams straight into the mapped column store,
 and the incompleteness join walks the mapped database in chunks,
-spilling completed chunks to disk, so neither phase ever holds a full
-table in RAM.  Every test stamps rows/sec and the phase's peak-RSS
-delta into the benchmark JSON (``extra_info``); the SF-10 join asserts
+appending each completed chunk to a store-backed result, so neither
+phase ever holds a full table in RAM.  Every test stamps rows/sec and
+the phase's peak-RSS delta into the benchmark JSON (``extra_info``);
+every join asserts that its spill directory holds the result store and
+nothing else (and stamps its bytes per row), and the SF-10 join asserts
 the streaming claim — peak RSS bounded well below what the in-RAM
 equivalent (database plus materialized completed join) must hold.
 
@@ -16,6 +18,7 @@ pays the one-time costs (the model's float32 networks, allocator pools) that
 would otherwise be billed to the measured phase.
 """
 
+import os
 import time
 
 import numpy as np
@@ -36,6 +39,7 @@ from repro.datasets.scale import (
 from repro.nn import TrainConfig
 from repro.obs import current_rss_bytes, peak_rss_bytes, reset_peak_rss
 from repro.relational import CompletionPath
+from repro.relational.storage import STORE_META
 
 from conftest import run_once
 
@@ -97,6 +101,22 @@ def _materialized_result_bytes(completed) -> int:
     return total
 
 
+def _result_store_bytes(completed) -> int:
+    """Bytes of the files the store-backed result maps: the column store's
+    columns, dictionaries and ``store.json``, and the join arrays."""
+    store = completed.result.columns.store
+    names = {STORE_META}
+    for column in store.names():
+        spec = store.spec(column)
+        names.update(name for name in (spec.file, spec.dict_file) if name)
+    paths = [os.path.join(store.directory, name) for name in names]
+    paths += [array.filename for array in (
+        completed.codes, completed.context, completed.result.weights,
+        completed.target_synthesized(),
+    ) if array is not None]
+    return sum(os.path.getsize(path) for path in paths)
+
+
 def _bench_generation(benchmark, tmp_path, scale_factor: float):
     cfg = ScaleConfig(scale_factor=scale_factor, seed=0)
 
@@ -147,6 +167,11 @@ def _bench_join(benchmark, tmp_path, scale_factor: float):
     )
     rows = completed.num_rows
     in_ram_equivalent = db.nbytes_materialized() + _materialized_result_bytes(completed)
+    # Each row is written once, into the result store; nothing else stays.
+    spill_dir = tmp_path / "join"
+    assert os.listdir(spill_dir) == ["result"]
+    spill_bytes = sum(f.stat().st_size for f in spill_dir.rglob("*") if f.is_file())
+    assert spill_bytes == _result_store_bytes(completed)
     benchmark.extra_info.update({
         "scale_factor": scale_factor,
         "join_rows": rows,
@@ -154,10 +179,13 @@ def _bench_join(benchmark, tmp_path, scale_factor: float):
         "peak_rss_delta_bytes": rss_delta,
         "in_ram_equivalent_bytes": in_ram_equivalent,
         "rss_fraction_of_in_ram": rss_delta / in_ram_equivalent,
+        "spill_bytes": spill_bytes,
+        "spill_bytes_per_row": spill_bytes / rows,
     })
     print(f"\nSF {scale_factor:g} join: {rows:,} rows in {seconds:.1f}s "
           f"({rows / seconds:,.0f} rows/s), peak RSS +{rss_delta / 1e6:.0f}MB "
-          f"vs {in_ram_equivalent / 1e6:.0f}MB in-RAM equivalent")
+          f"vs {in_ram_equivalent / 1e6:.0f}MB in-RAM equivalent, "
+          f"{spill_bytes / rows:.0f} spilled bytes per row")
     # More output rows than surviving evidence rows: synthesis happened.
     assert rows > len(db.table("reading"))
     assert np.all(completed.result.effective_weights() > 0)

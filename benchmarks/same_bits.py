@@ -17,9 +17,10 @@ Run from a checkout, this imports the program from that checkout's
 * ``refresh/<i>`` — six live-refresh recompletions (``apply_mutations``
   then ``recomplete``) over perfbench's live-refresh stream at seed 1;
 * ``scale-join/seed5`` — the spilled SF-1 join at seed 5: its canonical
-  rows, every chunk spill as the walk state read back from it (string
-  columns decoded, so the digest does not depend on the spill file
-  format), and its result files byte for byte.
+  rows, every chunk's walk state (string columns decoded), and its result
+  files byte for byte.  A serial spilled walk appends each chunk to the
+  result store and keeps no state, so the states come from an in-RAM walk
+  of the same chunk grid: the arrays the spilled walk appended.
 
 The set-ups are perfbench's (``perfbench/workloads.py``), so the engines,
 databases and streams are the benchmark's own.  Two checkouts that print
@@ -138,7 +139,7 @@ def live_refresh(workdir: str) -> dict:
     return out
 
 
-#: The arrays of a walk state, in the order a chunk spill stores them.
+#: The arrays of a walk state.
 WALK_FIELDS = ("codes", "weights", "synthesized", "current_rows", "streams",
                "counters", "roots", "context")
 
@@ -158,15 +159,16 @@ def scale_join(workdir: str) -> dict:
     workload.setup()
     try:
         spill_dir = os.path.join(workdir, "scale-join-spill")
-        join = IncompletenessJoin(
+        completed = IncompletenessJoin(
             workload.model, seed=SCALE_JOIN_SEED,
             chunk_size=workload.CHUNK_SIZE, spill_dir=spill_dir,
+        ).run()
+        in_ram = IncompletenessJoin(
+            workload.model, seed=SCALE_JOIN_SEED,
+            chunk_size=workload.CHUNK_SIZE,
         )
-        # run() is assemble(walk_chunks(chunk_tasks())); the handles give
-        # each chunk spill's state back.
-        outputs = join.walk_chunks(join.chunk_tasks())
-        chunks = [_walk_state(output.load().state) for output in outputs]
-        completed = join.assemble(outputs)
+        chunks = [_walk_state(output.state)
+                  for output in in_ram.walk_chunks(in_ram.chunk_tasks())]
         result_dir = os.path.join(spill_dir, "result")
         files = {}
         for name in sorted(os.listdir(result_dir)):

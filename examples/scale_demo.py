@@ -12,8 +12,9 @@ The pipeline in four steps, each memory-bounded:
    in RAM for cheap model fitting.  The capped fan-out vocabulary makes
    the small model's weights transplant onto the big layout unchanged.
 3. **Stream the incompleteness join** — chunked walk over the mapped
-   root table, each completed chunk spilled to disk, the assembled
-   result store-backed.  Peak RSS tracks the chunk size, not the table.
+   root table, each completed chunk appended to a store-backed result
+   as soon as it is walked, so every row is written to disk once.  Peak
+   RSS tracks the chunk size, not the table.
 4. **Query the completed join** — the weighted result corrects the
    aggregate that incompleteness biased.
 

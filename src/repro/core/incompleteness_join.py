@@ -52,12 +52,19 @@ cached by an earlier join (or database) unite their vocabularies by value.
 Strings are decoded only when an in-RAM join is assembled; a spilled join
 hands the codes to its result store.
 
-With a ``spill_dir``, each chunk's walked rows go to one file of raw
+With a ``spill_dir``, rows go to a store-backed result under
+``<spill_dir>/result`` as they are walked, and each is written once: a
+chunk walked on the caller's thread appends its rows to the result
+store's column writers, in task order, and is dropped.  A pass walked on a
+pool worker (thread or process) writes each chunk to one file of raw
 records aligned to 64 bytes: the fixed state fields, the context, then
 every column (a dictionary column as its codes plus its vocabulary, the
 ASCII bytes of a JSON list).  The files hold no headers and no pickles;
-the handle the walk returns (:class:`_SpilledChunkOutput`) carries each
-record's offset, dtype and shape, and loading reads the file once.
+the handle the worker returns (:class:`_ChunkFile`) carries each record's
+offset, dtype and shape, and the caller reads each file once, appends it
+in task order and deletes it.  Assembly appends the parked rows'
+continuations last and closes the store; its files learn their row
+counts then.
 
 The result is a :class:`~repro.query.JoinResult` with fractional row
 weights, directly consumable by the shared filter/aggregate operators.
@@ -68,6 +75,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -448,43 +456,183 @@ def _load_state(path: str, index: _SpillIndex) -> _WalkState:
 
 @dataclass
 class _SpilledChunkOutput:
-    """A chunk output whose walked rows live on disk, not in RAM.
+    """A chunk output whose walked rows went to its walk's result store.
 
-    Produced when the join runs with a ``spill_dir``: the worker (thread
-    or process) writes the state to ``path`` and ships back only this
-    handle (with the file's record index) plus the small synthesis
-    side-state, so fan-out result transfer and caller-side residency are
-    O(1) in the chunk's row count.  ``cacheable`` is False — the backing
-    file is scoped to one run, so the partial-completion cache must not
-    retain the handle.
+    Produced when the join runs with a ``spill_dir``: only the synthesis
+    side-state and the row count stay in RAM.  The rows exist once, in the
+    store that :meth:`IncompletenessJoin.assemble` finishes, so a spilled
+    walk's outputs assemble once and ``cacheable`` is False — the
+    partial-completion cache must not retain the handle.
     """
+
+    walk: "_SpilledWalk"
+    acc: _ShardAccumulator
+    num_rows: int
+
+    cacheable = False
+
+
+@dataclass
+class _ChunkFile:
+    """A chunk walked on a pool worker: its rows in one file of raw records
+    (:func:`_spill_state`), for the caller to append in task order."""
 
     path: str
     index: _SpillIndex
     acc: _ShardAccumulator
     num_rows: int
 
-    cacheable = False
-
-    def load(self) -> _ChunkOutput:
-        return _ChunkOutput(
-            walked=_load_state(self.path, self.index), acc=self.acc
-        )
-
 
 AnyChunkOutput = Union[_ChunkOutput, _SpilledChunkOutput]
 
 
-def _chunk_states(outputs: List[AnyChunkOutput]) -> List[_WalkState]:
+def _chunk_states(outputs: List[_ChunkOutput]) -> List[_WalkState]:
     """The outputs' rows as walk states to concatenate, in output order; a
     walk pass assembled whole is its own state, uncopied."""
-    outputs = [
-        o.load() if isinstance(o, _SpilledChunkOutput) else o for o in outputs
-    ]
     if outputs and all(o.walked is outputs[0].walked for o in outputs) \
             and sum(o.num_rows for o in outputs) == outputs[0].walked.num_rows:
         return [outputs[0].walked]  # chunks are disjoint: this is all of it
     return [o.state for o in outputs]
+
+
+class _ResultSink:
+    """A spilled join's result store, written as its states arrive.
+
+    A :class:`StoreWriter` takes the columns (dictionary columns as codes,
+    remapped into the store's dictionary), and one ``join_<field>.npy``
+    per field of :data:`_RESULT_FIELDS` takes the codes, weights,
+    synthesized flags and context; the files learn their row count when
+    :meth:`finish` closes them.  The schema is the first non-empty
+    state's: every chunk walks the same path, so the states agree.
+    """
+
+    def __init__(self, directory: str, state: _WalkState):
+        self.names = list(state.columns)
+        self.store = StoreWriter(
+            directory, "completed_join", None, primary_key=None
+        )
+        self.arrays: Dict[str, _RawColumnWriter] = {}
+        try:
+            for name in self.names:
+                values = state.columns[name]
+                if isinstance(values, DictColumn) or values.dtype == object:
+                    self.store.add_column(name, ColumnKind.CATEGORICAL)
+                elif np.issubdtype(values.dtype, np.integer):
+                    self.store.add_column(name, ColumnKind.KEY, dtype=values.dtype)
+                else:
+                    self.store.add_column(
+                        name, ColumnKind.CONTINUOUS, dtype=values.dtype
+                    )
+            for field_name in _RESULT_FIELDS:
+                values = getattr(state, field_name)
+                if values is not None:  # no context
+                    self.arrays[field_name] = _RawColumnWriter(
+                        os.path.join(directory, f"join_{field_name}.npy"),
+                        values.dtype, None, values.shape[1:],
+                    )
+        except BaseException:
+            self.discard()
+            raise
+
+    def append(self, state: _WalkState) -> None:
+        for name in self.names:
+            self.store.append(name, state.columns[name])
+        for field_name, writer in self.arrays.items():
+            writer.append(getattr(state, field_name))
+
+    def finish(self):
+        """Close every file; the result reopens as read-only maps."""
+        store = self.store.finalize()
+        for writer in self.arrays.values():
+            writer.close()
+        mapped = {
+            field_name: writer.layout.map(writer.path)
+            for field_name, writer in self.arrays.items()
+        }
+        return (
+            StoreColumns(store, self.names),
+            mapped["weights"],
+            mapped["synthesized"],
+            mapped["codes"],
+            mapped.get("context"),
+        )
+
+    def discard(self) -> None:
+        """Close every file and remove every file the sink made."""
+        for writer in self.arrays.values():
+            writer.discard()
+        self.store.discard()
+
+
+def _chunk_path(directory: str, task: Tuple[int, int]) -> str:
+    return os.path.join(directory, f"chunk_{task[0]}_{task[1]}.spill")
+
+
+class _SpilledWalk:
+    """The rows of one spilled walk, on their way to ``<spill_dir>/result``.
+
+    A chunk walked on ``owner``, the thread that started the walk, appends
+    its rows to the result store as soon as it is walked (:meth:`take`);
+    a pool worker (another thread, or a process, whose walk has no owner)
+    writes each chunk to a file of raw records instead, which the caller
+    appends in task order and deletes (:meth:`append_file`).  The store
+    opens on the first non-empty state; ``empty`` keeps the first state
+    without rows, the schema of an in-RAM empty result.
+    """
+
+    def __init__(self, spill_dir: str, owner: Optional[int] = None):
+        self.spill_dir = spill_dir
+        self.owner = owner
+        self.sink: Optional[_ResultSink] = None
+        self.empty: Optional[_WalkState] = None
+        self.rows = 0
+
+    def take(
+        self, outputs: List[_ChunkOutput], tasks: List[Tuple[int, int]]
+    ) -> List[Union[_SpilledChunkOutput, _ChunkFile]]:
+        """A pass's chunk outputs, appended here or spilled to files."""
+        if threading.get_ident() == self.owner:
+            return [self._append(o.state, o.acc) for o in outputs]
+        os.makedirs(self.spill_dir, exist_ok=True)
+        files = []
+        for output, task in zip(outputs, tasks):
+            path = _chunk_path(self.spill_dir, task)
+            files.append(_ChunkFile(
+                path, _spill_state(output.state, path), output.acc,
+                output.num_rows,
+            ))
+        return files
+
+    def append_file(self, chunk: _ChunkFile) -> _SpilledChunkOutput:
+        """Append a pool worker's chunk file, then delete it."""
+        output = self._append(_load_state(chunk.path, chunk.index), chunk.acc)
+        os.remove(chunk.path)
+        return output
+
+    def _append(
+        self, state: _WalkState, acc: _ShardAccumulator
+    ) -> _SpilledChunkOutput:
+        self.add(state)
+        return _SpilledChunkOutput(self, acc, state.num_rows)
+
+    def add(self, state: _WalkState) -> None:
+        if state.num_rows == 0:
+            if self.empty is None:
+                self.empty = state
+            return
+        if self.sink is None:
+            self.sink = _ResultSink(os.path.join(self.spill_dir, "result"), state)
+        self.sink.append(state)
+        self.rows += state.num_rows
+
+    def discard(self, tasks: Sequence[Tuple[int, int]] = ()) -> None:
+        """Close and remove every file the walk made: the result store's
+        and the chunk files of ``tasks``."""
+        for task in tasks:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(_chunk_path(self.spill_dir, task))
+        if self.sink is not None:
+            self.sink.discard()
 
 
 def restrict_chunk_output(
@@ -548,7 +696,8 @@ def _build_worker_join(spec: _JoinWorkerSpec):
     """Process-pool initializer hook: a worker-local join from the spec.
 
     Built once per worker, so per-table caches (child indexes, key orders,
-    replacers) amortize across all chunks the worker executes.
+    replacers) amortize across all chunks the worker executes.  Its walk
+    has no owner thread, so it spills every chunk to a file.
     """
     join = IncompletenessJoin(
         spec.model,
@@ -556,25 +705,27 @@ def _build_worker_join(spec: _JoinWorkerSpec):
         replace_synthesized=spec.replace_synthesized,
         seed=spec.seed,
     )
-    return join, list(spec.tables), spec.plan, None, spec.spill_dir
+    walk = None if spec.spill_dir is None else _SpilledWalk(spec.spill_dir)
+    return join, list(spec.tables), spec.plan, None, walk
 
 
 def _walk_pass_task(
     state, tasks: List[Tuple[int, int]]
-) -> List[AnyChunkOutput]:
+) -> List[Union[_ChunkOutput, _SpilledChunkOutput, _ChunkFile]]:
     """Executor task: walk a pass of root-row chunks (any backend).
 
     The fourth payload element is the dispatching caller's trace context:
     contextvars do not flow into pool threads, so the context rides along
     explicitly and each pass becomes a child span of the dispatch
     (process workers get ``None`` — their tracer is off by default).
-    With a spill directory, each chunk's walked rows are written to disk
-    *on the worker* and only a small handle travels back.
+    The fifth is the spilled walk (None without a spill directory): on the
+    caller's thread each chunk's rows go straight to the result store, on
+    a pool worker to a chunk file, and only a small handle comes back.
     """
-    join, tables, plan, ctx, spill_dir = state
+    join, tables, plan, ctx, walk = state
     if not tracing_enabled():
         outputs = join._walk_pass(tasks, tables, plan)
-        return _maybe_spill_outputs(outputs, spill_dir, tasks)
+        return outputs if walk is None else walk.take(outputs, tasks)
     with activate(ctx):
         with trace(
             "join.chunk",
@@ -584,25 +735,7 @@ def _walk_pass_task(
         ) as span:
             outputs = join._walk_pass(tasks, tables, plan)
             span.set("rows_out", sum(o.num_rows for o in outputs))
-            return _maybe_spill_outputs(outputs, spill_dir, tasks)
-
-
-def _maybe_spill_outputs(
-    outputs: List[_ChunkOutput],
-    spill_dir: Optional[str],
-    tasks: List[Tuple[int, int]],
-) -> List[AnyChunkOutput]:
-    if spill_dir is None:
-        return outputs
-    os.makedirs(spill_dir, exist_ok=True)
-    spilled: List[AnyChunkOutput] = []
-    for output, (start, stop) in zip(outputs, tasks):
-        path = os.path.join(spill_dir, f"chunk_{start}_{stop}.spill")
-        spilled.append(_SpilledChunkOutput(
-            path=path, index=_spill_state(output.state, path),
-            acc=output.acc, num_rows=output.num_rows,
-        ))
-    return spilled
+            return outputs if walk is None else walk.take(outputs, tasks)
 
 
 class IncompletenessJoin:
@@ -637,14 +770,19 @@ class IncompletenessJoin:
         The process backend ships the model's inference snapshot, whose
         networks are the ones the model itself samples with.
     spill_dir:
-        Stream completed chunks through this directory instead of holding
-        them in RAM: each worker writes its walked rows to disk and ships
-        back an O(1) handle, and :meth:`assemble` concatenates the spilled
-        chunks into a store-backed result without ever materializing the
-        full join.  Combined with a memory-mapped database this bounds the
-        join's peak RSS far below the output size.  The directory is
-        scoped to one run — spilled chunk outputs are excluded from the
-        partial-completion cache.
+        Stream completed chunks into a store-backed result under
+        ``<spill_dir>/result`` instead of holding them in RAM: a chunk
+        walked on the caller's thread appends its rows to the result store
+        as soon as it is walked, a pool worker's chunks travel through
+        chunk files that the caller appends in task order and deletes, and
+        only O(1) handles come back.  :meth:`assemble` appends the parked
+        rows' continuations and closes the store, so the full join never
+        resides in RAM; combined with a memory-mapped database this bounds
+        the join's peak RSS far below the output size.  A run leaves only
+        ``result/`` in the directory, and a run that raises removes what
+        it wrote there.  A spilled walk must be assembled before the next
+        one, and its outputs assemble once (they are excluded from the
+        partial-completion cache).
     """
 
     def __init__(
@@ -679,6 +817,8 @@ class IncompletenessJoin:
         # String columns' vocabularies for this join, by (table, column);
         # None for a column its table does not dictionary encode.
         self._vocabs: Dict[Tuple[str, str], Optional[_JoinVocab]] = {}
+        # The spilled walk whose rows await assemble(), if any.
+        self._spilled: Optional[_SpilledWalk] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -763,6 +903,10 @@ class IncompletenessJoin:
         one contiguous pass per worker.  Either way each output is a pure
         function of (seed, chunk bounds, plan), bitwise the walk of that
         chunk alone — so the engine caches outputs by chunk bounds.
+
+        With a ``spill_dir`` the rows go to the result store as they are
+        walked and the outputs are handles (see ``spill_dir``); a walk that
+        raises removes every file it made before re-raising.
         """
         tables = list(tables) if tables is not None else list(self.path.tables)
         self._validate_plan(plan, tables)
@@ -772,7 +916,25 @@ class IncompletenessJoin:
             tables="/".join(tables),
             backend=self.parallel_backend,
         ):
-            return self._run_chunks(tasks, tables, plan)
+            if self.spill_dir is None:
+                return self._run_chunks(tasks, tables, plan, None)
+            if self._spilled is not None:
+                raise StorageError(
+                    f"{self.spill_dir}: the previous spilled walk has not "
+                    "been assembled; a walk would overwrite its result"
+                )
+            walk = self._spilled = _SpilledWalk(
+                self.spill_dir, threading.get_ident()
+            )
+            try:
+                return [
+                    walk.append_file(o) if isinstance(o, _ChunkFile) else o
+                    for o in self._run_chunks(tasks, tables, plan, walk)
+                ]
+            except BaseException:
+                self._spilled = None
+                walk.discard(tasks)
+                raise
 
     def assemble(
         self,
@@ -784,32 +946,53 @@ class IncompletenessJoin:
 
         Resolves dangling-FK parents globally across the given outputs and
         runs the continuation walks.  Parked states are copied before
-        resolution, so outputs stay reusable — assembling a chunk subset for
-        an early estimate and later re-assembling a superset both see
-        pristine chunk outputs.
+        resolution, so in-RAM outputs stay reusable — assembling a chunk
+        subset for an early estimate and later re-assembling a superset
+        both see pristine chunk outputs.
 
-        When the run spilled its chunks (``spill_dir``), the merged result
-        is assembled **streaming**: chunk states are loaded from disk one
-        at a time and appended to a store-backed result, so the full join
-        never resides in RAM — the returned columns, codes and context are
-        read-only memory maps.
+        The outputs of a spilled walk (``spill_dir``) are handles whose
+        rows are already in the result store: the continuations are
+        appended after every chunk and the store is closed, so the full
+        join never resides in RAM — the returned columns, codes and
+        context are read-only memory maps.  They assemble once, all of
+        them together; an assembly that raises removes the store.  A
+        spilled walk without rows assembles in RAM, as an empty result.
         """
         tables = list(tables) if tables is not None else list(self.path.tables)
         self._validate_plan(plan, tables)
-        acc = _ShardAccumulator()
-        for output in outputs:  # executor order == task order: deterministic
-            acc.merge(output.acc)
-        extras = self._resolve_parked(acc, tables, plan)
-        spilled = any(isinstance(o, _SpilledChunkOutput) for o in outputs)
-        total_rows = (
-            sum(o.num_rows for o in outputs) + sum(s.num_rows for s in extras)
-        )
-        if spilled and self.spill_dir is not None and total_rows > 0:
-            columns, weights, synthesized, codes, context = (
-                self._assemble_spilled(outputs, extras, total_rows)
-            )
+        walk, self._spilled = self._spilled, None
+        try:
+            if any(
+                isinstance(o, _SpilledChunkOutput) and o.walk is not walk
+                for o in outputs
+            ) or (walk is not None
+                  and sum(o.num_rows for o in outputs) != walk.rows):
+                raise StorageError(
+                    "a spilled walk's outputs assemble once, all together"
+                )
+            acc = _ShardAccumulator()
+            for output in outputs:  # executor order == task order: deterministic
+                acc.merge(output.acc)
+            extras = self._resolve_parked(acc, tables, plan)
+            self._check_synth_ids(acc.issued_ids)
+            stored = None
+            if walk is not None:
+                for extra in extras:
+                    walk.add(extra)
+                if walk.sink is not None:
+                    stored = walk.sink.finish()
+        except BaseException:
+            if walk is not None:
+                walk.discard()
+            raise
+        if stored is not None:
+            columns, weights, synthesized, codes, context = stored
         else:
-            chunks = _chunk_states(outputs) + extras
+            if walk is None:
+                chunks = _chunk_states(outputs) + extras
+            else:
+                chunks = [walk.empty] if walk.empty is not None else []
+                chunks += extras
             if not chunks:
                 # All chunks were skipped by pre-walk pruning: produce a
                 # correctly shaped empty result by walking zero rows.
@@ -826,7 +1009,6 @@ class IncompletenessJoin:
             synthesized = completed.synthesized
             codes = completed.codes
             context = completed.context
-        self._check_synth_ids(acc.issued_ids)
 
         # The final state's synthesized flags refer to the last completed
         # table — exactly what confidence estimation (§6) needs.
@@ -870,92 +1052,6 @@ class IncompletenessJoin:
             )
         return extras
 
-    def _assemble_spilled(
-        self,
-        outputs: List[AnyChunkOutput],
-        extras: List[_WalkState],
-        total_rows: int,
-    ):
-        """Concatenate chunk states into a store-backed result, streaming.
-
-        One spilled chunk is resident at a time: its raw columns append to
-        a :class:`StoreWriter` (dictionary columns as codes, remapped into
-        the store's dictionary) and its codes / weights / synthesized flags
-        / context stream into pre-sized ``.npy`` files.  Everything reopens
-        as read-only memory maps, so the assembled join's RSS cost is one
-        chunk, not the result.
-        """
-        assert self.spill_dir is not None
-        result_dir = os.path.join(self.spill_dir, "result")
-        os.makedirs(result_dir, exist_ok=True)
-
-        def states():
-            for output in outputs:
-                if isinstance(output, _SpilledChunkOutput):
-                    yield output.load().state
-                else:
-                    yield output.state
-            for extra in extras:
-                yield extra
-
-        writer: Optional[StoreWriter] = None
-        col_names: List[str] = []
-        arrays: Dict[str, _RawColumnWriter] = {}
-        with contextlib.ExitStack() as on_error:
-            for state in states():
-                if state.num_rows == 0:
-                    continue
-                if writer is None:
-                    # Result schema comes from the first non-empty chunk; all
-                    # chunks walk the same path, so they agree.
-                    col_names = list(state.columns.keys())
-                    writer = StoreWriter(
-                        result_dir, "completed_join", total_rows,
-                        primary_key=None,
-                    )
-                    on_error.callback(writer.abort)
-                    for name in col_names:
-                        values = state.columns[name]
-                        if isinstance(values, DictColumn) or values.dtype == object:
-                            writer.add_column(name, ColumnKind.CATEGORICAL)
-                        elif np.issubdtype(values.dtype, np.integer):
-                            writer.add_column(
-                                name, ColumnKind.KEY, dtype=values.dtype
-                            )
-                        else:
-                            writer.add_column(
-                                name, ColumnKind.CONTINUOUS, dtype=values.dtype
-                            )
-                    for field_name in _RESULT_FIELDS:
-                        values = getattr(state, field_name)
-                        if values is None:  # no context
-                            continue
-                        arrays[field_name] = _RawColumnWriter(
-                            os.path.join(result_dir, f"join_{field_name}.npy"),
-                            values.dtype, total_rows, values.shape[1:],
-                        )
-                        on_error.callback(arrays[field_name].abort)
-                for name in col_names:
-                    writer.append(name, state.columns[name])
-                for field_name, array_writer in arrays.items():
-                    array_writer.append(getattr(state, field_name))
-            assert writer is not None  # total_rows > 0 guarantees a chunk
-            store = writer.finalize()
-            for array_writer in arrays.values():
-                array_writer.close()
-            on_error.pop_all()  # success: nothing to abort
-        mapped = {
-            field_name: array_writer.layout.map(array_writer.path)
-            for field_name, array_writer in arrays.items()
-        }
-        return (
-            StoreColumns(store, col_names),
-            mapped["weights"],
-            mapped["synthesized"],
-            mapped["codes"],
-            mapped.get("context"),
-        )
-
     def _validate_plan(
         self, plan: Optional[PushdownPlan], tables: Sequence[str]
     ) -> None:
@@ -971,14 +1067,15 @@ class IncompletenessJoin:
         self,
         tasks: List[Tuple[int, int]],
         tables: List[str],
-        plan: Optional[PushdownPlan] = None,
-    ) -> List[AnyChunkOutput]:
+        plan: Optional[PushdownPlan],
+        walk: Optional[_SpilledWalk],
+    ) -> List[Union[_ChunkOutput, _SpilledChunkOutput, _ChunkFile]]:
         """Dispatch walk passes to the executor; chunk outputs in task order."""
         init = None
         if self._executor.shares_caller_state:
             # Serial/thread workers operate on this join directly; walk
             # side-state goes to pass-local accumulators.
-            payload = (self, tables, plan, current_context(), self.spill_dir)
+            payload = (self, tables, plan, current_context(), walk)
         else:
             payload = _JoinWorkerSpec(
                 model=self.model.inference_snapshot(),
@@ -987,7 +1084,7 @@ class IncompletenessJoin:
                 seed=self.seed,
                 tables=tuple(tables),
                 plan=plan,
-                spill_dir=self.spill_dir,
+                spill_dir=None if walk is None else walk.spill_dir,
             )
             init = _build_worker_join
         walked = self._executor.map(

@@ -137,7 +137,11 @@ def _apply_updates(
                     touched[column] = new_columns[column].copy()
                     new_columns[column] = touched[column]
                 kind = table.meta(column).kind
-                touched[column][pos] = coerce_values(kind, [value])[0]
+                value = coerce_values(kind, [value])[0]
+                # A plain str keeps a string column dictionary encodable.
+                touched[column][pos] = (
+                    str(value) if isinstance(value, np.str_) else value
+                )
             delta[name]["updated"].append(key)
             delta[name]["updated_positions"].append(pos)
         db = db.replace_table(table._with_columns(new_columns))

@@ -22,7 +22,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import QueryValidationError
-from ..relational import Database, DictColumn, join_order
+from ..relational import Database, DictColumn, StoreColumns, join_order
 from ..relational.keys import child_index, gather_children
 from .ast import Aggregate, AggregateKind, Filter, FilterOp, GroupKey, Query, QueryResult
 
@@ -45,14 +45,19 @@ class JoinResult:
     """A materialized join: qualified columns plus optional row weights.
 
     A join may hold only the columns a query reads, or none at all (a
-    ``COUNT(*)``); its row count then comes from the weights.
+    ``COUNT(*)``); its row count then comes from the weights.  Columns
+    over a store (:class:`~repro.relational.StoreColumns`) count their
+    rows from it, reading none.
     """
 
     columns: Dict[str, np.ndarray]
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.columns.values()}
+        if isinstance(self.columns, StoreColumns):
+            lengths = {self.columns.store.num_rows} if self.columns else set()
+        else:
+            lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged join result: lengths {sorted(lengths)}")
         if lengths:

@@ -30,14 +30,17 @@ encoding, file sizes) and a self-digest; :meth:`MappedStore.open` refuses
 tampered or truncated stores with :class:`~repro.errors.StoreIntegrityError`.
 
 Writes go through :class:`StoreWriter`, which streams row blocks into
-pre-sized ``.npy`` files with plain buffered ``write`` calls — no dirty
-mapped pages — so a generator can produce a table far larger than RAM.
+``.npy`` files with plain buffered ``write`` calls — no dirty mapped
+pages — so a generator can produce a table far larger than RAM.  A writer
+given no row count takes whatever arrives: each file's header gets its
+shape when the file closes, and the bytes equal a pre-sized write's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -418,18 +421,50 @@ def _npy_header(fh, dtype: np.dtype, shape: Tuple[int, ...]) -> _NpyLayout:
     return _NpyLayout(np.dtype(dtype), shape, fh.tell())
 
 
+#: The row count a header of unknown length is first written for: no file
+#: holds more rows, so no real count needs a longer header.
+_MAX_ROWS = np.iinfo(np.int64).max
+
+
+def _rewrite_header(fh, layout: _NpyLayout, shape: Tuple[int, ...]) -> _NpyLayout:
+    """Write the header of ``shape`` over the one ``layout`` describes.
+
+    numpy pads the row count of a header to a fixed width, so the new
+    header keeps the old one's length and the data stays where it is; a
+    header that would not is refused before anything is written.
+    """
+    header = io.BytesIO()
+    new = _npy_header(header, layout.dtype, shape)
+    if new.offset != layout.offset:
+        raise StorageError(
+            f"{fh.name}: the npy header of shape {shape} takes {new.offset} "
+            f"bytes, not the {layout.offset} written for its data"
+        )
+    fh.seek(0)
+    fh.write(header.getvalue())
+    return new
+
+
+def _remove(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 class _RawColumnWriter:
-    """Streams fixed-dtype row blocks into a pre-sized npy file.
+    """Streams fixed-dtype row blocks into an npy file.
 
     The file holds ``num_rows`` rows of ``trailing_shape`` each (a column
-    by default; ``(width,)`` for a row-major matrix).  Plain buffered
-    writes after the header — no dirty mapped pages, so a file far larger
-    than RAM does not grow RSS.  ``layout`` maps the finished file without
-    parsing its header.
+    by default; ``(width,)`` for a row-major matrix).  With ``num_rows``
+    None it holds what was appended: the header is written for
+    :data:`_MAX_ROWS` rows, and :meth:`close` writes the real count over
+    it (:func:`_rewrite_header`), so the file equals a pre-sized write.
+    Plain buffered writes after the header — no dirty mapped pages, so a
+    file far larger than RAM does not grow RSS.  ``layout`` maps the
+    closed file without parsing its header.
     """
 
     def __init__(
-        self, path: str, dtype: np.dtype, num_rows: int,
+        self, path: str, dtype: np.dtype, num_rows: Optional[int],
         trailing_shape: Tuple[int, ...] = (),
     ):
         self.path = path
@@ -437,13 +472,14 @@ class _RawColumnWriter:
         self.num_rows = num_rows
         self.written = 0
         self._fh = open(path, "wb")
+        rows = _MAX_ROWS if num_rows is None else num_rows
         self.layout = _npy_header(
-            self._fh, self.dtype, (num_rows,) + tuple(trailing_shape)
+            self._fh, self.dtype, (rows,) + tuple(trailing_shape)
         )
 
     def append(self, values: np.ndarray) -> int:
         block = np.ascontiguousarray(values, dtype=self.dtype)
-        if self.written + len(block) > self.num_rows:
+        if self.num_rows is not None and self.written + len(block) > self.num_rows:
             raise StorageError(
                 f"{self.path}: writing past the declared {self.num_rows} rows"
             )
@@ -452,11 +488,26 @@ class _RawColumnWriter:
         return int(block.nbytes)
 
     def close(self) -> None:
+        if self._fh is None:
+            return
+        try:
+            if self.num_rows is None:
+                self.layout = _rewrite_header(
+                    self._fh, self.layout, (self.written,) + self.layout.shape[1:]
+                )
+        finally:
+            self.abort()
+
+    def abort(self) -> None:
+        """Close the file as it stands."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    abort = close
+    def discard(self) -> None:
+        """Close the file and remove it."""
+        self.abort()
+        _remove(self.path)
 
 
 class _DictColumnWriter:
@@ -473,9 +524,10 @@ class _DictColumnWriter:
     source data.
     """
 
-    def __init__(self, path: str, dict_path: str, num_rows: int):
+    def __init__(self, path: str, dict_path: str, num_rows: Optional[int]):
         self.path = path
         self.dict_path = dict_path
+        self._promote_path = path + ".promote"
         self.num_rows = num_rows
         self.codes: Dict[object, int] = {}
         self.values: List[object] = []
@@ -499,19 +551,22 @@ class _DictColumnWriter:
         self._writer.close()
         old = self._writer
         new_dtype = CODE_DTYPES[CODE_DTYPES.index(old.dtype) + 1]
-        tmp = self.path + ".promote"
-        promoted = _RawColumnWriter(tmp, new_dtype, self.num_rows)
+        promoted = _RawColumnWriter(self._promote_path, new_dtype, self.num_rows)
         step = 1 << 20
-        with open(self.path, "rb") as fh:
-            fh.seek(old.layout.offset)
-            for start in range(0, old.written, step):
-                count = min(step, old.written - start)
-                block = np.frombuffer(
-                    fh.read(count * old.dtype.itemsize), dtype=old.dtype
-                )
-                promoted.append(block)
-        promoted.close()
-        os.replace(tmp, self.path)
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(old.layout.offset)
+                for start in range(0, old.written, step):
+                    count = min(step, old.written - start)
+                    block = np.frombuffer(
+                        fh.read(count * old.dtype.itemsize), dtype=old.dtype
+                    )
+                    promoted.append(block)
+            promoted.close()
+        except BaseException:
+            promoted.discard()
+            raise
+        os.replace(self._promote_path, self.path)
         promoted.path = self.path
         promoted._fh = open(self.path, "r+b")
         promoted._fh.seek(0, os.SEEK_END)
@@ -581,29 +636,37 @@ class _DictColumnWriter:
 
     def abort(self) -> None:
         """Close the code file without writing the dictionary."""
-        self._writer.close()
+        self._writer.abort()
+
+    def discard(self) -> None:
+        """Close the code file and remove every file of the column."""
+        self.abort()
+        for path in (self.path, self._promote_path, self.dict_path):
+            _remove(path)
 
 
 class StoreWriter:
-    """Streams a table of known row count into a new :class:`MappedStore`.
+    """Streams a table into a new :class:`MappedStore`.
 
     Columns are declared up front (name, kind, dtype); rows arrive in
     blocks via :meth:`append` / :meth:`append_rows`.  ``finalize`` checks
-    that every column received exactly ``num_rows`` rows, writes the
-    digested metadata and returns the opened store.
+    that every column received exactly ``num_rows`` rows (with
+    ``num_rows`` None, the same number of rows), writes the digested
+    metadata and returns the opened store.
     """
 
     def __init__(
         self,
         directory: str,
         table_name: str,
-        num_rows: int,
+        num_rows: Optional[int],
         primary_key: Optional[str] = "id",
     ):
         self.directory = str(directory)
         self.table_name = table_name
-        self.num_rows = int(num_rows)
+        self.num_rows = None if num_rows is None else int(num_rows)
         self.primary_key = primary_key
+        self._made_directory = not os.path.isdir(self.directory)
         os.makedirs(self.directory, exist_ok=True)
         self._order: List[str] = []
         self._kinds: Dict[str, ColumnKind] = {}
@@ -657,6 +720,17 @@ class StoreWriter:
         for writer in self._writers.values():
             writer.abort()
 
+    def discard(self) -> None:
+        """:meth:`abort`, then remove every file the writer makes (its
+        column files and ``store.json``), and its directory when the writer
+        made that and nothing else is in it."""
+        for writer in self._writers.values():
+            writer.discard()
+        _remove(os.path.join(self.directory, STORE_META))
+        if self._made_directory:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.directory)
+
     @contextlib.contextmanager
     def _closing_on_error(self):
         """:meth:`abort` when the block raises, then re-raise."""
@@ -667,14 +741,17 @@ class StoreWriter:
             raise
 
     def finalize(self) -> MappedStore:
+        num_rows = self.num_rows
+        if num_rows is None:
+            num_rows = next((w.written for w in self._writers.values()), 0)
         with self._closing_on_error():
             specs: List[dict] = []
             for name in self._order:
                 writer = self._writers[name]
-                if writer.written != self.num_rows:
+                if writer.written != num_rows:
                     raise StorageError(
                         f"column {name!r} received {writer.written} rows, "
-                        f"expected {self.num_rows}"
+                        f"expected {num_rows}"
                     )
                 writer.close()
                 safe = name.replace(os.sep, "_")
@@ -704,7 +781,7 @@ class StoreWriter:
         meta = {
             "format_version": STORE_FORMAT_VERSION,
             "table": self.table_name,
-            "num_rows": self.num_rows,
+            "num_rows": num_rows,
             "primary_key": self.primary_key,
             "columns": specs,
             "files": files,

@@ -315,14 +315,15 @@ class TestRecompletion:
         ("neighborhood", "state", "update"),
     ])
     def test_vocabulary_changes_recomplete_like_scratch(
-        self, dataset, table_name, column, write
+        self, dataset, table_name, column, write, monkeypatch
     ):
         """A write that brings a string no row held and removes the row of
         another value's first occurrence changes the table's vocabulary.
         An insert and delete in the walked child table re-walks every chunk
         under the new vocabulary; root updates re-walk only their chunks,
         and the cached ones, under the old vocabulary, assemble with them.
-        Either way the join equals a from-scratch completion."""
+        Either way the written column still walks as codes, and the join
+        equals a from-scratch completion."""
         engine = make_engine(dataset)
         model = _model(engine, ("neighborhood", "apartment"))
         engine.recomplete(model=model)
@@ -343,10 +344,24 @@ class TestRecompletion:
                 {"id": int(table["id"][0]), column: "Treehouse"},
                 {"id": int(table["id"][values.index(second)]), column: other},
             ]})
-        warm = engine.recomplete(delta, model=model)
+        walk_chunks = IncompletenessJoin.walk_chunks
+        outputs = []
+
+        def recording(self, *args, **kwargs):
+            result = walk_chunks(self, *args, **kwargs)
+            outputs.extend(result)
+            return result
+
+        with monkeypatch.context() as patched:
+            patched.setattr(IncompletenessJoin, "walk_chunks", recording)
+            warm = engine.recomplete(delta, model=model)
         walked = warm.recompletion["chunks_walked"]
         total = len(engine._grid(model))
         assert walked == total if write == "insert_delete" else 0 < walked < total
+        assert len(outputs) == walked
+        for output in outputs:
+            written = output.state.columns[f"{table_name}.{column}"]
+            assert isinstance(written, DictColumn)
         assert "Treehouse" in warm.result.columns[f"{table_name}.{column}"]
         engine.clear_cache()
         scratch = engine.recomplete(model=model)

@@ -365,6 +365,78 @@ class TestDictColumnWriter:
         assert files[0] == files[1]
 
 
+class TestUnknownLength:
+    """Writers given no row count write the bytes of pre-sized ones."""
+
+    @pytest.mark.parametrize("num_rows", [0, 7, 100_000])
+    @pytest.mark.parametrize("trailing", [(), (3,)], ids=["column", "matrix"])
+    def test_raw_writer_bytes_match_pre_sized(self, tmp_path, num_rows,
+                                              trailing):
+        values = np.random.default_rng(num_rows).normal(
+            size=(num_rows,) + trailing)
+        files = []
+        for name, declared in (("sized", num_rows), ("unknown", None)):
+            path = str(tmp_path / f"{name}.npy")
+            writer = storage._RawColumnWriter(path, values.dtype, declared,
+                                              trailing)
+            for start in range(0, num_rows + 1, 8192):
+                writer.append(values[start:start + 8192])
+            writer.close()
+            assert writer.layout == storage._NpyLayout.read(path)
+            files.append((tmp_path / f"{name}.npy").read_bytes())
+        assert files[0] == files[1]
+        np.testing.assert_array_equal(np.load(tmp_path / "unknown.npy"), values)
+
+    def test_dictionary_blocks_across_promotion(self, tmp_path):
+        blocks = TestDictColumnWriter._blocks("promotion")
+        rng = np.random.default_rng(8)
+        coded = [_as_dict_column(block, rng) for block in blocks]
+        files = []
+        for name, declared in (("sized", sum(len(b) for b in blocks)),
+                               ("unknown", None)):
+            writer = StoreWriter(str(tmp_path / name), "t", declared,
+                                 primary_key=None)
+            writer.add_column("s", C)
+            writer.add_column("x", N, dtype=np.float64)
+            for block in coded:
+                writer.append("s", block)
+                writer.append("x", np.arange(len(block), dtype=np.float64))
+            store = writer.finalize()
+            assert store.spec("s").code_dtype == "<i4"
+            files.append({f: (tmp_path / name / f).read_bytes()
+                          for f in sorted(os.listdir(tmp_path / name))})
+        assert files[0] == files[1]
+        np.testing.assert_array_equal(store.read_full("s"),
+                                      np.concatenate(blocks))
+
+    def test_header_that_cannot_keep_its_length_is_refused(self, tmp_path):
+        path = tmp_path / "h.npy"
+        with open(path, "wb") as fh:
+            layout = storage._npy_header(fh, np.dtype(np.int64),
+                                         (storage._MAX_ROWS,))
+        before = path.read_bytes()
+        with open(path, "r+b") as fh:
+            with pytest.raises(StorageError, match="not the 128 written"):
+                storage._rewrite_header(fh, layout, (10 ** 80,))
+        assert path.read_bytes() == before
+        with open(path, "r+b") as fh:
+            assert storage._rewrite_header(fh, layout, (0,)).offset == 128
+        assert storage._NpyLayout.read(str(path)).shape == (0,)
+
+    def test_unknown_length_columns_must_agree(self, tmp_path):
+        with _no_leaked_files():
+            writer = StoreWriter(str(tmp_path / "u"), "t", None,
+                                 primary_key=None)
+            writer.add_column("s", C)
+            writer.add_column("x", N, dtype=np.float64)
+            writer.append("s", object_array(["a", "b"]))
+            writer.append("x", np.array([1.0]))
+            with pytest.raises(StorageError,
+                               match="'x' received 1 rows, expected 2"):
+                writer.finalize()
+            del writer
+
+
 # ----------------------------------------------------------------------
 # Row selection: range views vs. copies on both backends
 # ----------------------------------------------------------------------
@@ -737,7 +809,10 @@ class TestSpilledJoin:
     def test_spilled_join_keeps_strings_as_codes(self, scale_join_setup,
                                                  tmp_path, monkeypatch):
         """No walk state holds an object column, and nothing decodes a
-        dictionary column before the result store writes its codes."""
+        dictionary column before the result store writes its codes.  A
+        serial spilled walk keeps no chunk state, so the states come from
+        an in-RAM walk of the same chunk grid: the arrays the spilled walk
+        appends."""
         model, mapped_model = scale_join_setup
         baseline = IncompletenessJoin(model, seed=0).run()
 
@@ -747,11 +822,12 @@ class TestSpilledJoin:
         with monkeypatch.context() as patched:
             patched.setattr(DictColumn, "decode", refuse)
             patched.setattr(DictColumn, "__array__", refuse)
-            join = IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
-                                      spill_dir=str(tmp_path / "run"))
-            outputs = join.walk_chunks(join.chunk_tasks())
-            states = [output.load().state for output in outputs]
-            spilled = join.assemble(outputs)
+            join = IncompletenessJoin(mapped_model, seed=0, chunk_size=64)
+            states = [o.state for o in join.walk_chunks(join.chunk_tasks())]
+            spilled = IncompletenessJoin(
+                mapped_model, seed=0, chunk_size=64,
+                spill_dir=str(tmp_path / "run"),
+            ).run()
         columns = [v for state in states for v in state.columns.values()]
         assert any(isinstance(v, DictColumn) for v in columns)
         assert not any(isinstance(v, np.ndarray) and v.dtype == object
@@ -810,16 +886,117 @@ class TestSpilledJoin:
         })
 
     def test_failed_assembly_closes_its_files(self, scale_join_setup, tmp_path, monkeypatch):
+        """A run whose result store fails to take rows (in the walk) or to
+        close (in assembly) closes and removes every file it made."""
         _, mapped_model = scale_join_setup
 
-        def fail(self, name, values):
+        def fail(self, *args):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(StoreWriter, "append", fail)
+        for method in ("append", "finalize"):
+            spill_dir = tmp_path / method
+            with monkeypatch.context() as patched:
+                patched.setattr(StoreWriter, method, fail)
+                with _no_leaked_files():
+                    with pytest.raises(RuntimeError, match="disk full"):
+                        IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
+                                           spill_dir=str(spill_dir)).run()
+            assert os.listdir(spill_dir) == [], method
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_failed_walk_removes_its_files(self, scale_join_setup, tmp_path,
+                                           monkeypatch, backend):
+        """A walk that raises in its third chunk removes the result store
+        and the chunk files it made; the spill dir and what else it holds
+        stay."""
+        _, mapped_model = scale_join_setup
+        spill_dir = tmp_path / "run"
+        spill_dir.mkdir()
+        (spill_dir / "keep.txt").write_text("not the run's")
+        join = IncompletenessJoin(mapped_model, seed=0, chunk_size=50,
+                                  n_workers=2, parallel_backend=backend,
+                                  spill_dir=str(spill_dir))
+        third = join.chunk_tasks()[2]
+        walk_pass = IncompletenessJoin._walk_pass
+
+        def failing(self, tasks, *args):
+            if tuple(tasks[0]) == third:
+                raise RuntimeError("third chunk failed")
+            return walk_pass(self, tasks, *args)
+
+        monkeypatch.setattr(IncompletenessJoin, "_walk_pass", failing)
         with _no_leaked_files():
-            with pytest.raises(RuntimeError, match="disk full"):
-                IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
-                                   spill_dir=str(tmp_path / "run")).run()
+            with pytest.raises(RuntimeError, match="third chunk failed"):
+                join.run()
+        assert os.listdir(spill_dir) == ["keep.txt"]
+
+    def test_spilled_backends_write_the_same_result_files(
+        self, scale_join_setup, tmp_path
+    ):
+        """Serial walks append straight to the result store and pool walks
+        through chunk files; the result files are the same bytes, and a
+        run leaves nothing else."""
+        _, mapped_model = scale_join_setup
+        files = {}
+        for backend in ("serial", "thread", "process"):
+            spill_dir = tmp_path / backend
+            IncompletenessJoin(
+                mapped_model, seed=0, chunk_size=50, n_workers=2,
+                parallel_backend=backend, spill_dir=str(spill_dir),
+            ).run()
+            assert os.listdir(spill_dir) == ["result"], backend
+            result = spill_dir / "result"
+            files[backend] = {name: (result / name).read_bytes()
+                              for name in sorted(os.listdir(result))}
+        assert "join_codes.npy" in files["serial"]
+        assert files["thread"] == files["serial"]
+        assert files["process"] == files["serial"]
+
+    def test_spilled_run_reads_no_result_column(self, scale_join_setup,
+                                                tmp_path, monkeypatch):
+        """The result's row count comes from its store, not from reading
+        (and decoding) every column."""
+        _, mapped_model = scale_join_setup
+        read = []
+        for method in ("read_range", "read_full"):
+            original = getattr(MappedStore, method)
+
+            def recording(self, *args, _original=original, _method=method):
+                read.append((_method, self.directory))
+                return _original(self, *args)
+
+            monkeypatch.setattr(MappedStore, method, recording)
+        completed = IncompletenessJoin(
+            mapped_model, seed=0, chunk_size=64,
+            spill_dir=str(tmp_path / "run"),
+        ).run()
+        result_dir = completed.result.columns.store.directory
+        assert completed.num_rows == completed.result.columns.store.num_rows > 0
+        assert not [r for r in read if r[1] == result_dir]
+
+    def test_spilled_walk_assembles_once(self, scale_join_setup, tmp_path):
+        """A second walk before assembly would overwrite the first one's
+        result, and a spilled walk's rows exist once: both raise."""
+        model, mapped_model = scale_join_setup
+        join = IncompletenessJoin(mapped_model, seed=0, chunk_size=64,
+                                  spill_dir=str(tmp_path / "run"))
+        outputs = join.walk_chunks(join.chunk_tasks())
+        with pytest.raises(StorageError, match="has not been assembled"):
+            join.walk_chunks(join.chunk_tasks())
+        _assert_same_rows(IncompletenessJoin(model, seed=0).run(),
+                          join.assemble(outputs))
+        with pytest.raises(StorageError, match="assemble once"):
+            join.assemble(outputs)
+
+    def test_spilled_walk_without_rows_assembles_in_ram(self, scale_join_setup,
+                                                        tmp_path):
+        _, mapped_model = scale_join_setup
+        join = IncompletenessJoin(mapped_model, seed=0,
+                                  spill_dir=str(tmp_path / "run"))
+        completed = join.assemble(join.walk_chunks([(0, 0)]))
+        assert completed.num_rows == 0
+        assert isinstance(completed.result.columns, dict)
+        assert not (tmp_path / "run" / "result").exists()
 
     def test_spilled_outputs_stay_out_of_partial_cache(self):
         class _Spilled:
