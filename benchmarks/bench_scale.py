@@ -11,13 +11,17 @@ nothing else (and stamps its bytes per row), and the SF-10 join asserts
 the streaming claim — peak RSS bounded well below what the in-RAM
 equivalent (database plus materialized completed join) must hold.
 
-SF 1 runs in the per-push benchmark smoke; SF 10/100 are ``slow``
-(nightly).  Peak RSS is measured per phase via the kernel's VmHWM
-watermark (:func:`repro.obs.reset_peak_rss`); a short warmup walk first
-pays the one-time costs (the model's float32 networks, allocator pools) that
-would otherwise be billed to the measured phase.
+SF 1 runs in the per-push benchmark smoke, with a second join of the same
+model and seed on a two-worker process pool: its workers hand walked
+chunks back to the caller, which appends them, so its result files must be
+the serial join's bytes and its spill directory must hold nothing else.
+SF 10/100 are ``slow`` (nightly).  Peak RSS is measured per phase via the
+kernel's VmHWM watermark (:func:`repro.obs.reset_peak_rss`); a short
+warmup walk first pays the one-time costs (the model's float32 networks,
+allocator pools) that would otherwise be billed to the measured phase.
 """
 
+import filecmp
 import os
 import time
 
@@ -48,6 +52,8 @@ TRAIN_ROOTS = 2000
 TRAIN = TrainConfig(epochs=4, batch_size=256, lr=1e-2, patience=2)
 #: Root rows per join chunk: bounds per-chunk transients at every SF.
 CHUNK = 8192
+#: Workers of the SF-1 smoke's pooled join.
+POOL_WORKERS = 2
 PATH = CompletionPath(("site", "reading"))
 
 
@@ -117,6 +123,15 @@ def _result_store_bytes(completed) -> int:
     return sum(os.path.getsize(path) for path in paths)
 
 
+def _same_files(a, b) -> bool:
+    """Whether directories ``a`` and ``b`` hold the same files, byte for byte."""
+    names = sorted(os.listdir(a))
+    return names == sorted(os.listdir(b)) and all(
+        filecmp.cmp(os.path.join(a, name), os.path.join(b, name), shallow=False)
+        for name in names
+    )
+
+
 def _bench_generation(benchmark, tmp_path, scale_factor: float):
     cfg = ScaleConfig(scale_factor=scale_factor, seed=0)
 
@@ -145,7 +160,7 @@ def _bench_generation(benchmark, tmp_path, scale_factor: float):
     return db, rss_delta, materialized, resettable
 
 
-def _bench_join(benchmark, tmp_path, scale_factor: float):
+def _bench_join(benchmark, tmp_path, scale_factor: float, pooled=False):
     cfg = ScaleConfig(scale_factor=scale_factor, seed=0)
     db, annotation = generate_scale_incomplete(cfg, spill_dir=str(tmp_path / "db"))
     model = _fit_transplanted_model(cfg, db, annotation)
@@ -189,7 +204,38 @@ def _bench_join(benchmark, tmp_path, scale_factor: float):
     # More output rows than surviving evidence rows: synthesis happened.
     assert rows > len(db.table("reading"))
     assert np.all(completed.result.effective_weights() > 0)
+    if pooled:
+        _bench_pooled_join(benchmark, tmp_path, model)
     return completed, rss_delta, in_ram_equivalent, resettable
+
+
+def _bench_pooled_join(benchmark, tmp_path, model):
+    """The serial join's model and seed on a process pool, beside it.
+
+    The caller appends each walked chunk as the pool yields it and holds
+    at most two walked passes per worker; its peak-RSS delta is the
+    caller's alone (VmHWM does not count the workers).
+    """
+    spill_dir = tmp_path / "pooled"
+
+    def complete():
+        return IncompletenessJoin(
+            model, seed=0, chunk_size=CHUNK, n_workers=POOL_WORKERS,
+            parallel_backend="process", spill_dir=str(spill_dir),
+        ).run()
+
+    completed, seconds, rss_delta, _ = _measure_phase(complete)
+    rows = completed.num_rows
+    assert os.listdir(spill_dir) == ["result"]
+    assert _same_files(spill_dir / "result", tmp_path / "join" / "result")
+    benchmark.extra_info.update({
+        "pooled_workers": POOL_WORKERS,
+        "pooled_rows_per_sec": rows / seconds,
+        "pooled_peak_rss_delta_bytes": rss_delta,
+    })
+    print(f"Join on {POOL_WORKERS} process workers: {rows:,} rows in "
+          f"{seconds:.1f}s ({rows / seconds:,.0f} rows/s), caller's peak RSS "
+          f"+{rss_delta / 1e6:.0f}MB; result files equal the serial join's")
 
 
 def test_scale_sf1_generation(benchmark, tmp_path):
@@ -198,8 +244,9 @@ def test_scale_sf1_generation(benchmark, tmp_path):
 
 
 def test_scale_sf1_join(benchmark, tmp_path):
-    """SF 1: the spilled join end to end (the per-push smoke size)."""
-    _bench_join(benchmark, tmp_path, 1.0)
+    """SF 1: the spilled join end to end (the per-push smoke size), serial
+    and on a two-worker process pool."""
+    _bench_join(benchmark, tmp_path, 1.0, pooled=True)
 
 
 @pytest.mark.slow

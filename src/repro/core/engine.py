@@ -240,7 +240,7 @@ class ReStore:
         """Dispatch per-path training tasks to the configured executor."""
         executor = get_executor(self.config.parallel_backend, self.config.n_workers)
         if executor.shares_caller_state:
-            return executor.map(_fit_path_task, tasks, payload=self)
+            return list(executor.map(_fit_path_task, tasks, payload=self))
         # Process workers rebuild a single-worker engine from the pickled
         # database and train there; fitted models (plain numpy state) ship
         # back.  Forcing the worker config serial keeps pools from nesting.
@@ -248,9 +248,9 @@ class ReStore:
             self.config, n_workers=1, parallel_backend="serial"
         )
         payload = (self.db, self.annotation, worker_config)
-        return executor.map(
+        return list(executor.map(
             _fit_path_task, tasks, payload=payload, init=_build_worker_engine
-        )
+        ))
 
     def _adopt_worker_models(self, results) -> None:
         """Re-anchor worker-trained models on the parent's database.

@@ -53,16 +53,13 @@ Strings are decoded only when an in-RAM join is assembled; a spilled join
 hands the codes to its result store.
 
 With a ``spill_dir``, rows go to a store-backed result under
-``<spill_dir>/result`` as they are walked, and each is written once: a
-chunk walked on the caller's thread appends its rows to the result
-store's column writers, in task order, and is dropped.  A pass walked on a
-pool worker (thread or process) writes each chunk to one file of raw
-records aligned to 64 bytes: the fixed state fields, the context, then
-every column (a dictionary column as its codes plus its vocabulary, the
-ASCII bytes of a JSON list).  The files hold no headers and no pickles;
-the handle the worker returns (:class:`_ChunkFile`) carries each record's
-offset, dtype and shape, and the caller reads each file once, appends it
-in task order and deletes it.  Assembly appends the parked rows'
+``<spill_dir>/result`` as they are walked, and each is written once.
+Every walk hands its chunk outputs back the same way, over the executor,
+in task order: the caller appends each one to the result store's column
+writers as soon as the executor yields it and keeps only a handle, so
+only the caller's thread writes under ``spill_dir`` whatever the backend.
+A pool holds at most ``2 * n_workers`` walked passes for the caller (see
+:mod:`repro.runtime.parallel`).  Assembly appends the parked rows'
 continuations last and closes the store; its files learn their row
 counts then.
 
@@ -73,12 +70,11 @@ weights, directly consumable by the shared filter/aggregate operators.
 from __future__ import annotations
 
 import contextlib
-import json
+import itertools
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -352,107 +348,6 @@ class _ChunkOutput:
 #: The walk-state fields a spilled result stores as ``join_<field>.npy``.
 _RESULT_FIELDS = ("codes", "weights", "synthesized", "context")
 
-#: The fixed fields of a spilled walk state, in record order.
-_SPILL_FIELDS = (
-    "codes", "weights", "synthesized", "current_rows", "streams", "counters",
-    "roots",
-)
-
-#: Spill records start at multiples of this many bytes, so every array
-#: read back is aligned.
-_SPILL_ALIGN = 64
-
-#: One raw record of a spill file: byte offset, dtype string and shape.
-_Record = Tuple[int, str, Tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class _SpillIndex:
-    """Where each array of a spilled walk state lies in its file.
-
-    ``fields`` holds the fixed fields, plus ``context`` when the state has
-    one; ``columns`` each column's name, its values record (a dictionary
-    column's codes) and its vocabulary record, or None for a plain column.
-    """
-
-    fields: Dict[str, _Record]
-    columns: Tuple[Tuple[str, _Record, Optional[_Record]], ...]
-
-
-def _spill_state(state: _WalkState, path: str) -> _SpillIndex:
-    """Write a walk state to one file of raw, aligned records.
-
-    The records hold the arrays' bytes and nothing else: the returned
-    index knows each one's offset, dtype and shape, so :func:`_load_state`
-    parses no header and unpickles nothing.  A dictionary column is two
-    records: its codes, and its vocabulary as the ASCII bytes of a JSON
-    list (non-ASCII escaped), which round-trips any ``str`` exactly.
-    Spill files live for one run and only :func:`_load_state` reads them,
-    so they need no archive index or checksum.  A column of objects cannot
-    be spilled (:class:`~repro.errors.StorageError`).
-    """
-    with open(path, "wb") as fh:
-        def record(array: np.ndarray) -> _Record:
-            array = np.ascontiguousarray(array)
-            fh.write(bytes(-fh.tell() % _SPILL_ALIGN))
-            offset = fh.tell()
-            fh.write(array)
-            return offset, array.dtype.str, array.shape
-
-        fields = {name: record(getattr(state, name)) for name in _SPILL_FIELDS}
-        if state.context is not None:
-            fields["context"] = record(state.context)
-        columns = []
-        for name, values in state.columns.items():
-            if isinstance(values, DictColumn):
-                columns.append(
-                    (name, record(values.codes), record(_vocab_bytes(values.vocab)))
-                )
-            elif values.dtype == object:
-                raise StorageError(
-                    f"column {name!r} holds objects; a spill stores strings "
-                    "as dictionary columns"
-                )
-            else:
-                columns.append((name, record(values), None))
-    return _SpillIndex(fields, tuple(columns))
-
-
-def _vocab_bytes(vocab: np.ndarray) -> np.ndarray:
-    values = vocab.tolist()
-    for value in values:
-        if not isinstance(value, str):
-            raise StorageError(
-                "a spilled vocabulary must hold strings; got "
-                f"{type(value).__name__} ({value!r})"
-            )
-    return np.frombuffer(json.dumps(values).encode("ascii"), dtype=np.uint8)
-
-
-def _load_state(path: str, index: _SpillIndex) -> _WalkState:
-    """Read back a :func:`_spill_state` file: one read, then views."""
-    data = np.fromfile(path, dtype=np.uint8)
-
-    def array(record: _Record) -> np.ndarray:
-        offset, dtype, shape = record
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        return data[offset:offset + nbytes].view(dtype).reshape(shape)
-
-    columns = {}
-    for name, values, vocab in index.columns:
-        if vocab is None:
-            columns[name] = array(values)
-        else:
-            words = json.loads(array(vocab).tobytes())
-            columns[name] = DictColumn(array(values), object_array(words))
-    context = index.fields.get("context")
-    return _WalkState(
-        columns=columns,
-        context=None if context is None else array(context),
-        **{name: array(index.fields[name]) for name in _SPILL_FIELDS},
-    )
-
 
 @dataclass
 class _SpilledChunkOutput:
@@ -461,24 +356,10 @@ class _SpilledChunkOutput:
     Produced when the join runs with a ``spill_dir``: only the synthesis
     side-state and the row count stay in RAM.  The rows exist once, in the
     store that :meth:`IncompletenessJoin.assemble` finishes, so a spilled
-    walk's outputs assemble once and ``cacheable`` is False — the
-    partial-completion cache must not retain the handle.
+    walk's outputs assemble once.
     """
 
     walk: "_SpilledWalk"
-    acc: _ShardAccumulator
-    num_rows: int
-
-    cacheable = False
-
-
-@dataclass
-class _ChunkFile:
-    """A chunk walked on a pool worker: its rows in one file of raw records
-    (:func:`_spill_state`), for the caller to append in task order."""
-
-    path: str
-    index: _SpillIndex
     acc: _ShardAccumulator
     num_rows: int
 
@@ -564,56 +445,26 @@ class _ResultSink:
         self.store.discard()
 
 
-def _chunk_path(directory: str, task: Tuple[int, int]) -> str:
-    return os.path.join(directory, f"chunk_{task[0]}_{task[1]}.spill")
-
-
 class _SpilledWalk:
     """The rows of one spilled walk, on their way to ``<spill_dir>/result``.
 
-    A chunk walked on ``owner``, the thread that started the walk, appends
-    its rows to the result store as soon as it is walked (:meth:`take`);
-    a pool worker (another thread, or a process, whose walk has no owner)
-    writes each chunk to a file of raw records instead, which the caller
-    appends in task order and deletes (:meth:`append_file`).  The store
-    opens on the first non-empty state; ``empty`` keeps the first state
-    without rows, the schema of an in-RAM empty result.
+    The caller appends each chunk output to the result store as the
+    executor yields it, in task order (:meth:`append`), and keeps only
+    the handle.  The store opens on the first non-empty state; ``empty``
+    keeps the first state without rows, the schema of an in-RAM empty
+    result.
     """
 
-    def __init__(self, spill_dir: str, owner: Optional[int] = None):
+    def __init__(self, spill_dir: str):
         self.spill_dir = spill_dir
-        self.owner = owner
         self.sink: Optional[_ResultSink] = None
         self.empty: Optional[_WalkState] = None
         self.rows = 0
 
-    def take(
-        self, outputs: List[_ChunkOutput], tasks: List[Tuple[int, int]]
-    ) -> List[Union[_SpilledChunkOutput, _ChunkFile]]:
-        """A pass's chunk outputs, appended here or spilled to files."""
-        if threading.get_ident() == self.owner:
-            return [self._append(o.state, o.acc) for o in outputs]
-        os.makedirs(self.spill_dir, exist_ok=True)
-        files = []
-        for output, task in zip(outputs, tasks):
-            path = _chunk_path(self.spill_dir, task)
-            files.append(_ChunkFile(
-                path, _spill_state(output.state, path), output.acc,
-                output.num_rows,
-            ))
-        return files
-
-    def append_file(self, chunk: _ChunkFile) -> _SpilledChunkOutput:
-        """Append a pool worker's chunk file, then delete it."""
-        output = self._append(_load_state(chunk.path, chunk.index), chunk.acc)
-        os.remove(chunk.path)
-        return output
-
-    def _append(
-        self, state: _WalkState, acc: _ShardAccumulator
-    ) -> _SpilledChunkOutput:
+    def append(self, output: _ChunkOutput) -> _SpilledChunkOutput:
+        state = output.state
         self.add(state)
-        return _SpilledChunkOutput(self, acc, state.num_rows)
+        return _SpilledChunkOutput(self, output.acc, state.num_rows)
 
     def add(self, state: _WalkState) -> None:
         if state.num_rows == 0:
@@ -625,12 +476,8 @@ class _SpilledWalk:
         self.sink.append(state)
         self.rows += state.num_rows
 
-    def discard(self, tasks: Sequence[Tuple[int, int]] = ()) -> None:
-        """Close and remove every file the walk made: the result store's
-        and the chunk files of ``tasks``."""
-        for task in tasks:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(_chunk_path(self.spill_dir, task))
+    def discard(self) -> None:
+        """Close and remove every file the walk made."""
         if self.sink is not None:
             self.sink.discard()
 
@@ -689,15 +536,13 @@ class _JoinWorkerSpec:
     seed: int
     tables: Tuple[str, ...]
     plan: Optional[PushdownPlan] = None
-    spill_dir: Optional[str] = None
 
 
 def _build_worker_join(spec: _JoinWorkerSpec):
     """Process-pool initializer hook: a worker-local join from the spec.
 
     Built once per worker, so per-table caches (child indexes, key orders,
-    replacers) amortize across all chunks the worker executes.  Its walk
-    has no owner thread, so it spills every chunk to a file.
+    replacers) amortize across all chunks the worker executes.
     """
     join = IncompletenessJoin(
         spec.model,
@@ -705,27 +550,20 @@ def _build_worker_join(spec: _JoinWorkerSpec):
         replace_synthesized=spec.replace_synthesized,
         seed=spec.seed,
     )
-    walk = None if spec.spill_dir is None else _SpilledWalk(spec.spill_dir)
-    return join, list(spec.tables), spec.plan, None, walk
+    return join, list(spec.tables), spec.plan, None
 
 
-def _walk_pass_task(
-    state, tasks: List[Tuple[int, int]]
-) -> List[Union[_ChunkOutput, _SpilledChunkOutput, _ChunkFile]]:
+def _walk_pass_task(state, tasks: List[Tuple[int, int]]) -> List[_ChunkOutput]:
     """Executor task: walk a pass of root-row chunks (any backend).
 
     The fourth payload element is the dispatching caller's trace context:
     contextvars do not flow into pool threads, so the context rides along
     explicitly and each pass becomes a child span of the dispatch
     (process workers get ``None`` — their tracer is off by default).
-    The fifth is the spilled walk (None without a spill directory): on the
-    caller's thread each chunk's rows go straight to the result store, on
-    a pool worker to a chunk file, and only a small handle comes back.
     """
-    join, tables, plan, ctx, walk = state
+    join, tables, plan, ctx = state
     if not tracing_enabled():
-        outputs = join._walk_pass(tasks, tables, plan)
-        return outputs if walk is None else walk.take(outputs, tasks)
+        return join._walk_pass(tasks, tables, plan)
     with activate(ctx):
         with trace(
             "join.chunk",
@@ -735,7 +573,7 @@ def _walk_pass_task(
         ) as span:
             outputs = join._walk_pass(tasks, tables, plan)
             span.set("rows_out", sum(o.num_rows for o in outputs))
-            return outputs if walk is None else walk.take(outputs, tasks)
+            return outputs
 
 
 class IncompletenessJoin:
@@ -771,18 +609,18 @@ class IncompletenessJoin:
         networks are the ones the model itself samples with.
     spill_dir:
         Stream completed chunks into a store-backed result under
-        ``<spill_dir>/result`` instead of holding them in RAM: a chunk
-        walked on the caller's thread appends its rows to the result store
-        as soon as it is walked, a pool worker's chunks travel through
-        chunk files that the caller appends in task order and deletes, and
-        only O(1) handles come back.  :meth:`assemble` appends the parked
-        rows' continuations and closes the store, so the full join never
-        resides in RAM; combined with a memory-mapped database this bounds
-        the join's peak RSS far below the output size.  A run leaves only
-        ``result/`` in the directory, and a run that raises removes what
-        it wrote there.  A spilled walk must be assembled before the next
-        one, and its outputs assemble once (they are excluded from the
-        partial-completion cache).
+        ``<spill_dir>/result`` instead of holding them in RAM: the caller
+        appends each chunk's rows to the result store as soon as the
+        executor yields the chunk, in task order, whatever the backend,
+        and keeps an O(1) handle.  A pool holds at most ``2 * n_workers``
+        walked passes for the caller, so ``chunk_size`` bounds the
+        caller's memory as it bounds a serial walk's.  :meth:`assemble`
+        appends the parked rows' continuations and closes the store, so
+        the full join never resides in RAM; combined with a memory-mapped
+        database this bounds the join's peak RSS far below the output
+        size.  A run leaves only ``result/`` in the directory, and a run
+        that raises removes what it wrote there.  A spilled walk must be
+        assembled before the next one, and its outputs assemble once.
     """
 
     def __init__(
@@ -917,23 +755,18 @@ class IncompletenessJoin:
             backend=self.parallel_backend,
         ):
             if self.spill_dir is None:
-                return self._run_chunks(tasks, tables, plan, None)
+                return self._run_chunks(tasks, tables, plan)
             if self._spilled is not None:
                 raise StorageError(
                     f"{self.spill_dir}: the previous spilled walk has not "
                     "been assembled; a walk would overwrite its result"
                 )
-            walk = self._spilled = _SpilledWalk(
-                self.spill_dir, threading.get_ident()
-            )
+            walk = self._spilled = _SpilledWalk(self.spill_dir)
             try:
-                return [
-                    walk.append_file(o) if isinstance(o, _ChunkFile) else o
-                    for o in self._run_chunks(tasks, tables, plan, walk)
-                ]
+                return self._run_chunks(tasks, tables, plan, walk.append)
             except BaseException:
                 self._spilled = None
-                walk.discard(tasks)
+                walk.discard()
                 raise
 
     def assemble(
@@ -1068,14 +901,19 @@ class IncompletenessJoin:
         tasks: List[Tuple[int, int]],
         tables: List[str],
         plan: Optional[PushdownPlan],
-        walk: Optional[_SpilledWalk],
-    ) -> List[Union[_ChunkOutput, _SpilledChunkOutput, _ChunkFile]]:
-        """Dispatch walk passes to the executor; chunk outputs in task order."""
+        consume: Optional[Callable[[_ChunkOutput], AnyChunkOutput]] = None,
+    ) -> List[AnyChunkOutput]:
+        """Dispatch walk passes to the executor; chunk outputs in task order.
+
+        ``consume`` takes each output as the executor yields it and
+        returns what to keep in its place; nothing here holds an output
+        it has handed on while the next pass is awaited.
+        """
         init = None
         if self._executor.shares_caller_state:
             # Serial/thread workers operate on this join directly; walk
             # side-state goes to pass-local accumulators.
-            payload = (self, tables, plan, current_context(), walk)
+            payload = (self, tables, plan, current_context())
         else:
             payload = _JoinWorkerSpec(
                 model=self.model.inference_snapshot(),
@@ -1084,13 +922,14 @@ class IncompletenessJoin:
                 seed=self.seed,
                 tables=tuple(tables),
                 plan=plan,
-                spill_dir=None if walk is None else walk.spill_dir,
             )
             init = _build_worker_join
-        walked = self._executor.map(
+        passes = self._executor.map(
             _walk_pass_task, self._passes(tasks), payload=payload, init=init
         )
-        return [output for outputs in walked for output in outputs]
+        with contextlib.closing(passes):
+            outputs = itertools.chain.from_iterable(passes)
+            return list(outputs if consume is None else map(consume, outputs))
 
     def _passes(
         self, tasks: List[Tuple[int, int]]

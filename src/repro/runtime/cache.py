@@ -169,11 +169,6 @@ class PartialJoinCache:
         fingerprints: FrozenSet,
         output: Any,
     ) -> None:
-        # Spilled chunk outputs live in a run-scoped directory that is
-        # gone after assembly — caching the handle would serve dangling
-        # paths.  Such outputs declare themselves non-cacheable.
-        if not getattr(output, "cacheable", True):
-            return
         base = (signature, grid, task)
         with self._lock:
             self._by_base.setdefault(base, set()).add(fingerprints)

@@ -19,8 +19,13 @@ Three backends share one contract:
 
 The contract of :meth:`Executor.map`:
 
-* results come back **in task order**, regardless of completion order —
-  callers can merge deterministically;
+* it returns an iterator that yields results **in task order**, each as
+  soon as it and every earlier task are done — callers merge
+  deterministically, and can write one result out while later tasks
+  still run;
+* a pool keeps at most ``2 * n_workers`` tasks submitted but not yet
+  yielded, so the results waiting for the caller are bounded by the
+  workers, not by the number of tasks;
 * the worker state passed to ``fn`` is ``init(payload)`` when ``init`` is
   given (computed once per worker, so a pool amortizes payload setup across
   its tasks), else ``payload`` itself;
@@ -28,20 +33,28 @@ The contract of :meth:`Executor.map`:
   (process workers pickle it back); remaining queued tasks are cancelled
   rather than left to hang.  The same holds for a raising ``init`` — never
   an opaque ``BrokenProcessPool`` — and a failed ``map`` does not poison
-  the executor: the instance is reusable afterwards.
+  the executor: the instance is reusable afterwards;
+* closing the iterator early cancels the tasks that have not started,
+  waits for the running ones and shuts the pool down.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 PARALLEL_BACKENDS = ("serial", "thread", "process")
 
 TaskFn = Callable[[Any, Any], Any]
 InitFn = Callable[[Any], Any]
+
+#: Tasks a pool keeps submitted but not yet yielded, per worker: one
+#: running and one queued behind it, so no worker idles while the caller
+#: consumes a result.
+_WINDOW_PER_WORKER = 2
 
 
 class Executor:
@@ -63,7 +76,23 @@ class Executor:
         tasks: Iterable[Any],
         payload: Any = None,
         init: Optional[InitFn] = None,
-    ) -> List[Any]:
+    ) -> Iterator[Any]:
+        """``fn(state, task)`` for each task, yielded in task order.
+
+        One worker or one task runs inline on the caller's thread — the
+        numbers are identical either way, because ``init`` is the same
+        pure construction.  Nothing runs before the first result is asked
+        for.
+        """
+        tasks = list(tasks)
+        if self.n_workers == 1 or len(tasks) <= 1:
+            return _inline(fn, tasks, payload, init)
+        return self._pooled(fn, tasks, payload, init)
+
+    def _pooled(
+        self, fn: TaskFn, tasks: List[Any], payload: Any,
+        init: Optional[InitFn],
+    ) -> Iterator[Any]:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -74,14 +103,30 @@ def _make_state(payload: Any, init: Optional[InitFn]) -> Any:
     return payload if init is None else init(payload)
 
 
-def _collect(futures: Sequence) -> List[Any]:
-    """Results in submission order; on failure cancel what hasn't started."""
+def _inline(fn: TaskFn, tasks: Iterable[Any], payload: Any,
+            init: Optional[InitFn]) -> Iterator[Any]:
+    state = _make_state(payload, init)
+    for task in tasks:
+        yield fn(state, task)
+
+
+def _in_order(submit: Callable[[Any], Any], tasks: List[Any],
+              window: int) -> Iterator[Any]:
+    """Each submitted task's result, in task order, with at most
+    ``window`` tasks submitted but not yet yielded.  However the stream
+    ends (exhausted, a task raised, or closed), the tasks that have not
+    started are cancelled."""
+    pending = deque()
     try:
-        return [f.result() for f in futures]
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(submit(task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 class SerialExecutor(Executor):
@@ -90,52 +135,29 @@ class SerialExecutor(Executor):
     backend = "serial"
 
     def map(self, fn, tasks, payload=None, init=None):
-        state = _make_state(payload, init)
-        return [fn(state, task) for task in tasks]
+        return _inline(fn, tasks, payload, init)
 
 
 class ThreadExecutor(Executor):
     """Fan tasks out over a thread pool; state is shared, not copied.
 
     ``fn`` must therefore be thread-safe with respect to the state — the
-    incompleteness join guarantees this by accumulating per-chunk results
-    into chunk-local accumulators and pre-warming its shared caches.
+    incompleteness join guarantees this by accumulating each pass's side
+    state in pass-local accumulators; the key structures it shares come
+    from the database's locked memo (:mod:`repro.relational.keys`).
     """
 
     backend = "thread"
 
-    def map(self, fn, tasks, payload=None, init=None):
-        tasks = list(tasks)
+    def _pooled(self, fn, tasks, payload, init):
         state = _make_state(payload, init)
-        if self.n_workers == 1 or len(tasks) <= 1:
-            return [fn(state, task) for task in tasks]
         with ThreadPoolExecutor(
             max_workers=min(self.n_workers, len(tasks))
         ) as pool:
-            return _collect([pool.submit(fn, state, task) for task in tasks])
-
-
-def _record_payload_bytes(payload: Any) -> int:
-    """Fan-out shipping telemetry: how many bytes the payload pickles to.
-
-    Store-backed tables pickle as their spill-directory path, so a join
-    over a mapped database ships O(kilobytes) per fan-out regardless of
-    table size — this counter is what the scale benchmarks assert on.
-    The extra pickle pass only runs on the multi-worker pool path, where
-    the payload is serialized anyway.
-    """
-    import pickle
-
-    try:
-        nbytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 0
-    from ..obs.metrics import registry
-
-    registry().counter("parallel.dispatches").add(1)
-    registry().counter("parallel.payload_bytes").add(nbytes)
-    registry().gauge("parallel.last_payload_bytes").set(float(nbytes))
-    return nbytes
+            yield from _in_order(
+                lambda task: pool.submit(fn, state, task), tasks,
+                _WINDOW_PER_WORKER * self.n_workers,
+            )
 
 
 # Worker-side state of the process backend, set once by the pool initializer.
@@ -186,9 +208,7 @@ class ProcessExecutor(Executor):
 
     The payload is pickled once per worker (pool initializer), not once per
     task; ``fn``, ``init`` and the tasks must be picklable module-level
-    objects.  With one worker (or one task) the pool is skipped and the
-    worker state is built inline — the numbers are identical either way
-    because ``init`` is the same pure construction.
+    objects.
     """
 
     backend = "process"
@@ -198,12 +218,7 @@ class ProcessExecutor(Executor):
         super().__init__(n_workers)
         self.start_method = start_method or _default_start_method()
 
-    def map(self, fn, tasks, payload=None, init=None):
-        tasks = list(tasks)
-        if self.n_workers == 1 or len(tasks) <= 1:
-            state = _make_state(payload, init)
-            return [fn(state, task) for task in tasks]
-        _record_payload_bytes(payload)
+    def _pooled(self, fn, tasks, payload, init):
         ctx = multiprocessing.get_context(self.start_method)
         with ProcessPoolExecutor(
             max_workers=min(self.n_workers, len(tasks)),
@@ -211,8 +226,9 @@ class ProcessExecutor(Executor):
             initializer=_initialize_worker,
             initargs=(init, payload),
         ) as pool:
-            return _collect(
-                [pool.submit(_run_on_worker_state, fn, task) for task in tasks]
+            yield from _in_order(
+                lambda task: pool.submit(_run_on_worker_state, fn, task),
+                tasks, _WINDOW_PER_WORKER * self.n_workers,
             )
 
 

@@ -1,13 +1,18 @@
 """Tests for parallel sharded completion (:mod:`repro.runtime.parallel`).
 
-Covers the executor contract (ordering, per-worker state, exception
-surfacing) and the determinism guarantee of the sharded incompleteness
-join: completed rows at a fixed seed are bitwise identical (up to order)
-for serial vs thread vs process backends and for any worker count, and
-parallel ``fit`` trains models identical to a serial run.
+Covers the executor contract (ordering, the pool's window of tasks in
+flight, early close, per-worker state, exception surfacing) and the
+determinism guarantee of the sharded incompleteness join: completed rows
+at a fixed seed are bitwise identical (up to order) for serial vs thread
+vs process backends and for any worker count, and parallel ``fit`` trains
+models identical to a serial run.
 """
 
+import multiprocessing
+import os
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -71,6 +76,18 @@ def _identity(state, task):
     return task
 
 
+def _count_start(state, task):
+    with state["lock"]:
+        state["started"] += 1
+    return task
+
+
+def _touch(directory, task):
+    """Mark ``task`` started with a file: visible across processes."""
+    open(os.path.join(directory, f"task_{task}"), "w").close()
+    return task
+
+
 # ----------------------------------------------------------------------
 # Executor contract
 # ----------------------------------------------------------------------
@@ -93,14 +110,15 @@ class TestExecutors:
     def test_results_in_task_order(self, backend):
         executor = get_executor(backend, 2)
         tasks = list(range(12))
-        assert executor.map(_double_plus_state, tasks, payload=1) == [
+        assert list(executor.map(_double_plus_state, tasks, payload=1)) == [
             1 + 2 * t for t in tasks
         ]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_init_builds_worker_state_from_payload(self, backend):
         executor = get_executor(backend, 2)
-        out = executor.map(_use_state, [1, 2, 3], payload=4, init=_build_state)
+        out = list(executor.map(_use_state, [1, 2, 3], payload=4,
+                                init=_build_state))
         assert out == [41, 42, 43]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
@@ -109,11 +127,12 @@ class TestExecutors:
         including from process workers, where it is pickled back."""
         executor = get_executor(backend, 2)
         with pytest.raises(ValueError, match="boom on task 3"):
-            executor.map(_boom, list(range(6)))
+            list(executor.map(_boom, list(range(6))))
 
     def test_single_worker_process_runs_inline(self):
         # n_workers=1 skips the pool; init still builds the worker state.
-        out = ProcessExecutor(1).map(_use_state, [5], payload=2, init=_build_state)
+        out = list(ProcessExecutor(1).map(_use_state, [5], payload=2,
+                                          init=_build_state))
         assert out == [25]
 
     def test_default_chunk_size(self):
@@ -134,26 +153,27 @@ class TestExecutorEdgeCases:
         BrokenProcessPool or a hang."""
         executor = get_executor(backend, 2)
         with pytest.raises(RuntimeError, match="init exploded with payload 9"):
-            executor.map(_identity, [1, 2, 3, 4], payload=9, init=_boom_init)
+            list(executor.map(_identity, [1, 2, 3, 4], payload=9,
+                              init=_boom_init))
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_single_worker_short_circuit_equivalence(self, backend):
         """n_workers=1 runs inline; results (incl. init-derived state) are
         exactly the serial executor's."""
         tasks = list(range(8))
-        serial = SerialExecutor().map(_use_state, tasks, payload=3,
-                                      init=_build_state)
-        inline = get_executor(backend, 1).map(_use_state, tasks, payload=3,
-                                              init=_build_state)
+        serial = list(SerialExecutor().map(_use_state, tasks, payload=3,
+                                           init=_build_state))
+        inline = list(get_executor(backend, 1).map(_use_state, tasks, payload=3,
+                                                   init=_build_state))
         assert inline == serial
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_single_task_short_circuit_equivalence(self, backend):
         """A single task never pays pool start-up, whatever the worker
         count — and the result still matches serial."""
-        serial = SerialExecutor().map(_double_plus_state, [21], payload=1)
-        pooled = get_executor(backend, 4).map(_double_plus_state, [21],
-                                              payload=1)
+        serial = list(SerialExecutor().map(_double_plus_state, [21], payload=1))
+        pooled = list(get_executor(backend, 4).map(_double_plus_state, [21],
+                                                   payload=1))
         assert pooled == serial == [43]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
@@ -162,9 +182,9 @@ class TestExecutorEdgeCases:
         fresh tasks afterwards (pools are per-call, state is rebuilt)."""
         executor = get_executor(backend, 2)
         with pytest.raises(ValueError, match="boom on task 3"):
-            executor.map(_boom, list(range(6)))
+            list(executor.map(_boom, list(range(6))))
         tasks = list(range(10))
-        assert executor.map(_double_plus_state, tasks, payload=2) == [
+        assert list(executor.map(_double_plus_state, tasks, payload=2)) == [
             2 + 2 * t for t in tasks
         ]
 
@@ -172,9 +192,39 @@ class TestExecutorEdgeCases:
     def test_executor_reusable_after_init_error(self, backend):
         executor = get_executor(backend, 2)
         with pytest.raises(RuntimeError, match="init exploded"):
-            executor.map(_identity, [1, 2, 3], payload=0, init=_boom_init)
-        out = executor.map(_use_state, [1, 2, 3], payload=4, init=_build_state)
+            list(executor.map(_identity, [1, 2, 3], payload=0,
+                              init=_boom_init))
+        out = list(executor.map(_use_state, [1, 2, 3], payload=4,
+                                init=_build_state))
         assert out == [41, 42, 43]
+
+
+class TestStreamingMap:
+    """``map`` yields each result as soon as it and every earlier task are
+    done; a pool keeps at most 2 x n_workers tasks submitted but not yet
+    yielded."""
+
+    def test_window_bounds_started_tasks(self):
+        executor = get_executor("thread", 2)
+        state = {"lock": threading.Lock(), "started": 0}
+        results = iter(executor.map(_count_start, range(40), payload=state))
+        assert next(results) == 0
+        time.sleep(0.1)  # time to run ahead, were the workers given more
+        assert state["started"] <= 2 * executor.n_workers + 1
+        assert list(results) == list(range(1, 40))
+        assert state["started"] == 40
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_closing_early_cancels_unstarted_tasks(self, backend, tmp_path):
+        executor = get_executor(backend, 2)
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        results = iter(executor.map(_touch, range(40), payload=str(tmp_path)))
+        assert next(results) == 0
+        results.close()
+        assert len(os.listdir(tmp_path)) <= 2 * executor.n_workers + 1
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
 
 
 # ----------------------------------------------------------------------

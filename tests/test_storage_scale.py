@@ -10,10 +10,12 @@ memory gauges, and the columnar artifact layout.
 
 import gc
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -32,7 +34,7 @@ from repro.core import (
     ReStoreConfig,
     build_encoders,
 )
-from repro.core.incompleteness_join import _load_state, _spill_state, _WalkState
+from repro.core.incompleteness_join import _ResultSink
 from repro.datasets.movies import (
     COUNTRIES,
     COUNTRY_CODES,
@@ -88,7 +90,6 @@ from repro.relational.storage import (
     spill_arrays,
 )
 from repro.relational.tuple_factors import TF_UNKNOWN
-from repro.runtime.cache import PartialJoinCache
 from repro.serving import load_artifact, save_artifact, verify_artifact
 
 K = ColumnKind.KEY
@@ -737,74 +738,21 @@ class TestSpilledJoin:
                                spill_dir=str(tmp_path / "b")).run()
         _assert_same_rows(a, b)
 
-    @staticmethod
-    def _state(n, columns, with_context=False) -> _WalkState:
-        rng = np.random.default_rng(n)
-        return _WalkState(
-            codes=rng.integers(0, 9, size=(n, 3)),
-            columns=columns,
-            weights=rng.random(n),
-            synthesized=rng.random(n) < 0.5,
-            current_rows=rng.integers(-1, 50, size=n),
-            context=(rng.normal(size=(n, 4)).astype(np.float32)
-                     if with_context else None),
-            streams=rng.integers(0, 2 ** 63, size=n, dtype=np.uint64),
-            counters=rng.integers(0, 9, size=n, dtype=np.uint64),
-            roots=rng.integers(0, 200, size=n),
-        )
-
-    @pytest.mark.parametrize("num_rows", [0, 37])
-    @pytest.mark.parametrize("with_context", [False, True])
-    def test_spill_record_round_trip(self, tmp_path, num_rows, with_context):
-        rng = np.random.default_rng(num_rows)
-        n = num_rows
-        regions = object_array([f"r{i}" for i in range(4)])
-        state = self._state(n, {
-            "site.id": np.arange(n, dtype=np.int64),
-            "site.region": DictColumn(
-                rng.integers(0, 4, size=n).astype(np.int16), regions),
-            "reading.value": rng.normal(size=n),
-        }, with_context)
-        path = str(tmp_path / "chunk.spill")
-        loaded = _load_state(path, _spill_state(state, path))
-        assert list(loaded.columns) == list(state.columns)
-        region = loaded.columns["site.region"]
-        assert isinstance(region, DictColumn)
-        assert region.vocab.dtype == object
-        assert region.vocab.tolist() == regions.tolist()
-        pairs = [(getattr(loaded, f), getattr(state, f)) for f in (
-            "codes", "weights", "synthesized", "current_rows", "streams",
-            "counters", "roots",
-        )] + [(loaded.columns[k], state.columns[k])
-              for k in ("site.id", "reading.value")]
-        pairs.append((region.codes, state.columns["site.region"].codes))
-        if with_context:
-            pairs.append((loaded.context, state.context))
-        else:
-            assert loaded.context is None
-        for got, want in pairs:
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-
-    def test_spilled_vocabulary_round_trips_any_string(self, tmp_path):
+    def test_result_store_round_trips_any_string(self, tmp_path):
+        """Strings reach disk only through the result store, whose
+        dictionary gives back any ``str`` as itself."""
         vocab = object_array(["", "grün", "日本語", "tail\x00", "\x00", 'q"\\',
                               "\ud800", "x" * 5000])
         codes = np.arange(len(vocab), dtype=np.int16)[::-1].copy()
-        state = self._state(len(vocab), {"t.s": DictColumn(codes, vocab)})
-        path = str(tmp_path / "chunk.spill")
-        loaded = _load_state(path, _spill_state(state, path)).columns["t.s"]
-        assert loaded.vocab.tolist() == vocab.tolist()
-        assert [type(v) for v in loaded.vocab.tolist()] == [str] * len(vocab)
-        np.testing.assert_array_equal(loaded.codes, codes)
-
-    @pytest.mark.parametrize("column", [
-        DictColumn(np.zeros(2, dtype=np.int16), object_array(["a", 1])),
-        object_array(["a", "b"]),
-    ], ids=["non-string vocabulary", "object column"])
-    def test_spill_refuses_objects(self, tmp_path, column):
-        state = self._state(2, {"t.s": column})
-        with pytest.raises(StorageError, match="strings"):
-            _spill_state(state, str(tmp_path / "chunk.spill"))
+        writer = StoreWriter(str(tmp_path / "result"), "completed_join", None,
+                             primary_key=None)
+        writer.add_column("t.s", C)
+        writer.append("t.s", DictColumn(codes, vocab))
+        writer.finalize()
+        store = MappedStore.open(str(tmp_path / "result"))
+        values = store.read_full("t.s").tolist()
+        assert values == vocab[codes].tolist()
+        assert [type(v) for v in values] == [str] * len(vocab)
 
     def test_spilled_join_keeps_strings_as_codes(self, scale_join_setup,
                                                  tmp_path, monkeypatch):
@@ -903,12 +851,37 @@ class TestSpilledJoin:
                                            spill_dir=str(spill_dir)).run()
             assert os.listdir(spill_dir) == [], method
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_failed_append_stops_the_pool(self, scale_join_setup, tmp_path,
+                                          monkeypatch, backend):
+        """A result store that fails to take a pool's first chunk closes
+        the executor's stream: no worker thread or process outlives the
+        run, even while its exception (and every frame of the failed run)
+        is still held, and the run removes its files."""
+        _, mapped_model = scale_join_setup
+        spill_dir = tmp_path / "run"
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+
+        def fail(self, *args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(StoreWriter, "append", fail)
+        with _no_leaked_files():
+            with pytest.raises(RuntimeError, match="disk full") as failure:
+                IncompletenessJoin(mapped_model, seed=0, chunk_size=16,
+                                   n_workers=2, parallel_backend=backend,
+                                   spill_dir=str(spill_dir)).run()
+            assert set(threading.enumerate()) <= threads
+            assert set(multiprocessing.active_children()) <= children
+            del failure
+        assert os.listdir(spill_dir) == []
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failed_walk_removes_its_files(self, scale_join_setup, tmp_path,
                                            monkeypatch, backend):
         """A walk that raises in its third chunk removes the result store
-        and the chunk files it made; the spill dir and what else it holds
-        stay."""
+        it made; the spill dir and what else it holds stay."""
         _, mapped_model = scale_join_setup
         spill_dir = tmp_path / "run"
         spill_dir.mkdir()
@@ -951,6 +924,38 @@ class TestSpilledJoin:
         assert "join_codes.npy" in files["serial"]
         assert files["thread"] == files["serial"]
         assert files["process"] == files["serial"]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pooled_walk_appends_on_the_caller(self, scale_join_setup, tmp_path,
+                                               monkeypatch, backend):
+        """Pool workers hand their walked chunks back over the executor and
+        the caller appends them, so nothing but the result store is ever in
+        the spill dir, and the result files are the serial run's bytes.
+        Thirteen 16-root passes over two workers fill the executor's
+        window."""
+        _, mapped_model = scale_join_setup
+
+        def run(spill_dir, **parallel):
+            IncompletenessJoin(mapped_model, seed=0, chunk_size=16,
+                               spill_dir=str(spill_dir), **parallel).run()
+            result = spill_dir / "result"
+            return {name: (result / name).read_bytes()
+                    for name in sorted(os.listdir(result))}
+
+        serial = run(tmp_path / "serial")
+        spill_dir = tmp_path / backend
+        listings = []
+        append = _ResultSink.append
+
+        def listing(self, state):
+            listings.append(os.listdir(spill_dir))
+            append(self, state)
+
+        monkeypatch.setattr(_ResultSink, "append", listing)
+        pooled = run(spill_dir, n_workers=2, parallel_backend=backend)
+        assert len(listings) >= 13
+        assert all(names == ["result"] for names in listings), listings
+        assert pooled == serial
 
     def test_spilled_run_reads_no_result_column(self, scale_join_setup,
                                                 tmp_path, monkeypatch):
@@ -997,19 +1002,6 @@ class TestSpilledJoin:
         assert completed.num_rows == 0
         assert isinstance(completed.result.columns, dict)
         assert not (tmp_path / "run" / "result").exists()
-
-    def test_spilled_outputs_stay_out_of_partial_cache(self):
-        class _Spilled:
-            cacheable = False
-
-        class _Plain:
-            pass
-
-        cache = PartialJoinCache(capacity=4)
-        cache.put("sig", ("grid",), (0, 10), frozenset(), _Spilled())
-        assert len(cache) == 0
-        cache.put("sig", ("grid",), (0, 10), frozenset(), _Plain())
-        assert len(cache) == 1
 
 
 # ----------------------------------------------------------------------
