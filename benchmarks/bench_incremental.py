@@ -2,15 +2,18 @@
 
 The tentpole perf claim of the incremental layer: after a small mutation
 (~1% of root rows updated in place, grid stable) ``recomplete(delta)``
-re-walks only the chunks covering the mutated rows and reassembles the
-rest from the partial cache — while the per-row counter-based RNG keeps
-the result bitwise-identical (up to row order) to a from-scratch
-completion of the mutated database at the same seed.  This bench measures
-both runs on paper-scale housing, requires the delta to touch at most 10%
-of the chunk grid, and asserts the >= 3x speedup floor; a second bench
-records how much cheaper a digest-gated warm-start fine-tune is than a
-full re-fit.  All numbers land in the ``--benchmark-json`` output via
-``extra_info``.
+re-walks only the updated root rows, splices them into the cached chunks
+that hold them and reassembles the rest from the partial cache — while
+the per-row counter-based RNG keeps the result bitwise-identical (up to
+row order) to a from-scratch completion of the mutated database at the
+same seed.  This bench measures both runs on paper-scale housing: on a
+fine grid (4 roots per chunk) it requires the delta to touch at most 10%
+of the chunks and asserts the >= 3x speedup floor; on the engine's
+default grid (16 chunks, where a 1% update touches about a third of
+them) it requires the recompletion to walk exactly the updated roots.  A
+third bench records how much cheaper a digest-gated warm-start fine-tune
+is than a full re-fit.  All numbers land in the ``--benchmark-json``
+output via ``extra_info``.
 """
 
 import time
@@ -18,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ModelConfig, ReStore, ReStoreConfig
+from repro.core import IncompletenessJoin, ModelConfig, ReStore, ReStoreConfig
 from repro.datasets import HousingConfig, generate_housing
 from repro.experiments import joins_bitwise_identical
 from repro.incomplete import RemovalSpec, make_incomplete
@@ -131,6 +134,80 @@ def test_recomplete_speedup_after_one_percent_mutation(
         f"incremental speedup {speedup:.2f}x below the "
         f"{MIN_SPEEDUP:.0f}x floor"
     )
+
+
+@pytest.fixture(scope="module")
+def default_grid_engine(incremental_setup, tmp_path_factory):
+    """The fitted engine again, loaded with ``chunk_size=None``: the
+    default grid of about :data:`~repro.core.engine.GRID_CHUNKS` chunks,
+    as perfbench's live-refresh runs it."""
+    engine, _, _ = incremental_setup
+    path = tmp_path_factory.mktemp("incremental") / "engine"
+    engine.save_artifact(path)
+    return ReStore.load(path, config_overrides={"chunk_size": None})
+
+
+def test_recomplete_walks_only_updated_roots_on_default_grid(
+    benchmark, default_grid_engine, monkeypatch
+):
+    """Delta recompletion on the default grid walks the updated roots."""
+    engine = default_grid_engine
+    rng = np.random.default_rng(13)
+    root = engine._default_model().layout.path.tables[0]
+
+    engine.clear_cache()
+    started = time.perf_counter()
+    cold = engine.recomplete()
+    full_s = time.perf_counter() - started
+    total = cold.recompletion["chunks_total"]
+    assert cold.recompletion["chunks_walked"] == total
+    assert engine.config.chunk_size is None and total > 1
+
+    walk_chunks = IncompletenessJoin.walk_chunks
+    walked_tasks = []
+
+    def recording(self, tasks, *args, **kwargs):
+        walked_tasks.extend(tasks)
+        return walk_chunks(self, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(IncompletenessJoin, "walk_chunks", recording)
+    warm_times, updated, walked, spliced = [], [], [], []
+
+    def warm_run():
+        delta = _mutate_fraction(engine, rng)
+        walked_tasks.clear()
+        t0 = time.perf_counter()
+        answer = engine.recomplete(delta)
+        warm_times.append(time.perf_counter() - t0)
+        updated.append(len(set(delta.for_table(root).updated_positions)))
+        walked.append(sum(stop - start for start, stop in walked_tasks))
+        spliced.append(answer.recompletion["chunks_walked"])
+        return answer
+
+    warm = benchmark.pedantic(warm_run, rounds=3, iterations=1,
+                              warmup_rounds=0)
+    warm_s = min(warm_times)
+    monkeypatch.undo()
+
+    # exactly the updated roots were walked, whatever chunks hold them
+    assert walked == updated, (walked, updated)
+    engine.clear_cache()
+    assert joins_bitwise_identical(warm, engine.recomplete())
+
+    speedup = full_s / warm_s
+    benchmark.extra_info.update({
+        "full_s": full_s,
+        "incremental_s": warm_s,
+        "speedup": speedup,
+        "chunks_total": total,
+        "roots_walked": walked,
+        "chunks_spliced": spliced,
+        "mutation_fraction": MUTATION_FRACTION,
+        "bitwise_identical": True,
+    })
+    print(f"\nfrom-scratch {full_s * 1000:.1f} ms, incremental "
+          f"{warm_s * 1000:.1f} ms ({speedup:.1f}x, walked {walked} roots, "
+          f"spliced {spliced} of {total} chunks)")
 
 
 def test_warm_start_fine_tune_vs_full_refit(benchmark, incremental_setup):

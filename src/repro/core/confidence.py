@@ -101,7 +101,10 @@ class ConfidenceEstimator:
         synth = self.completed.target_synthesized()
         codes = self.completed.codes[synth]
         ctx = None if self.completed.context is None else self.completed.context[synth]
-        p_model = self.model.conditional_probs(codes, variable, context=ctx)
+        roots = None if self.completed.roots is None else self.completed.roots[synth]
+        p_model = self.model.conditional_probs(
+            codes, variable, context=ctx, context_ids=roots
+        )
 
         train = self.model.training_data.matrix[:, variable]
         vocab = self.layout.variables[variable].vocab_size

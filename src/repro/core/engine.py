@@ -13,6 +13,8 @@ This is the public facade tying together everything the paper describes:
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,6 +48,7 @@ from .incompleteness_join import (
     CompletedJoin,
     IncompletenessJoin,
     restrict_chunk_output,
+    splice_chunk_outputs,
 )
 from .progressive import Refinement, SamplingBudget
 from .merging import training_savings
@@ -61,8 +64,9 @@ from .selection import (
 
 
 #: Chunks in the canonical grid when ``chunk_size`` is None: enough for
-#: budgeted runs to stream over and for root-row mutations to invalidate
-#: locally.
+#: budgeted runs to stream over.  Root-row updates need no finer grid: they
+#: mark single root rows stale, and only those rows are re-walked and
+#: spliced into their chunks, however large the chunks are.
 GRID_CHUNKS = 16
 #: Capacity, in entries, of the engine's completion cache: chunk outputs
 #: plus one memoized full join per cached join signature.
@@ -77,8 +81,9 @@ class ReStoreConfig:
     many root evidence rows (peak memory); ``None`` walks every chunk a
     worker is given in one pass.  It also sets the canonical chunk grid —
     chunks of ``chunk_size`` roots, else about :data:`GRID_CHUNKS` chunks
-    — which is bookkeeping: the completion cache and mutation
-    invalidation work per chunk.  That one cache also memoizes each
+    — which is bookkeeping: the completion cache works per chunk, and a
+    root-row update re-walks only its rows of a cached chunk.  That one
+    cache also memoizes each
     model's full completed join, within its :data:`PARTIAL_CACHE_CHUNKS`
     bound.
 
@@ -472,7 +477,7 @@ class ReStore:
         chunk_size = self.config.chunk_size
         if chunk_size is None:
             chunk_size = max(1, -(-num_roots // GRID_CHUNKS))
-        return tuple((s.start, s.stop) for s in chunk_slices(num_roots, chunk_size))
+        return _chunk_grid(num_roots, chunk_size)
 
     def _complete(
         self,
@@ -487,9 +492,14 @@ class ReStore:
         assembled join after each step.  Chunks with no qualifying root row
         are skipped, cached chunks are served from the partial cache
         (re-filtered when a looser plan walked them), and the rest of a
-        step are walked together and cached under the plan's fingerprints.
+        step are walked in one :meth:`IncompletenessJoin.walk_chunks` call
+        and cached under the plan's fingerprints.  An unfiltered chunk
+        whose cache entry has stale root rows (:meth:`apply_mutations`)
+        joins that walk as just those rows, one single-root task each, and
+        is spliced (:func:`splice_chunk_outputs`); it counts as walked.
         Chunk provenance lands on ``completed.recompletion`` and, with a
-        plan, on ``completed.pushdown``.
+        plan, on ``completed.pushdown``; the step's span also counts the
+        root rows walked so far (``roots_walked``).
         """
         model = join.model
         tables = join.effective_tables()
@@ -498,10 +508,12 @@ class ReStore:
         fingerprints = plan.fingerprint_set() if plan is not None else frozenset()
         mask = join.qualifying_root_mask(plan)
         outputs: List = []
-        walked = skipped = have = 0
+        walked = skipped = have = roots_walked = 0
         for upto in schedule if schedule is not None else [len(grid)]:
             with trace("engine.complete", tables="/".join(tables)) as span:
-                missing: List[Tuple[int, Tuple[int, int]]] = []
+                # task -> its stale entry (output, stale roots) or None
+                missing: Dict[Tuple[int, int], Optional[Tuple]] = {}
+                index: Dict[Tuple[int, int], int] = {}
                 for task in grid[have:upto]:
                     if mask is not None and not mask[task[0]:task[1]].any():
                         skipped += 1
@@ -510,7 +522,9 @@ class ReStore:
                         signature, grid, task, fingerprints
                     )
                     if hit is None:
-                        missing.append((len(outputs), task))
+                        missing[task] = None if fingerprints else \
+                            self.partial_cache.stale_entry(signature, grid, task)
+                        index[task] = len(outputs)
                         outputs.append(None)
                         continue
                     output, cached_fps = hit
@@ -521,14 +535,13 @@ class ReStore:
                     outputs.append(output)
                 have = upto
                 if missing:
-                    tasks = [task for _, task in missing]
-                    for (i, task), output in zip(
-                        missing, join.walk_chunks(tasks, tables, plan)
-                    ):
+                    done, roots = self._walk_missing(join, tables, plan, missing)
+                    for task in missing:
                         self.partial_cache.put(
-                            signature, grid, task, fingerprints, output
+                            signature, grid, task, fingerprints, done[task]
                         )
-                        outputs[i] = output
+                        outputs[index[task]] = done[task]
+                    roots_walked += roots
                 walked += len(missing)
                 chunks = {
                     "chunks_total": len(grid),
@@ -538,6 +551,7 @@ class ReStore:
                 for name, value in chunks.items():
                     span.set(name, value)
                 span.set("chunks_skipped", skipped)
+                span.set("roots_walked", roots_walked)
                 completed = join.assemble(outputs, tables, plan)
             completed.recompletion = chunks
             if plan is not None:
@@ -547,6 +561,40 @@ class ReStore:
                     "chunks_skipped": skipped,
                 }
             yield completed
+
+    @staticmethod
+    def _walk_missing(
+        join: IncompletenessJoin,
+        tables: Sequence[str],
+        plan: Optional[PushdownPlan],
+        missing: Dict[Tuple[int, int], Optional[Tuple]],
+    ) -> Tuple[Dict[Tuple[int, int], object], int]:
+        """Walk a step's missing chunks (grid order) in one walk: a chunk
+        whole, or a stale one's root rows alone, spliced into its cached
+        output.  Returns each chunk's output and the root rows walked."""
+        tasks: List[Tuple[int, int]] = []
+        for task, stale in missing.items():
+            if stale is None:
+                tasks.append(task)
+            else:
+                tasks.extend((root, root + 1) for root in stale[1].tolist())
+        walked = iter(join.walk_chunks(tasks, tables, plan))
+        done: Dict[Tuple[int, int], object] = {}
+        fresh: List = []
+        for task, stale in missing.items():
+            if stale is None:
+                done[task] = next(walked)
+            else:
+                fresh.extend(itertools.islice(walked, len(stale[1])))
+        spliced = [task for task, stale in missing.items() if stale is not None]
+        if spliced:
+            done.update(zip(spliced, splice_chunk_outputs(
+                spliced,
+                [missing[task][0] for task in spliced],
+                fresh,
+                np.concatenate([missing[task][1] for task in spliced]),
+            )))
+        return done, sum(stop - start for start, stop in tasks)
 
     def _scan_profile(
         self,
@@ -626,10 +674,11 @@ class ReStore:
         Applies the batch via :func:`repro.incremental.apply_mutations`,
         re-anchors every fitted model on the mutated rows (layouts and
         evidence forests keep their fit-time structure — codecs, variable
-        vocabularies and trained parameters are untouched), and evicts
-        exactly the cached joins/chunks the delta made stale: untouched
-        chunks keep serving from the partial cache, so a following
-        :meth:`recomplete` re-walks only affected chunks.
+        vocabularies and trained parameters are untouched), and drops
+        exactly the cached state the delta made stale: an in-place root
+        update marks its root rows stale in the chunks that hold them, so
+        a following :meth:`recomplete` re-walks only those rows; untouched
+        chunks keep serving from the partial cache.
         """
         from ..incremental.mutations import apply_mutations as apply_to_db
 
@@ -655,13 +704,16 @@ class ReStore:
         from-scratch :meth:`completed_join` on the mutated database at
         the same seed — the counter-based per-row RNG keys every draw to
         the root row index, so untouched chunks coming from the partial
-        cache are exactly what a fresh walk would produce.  Passing the
-        ``delta`` re-applies its (idempotent) invalidation, making the
-        call safe even if the caller evicted nothing beforehand.
+        cache are exactly what a fresh walk would produce, and so are the
+        chunks whose updated root rows are re-walked and spliced in.
+        Passing the ``delta`` re-applies its (idempotent) invalidation,
+        making the call safe even if the caller evicted nothing
+        beforehand.
 
         Chunk-level provenance of *this* call is attached as
         ``completed.recompletion`` (``chunks_total`` / ``chunks_walked`` /
-        ``chunks_cached``), as :meth:`completed_join` reports it.
+        ``chunks_cached``; a spliced chunk counts as walked), as
+        :meth:`completed_join` reports it.
         """
         if delta is not None:
             self._invalidate_for_delta(delta)
@@ -752,7 +804,9 @@ class ReStore:
                 rebound_forests.add(id(forest))
 
     def _invalidate_for_delta(self, delta: "MutationDelta") -> None:
-        """Evict exactly the cached state ``delta`` made stale."""
+        """Drop exactly the cached state ``delta`` made stale: updated root
+        rows are marked stale in their chunks, any other change to a
+        model's closure evicts its entries."""
         from ..incremental.invalidation import plan_invalidation
 
         for model in self._models.values():
@@ -764,11 +818,12 @@ class ReStore:
                 num_roots=grid[-1][1],
                 chunk_size=grid[0][1],  # the first chunk is [0, chunk size)
             )
-            if plan.touches_cache:
-                self.partial_cache.invalidate_delta(
-                    self.join_signature(model),
-                    None if plan.kind == "all" else plan.tasks,
+            if plan.kind == "chunks":
+                self.partial_cache.mark_stale(
+                    self.join_signature(model), plan.rows
                 )
+            elif plan.touches_cache:
+                self.partial_cache.invalidate_delta(self.join_signature(model))
 
     def _database_digest(self) -> str:
         from ..serving.artifacts import database_digest
@@ -1145,6 +1200,13 @@ class ReStore:
             )
         best = basic_filter([score for score, _t in covering], self.config.min_signal)[0]
         return next(target for score, target in covering if score is best)
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_grid(num_roots: int, chunk_size: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(start, stop)`` chunks of ``chunk_size`` rows over ``num_roots``
+    (built once per shape: every completion and write asks for its grid)."""
+    return tuple((s.start, s.stop) for s in chunk_slices(num_roots, chunk_size))
 
 
 def _first_rows(keys: Sequence[np.ndarray]) -> np.ndarray:

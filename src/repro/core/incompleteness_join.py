@@ -43,12 +43,26 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   merged deterministically after the fan-out barrier, so output rows are
   bitwise identical (up to order) across backends and worker counts.
 
+**Walk order.**  Every hop splits its input rows into an existing part
+and a synthesized (n:1: orphan) part, each keeping its input order, and
+emits the existing part first; dangling rows leave for the parked set in
+their input order.  Each row records its side of every hop as one bit of
+``_WalkState.hops`` (bit ``h - 1`` for hop ``h``), so a walk's rows are
+always the stable sort of its roots' rows by (hop bits read as an
+integer, latest hop most significant; root row), and so is each slot's
+parked set.  A root row's own rows, their order, streams and synthesized
+tuples depend on that root alone, which is why the walk of some of a
+chunk's roots can replace their share of the chunk's cached output
+(:func:`splice_chunk_outputs`): the engine re-walks only the root rows a
+root-table update touched.
+
 String columns walk as dictionary columns
 (:class:`~repro.relational.DictColumn`): a table's rows are read as codes
 into its store's vocabulary, which the join extends once by the codec
 values the table lacks, so sampled strings take codes in the same
 vocabulary and every part of a column concatenates by codes.  Chunks
-cached by an earlier join (or database) unite their vocabularies by value.
+cached by an earlier join (or database) unite their vocabularies by value;
+a spliced chunk takes the vocabularies of the walk spliced into it.
 Strings are decoded only when an in-RAM join is assembled; a spilled join
 hands the codes to its result store.
 
@@ -73,7 +87,7 @@ import contextlib
 import itertools
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +104,7 @@ from ..relational.dictionary import (
     concat_columns,
     decoded,
     object_array,
+    recode,
 )
 from ..relational.keys import child_index, gather_children, lookup
 from ..relational.storage import StoreColumns, StoreWriter, _RawColumnWriter
@@ -127,6 +142,9 @@ class CompletedJoin:
     #: chunk provenance of an engine run (``chunks_total`` /
     #: ``chunks_walked`` / ``chunks_cached``); None for a bare ``run()``.
     recompletion: Optional[Dict[str, int]] = None
+    #: the root row of every output row (an SSAR context is a function of
+    #: it); None for a spilled join, whose rows are in its result store.
+    roots: Optional[np.ndarray] = None
 
     @property
     def num_rows(self) -> int:
@@ -144,9 +162,11 @@ class _WalkState:
     ``streams``/``counters`` are the rows' counter-based random streams
     (see :mod:`repro.runtime.rng`): the stream identifies the row's lineage,
     the counter how many uniforms it has consumed.  ``roots`` (the root row
-    of each row) splits a multi-chunk pass back into chunks.  Columns of
-    ``str`` values are :class:`~repro.relational.DictColumn`, not object
-    arrays.
+    of each row) splits a multi-chunk pass back into chunks.  ``hops`` has
+    bit ``h - 1`` set when the row went to the synthesized (or orphan)
+    part of hop ``h`` rather than its existing part; with ``roots`` it
+    states the walk order (module docstring).  Columns of ``str`` values
+    are :class:`~repro.relational.DictColumn`, not object arrays.
     """
 
     codes: np.ndarray                 # (R, V) model-space codes, prefix filled
@@ -158,6 +178,7 @@ class _WalkState:
     streams: np.ndarray               # (R,) uint64 per-row random stream ids
     counters: np.ndarray              # (R,) uint64 per-row draw counters
     roots: np.ndarray                 # (R,) int64 root row of each row
+    hops: np.ndarray                  # (R,) bit h-1 set: synthesized part of hop h
 
     @property
     def num_rows(self) -> int:
@@ -174,6 +195,7 @@ class _WalkState:
             streams=self.streams[idx],
             counters=self.counters[idx],
             roots=self.roots[idx],
+            hops=self.hops[idx],
         )
 
 
@@ -215,6 +237,7 @@ def _concat_many(states: List[_WalkState]) -> _WalkState:
         streams=np.concatenate([s.streams for s in non_empty]),
         counters=np.concatenate([s.counters for s in non_empty]),
         roots=np.concatenate([s.roots for s in non_empty]),
+        hops=np.concatenate([s.hops for s in non_empty]),
     )
 
 
@@ -225,11 +248,19 @@ class _ShardAccumulator:
     Walks write here instead of mutating the join object, which is what
     makes a chunk walk a pure function — safe to run on any worker — and
     gives the post-barrier merge one explicit, deterministic code path.
+
+    ``synth_keys`` ties every synthesized tuple to its root row: per table
+    and record, the tuples' root rows and hop bits, aligned with the
+    count and the issued ids, so :func:`splice_chunk_outputs` can take a
+    root's share out.  A spilled walk's handles drop them (never spliced).
     """
 
     parked: Dict[int, List[_WalkState]] = field(default_factory=dict)
     num_synth: Dict[str, int] = field(default_factory=dict)
     issued_ids: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    synth_keys: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict
+    )
 
     def park(self, slot: int, state: _WalkState) -> None:
         self.parked.setdefault(slot, []).append(state)
@@ -238,14 +269,16 @@ class _ShardAccumulator:
         self, table_name: str, part: _WalkState, ids: Optional[np.ndarray]
     ) -> None:
         """Count ``part``'s rows as synthesized tuples; keep issued ids."""
-        self.record(table_name, part.num_rows, ids)
+        self.record(table_name, part.num_rows, ids, (part.roots, part.hops))
 
     def record(
-        self, table_name: str, count: int, ids: Optional[np.ndarray]
+        self, table_name: str, count: int, ids: Optional[np.ndarray],
+        keys: Tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
         if ids is not None:
             self.issued_ids.setdefault(table_name, []).append(ids)
+        self.synth_keys.setdefault(table_name, []).append(keys)
 
     def merge(self, other: "_ShardAccumulator") -> None:
         """Fold another shard's side-state into this one (order-preserving)."""
@@ -255,6 +288,8 @@ class _ShardAccumulator:
             self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
         for table_name, ids in other.issued_ids.items():
             self.issued_ids.setdefault(table_name, []).extend(ids)
+        for table_name, keys in other.synth_keys.items():
+            self.synth_keys.setdefault(table_name, []).extend(keys)
 
     def split(self, walked: _WalkState) -> List["_ChunkOutput"]:
         return [_ChunkOutput(walked=walked, acc=self)]
@@ -301,14 +336,24 @@ class _PassAccumulator:
     def record_synth(
         self, table_name: str, part: _WalkState, ids: Optional[np.ndarray]
     ) -> None:
-        order, ranges = self._by_chunk(part.roots)
+        self.record_keys(table_name, part.roots, part.hops, ids)
+
+    def record_keys(
+        self, table_name: str, roots: np.ndarray, hops: np.ndarray,
+        ids: Optional[np.ndarray],
+    ) -> None:
+        """Synthesized tuples by their (root row, hop bits) keys, in walk
+        order, with their issued ids."""
+        order, ranges = self._by_chunk(roots)
         if ids is not None:
             ids = ids[order]
+        roots, hops = roots[order], hops[order]
         for acc, start, stop in ranges:
             if stop > start:
                 acc.record(
                     table_name, stop - start,
                     None if ids is None else ids[start:stop],
+                    (roots[start:stop], hops[start:stop]),
                 )
 
     def split(self, walked: _WalkState) -> List["_ChunkOutput"]:
@@ -367,13 +412,23 @@ class _SpilledChunkOutput:
 AnyChunkOutput = Union[_ChunkOutput, _SpilledChunkOutput]
 
 
-def _chunk_states(outputs: List[_ChunkOutput]) -> List[_WalkState]:
-    """The outputs' rows as walk states to concatenate, in output order; a
-    walk pass assembled whole is its own state, uncopied."""
-    if outputs and all(o.walked is outputs[0].walked for o in outputs) \
-            and sum(o.num_rows for o in outputs) == outputs[0].walked.num_rows:
-        return [outputs[0].walked]  # chunks are disjoint: this is all of it
-    return [o.state for o in outputs]
+def _chunk_states(outputs: Sequence[_ChunkOutput]) -> List[_WalkState]:
+    """The outputs' rows as walk states to concatenate, in output order:
+    adjacent ranges of one walked state become one view of it, and a
+    walked state covered whole is itself, uncopied."""
+    pieces: List[list] = []
+    for o in outputs:
+        rows = slice(0, o.walked.num_rows) if o.rows is None else o.rows
+        if pieces and pieces[-1][0] is o.walked \
+                and pieces[-1][1].stop == rows.start:
+            pieces[-1][1] = slice(pieces[-1][1].start, rows.stop)
+        else:
+            pieces.append([o.walked, rows])
+    return [
+        walked if rows.stop - rows.start == walked.num_rows
+        else walked.take(rows)
+        for walked, rows in pieces
+    ]
 
 
 class _ResultSink:
@@ -464,7 +519,9 @@ class _SpilledWalk:
     def append(self, output: _ChunkOutput) -> _SpilledChunkOutput:
         state = output.state
         self.add(state)
-        return _SpilledChunkOutput(self, output.acc, state.num_rows)
+        # A spilled output is never spliced: its tuples' root keys go.
+        acc = replace(output.acc, synth_keys={})
+        return _SpilledChunkOutput(self, acc, state.num_rows)
 
     def add(self, state: _WalkState) -> None:
         if state.num_rows == 0:
@@ -503,6 +560,80 @@ def restrict_chunk_output(
     return _ChunkOutput(
         walked=state.take(np.flatnonzero(mask)), acc=output.acc
     )
+
+
+def splice_chunk_outputs(
+    tasks: Sequence[Tuple[int, int]],
+    old: Sequence[_ChunkOutput],
+    fresh: Sequence[_ChunkOutput],
+    roots: np.ndarray,
+) -> List[_ChunkOutput]:
+    """Cached chunk outputs with the share of stale root rows replaced.
+
+    ``old[i]`` is the output of chunk ``tasks[i]`` (ascending, disjoint),
+    ``roots`` the stale root rows (sorted, each inside one of the chunks)
+    and ``fresh`` the outputs of a walk of exactly those roots.  A walk is
+    a pure function of each root row's lineage and keeps the walk order
+    (module docstring), so dropping the stale roots' old rows, parked rows
+    and synthesized tuples (count, ids) and merging the fresh ones in by
+    (hop bits, root row) gives each chunk bitwise the walk of the whole
+    chunk on the database ``fresh`` was walked on, in order.  Dictionary
+    columns take the fresh walk's vocabularies.  The chunks are regrouped
+    together, as one walk pass is (:class:`_PassAccumulator`).
+    """
+    vocabs = {
+        name: values.vocab for name, values in fresh[0].state.columns.items()
+        if isinstance(values, DictColumn)
+    }
+
+    def merged(old_states: List[_WalkState], new_states: List[_WalkState]):
+        """The old states' kept rows and the new ones, in walk order."""
+        state = _concat_many(old_states + new_states)
+        state = state.take(_splice_order(
+            state.roots, state.hops, sum(s.num_rows for s in old_states), roots
+        ))
+        for name, vocab in vocabs.items():
+            values = state.columns.get(name)
+            if isinstance(values, DictColumn) and values.vocab is not vocab:
+                state.columns[name] = recode(values, vocab) or values
+        return state
+
+    acc = _PassAccumulator(tasks)
+    outputs = acc.split(merged(_chunk_states(old), _chunk_states(fresh)))
+    sources = [o.acc for o in old] + [f.acc for f in fresh]
+    for slot in sorted(set().union(*(a.parked for a in sources))):
+        acc.park(slot, merged(
+            [s for o in old for s in o.acc.parked.get(slot, [])],
+            [s for f in fresh for s in f.acc.parked.get(slot, [])],
+        ))
+    for table_name in sorted(set().union(*(a.num_synth for a in sources))):
+        keys = [k for a in sources for k in a.synth_keys.get(table_name, [])]
+        synth_roots = np.concatenate([r for r, _ in keys])
+        hops = np.concatenate([h for _, h in keys])
+        num_old = sum(
+            len(r) for o in old for r, _ in o.acc.synth_keys.get(table_name, [])
+        )
+        order = _splice_order(synth_roots, hops, num_old, roots)
+        ids = [i for a in sources for i in a.issued_ids.get(table_name, [])]
+        acc.record_keys(
+            table_name, synth_roots[order], hops[order],
+            np.concatenate(ids)[order] if ids else None,
+        )
+    return outputs
+
+
+def _splice_order(
+    roots: np.ndarray, hops: np.ndarray, num_old: int, stale: np.ndarray
+) -> np.ndarray:
+    """Positions of a splice's rows in walk order (stable by hop bits, then
+    root row), without the first ``num_old`` (the old output's) whose root
+    is in ``stale`` (sorted)."""
+    live = np.ones(len(roots), dtype=bool)
+    old = roots[:num_old]
+    at = np.minimum(np.searchsorted(stale, old), len(stale) - 1)
+    live[:num_old] = stale[at] != old
+    rows = np.flatnonzero(live)
+    return rows[np.lexsort((roots[rows], hops[rows]))]
 
 
 @dataclass(frozen=True)
@@ -657,6 +788,8 @@ class IncompletenessJoin:
         self._vocabs: Dict[Tuple[str, str], Optional[_JoinVocab]] = {}
         # The spilled walk whose rows await assemble(), if any.
         self._spilled: Optional[_SpilledWalk] = None
+        # One bit per hop of the path (see _WalkState.hops).
+        self._hop_dtype = np.min_scalar_type((1 << (len(self.path.tables) - 1)) - 1)
 
     # ------------------------------------------------------------------
     # Public API
@@ -818,6 +951,7 @@ class IncompletenessJoin:
             if walk is not None:
                 walk.discard()
             raise
+        roots = None
         if stored is not None:
             columns, weights, synthesized, codes, context = stored
         else:
@@ -842,6 +976,7 @@ class IncompletenessJoin:
             synthesized = completed.synthesized
             codes = completed.codes
             context = completed.context
+            roots = completed.roots
 
         # The final state's synthesized flags refer to the last completed
         # table — exactly what confidence estimation (§6) needs.
@@ -852,6 +987,7 @@ class IncompletenessJoin:
             synthesized_mask={tables[-1]: synthesized},
             codes=codes,
             context=context,
+            roots=roots,
         )
 
     def _resolve_parked(
@@ -994,6 +1130,7 @@ class IncompletenessJoin:
             streams=rt_rng.root_streams(rows),
             counters=np.zeros(len(rows), dtype=np.uint64),
             roots=rows,
+            hops=np.zeros(len(rows), dtype=self._hop_dtype),
         )
         self._fill_real_table(state, 0, self.path.tables[0], rows)
         return state
@@ -1105,6 +1242,7 @@ class IncompletenessJoin:
             )
             synth.counters = np.zeros(len(owners_syn), dtype=np.uint64)
             synth.codes[:, tf_idx] = tf_codes[owners_syn]
+            synth.hops |= self._hop_bit(slot)
             self._synthesize_table(synth, slot, new, acc)
             # The synthesized child's FK to its evidence parent is known.
             parent_keys = self._parent_keys_for(state, prev, fk.parent_column)
@@ -1153,6 +1291,7 @@ class IncompletenessJoin:
         if orphan.any():
             idx = np.flatnonzero(orphan)
             synth = state.take(idx)
+            synth.hops |= self._hop_bit(slot)
             self._synthesize_table(synth, slot, new, acc)
             from_synth = state.synthesized[idx]
             if from_synth.any():
@@ -1206,7 +1345,12 @@ class IncompletenessJoin:
             state.columns[f"{new}.{pk}"] = keys
         state.synthesized = np.ones(state.num_rows, dtype=bool)
         state.current_rows = np.full(state.num_rows, -1, dtype=np.int64)
+        state.hops = state.hops | self._hop_bit(slot)
         return state
+
+    def _hop_bit(self, slot: int):
+        """The hop-bits flag of a row in the synthesized part of ``slot``'s hop."""
+        return self._hop_dtype.type(1 << (slot - 1))
 
     def _key_tag(self, slot: int) -> np.uint64:
         """Per-slot lineage tag for key-derived shared-parent streams."""
@@ -1392,6 +1536,7 @@ class IncompletenessJoin:
             streams=state.streams[:0],
             counters=state.counters[:0],
             roots=state.roots[:0],
+            hops=state.hops[:0],
         )
 
     def _orphan_weight(self, fk) -> float:

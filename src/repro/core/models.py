@@ -196,10 +196,15 @@ class _HopSamplingAPI:
         prefix: np.ndarray,
         variable: int,
         context: Optional[np.ndarray] = None,
+        context_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``P(x_variable | earlier variables, context)`` for confidence."""
+        """``P(x_variable | earlier variables, context)`` for confidence.
+
+        ``context_ids`` (each row's root row) lets rows that share a root
+        and a prefix share one forward; see :meth:`sample_slot`.
+        """
         self._require_fitted()
-        return self._cond_probs(prefix, variable, context)
+        return self._cond_probs(prefix, variable, context, context_ids)
 
     def describe(self) -> str:
         return f"{self.kind.upper()}({self.layout.path})"

@@ -8,8 +8,9 @@ The fit-once/complete-once engine becomes a *live* one in three layers:
   database plus a :class:`MutationDelta` naming every changed row.
 * **invalidation** (:mod:`~repro.incremental.invalidation`) — maps a
   delta through a model's table closure onto the canonical chunk grid,
-  deciding per join signature whether nothing, a subset of root chunks,
-  or everything must be re-walked (:func:`plan_invalidation`).
+  deciding per join signature whether nothing, the updated root rows
+  (re-walked and spliced into their chunks), or everything must be
+  re-walked (:func:`plan_invalidation`).
 * **drift** (:mod:`~repro.incremental.drift`) — per-table encoded
   distribution summaries and a total-variation drift report that
   recommends ``skip`` / ``fine_tune`` / ``refit``.

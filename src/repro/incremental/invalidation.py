@@ -1,19 +1,23 @@
 """Map a :class:`~repro.incremental.mutations.MutationDelta` onto caches.
 
-Soundness argument (why chunk-granular invalidation is safe at all):
-chunk walks in :class:`~repro.core.IncompletenessJoin` slice root-table
-state strictly per row (codes, raw columns and RNG streams are functions
-of the root row index), while every whole-table structure a walk consults
-— the database's child indexes and key orders
+Soundness argument (why row-granular invalidation is safe at all): a walk
+in :class:`~repro.core.IncompletenessJoin` reads only its own row of the
+root table — its codes, raw columns and RNG streams are functions of the
+root row index and that row's values — while every whole-table
+structure a walk consults — the database's child indexes and key orders
 (:mod:`repro.relational.keys`), nearest-neighbour replacers, orphan
 weights, the SSAR forests' encoded evidence — derives from *non-root*
 path tables and the root's primary key only.  Updates never change a
 primary key, and every mutation builds a new database whose structures
-are built afresh, so no walk reads a stale one.  Dangling-FK resolution
-happens at assembly time over all parked states.  Hence:
+are built afresh, so no walk reads a stale one.  Each root row's walked
+rows, their order within the chunk (the join's walk order) and its
+synthesized tuples depend on that row alone, so a row is as safe a unit
+as a chunk.  Dangling-FK resolution happens at assembly time over all
+parked states.  Hence:
 
-* root-table **updates** invalidate exactly the chunks whose ``[start,
-  stop)`` covers an updated row position;
+* root-table **updates** make exactly the updated rows stale, in the
+  chunks whose ``[start, stop)`` covers them: those rows are re-walked
+  and spliced into the cached chunk output;
 * root-table **inserts/deletes** change the canonical chunk grid itself
   (and shift row→stream assignments), so every entry under the signature
   is stale;
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
-from ..runtime.rng import chunk_slices
 from .mutations import MutationDelta
 
 __all__ = ["Invalidation", "affected_tasks", "plan_invalidation"]
@@ -38,13 +41,15 @@ __all__ = ["Invalidation", "affected_tasks", "plan_invalidation"]
 class Invalidation:
     """What one delta means for one join signature's cached state.
 
-    ``kind`` is ``"none"`` (no eviction), ``"chunks"`` (evict only
-    ``tasks`` from the partial cache, plus any full join built from
-    them), or ``"all"`` (every entry under the signature is stale).
+    ``kind`` is ``"none"`` (no eviction), ``"chunks"`` (root ``rows``
+    are stale; ``tasks`` are the chunks that hold them, and any full join
+    built from them is stale too), or ``"all"`` (every entry under the
+    signature is stale).
     """
 
     kind: str
     tasks: FrozenSet[Tuple[int, int]] = frozenset()
+    rows: Tuple[int, ...] = ()
 
     @property
     def touches_cache(self) -> bool:
@@ -55,13 +60,13 @@ def affected_tasks(
     positions: Iterable[int], num_roots: int, chunk_size: int
 ) -> FrozenSet[Tuple[int, int]]:
     """Chunk-grid tasks whose row range covers any of ``positions``."""
-    slices = [(s.start, s.stop) for s in chunk_slices(num_roots, chunk_size)]
+    if chunk_size is None or chunk_size <= 0 or chunk_size >= num_roots:
+        chunk_size = max(num_roots, 1)  # as in chunk_slices: one chunk
     hit = set()
     for pos in positions:
-        for start, stop in slices:
-            if start <= pos < stop:
-                hit.add((start, stop))
-                break
+        if 0 <= pos < num_roots:
+            start = pos - pos % chunk_size
+            hit.add((start, min(start + chunk_size, num_roots)))
     return frozenset(hit)
 
 
@@ -89,7 +94,8 @@ def plan_invalidation(
     root_delta = delta.for_table(root_table)
     if not root_delta.grid_stable:
         return Invalidation("all")
-    tasks = affected_tasks(root_delta.updated_positions, num_roots, chunk_size)
+    rows = tuple(sorted(set(root_delta.updated_positions)))
+    tasks = affected_tasks(rows, num_roots, chunk_size)
     if not tasks:
         return Invalidation("none")
-    return Invalidation("chunks", tasks)
+    return Invalidation("chunks", tasks, rows)

@@ -36,7 +36,7 @@ class TableDelta:
     """Changed rows of one table, identified by primary-key value.
 
     ``updated_positions`` are the row positions (in the mutated table) of
-    the updated rows; they are only meaningful for chunk-granular
+    the updated rows; they are only meaningful for row-granular
     invalidation when the same table saw no inserts or deletes in the
     batch (otherwise positions shift and the grid changes anyway).
     """

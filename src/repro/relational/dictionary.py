@@ -21,12 +21,13 @@ import numpy as np
 
 #: Dictionary code dtypes, narrowest first.
 CODE_DTYPES = (np.dtype(np.int16), np.dtype(np.int32))
+_CODE_MAX = tuple((int(np.iinfo(dtype).max), dtype) for dtype in CODE_DTYPES)
 
 
 def code_dtype(vocab_size: int) -> np.dtype:
     """The narrowest code dtype that indexes ``vocab_size`` values."""
-    for dtype in CODE_DTYPES:
-        if vocab_size - 1 <= np.iinfo(dtype).max:
+    for largest, dtype in _CODE_MAX:
+        if vocab_size - 1 <= largest:
             return dtype
     return np.dtype(np.int64)
 
@@ -96,7 +97,10 @@ def concat_columns(parts: Sequence) -> Union[np.ndarray, DictColumn]:
     each part's codes are remapped into the union.  Any plain array among
     the parts decodes them all.
     """
-    if not all(isinstance(part, DictColumn) for part in parts):
+    is_dict = [isinstance(part, DictColumn) for part in parts]
+    if not any(is_dict):
+        return np.concatenate(parts)
+    if not all(is_dict):
         return np.concatenate([decoded(part) for part in parts])
     first = parts[0].vocab
     if all(part.vocab is first for part in parts):
@@ -108,6 +112,21 @@ def concat_columns(parts: Sequence) -> Union[np.ndarray, DictColumn]:
     return DictColumn(
         np.concatenate(codes).astype(code_dtype(len(vocab)), copy=False), vocab
     )
+
+
+def recode(column: DictColumn, vocab: np.ndarray) -> Optional[DictColumn]:
+    """``column``'s rows as codes into ``vocab``; None when ``vocab`` lacks
+    a value they use."""
+    if column.vocab is vocab:
+        return column
+    used = np.flatnonzero(np.bincount(column.codes, minlength=len(column.vocab)))
+    values = column.vocab[used].tolist()
+    position = dict(zip(vocab.tolist(), range(len(vocab))))
+    if not all(value in position for value in values):
+        return None
+    remap = np.zeros(len(column.vocab), dtype=code_dtype(len(vocab)))
+    remap[used] = [position[value] for value in values]
+    return DictColumn(remap[column.codes], vocab)
 
 
 def _unify(vocabs: List[np.ndarray]):
@@ -133,4 +152,5 @@ __all__ = [
     "decoded",
     "dictionary_encode",
     "object_array",
+    "recode",
 ]

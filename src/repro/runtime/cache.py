@@ -21,9 +21,12 @@ can size the cache against their workload.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -96,8 +99,16 @@ class PartialJoinCache:
     alone — no grid, bounds or fingerprints — so a warm hit does no grid
     work.  That is sound because a mutation can only change a model's grid
     by changing its root table, which is in the model's closure, so
-    :meth:`invalidate_delta` drops the memo anyway.  Chunk counters live in
-    :attr:`stats`, memo counters in :attr:`join_stats`.
+    :meth:`invalidate_delta` and :meth:`mark_stale` drop the memo anyway.
+    Chunk counters live in :attr:`stats`, memo counters in
+    :attr:`join_stats`.
+
+    A root-table update makes only its own root rows stale
+    (:meth:`mark_stale`): an unfiltered chunk entry keeps its output and
+    records those rows, so the caller re-walks just them and splices them
+    in (:meth:`stale_entry`, then :meth:`put`).  A stale entry is never
+    served: :meth:`lookup` counts it as a miss and skips it as a subset
+    candidate.
 
     Capacity is counted in entries, chunks and memos alike.  All operations
     are thread-safe: the completion service (:mod:`repro.serving`) answers
@@ -118,6 +129,8 @@ class PartialJoinCache:
         # base key (signature, grid, bounds) -> fingerprint sets present;
         # chunk entries only (memo keys carry ``None`` fingerprints)
         self._by_base: Dict[Hashable, Set[FrozenSet]] = {}
+        # base key -> sorted stale root rows of its unfiltered entry
+        self._stale: Dict[Hashable, np.ndarray] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -142,6 +155,8 @@ class PartialJoinCache:
         base = (signature, grid, task)
         with self._lock:
             candidates = self._by_base.get(base)
+            if candidates and base in self._stale:
+                candidates = candidates - {frozenset()}
             if candidates:
                 if fingerprints in candidates:
                     key = (base, fingerprints)
@@ -172,7 +187,66 @@ class PartialJoinCache:
         base = (signature, grid, task)
         with self._lock:
             self._by_base.setdefault(base, set()).add(fingerprints)
+            if not fingerprints:
+                self._stale.pop(base, None)
             self._store((base, fingerprints), output)
+
+    def stale_entry(
+        self, signature: Hashable, grid: Tuple, task: Tuple
+    ) -> Optional[Tuple[Any, np.ndarray]]:
+        """The stale unfiltered chunk for ``task`` and its stale root rows
+        (sorted), if any: a pure probe, no stats, no recency."""
+        base = (signature, grid, task)
+        with self._lock:
+            roots = self._stale.get(base)
+            if roots is None:
+                return None
+            return self._entries[(base, frozenset())], roots
+
+    def mark_stale(self, signature: Hashable, roots) -> int:
+        """Mark root rows ``roots`` stale after an in-place root update.
+
+        Each unfiltered chunk of ``signature`` whose bounds cover some of
+        them records them and keeps its output for a splice; the covering
+        chunks' pushed (fingerprinted) entries are evicted, and so is the
+        signature's memo.  Counted as the eviction of every entry that
+        could serve until now, marked or evicted (a marked entry serves
+        nobody until spliced), with one ``invalidation`` per counter set
+        the call touched; hit/miss history is untouched.
+
+        Returns the number of chunk entries that stopped serving.
+        """
+        rows = sorted(set(np.asarray(roots, dtype=np.int64).tolist()))
+        with self._lock:
+            marked = 0
+            victims = []
+            for base, fp_sets in self._by_base.items():
+                if base[0] != signature:
+                    continue
+                start, stop = base[2]
+                low, high = bisect_left(rows, start), bisect_left(rows, stop)
+                if low == high:
+                    continue
+                hit = np.array(rows[low:high], dtype=np.int64)
+                for fps in fp_sets:
+                    if fps:
+                        victims.append((base, fps))
+                    elif base in self._stale:
+                        self._stale[base] = np.union1d(self._stale[base], hit)
+                    else:
+                        self._stale[base] = hit
+                        marked += 1
+            for base, fps in victims:
+                del self._entries[(base, fps)]
+                self._by_base[base].discard(fps)
+                if not self._by_base[base]:
+                    del self._by_base[base]
+            stopped = marked + len(victims)
+            if stopped:
+                self.stats.evictions += stopped
+                self.stats.invalidations += 1
+            self._drop_memo(signature)
+            return stopped
 
     def get_join(self, signature: Hashable) -> Optional[Any]:
         """The memoized full join of ``signature``; counts a hit or a miss."""
@@ -211,7 +285,8 @@ class PartialJoinCache:
             remaining.discard(old_fps)
             if not remaining:
                 del self._by_base[old_base]
-            self.stats.evictions += 1
+            if old_fps or self._stale.pop(old_base, None) is None:
+                self.stats.evictions += 1  # a stale entry counted when marked
 
     def invalidate(self) -> None:
         """Drop every entry (models were re-fitted; everything is stale).
@@ -224,6 +299,7 @@ class PartialJoinCache:
                 self.join_stats.invalidations += 1
             self._entries.clear()
             self._by_base.clear()
+            self._stale.clear()
 
     def clear(self) -> None:
         """Drop every entry and zero both counter sets: a fresh cache in
@@ -232,44 +308,45 @@ class PartialJoinCache:
             self.invalidate()
             self.reset_stats()
 
-    def invalidate_delta(
-        self,
-        signature: Hashable,
-        tasks: Optional[FrozenSet[Tuple[int, int]]] = None,
-    ) -> int:
-        """Evict the entries a mutation delta made stale; count truthfully.
+    def invalidate_delta(self, signature: Hashable) -> int:
+        """Evict every entry of ``signature``; count truthfully.
 
-        Drops every chunk under ``signature`` whose bounds are in ``tasks``
-        — or *all* of the signature's chunks when ``tasks`` is ``None``
-        (grid change / non-root mutation) — and always the signature's
-        memo: any delta that touches the model makes the assembly stale,
-        even when none of its chunks are cached.  Entries for other
-        signatures, and hit/miss history, are untouched: each removal
-        increments ``evictions``, and each counter set counts one
+        For a mutation that changes the grid or whole-table state (a root
+        insert/delete, a non-root table in the model's closure): every
+        chunk under ``signature`` and its memo go.  Entries for other
+        signatures, and hit/miss history, are untouched: each removal of
+        an entry that could serve increments ``evictions`` (a stale one
+        was counted when marked), and each counter set counts one
         ``invalidation`` when the call dropped something of its kind
         (counters must never silently reset here).
 
-        Returns the number of chunk entries evicted.
+        Returns the number of chunk entries that stopped serving.
         """
         with self._lock:
             victims = [
                 (base, fps)
                 for base, fp_sets in self._by_base.items()
                 if base[0] == signature
-                and (tasks is None or base[2] in tasks)
                 for fps in fp_sets
             ]
             for key in victims:
                 del self._entries[key]
+            stale = 0
             for base in {base for base, _ in victims}:
                 del self._by_base[base]
-            if victims:
-                self.stats.evictions += len(victims)
+                stale += self._stale.pop(base, None) is not None
+            stopped = len(victims) - stale
+            if stopped:
+                self.stats.evictions += stopped
                 self.stats.invalidations += 1
-            if self._entries.pop(_memo_key(signature), None) is not None:
-                self.join_stats.evictions += 1
-                self.join_stats.invalidations += 1
-            return len(victims)
+            self._drop_memo(signature)
+            return stopped
+
+    def _drop_memo(self, signature: Hashable) -> None:
+        """Evict ``signature``'s memo, counted (caller holds the lock)."""
+        if self._entries.pop(_memo_key(signature), None) is not None:
+            self.join_stats.evictions += 1
+            self.join_stats.invalidations += 1
 
     def reset_stats(self) -> None:
         with self._lock:

@@ -31,11 +31,18 @@ TAG_KEY = np.uint64(0xC2B2AE3D27D4EB4F)      # shared parent keyed by a dangling
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 arrays."""
-    z = (z + _GOLDEN).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(30))) * _MIX1).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(27))) * _MIX2).astype(np.uint64)
-    return (z ^ (z >> np.uint64(31))).astype(np.uint64)
+    """Vectorized splitmix64 finalizer over uint64 arrays.
+
+    One new array (the sum); every later step works in place on it.
+    Array arithmetic wraps modulo 2**64 without a warning.
+    """
+    z = np.add(z, _GOLDEN, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def fold_seed(seed: int) -> np.uint64:

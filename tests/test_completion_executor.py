@@ -12,6 +12,10 @@ canonical chunk grid.  Contracts under test:
   on every backend;
 * a recompletion over non-adjacent missing chunks between cached ones
   equals a from-scratch run;
+* after an in-place root update only the updated root rows are walked,
+  and splicing them into the cached chunk outputs gives bitwise the fresh
+  walk of each chunk, side state and row order included; nothing answers
+  from a stale chunk in between;
 * ``recomplete`` and ``answer`` provenance is truthful for memoized joins
   and never rewrites results already returned.
 """
@@ -29,7 +33,10 @@ from repro.core import (
     SamplingBudget,
 )
 from repro.core.engine import GRID_CHUNKS
-from repro.core.incompleteness_join import _PassAccumulator
+from repro.core.incompleteness_join import (
+    _PassAccumulator,
+    splice_chunk_outputs,
+)
 from repro.datasets import HousingConfig, generate_housing
 from repro.encoding import TableEncoder
 from repro.experiments import joins_bitwise_identical
@@ -108,15 +115,41 @@ def _spans(tracer, name):
 
 
 def _assert_states_equal(a, b):
+    """Two walk states, field by field, in order and dtype; dictionary
+    columns by codes and vocabulary."""
     for field in ("codes", "weights", "synthesized", "current_rows",
-                  "streams", "counters", "roots"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                  "streams", "counters", "roots", "hops"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
     assert (a.context is None) == (b.context is None)
     if a.context is not None:
         assert np.array_equal(a.context, b.context)
-    assert set(a.columns) == set(b.columns)
-    for name in a.columns:
-        assert np.array_equal(a.columns[name], b.columns[name]), name
+    assert list(a.columns) == list(b.columns)
+    for name, x in a.columns.items():
+        y = b.columns[name]
+        assert type(x) is type(y), name
+        if isinstance(x, DictColumn):
+            assert x.codes.dtype == y.codes.dtype, name
+            assert np.array_equal(x.codes, y.codes), name
+            assert np.array_equal(x.vocab, y.vocab), name
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _assert_outputs_equal(a, b):
+    """Two chunk outputs: rows, parked rows per slot and side state."""
+    _assert_states_equal(a.state, b.state)
+    assert sorted(a.acc.parked) == sorted(b.acc.parked)
+    for slot, parked in b.acc.parked.items():
+        assert len(a.acc.parked[slot]) == len(parked)
+        for x, y in zip(a.acc.parked[slot], parked):
+            _assert_states_equal(x, y)
+    assert a.acc.num_synth == b.acc.num_synth
+    assert sorted(a.acc.issued_ids) == sorted(b.acc.issued_ids)
+    for table, ids in b.acc.issued_ids.items():
+        assert len(a.acc.issued_ids[table]) == len(ids)
+        for x, y in zip(a.acc.issued_ids[table], ids):
+            assert x.dtype == y.dtype and np.array_equal(x, y), table
 
 
 class TestOnePassWalk:
@@ -150,18 +183,7 @@ class TestOnePassWalk:
         assert any(o.acc.parked for o in together)  # dangling branch on
         for task, output in zip(grid, together):
             [solo] = join.walk_chunks([task])
-            _assert_states_equal(output.state, solo.state)
-            assert set(output.acc.parked) == set(solo.acc.parked)
-            for slot, parked in solo.acc.parked.items():
-                assert len(output.acc.parked[slot]) == len(parked)
-                for a, b in zip(output.acc.parked[slot], parked):
-                    _assert_states_equal(a, b)
-            assert output.acc.num_synth == solo.acc.num_synth
-            assert set(output.acc.issued_ids) == set(solo.acc.issued_ids)
-            for table, ids in solo.acc.issued_ids.items():
-                assert len(output.acc.issued_ids[table]) == len(ids)
-                for a, b in zip(output.acc.issued_ids[table], ids):
-                    assert np.array_equal(a, b)
+            _assert_outputs_equal(output, solo)
 
     @pytest.mark.parametrize("fitted", ["dangling", "movies"])
     def test_walk_states_hold_no_objects(self, request, fitted):
@@ -358,7 +380,8 @@ class TestRecompletion:
         walked = warm.recompletion["chunks_walked"]
         total = len(engine._grid(model))
         assert walked == total if write == "insert_delete" else 0 < walked < total
-        assert len(outputs) == walked
+        # One output per walked chunk; an update walks its two rows alone.
+        assert len(outputs) == (walked if write == "insert_delete" else 2)
         for output in outputs:
             written = output.state.columns[f"{table_name}.{column}"]
             assert isinstance(written, DictColumn)
@@ -435,3 +458,165 @@ class TestRecompletion:
         }
         assert second.completed.result is first.completed.result
         assert first.completed.recompletion["chunks_walked"] == total
+
+
+@pytest.fixture
+def refresh_engine():
+    """Live refresh's set-up in small: only apartments are incomplete, so
+    landlords root the fan-out path landlord -> apartment (16 chunks of
+    7-8 roots)."""
+    db = generate_housing(HousingConfig(seed=0, num_neighborhoods=48,
+                                        num_landlords=120,
+                                        apartments_per_neighborhood=6.0))
+    dataset = make_incomplete(
+        db, [RemovalSpec("apartment", "price", 0.5, 0.4)],
+        tf_keep_rate=0.3, seed=1,
+    )
+    return make_engine(dataset)
+
+
+def _update_roots(engine, model, rng, count, column=None, value=None):
+    """Update ``count`` seeded root rows of ``model`` in place, a
+    continuous column by +1 unless ``column`` and ``value`` are given;
+    returns the rows (sorted) and the delta."""
+    root = model.layout.path.tables[0]
+    table = engine.db.table(root)
+    pk = table.primary_key
+    if column is None:
+        column = next(c for c in table.modelable_columns()
+                      if table.meta(c).kind == ColumnKind.CONTINUOUS)
+    rows = np.sort(rng.choice(len(table), size=count, replace=False))
+    values = table[column]
+    delta = engine.apply_mutations(updates={root: [
+        {pk: int(table[pk][r]),
+         column: float(values[r]) + 1.0 if value is None else value}
+        for r in rows.tolist()
+    ]})
+    return rows, delta
+
+
+class TestRowSplice:
+    @pytest.mark.parametrize("case", [
+        "refresh-ar", "refresh-ssar", "movies", "vocabulary"])
+    def test_spliced_chunks_equal_fresh_walks(self, request, case):
+        """Seeded update batches: each stale chunk's cached output, with
+        its updated roots re-walked and spliced in, is the fresh walk of
+        the chunk on the mutated database, field by field and in order.
+        ``vocabulary`` writes a new string into seeded root rows, so the
+        root table's vocabulary (and its order) changes and the kept rows'
+        codes must move into the fresh walk's."""
+        if case == "movies":
+            dataset = registry.make_scenario_dataset(
+                "movies/M5", keep_rate=0.5, seed=1, scale=0.1)
+            engine = make_engine(dataset)
+            model = _model(engine, ("actor", "movie_actor", "movie",
+                                    "movie_company", "company"))
+        else:
+            engine = request.getfixturevalue("refresh_engine")
+            tables, kind = (("neighborhood", "apartment"), "ar") \
+                if case == "vocabulary" \
+                else (("landlord", "apartment"), case.split("-")[1])
+            model = next(m for m in engine.fitted_models().values()
+                         if m.layout.path.tables == tables and m.kind == kind)
+        grid = engine._grid(model)
+        rng = np.random.default_rng(29)
+        parked = 0
+        for batch in range(3):
+            old = IncompletenessJoin(model, seed=7).walk_chunks(list(grid))
+            if case == "vocabulary":
+                rows, _ = _update_roots(
+                    engine, model, rng, len(grid) // 2, column="state",
+                    value=f"Treehouse {batch}")
+            else:
+                rows, _ = _update_roots(engine, model, rng, len(grid) // 2)
+            join = IncompletenessJoin(model, seed=7)
+            fresh = join.walk_chunks([(r, r + 1) for r in rows.tolist()])
+            scratch = join.walk_chunks(list(grid))
+            stale = [i for i, (start, stop) in enumerate(grid)
+                     if ((rows >= start) & (rows < stop)).any()]
+            spliced = splice_chunk_outputs(
+                [grid[i] for i in stale], [old[i] for i in stale], fresh, rows)
+            assert len(spliced) == len(stale)
+            for i, output in zip(stale, spliced):
+                _assert_outputs_equal(output, scratch[i])
+                parked += sum(s.num_rows for states in output.acc.parked.values()
+                              for s in states)
+        if case == "movies":
+            assert parked  # the dangling branch was spliced too
+
+    def test_update_walks_and_encodes_only_its_rows(self, refresh_engine,
+                                                    tracer, monkeypatch):
+        """An update-only write walks exactly its updated root rows, one
+        single-root task each, in one walk; the root encoder sees just
+        those rows; the spliced chunks count as walked."""
+        engine = refresh_engine
+        model = engine._default_model()
+        assert model.layout.path.tables == ("landlord", "apartment")
+        engine.recomplete()
+        rows, delta = _update_roots(engine, model, np.random.default_rng(3), 3)
+        walk_chunks = IncompletenessJoin.walk_chunks
+        walked = []
+
+        def recording(self, tasks, *args, **kwargs):
+            walked.append(list(tasks))
+            return walk_chunks(self, tasks, *args, **kwargs)
+
+        encoder = model.layout.encoders["landlord"]
+        encoded = []
+        encode = encoder.encode_columns
+
+        def counting(columns):
+            encoded.append(len(next(iter(columns.values()))))
+            return encode(columns)
+
+        grid = engine._grid(model)
+        stale = {i for i, (start, stop) in enumerate(grid)
+                 for r in rows if start <= r < stop}
+        with monkeypatch.context() as patched:
+            patched.setattr(IncompletenessJoin, "walk_chunks", recording)
+            patched.setattr(encoder, "encode_columns", counting)
+            tracer.clear()
+            warm = engine.recomplete(delta)
+        assert walked == [[(r, r + 1) for r in rows.tolist()]]
+        assert encoded == [len(rows)]
+        assert warm.recompletion == {
+            "chunks_total": len(grid), "chunks_walked": len(stale),
+            "chunks_cached": len(grid) - len(stale),
+        }
+        [step] = _spans(tracer, "engine.complete")
+        assert step.attrs["roots_walked"] == len(rows)
+        engine.clear_cache()
+        scratch = engine.recomplete()
+        assert scratch.recompletion["chunks_walked"] == len(grid)
+        assert joins_bitwise_identical(warm, scratch)
+
+    def test_no_answer_reads_a_stale_chunk(self, refresh_engine):
+        """Pushed answers and progressive runs issued between
+        ``apply_mutations`` and ``recomplete`` equal a from-scratch
+        engine's, while the updated rows are stale in the cache."""
+        engine = refresh_engine
+        queries = [parse_query(sql) for sql in (
+            "SELECT COUNT(*) FROM landlord NATURAL JOIN apartment "
+            "WHERE landlord_since >= 2013 GROUP BY landlord_since;",
+            "SELECT AVG(price) FROM landlord NATURAL JOIN apartment "
+            "GROUP BY landlord_since;",
+        )]
+        budget = SamplingBudget(initial_chunks=2, max_chunks=4)
+
+        def answers():
+            return [
+                (engine.answer(query, pushdown=True).result.values,
+                 [r.result.values for r in engine.answer_progressive(
+                     query, budget=budget)])
+                for query in queries
+            ]
+
+        answers()  # every chunk cached, pushed ones too, then a write
+        model = engine._default_model()
+        engine.recomplete()
+        _update_roots(engine, model, np.random.default_rng(5), 6,
+                      column="landlord_since")
+        assert engine.partial_cache._stale
+        between = answers()
+        engine.clear_cache()
+        assert between == answers()

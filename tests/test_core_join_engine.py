@@ -32,6 +32,7 @@ from repro.datasets import (
 from repro.errors import QueryValidationError
 from repro.incomplete import RemovalSpec, make_incomplete, registry
 from repro.metrics import bias_reduction, cardinality_correction
+from repro.obs import profile_kernels
 from repro.nn import TrainConfig
 from repro.relational import CompletionPath, enumerate_completion_paths
 from repro.query import (
@@ -495,6 +496,29 @@ class TestConfidence:
         total = est.total("price")
         weight_sum = completed.result.effective_weights().sum()
         assert total.estimate == pytest.approx(avg.estimate * weight_sum)
+
+    def test_ssar_band_forwards_each_root_prefix_once(self, housing_engine):
+        """An in-RAM join keeps its rows' root rows, so the estimator hands
+        them to ``conditional_probs`` as context ids: rows sharing a root
+        and a prefix share one forward, and the distributions keep their
+        bits."""
+        _, _, engine = housing_engine
+        model = next(m for m in engine.fitted_models().values()
+                     if m.kind == "ssar")
+        completed = engine.completed_join(model)
+        assert completed.roots is not None
+        assert len(completed.roots) == completed.num_rows
+        estimator = ConfidenceEstimator(model, completed)
+        variable = estimator._variable_index("price")
+        with profile_kernels() as profiler:
+            band = estimator.average("price")
+        kernels = profiler.snapshot()
+        assert band.lower <= band.estimate <= band.upper
+        assert kernels["made.distinct"]["rows"] < kernels["made.row_steps"]["rows"]
+        synth = completed.target_synthesized()
+        p_model, _ = estimator._per_tuple_distributions(variable)
+        assert np.array_equal(p_model, model.conditional_probs(
+            completed.codes[synth], variable, context=completed.context[synth]))
 
     def test_synthesis_ratio(self, synthetic_engineless):
         _, dataset, model = synthetic_engineless

@@ -8,9 +8,9 @@ Four rings, cheapest first:
   :class:`~repro.errors.MutationError`, never a raw ``KeyError``);
 * **invalidation planning** — the delta → affected-chunk calculus, pure
   (no engine, no caches);
-* **cache truthfulness** — ``invalidate_delta`` on a real
-  :class:`PartialJoinCache` must *count* its evictions (the PR 4
-  regression class: partial invalidation silently resetting counters);
+* **cache truthfulness** — ``mark_stale`` and ``invalidate_delta`` on a
+  real :class:`PartialJoinCache` must *count* their evictions (partial
+  invalidation must never silently reset counters);
 * **engine + artifacts** (``slow``) — ``apply_mutations`` /
   ``recomplete`` / ``check_drift`` / ``fine_tune`` on a fitted engine,
   and artifact lineage (parent digest + delta metadata, taxonomy errors
@@ -239,6 +239,7 @@ class TestInvalidationPlanning:
         plan = self._plan(delta)
         assert plan.kind == "chunks"
         assert plan.tasks == frozenset({(0, 10), (40, 50)})
+        assert plan.rows == (4, 41)  # only the updated rows are stale
         assert plan.touches_cache
 
     def test_root_insert_or_delete_invalidate_all(self):
@@ -287,21 +288,44 @@ class TestPartialCacheInvalidation:
         return cache
 
     def test_task_scoped_eviction_counts_and_spares_others(self):
+        """A root update marks its rows stale in the covering chunk only.
+        The unfiltered entry stays for a splice but serves nobody: every
+        lookup of it counts a miss, as a subset candidate too, and it
+        counts as evicted, like the chunk's pushed entries that go."""
         cache = self._seeded()
+        cache.put(self.SIG, self.GRID, (10, 20), frozenset({"f"}), "pushed")
+        assert len(cache) == 7
+        marked = cache.mark_stale(self.SIG, [15, 12, 15])
+        assert marked == 2  # the unfiltered entry marked, the pushed one gone
         assert len(cache) == 6
-        evicted = cache.invalidate_delta(self.SIG, tasks={(10, 20)})
-        assert evicted == 1
-        assert len(cache) == 5
         # Counters reflect the eviction — not a silent reset (the PR 4
         # regression class).
-        assert cache.stats.evictions == 1
+        assert cache.stats.evictions == 2
         assert cache.stats.invalidations == 1
+        output, roots = cache.stale_entry(self.SIG, self.GRID, (10, 20))
+        assert output == f"{self.SIG}:{(10, 20)}"
+        assert roots.tolist() == [12, 15]
+        misses = cache.stats.misses
+        assert cache.lookup(self.SIG, self.GRID, (10, 20), frozenset()) is None
+        assert cache.lookup(
+            self.SIG, self.GRID, (10, 20), frozenset({"f"})) is None
+        assert cache.stats.misses == misses + 2
         # untouched chunks of the same signature still serve
         assert cache.lookup(self.SIG, self.GRID, (0, 10), frozenset()) is not None
-        assert cache.lookup(self.SIG, self.GRID, (10, 20), frozenset()) is None
+        assert cache.stale_entry(self.SIG, self.GRID, (0, 10)) is None
         # the other signature is entirely unaffected
         for task in self.GRID:
             assert cache.lookup(self.OTHER, self.GRID, task, frozenset()) is not None
+            assert cache.stale_entry(self.OTHER, self.GRID, task) is None
+        # more stale rows accumulate, counted once; a splice makes it clean
+        assert cache.mark_stale(self.SIG, [11]) == 0
+        assert cache.stats.evictions == 2
+        assert cache.stale_entry(
+            self.SIG, self.GRID, (10, 20))[1].tolist() == [11, 12, 15]
+        cache.put(self.SIG, self.GRID, (10, 20), frozenset(), "spliced")
+        assert cache.stale_entry(self.SIG, self.GRID, (10, 20)) is None
+        assert cache.lookup(self.SIG, self.GRID, (10, 20), frozenset()) == (
+            "spliced", frozenset())
 
     def test_delta_drops_the_signature_memo(self):
         """Any delta that touches a model makes its assembled join stale,
@@ -309,8 +333,8 @@ class TestPartialCacheInvalidation:
         cache = self._seeded()
         for sig in (self.SIG, self.OTHER):
             cache.put_join(sig, f"{sig}:full")
-        evicted = cache.invalidate_delta(self.SIG, tasks={(10, 20)})
-        assert evicted == 1  # chunk entries only
+        marked = cache.mark_stale(self.SIG, [15])
+        assert marked == 1  # chunk entries only
         assert not cache.has_join(self.SIG)
         assert cache.join_stats.evictions == 1
         assert cache.join_stats.invalidations == 1
@@ -319,13 +343,13 @@ class TestPartialCacheInvalidation:
             assert cache.lookup(self.SIG, self.GRID, task, frozenset()) is not None
         # a delta on no cached chunk still drops the memo
         cache.put_join(self.SIG, f"{self.SIG}:full")
-        assert cache.invalidate_delta(self.SIG, tasks={(999, 1000)}) == 0
+        assert cache.mark_stale(self.SIG, [999]) == 0
         assert not cache.has_join(self.SIG)
         assert cache.join_stats.invalidations == 2
 
     def test_signature_scoped_eviction(self):
         cache = self._seeded()
-        evicted = cache.invalidate_delta(self.SIG, tasks=None)
+        evicted = cache.invalidate_delta(self.SIG)
         assert evicted == 3
         assert cache.stats.evictions == 3
         for task in self.GRID:
@@ -336,16 +360,42 @@ class TestPartialCacheInvalidation:
         cache = self._seeded()
         cache.lookup(self.SIG, self.GRID, (0, 10), frozenset())   # hit
         before = cache.stats.hits
-        cache.invalidate_delta(self.SIG, tasks={(0, 10)})
+        cache.mark_stale(self.SIG, [3])
+        assert cache.stats.hits == before  # marking never rewrites history
+        cache.invalidate_delta(self.SIG)
         assert cache.stats.hits == before  # eviction never rewrites history
 
     def test_unknown_signature_or_task_is_a_counted_no_op(self):
         cache = self._seeded()
-        assert cache.invalidate_delta(("missing",), tasks=None) == 0
-        assert cache.invalidate_delta(self.SIG, tasks={(999, 1000)}) == 0
+        assert cache.invalidate_delta(("missing",)) == 0
+        assert cache.mark_stale(("missing",), [3]) == 0
+        assert cache.mark_stale(self.SIG, [999]) == 0
         assert cache.stats.evictions == 0
         assert cache.stats.invalidations == 0
         assert len(cache) == 6
+
+    def test_stale_marks_go_with_their_entries_counted_once(self):
+        """A stale entry counts as evicted when marked, and not again when
+        an eviction or an invalidation removes it and its mark."""
+        cache = self._seeded()
+        cache.mark_stale(self.SIG, [15])
+        assert cache.stats.evictions == 1
+        assert cache.invalidate_delta(self.SIG) == 2
+        assert cache.stats.evictions == 3
+        assert cache.stats.invalidations == 2
+        for task in self.GRID:
+            assert cache.stale_entry(self.SIG, self.GRID, task) is None
+        cache = PartialJoinCache(capacity=2)
+        cache.put(self.SIG, self.GRID, (0, 10), frozenset(), "a")
+        cache.mark_stale(self.SIG, [4])
+        cache.put(self.SIG, self.GRID, (10, 20), frozenset(), "b")
+        cache.put(self.SIG, self.GRID, (20, 30), frozenset(), "c")
+        assert cache.stats.evictions == 1  # the marked entry left the LRU
+        assert cache.stale_entry(self.SIG, self.GRID, (0, 10)) is None
+        cache.put(self.SIG, self.GRID, (0, 10), frozenset(), "a")
+        assert cache.stats.evictions == 2  # "b" left, counted
+        assert cache.lookup(self.SIG, self.GRID, (0, 10), frozenset()) == (
+            "a", frozenset())
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +488,9 @@ class TestEngineIncremental:
         assert (again.recompletion["chunks_walked"]
                 + again.recompletion["chunks_cached"]
                 == again.recompletion["chunks_total"])
-        # Only the walked chunk's root rows are gathered and encoded.
+        # Only the updated root row is gathered and encoded, not its chunk.
         start, stop = engine._grid(model)[0]
-        assert encoded == [stop - start] and stop - start < len(tbl)
+        assert encoded == [1] and 1 < stop - start < len(tbl)
 
     def test_fine_tune_is_digest_gated(self, fitted_engine, tmp_path):
         engine = ReStore.load(self._artifact(fitted_engine, tmp_path))

@@ -1047,8 +1047,8 @@ class TestJoinCache:
 
     def test_threads_share_one_bound(self):
         """Chunks and memos from many threads under one lock: the bound
-        holds, no request goes uncounted, and the chunk index matches the
-        chunk entries exactly."""
+        holds, no request goes uncounted, the chunk index matches the
+        chunk entries exactly, and every stale mark has its entry."""
         capacity, n_threads, per_thread = 6, 8, 1000
         grid = tuple((i, i + 1) for i in range(4))
         cache = PartialJoinCache(capacity=capacity)
@@ -1064,7 +1064,7 @@ class TestJoinCache:
                 cache.get_join(("sig", i % 3))
                 cache.lookup(sig, grid, task, frozenset())
                 if i % 50 == 0:
-                    cache.invalidate_delta(sig, frozenset({task}))
+                    cache.mark_stale(sig, [task[0]])
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1085,6 +1085,7 @@ class TestJoinCache:
         indexed = {(base, fps) for base, fp_sets in cache._by_base.items()
                    for fps in fp_sets}
         assert chunk_keys == indexed
+        assert {(base, frozenset()) for base in cache._stale} <= chunk_keys
 
 
 @pytest.mark.slow

@@ -906,9 +906,9 @@ class TestSpilledJoin:
     def test_spilled_backends_write_the_same_result_files(
         self, scale_join_setup, tmp_path
     ):
-        """Serial walks append straight to the result store and pool walks
-        through chunk files; the result files are the same bytes, and a
-        run leaves nothing else."""
+        """Every backend's chunk outputs are appended to the result store
+        on the caller's thread as the executor yields them; the result
+        files are the same bytes, and a run leaves nothing else."""
         _, mapped_model = scale_join_setup
         files = {}
         for backend in ("serial", "thread", "process"):
