@@ -5,12 +5,14 @@ Walks the mutation → recompletion → fine-tune → hot-swap story end to end:
 1. fit a completion engine on a biased housing dataset and save the
    fitted state as a **v1 artifact**,
 2. apply live mutations (``apply_mutations``: inserts, in-place updates,
-   cascading deletes) — the engine maps the resulting
-   :class:`~repro.incremental.MutationDelta` through the relationship
-   graph and evicts only the affected chunks,
-3. ``recomplete(delta)`` — re-walk just those chunks; the rest of the
-   completed join reassembles from the partial cache, bitwise-identical
-   to a from-scratch run at the same seed,
+   cascading deletes) — the engine checks the resulting
+   :class:`~repro.incremental.MutationDelta` against each model's
+   relationship closure and marks just the updated root rows stale in
+   the chunks that hold them,
+3. ``recomplete(delta)`` — re-walk just those rows and splice them into
+   their cached chunks; the rest of the completed join reassembles from
+   the partial cache, bitwise-identical to a from-scratch run at the
+   same seed,
 4. ``check_drift`` / ``fine_tune`` — compare today's encoded
    distributions against the fit baseline and warm-start re-train only
    when the digest actually moved,
@@ -61,8 +63,9 @@ def mutate_and_recomplete(engine: ReStore):
     cold = engine.recomplete()
     total = cold.recompletion["chunks_total"]
 
-    # in-place updates keep the chunk grid stable, so invalidation stays
-    # local: only the chunks covering the mutated rows are evicted
+    # in-place root updates keep the chunk grid stable, so invalidation
+    # stays local: the updated rows are marked stale and their chunks stay
+    # cached, to be re-walked row by row and spliced
     landlord = engine.db.table("landlord")
     delta = engine.apply_mutations(
         updates={"landlord": [

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import QueryValidationError
+from ..errors import ConfigurationError, QueryValidationError
 from ..incomplete import IncompleteDataset
 from ..obs import trace
 from ..runtime import CacheStats, PartialCacheStats, PartialJoinCache
@@ -110,12 +110,14 @@ class ReStoreConfig:
 
     def __post_init__(self) -> None:
         if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {self.parallel_backend!r}"
+            raise ConfigurationError(
+                f"ReStoreConfig.parallel_backend must be one of "
+                f"{PARALLEL_BACKENDS}, got {self.parallel_backend!r}"
             )
         if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+            raise ConfigurationError(
+                f"ReStoreConfig.n_workers must be >= 1, got {self.n_workers}"
+            )
 
 
 @dataclass
@@ -470,8 +472,9 @@ class ReStore:
         """The canonical ``(start, stop)`` chunk grid of ``model``'s join.
 
         Chunks of ``chunk_size`` root rows, else about :data:`GRID_CHUNKS`
-        chunks.  Chunk bounds key the partial cache and delta invalidation;
-        how many chunks one walk pass covers is the join's business.
+        chunks.  Chunk bounds key the partial cache, whose keys alone say
+        which chunk holds a stale root row; how many chunks one walk pass
+        covers is the join's business.
         """
         num_roots = len(self.db.table(model.layout.path.tables[0]))
         chunk_size = self.config.chunk_size
@@ -675,10 +678,12 @@ class ReStore:
         re-anchors every fitted model on the mutated rows (layouts and
         evidence forests keep their fit-time structure — codecs, variable
         vocabularies and trained parameters are untouched), and drops
-        exactly the cached state the delta made stale: an in-place root
-        update marks its root rows stale in the chunks that hold them, so
-        a following :meth:`recomplete` re-walks only those rows; untouched
-        chunks keep serving from the partial cache.
+        exactly the cached state the delta made stale
+        (:meth:`_invalidate_for_delta`): an in-place root update marks its
+        root rows stale in the chunks that hold them, so a following
+        :meth:`recomplete` re-walks only those rows; untouched chunks keep
+        serving from the partial cache.  This is the only place a write
+        invalidates.
         """
         from ..incremental.mutations import apply_mutations as apply_to_db
 
@@ -706,17 +711,16 @@ class ReStore:
         the root row index, so untouched chunks coming from the partial
         cache are exactly what a fresh walk would produce, and so are the
         chunks whose updated root rows are re-walked and spliced in.
-        Passing the ``delta`` re-applies its (idempotent) invalidation,
-        making the call safe even if the caller evicted nothing
-        beforehand.
+
+        The call only reads: :meth:`apply_mutations` already dropped what
+        its write made stale.  ``delta``, the value that call returned, is
+        accepted for callers that pass it back and has no effect.
 
         Chunk-level provenance of *this* call is attached as
         ``completed.recompletion`` (``chunks_total`` / ``chunks_walked`` /
         ``chunks_cached``; a spliced chunk counts as walked), as
         :meth:`completed_join` reports it.
         """
-        if delta is not None:
-            self._invalidate_for_delta(delta)
         return self.completed_join(
             model if model is not None else self._default_model()
         )
@@ -804,26 +808,48 @@ class ReStore:
                 rebound_forests.add(id(forest))
 
     def _invalidate_for_delta(self, delta: "MutationDelta") -> None:
-        """Drop exactly the cached state ``delta`` made stale: updated root
-        rows are marked stale in their chunks, any other change to a
-        model's closure evicts its entries."""
-        from ..incremental.invalidation import plan_invalidation
+        """Drop exactly the cached state ``delta`` made stale, per model.
 
+        * a delta touching no table of the model's closure (path tables
+          plus SSAR evidence walks) leaves its entries alone;
+        * in-place updates of root rows only (``TableDelta.grid_stable``)
+          make exactly those rows stale: :meth:`PartialJoinCache.mark_stale`
+          marks them in the chunks that cover them, to be re-walked and
+          spliced into the cached chunk outputs;
+        * anything else — a root insert or delete, which changes the
+          canonical grid and shifts row→stream assignments, or a write to
+          a non-root closure table, which changes whole-table state every
+          chunk consults — drops every entry under the model's signature.
+
+        Why a root row is a sound unit: a walk in
+        :class:`~repro.core.IncompletenessJoin` reads only its own row of
+        the root table — its codes, raw columns and RNG streams are
+        functions of the root row index and that row's values — while
+        every whole-table structure a walk consults (the database's child
+        indexes and key orders in :mod:`repro.relational.keys`,
+        nearest-neighbour replacers, orphan weights, the SSAR forests'
+        encoded evidence) derives from non-root path tables and the
+        root's primary key only.  Updates never change a primary key, and
+        every mutation builds a new database whose structures are built
+        afresh, so no walk reads a stale one.  Each root row's walked
+        rows, their place in the chunk (the join's walk order) and its
+        synthesized tuples depend on that row alone; dangling-FK
+        resolution happens at assembly time over all parked states.
+        """
+        touched = set(delta.affected_tables())
         for model in self._models.values():
-            grid = self._grid(model)
-            plan = plan_invalidation(
-                delta,
-                root_table=model.layout.path.tables[0],
-                closure_tables=self._model_closure(model),
-                num_roots=grid[-1][1],
-                chunk_size=grid[0][1],  # the first chunk is [0, chunk size)
-            )
-            if plan.kind == "chunks":
+            reach = touched & self._model_closure(model)
+            if not reach:
+                continue
+            root = model.layout.path.tables[0]
+            root_delta = delta.for_table(root)
+            signature = self.join_signature(model)
+            if reach == {root} and root_delta.grid_stable:
                 self.partial_cache.mark_stale(
-                    self.join_signature(model), plan.rows
+                    signature, root_delta.updated_positions
                 )
-            elif plan.touches_cache:
-                self.partial_cache.invalidate_delta(self.join_signature(model))
+            else:
+                self.partial_cache.invalidate_delta(signature)
 
     def _database_digest(self) -> str:
         from ..serving.artifacts import database_digest

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..errors import ConfigurationError
 from ..query import Query, QueryResult
 from .confidence import ConfidenceBand
 
@@ -43,11 +44,19 @@ class SamplingBudget:
 
     def __post_init__(self) -> None:
         if self.initial_chunks < 1:
-            raise ValueError("initial_chunks must be >= 1")
+            raise ConfigurationError(
+                f"SamplingBudget.initial_chunks must be >= 1, "
+                f"got {self.initial_chunks}"
+            )
         if self.growth < 1.0:
-            raise ValueError("growth must be >= 1.0")
+            raise ConfigurationError(
+                f"SamplingBudget.growth must be >= 1.0, got {self.growth}"
+            )
         if self.max_chunks is not None and self.max_chunks < 1:
-            raise ValueError("max_chunks must be >= 1 or None")
+            raise ConfigurationError(
+                f"SamplingBudget.max_chunks must be >= 1 or None, "
+                f"got {self.max_chunks}"
+            )
 
     def schedule(self, total_chunks: int) -> List[int]:
         """Cumulative chunk counts of each refinement for a grid of

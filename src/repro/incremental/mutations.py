@@ -5,8 +5,8 @@ takes row-level inserts, updates and deletes, validates them against the
 schema (every violation raises :class:`~repro.errors.MutationError`, never
 a raw ``KeyError``), applies them copy-on-write, and returns the mutated
 database together with a :class:`MutationDelta` that names every changed
-row per table.  The delta is what the cache-invalidation layer
-(:mod:`repro.incremental.invalidation`) consumes.
+row per table.  The delta is what the engine's cache invalidation
+(:meth:`repro.ReStore.apply_mutations`) consumes.
 
 Ordering semantics within one batch: updates first (row positions stay
 stable), then inserts (appended in input order), then deletes (cascading

@@ -223,8 +223,7 @@ class _WorkerClient:
         self.reader_task: Optional["asyncio.Task"] = None
         self.queue: deque = deque()          # routed, not yet on the wire
         self.inflight: Dict[int, _Pending] = {}
-        self.stats_waiters: Dict[int, "asyncio.Future"] = {}
-        self.swap_waiters: Dict[int, "asyncio.Future"] = {}
+        self.waiters: Dict[int, "asyncio.Future"] = {}  # id -> reply frame
         self.bye_future: Optional["asyncio.Future"] = None
         self.final_stats: Optional[dict] = None
         self.alive = False
@@ -696,12 +695,8 @@ class FleetRouter:
                             except Exception as exc:
                                 pending.future.set_exception(exc)
                 await self._pump(client)
-            elif kind == "stats_reply":
-                waiter = client.stats_waiters.pop(frame.get("id"), None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(frame.get("stats", {}))
-            elif kind == "swap_reply":
-                waiter = client.swap_waiters.pop(frame.get("id"), None)
+            elif kind in ("stats_reply", "swap_reply"):
+                waiter = client.waiters.pop(frame.get("id"), None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(frame)
             elif kind == "bye":
@@ -728,20 +723,37 @@ class FleetRouter:
             self._counters.failed += 1
             if not pending.future.done():
                 pending.future.set_exception(error)
-        for waiter in client.stats_waiters.values():
+        for waiter in client.waiters.values():
             if not waiter.done():
                 waiter.set_exception(error)
-        client.stats_waiters.clear()
-        for waiter in client.swap_waiters.values():
-            if not waiter.done():
-                waiter.set_exception(error)
-        client.swap_waiters.clear()
+        client.waiters.clear()
         if client.bye_future is not None and not client.bye_future.done():
             client.bye_future.set_exception(error)
             # A dead worker's bye is never awaited (close() skips workers
             # that are not alive), so mark the exception retrieved to keep
             # loop teardown from warning about it.
             client.bye_future.exception()
+
+    async def _request(self, client: _WorkerClient, kind: str, **fields) -> dict:
+        """Send ``client`` one ``kind`` frame and await its reply frame,
+        matched by id in :meth:`_reader`.
+
+        Raises :class:`OSError`, :class:`asyncio.TimeoutError` (no reply
+        within ``connect_timeout_s``) or :class:`WorkerError` (the worker
+        died first).
+        """
+        self._next_id += 1
+        request_id = self._next_id
+        waiter = asyncio.get_running_loop().create_future()
+        client.waiters[request_id] = waiter
+        try:
+            client.writer.write(encode_frame(kind, id=request_id, **fields))
+            await client.writer.drain()
+            return await asyncio.wait_for(
+                waiter, timeout=self.config.connect_timeout_s
+            )
+        finally:
+            client.waiters.pop(request_id, None)
 
     # ------------------------------------------------------------------
     # Zero-downtime rolling swap
@@ -781,24 +793,14 @@ class FleetRouter:
                 if not client.alive:
                     skipped.append(client.index)
                     continue
-                self._next_id += 1
-                request_id = self._next_id
-                waiter = loop.create_future()
-                client.swap_waiters[request_id] = waiter
                 try:
-                    client.writer.write(encode_frame(
-                        "swap", id=request_id, path=str(artifact_path)
-                    ))
-                    await client.writer.drain()
-                    frame = await asyncio.wait_for(
-                        waiter, timeout=self.config.connect_timeout_s
+                    frame = await self._request(
+                        client, "swap", path=str(artifact_path)
                     )
-                except (OSError, ConnectionError, asyncio.TimeoutError,
-                        WorkerError):
+                except (OSError, asyncio.TimeoutError, WorkerError):
                     # Worker died mid-swap: _fail_worker already stranded its
                     # backlog with WorkerError; finish the rollout on
                     # survivors.
-                    client.swap_waiters.pop(request_id, None)
                     skipped.append(client.index)
                     continue
                 if not frame.get("ok"):
@@ -849,18 +851,10 @@ class FleetRouter:
             if not client.alive:
                 per_worker.append(client.final_stats or {})
                 continue
-            self._next_id += 1
-            request_id = self._next_id
-            waiter = asyncio.get_running_loop().create_future()
-            client.stats_waiters[request_id] = waiter
             try:
-                client.writer.write(encode_frame("stats", id=request_id))
-                await client.writer.drain()
-                per_worker.append(await asyncio.wait_for(
-                    waiter, timeout=self.config.connect_timeout_s
-                ))
+                reply = await self._request(client, "stats")
+                per_worker.append(reply.get("stats", {}))
             except (OSError, asyncio.TimeoutError, WorkerError):
-                client.stats_waiters.pop(request_id, None)
                 per_worker.append(client.final_stats or {})
         return self._aggregate(per_worker)
 

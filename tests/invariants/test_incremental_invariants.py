@@ -24,7 +24,6 @@ import pytest
 from repro.core import ModelConfig, ReStore, ReStoreConfig
 from repro.experiments import joins_bitwise_identical
 from repro.incomplete import registry
-from repro.incremental import affected_tasks
 from repro.nn import TrainConfig
 from repro.relational import ColumnKind, Database
 
@@ -223,18 +222,19 @@ def test_update_only_root_delta_rewalks_exactly_covering_chunks(
     cold = engine.recomplete()
     total = cold.recompletion["chunks_total"]
     assert total >= 3, "grid too coarse to observe partial invalidation"
+    grid = engine._grid(engine._default_model())
     rng = np.random.default_rng(HARNESS_SEED)
     for _ in range(4):
-        num_roots = table.num_rows
-        positions = rng.choice(num_roots, size=2, replace=False)
+        positions = rng.choice(table.num_rows, size=2, replace=False)
         rows = [
             {pk: int(table[pk][pos]),
              columns[0]: _donor_row(table, rng)[columns[0]]}
             for pos in positions
         ]
-        expected = affected_tasks(
-            [int(p) for p in positions], num_roots, chunk_size
-        )
+        expected = [
+            (start, stop) for start, stop in grid
+            if any(start <= pos < stop for pos in positions)
+        ]
         delta = engine.apply_mutations(updates={root: rows})
         scratch.apply_mutations(updates={root: rows})
         hits_before = engine.partial_cache_stats.hits

@@ -6,8 +6,9 @@ Four rings, cheapest first:
   databases: delta bookkeeping, cascade closure, annotation realignment,
   and the full negative path (every violation is a
   :class:`~repro.errors.MutationError`, never a raw ``KeyError``);
-* **invalidation planning** — the delta → affected-chunk calculus, pure
-  (no engine, no caches);
+* **delta reach** — what ``apply_mutations`` drops from a warm engine's
+  cache: nothing outside a model's closure, the updated root rows of an
+  in-place root update, everything else under the model's signature;
 * **cache truthfulness** — ``mark_stale`` and ``invalidate_delta`` on a
   real :class:`PartialJoinCache` must *count* their evictions (partial
   invalidation must never silently reset counters);
@@ -27,11 +28,9 @@ from repro.incomplete.registry import make_scenario_dataset
 from repro.incremental import (
     MutationDelta,
     TableDelta,
-    affected_tasks,
     apply_mutations,
     detect_drift,
     distribution_summary,
-    plan_invalidation,
     total_variation,
 )
 from repro.incremental.drift import DriftThresholds
@@ -219,55 +218,151 @@ class TestMutationNegativePaths:
 
 
 # ----------------------------------------------------------------------
-# Invalidation planning (pure calculus)
+# Delta reach: what one write drops from a warm engine's cache
 # ----------------------------------------------------------------------
 
 
-class TestInvalidationPlanning:
-    ROOT = "pa"
-    CLOSURE = {"pa", "cb"}
+def _warm_housing_engine() -> ReStore:
+    """A fitted housing engine whose four models (AR and SSAR over
+    ``landlord -> apartment`` and ``neighborhood -> apartment``) each have
+    their full join memoized and every chunk of their grid cached."""
+    dataset = make_scenario_dataset(
+        "housing/H1", keep_rate=0.5, seed=1, scale=0.1
+    )
+    config = ReStoreConfig(model=ModelConfig(hidden=(16, 16), train=FAST),
+                           seed=3)
+    engine = ReStore.from_dataset(dataset, config).fit()
+    for model in engine.fitted_models().values():
+        engine.completed_join(model)
+    return engine
 
-    def _plan(self, delta, num_roots=100, chunk_size=10):
-        return plan_invalidation(
-            delta, root_table=self.ROOT, closure_tables=self.CLOSURE,
-            num_roots=num_roots, chunk_size=chunk_size,
-        )
 
-    def test_root_update_evicts_only_covering_chunks(self):
-        delta = MutationDelta(tables={"pa": TableDelta(
-            updated=(5, 42), updated_positions=(4, 41))})
-        plan = self._plan(delta)
-        assert plan.kind == "chunks"
-        assert plan.tasks == frozenset({(0, 10), (40, 50)})
-        assert plan.rows == (4, 41)  # only the updated rows are stale
-        assert plan.touches_cache
+def _models_rooted_at(engine, root):
+    return [m for m in engine.fitted_models().values()
+            if m.layout.path.tables[0] == root]
 
-    def test_root_insert_or_delete_invalidate_all(self):
-        for delta in (
-            MutationDelta(tables={"pa": TableDelta(inserted=(101,))}),
-            MutationDelta(tables={"pa": TableDelta(deleted=(3,))}),
-        ):
-            plan = self._plan(delta)
-            assert plan.kind == "all" and plan.touches_cache
 
-    def test_closure_table_mutation_invalidates_all(self):
-        delta = MutationDelta(tables={"cb": TableDelta(
-            updated=(1,), updated_positions=(0,))})
-        plan = self._plan(delta)
-        assert plan.kind == "all"
+class TestDeltaReach:
+    """``apply_mutations`` decides each model's reach from its closure:
+    nothing, the updated root rows, or every entry under its signature."""
 
-    def test_outside_closure_is_a_no_op(self):
-        delta = MutationDelta(tables={"gc": TableDelta(deleted=(1,))})
-        plan = self._plan(delta)
-        assert plan.kind == "none" and not plan.touches_cache
-        assert plan.tasks == frozenset()
+    @staticmethod
+    def _grids(engine):
+        """Each model's signature and chunk grid, taken before a write (a
+        root insert or delete changes the grid itself)."""
+        return {key: (engine.join_signature(model), engine._grid(model))
+                for key, model in engine.fitted_models().items()}
 
-    def test_affected_tasks_cover_every_position(self):
-        tasks = affected_tasks((0, 9, 10, 99), num_roots=100, chunk_size=10)
-        assert tasks == frozenset({(0, 10), (10, 20), (90, 100)})
-        # ragged final chunk
-        tasks = affected_tasks((10,), num_roots=11, chunk_size=10)
-        assert tasks == frozenset({(10, 11)})
+    @staticmethod
+    def _serving(engine, signature, grid):
+        """The grid chunks whose unfiltered entry still serves."""
+        return {task for task in grid
+                if engine.partial_cache.lookup(
+                    signature, grid, task, frozenset()) is not None}
+
+    def _assert_kept(self, engine, grids, model):
+        signature, grid = grids[(model.kind, model.layout.path.tables)]
+        assert engine.join_cached(model)
+        assert self._serving(engine, signature, grid) == set(grid)
+
+    def _assert_dropped(self, engine, grids, model):
+        signature, grid = grids[(model.kind, model.layout.path.tables)]
+        assert not engine.join_cached(model)
+        assert self._serving(engine, signature, grid) == set()
+        assert all(engine.partial_cache.stale_entry(signature, grid, task)
+                   is None for task in grid)
+
+    def test_write_outside_closure_keeps_entries_and_memo(self):
+        engine = _warm_housing_engine()
+        grids = self._grids(engine)
+        hood = engine.db.table("neighborhood")
+        engine.apply_mutations(updates={"neighborhood": [
+            {"id": int(hood["id"][0]), "pop_density": 1.5}
+        ]})
+        kept = _models_rooted_at(engine, "landlord")
+        assert len(kept) == 2
+        for model in kept:
+            self._assert_kept(engine, grids, model)
+
+    def test_non_root_closure_write_drops_entries_and_memo(self):
+        """An apartment update reaches every model past its root; the
+        landlord update in the same batch marks nothing on its own."""
+        engine = _warm_housing_engine()
+        grids = self._grids(engine)
+        flat = engine.db.table("apartment")
+        landlord = engine.db.table("landlord")
+        engine.apply_mutations(updates={
+            "apartment": [{"id": int(flat["id"][0]), "accommodates": 3.0}],
+            "landlord": [{"id": int(landlord["id"][0]),
+                          "landlord_response_rate": 0.25}],
+        })
+        assert len(engine.fitted_models()) == 4
+        for model in engine.fitted_models().values():
+            self._assert_dropped(engine, grids, model)
+
+    def test_root_insert_or_delete_drops_entries_and_memo(self):
+        engine = _warm_housing_engine()
+        landlord = engine.db.table("landlord")
+        new_id = int(landlord["id"].max()) + 1
+        row = {"id": new_id, "landlord_since": 2.0,
+               "landlord_response_time": 1.0,
+               "landlord_response_rate": 0.5}
+        for write in ({"inserts": {"landlord": [row]}},
+                      {"deletes": {"landlord": [new_id]}}):
+            grids = self._grids(engine)
+            delta = engine.apply_mutations(**write)
+            # the new landlord has no apartments: only the root changed
+            assert delta.affected_tables() == ("landlord",)
+            for model in _models_rooted_at(engine, "landlord"):
+                self._assert_dropped(engine, grids, model)
+            for model in _models_rooted_at(engine, "neighborhood"):
+                self._assert_kept(engine, grids, model)
+            for model in engine.fitted_models().values():
+                engine.completed_join(model)  # warm again
+
+    def test_root_update_marks_exactly_the_updated_positions(self):
+        engine = _warm_housing_engine()
+        grids = self._grids(engine)
+        landlord = engine.db.table("landlord")
+        positions = [3, 4, 40]
+        engine.apply_mutations(updates={"landlord": [
+            {"id": int(landlord["id"][pos]), "landlord_response_rate": 0.25}
+            for pos in positions
+        ]})
+        for model in _models_rooted_at(engine, "landlord"):
+            signature, grid = grids[(model.kind, model.layout.path.tables)]
+            assert not engine.join_cached(model)
+            stale = {}
+            for task in grid:
+                entry = engine.partial_cache.stale_entry(signature, grid, task)
+                if entry is not None:
+                    stale[task] = entry[1].tolist()
+            covering = {task: [p for p in positions if task[0] <= p < task[1]]
+                        for task in grid}
+            assert stale == {task: rows for task, rows in covering.items()
+                             if rows}
+            assert self._serving(engine, signature, grid) == \
+                set(grid) - set(stale)
+        for model in _models_rooted_at(engine, "neighborhood"):
+            self._assert_kept(engine, grids, model)
+
+    def test_one_write_runs_one_invalidation_pass(self, monkeypatch):
+        """``recomplete(delta)`` only reads: the pass ran in the write."""
+        engine = _warm_housing_engine()
+        passes = []
+        invalidate = engine._invalidate_for_delta
+
+        def counting(delta):
+            passes.append(delta)
+            invalidate(delta)
+
+        monkeypatch.setattr(engine, "_invalidate_for_delta", counting)
+        landlord = engine.db.table("landlord")
+        delta = engine.apply_mutations(updates={"landlord": [
+            {"id": int(landlord["id"][0]), "landlord_response_rate": 0.25}
+        ]})
+        engine.recomplete(delta)
+        assert passes == [delta]
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ import pytest
 
 import repro
 from repro import ReStore, ReStoreConfig, parse_query
-from repro.core import ModelConfig
+from repro.core import ModelConfig, SamplingBudget
+from repro.errors import ConfigurationError
 from repro.experiments import joins_bitwise_identical
 from repro.incomplete.registry import make_scenario_dataset
 from repro.nn import TrainConfig
@@ -479,6 +480,20 @@ class TestErrors:
         with pytest.raises(ArtifactError, match="retired") as info:
             load_artifact(synthetic_artifact, config_overrides=overrides)
         assert "re-fit" not in str(info.value)
+
+    def test_config_errors_use_the_taxonomy(self, synthetic_artifact):
+        """A rejected engine or budget field is a ConfigurationError that
+        names the field, also when an override on load sets it."""
+        with pytest.raises(ConfigurationError, match="ReStoreConfig.n_workers"):
+            ReStoreConfig(n_workers=0)
+        with pytest.raises(ConfigurationError,
+                           match="ReStoreConfig.parallel_backend"):
+            ReStoreConfig(parallel_backend="gpu")
+        with pytest.raises(ConfigurationError,
+                           match="SamplingBudget.initial_chunks"):
+            SamplingBudget(initial_chunks=0)
+        with pytest.raises(ConfigurationError, match="ReStoreConfig.n_workers"):
+            ReStore.load(synthetic_artifact, config_overrides={"n_workers": 0})
 
 
 # ----------------------------------------------------------------------
