@@ -10,9 +10,10 @@ same seed.  This bench measures both runs on paper-scale housing: on a
 fine grid (4 roots per chunk) it requires the delta to touch at most 10%
 of the chunks and asserts the >= 3x speedup floor; on the engine's
 default grid (16 chunks, where a 1% update touches about a third of
-them) it requires the recompletion to walk exactly the updated roots.  A
-third bench records how much cheaper a digest-gated warm-start fine-tune
-is than a full re-fit.  All numbers land in the ``--benchmark-json``
+them) it requires the recompletion to walk exactly the updated roots,
+and after a batch that also inserts and deletes a child row, exactly the
+root rows the batch reaches.  Another bench records how much cheaper a
+digest-gated warm-start fine-tune is than a full re-fit.  All numbers land in the ``--benchmark-json``
 output via ``extra_info``.
 """
 
@@ -208,6 +209,98 @@ def test_recomplete_walks_only_updated_roots_on_default_grid(
     print(f"\nfrom-scratch {full_s * 1000:.1f} ms, incremental "
           f"{warm_s * 1000:.1f} ms ({speedup:.1f}x, walked {walked} roots, "
           f"spliced {spliced} of {total} chunks)")
+
+
+def _mutate_with_child_write(engine, rng):
+    """Live refresh's child-write batch: :func:`_mutate_fraction`'s root
+    updates plus one insert (a donor row's clone) and one delete in the
+    path's child table.  Returns the delta and the root rows it reaches:
+    the updated ones and those the inserted and deleted rows hang from."""
+    root, child = engine._default_model().layout.path.tables[:2]
+    db = engine.db
+    roots, children = db.table(root), db.table(child)
+    fk = db.fk_between(child, root)
+    donor, doomed = rng.choice(children.num_rows, size=2, replace=False)
+    row = {c: children[c][donor] for c in children.column_names}
+    row[children.primary_key] = int(children[children.primary_key].max()) + 1
+    parents = np.isin(roots[fk.parent_column],
+                      children[fk.child_column][[donor, doomed]])
+    pk = roots.primary_key
+    column = next(c for c in roots.column_names
+                  if roots.meta(c).kind == ColumnKind.CONTINUOUS)
+    count = max(1, round(roots.num_rows * MUTATION_FRACTION))
+    positions = rng.choice(roots.num_rows, size=count, replace=False)
+    delta = engine.apply_mutations(
+        updates={root: [{pk: int(roots[pk][p]),
+                         column: float(roots[column][p]) + 1.0}
+                        for p in positions]},
+        inserts={child: [row]},
+        deletes={child: [int(children[children.primary_key][doomed])]},
+    )
+    return delta, sorted(set(positions.tolist())
+                         | set(np.flatnonzero(parents).tolist()))
+
+
+def test_recomplete_after_child_write_walks_only_reached_roots(
+    benchmark, default_grid_engine, monkeypatch
+):
+    """A child insert and delete on the default grid re-walks the root
+    rows they reach, serves every other chunk from the cache, and gives
+    the from-scratch join."""
+    engine = default_grid_engine
+    rng = np.random.default_rng(19)
+    grid = engine._grid(engine._default_model())
+    engine.clear_cache()
+    engine.recomplete()
+
+    walk_chunks = IncompletenessJoin.walk_chunks
+    walked_tasks = []
+
+    def recording(self, tasks, *args, **kwargs):
+        walked_tasks.extend(tasks)
+        return walk_chunks(self, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(IncompletenessJoin, "walk_chunks", recording)
+    warm_times, reached, walked, cached = [], [], [], []
+
+    def warm_run():
+        delta, roots = _mutate_with_child_write(engine, rng)
+        walked_tasks.clear()
+        hits_before = engine.partial_cache_stats.hits
+        t0 = time.perf_counter()
+        answer = engine.recomplete(delta)
+        warm_times.append(time.perf_counter() - t0)
+        reached.append(roots)
+        walked.append(sorted(r for start, stop in walked_tasks
+                             for r in range(start, stop)))
+        untouched = sum(not any(start <= r < stop for r in roots)
+                        for start, stop in grid)
+        cached.append((answer.recompletion["chunks_cached"], untouched,
+                       engine.partial_cache_stats.hits - hits_before))
+        return answer
+
+    warm = benchmark.pedantic(warm_run, rounds=3, iterations=1,
+                              warmup_rounds=0)
+    monkeypatch.undo()
+
+    # exactly the reached roots were walked, one task each ...
+    assert walked == reached, (walked, reached)
+    # ... and every chunk holding none of them was served from the cache
+    assert all(served == untouched == hits for served, untouched, hits
+               in cached), cached
+    engine.clear_cache()
+    assert joins_bitwise_identical(warm, engine.recomplete())
+
+    benchmark.extra_info.update({
+        "incremental_s": min(warm_times),
+        "chunks_total": len(grid),
+        "roots_walked": [len(rows) for rows in walked],
+        "chunks_cached": [served for served, _, _ in cached],
+        "bitwise_identical": True,
+    })
+    print(f"\nchild write: incremental {min(warm_times) * 1000:.1f} ms, "
+          f"walked {[len(rows) for rows in walked]} roots, cached "
+          f"{[served for served, _, _ in cached]} of {len(grid)} chunks")
 
 
 def test_warm_start_fine_tune_vs_full_refit(benchmark, incremental_setup):

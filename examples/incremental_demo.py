@@ -7,8 +7,9 @@ Walks the mutation → recompletion → fine-tune → hot-swap story end to end:
 2. apply live mutations (``apply_mutations``: inserts, in-place updates,
    cascading deletes) — the engine checks the resulting
    :class:`~repro.incremental.MutationDelta` against each model's
-   relationship closure and marks just the updated root rows stale in
-   the chunks that hold them,
+   relationship closure and marks stale, in the chunks that hold them,
+   just the root rows the batch reaches: the updated landlords and the
+   landlord the inserted apartment hangs from,
 3. ``recomplete(delta)`` — re-walk just those rows and splice them into
    their cached chunks; the rest of the completed join reassembles from
    the partial cache, bitwise-identical to a from-scratch run at the
@@ -26,6 +27,8 @@ Run with ``python examples/incremental_demo.py``.
 
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from repro import ReStore, ReStoreConfig, parse_query
 from repro.core import ModelConfig
@@ -63,10 +66,14 @@ def mutate_and_recomplete(engine: ReStore):
     cold = engine.recomplete()
     total = cold.recompletion["chunks_total"]
 
-    # in-place root updates keep the chunk grid stable, so invalidation
-    # stays local: the updated rows are marked stale and their chunks stay
-    # cached, to be re-walked row by row and spliced
+    # in-place root updates keep the chunk grid stable, and a new
+    # apartment only changes the walk of the landlord it hangs from, so
+    # invalidation stays local: those root rows are marked stale and their
+    # chunks stay cached, to be re-walked row by row and spliced
     landlord = engine.db.table("landlord")
+    flat = engine.db.table("apartment")
+    new_flat = {c: flat[c][3] for c in flat.column_names}
+    new_flat["id"] = int(flat["id"].max()) + 1
     delta = engine.apply_mutations(
         updates={"landlord": [
             {"id": int(landlord["id"][0]),
@@ -76,6 +83,7 @@ def mutate_and_recomplete(engine: ReStore):
              "landlord_since":
                  float(landlord["landlord_since"][9]) + 1.0},
         ]},
+        inserts={"apartment": [new_flat]},
     )
     print("\nmutation delta:")
     for table in delta.affected_tables():
@@ -83,6 +91,11 @@ def mutate_and_recomplete(engine: ReStore):
         print(f"  {table}: +{len(td.inserted)} rows, "
               f"~{len(td.updated)} updated, -{len(td.deleted)} deleted "
               f"(grid stable: {td.grid_stable})")
+    parents = delta.for_table("apartment").parent_keys["landlord_id"]
+    hung_from = np.flatnonzero(np.isin(landlord["id"], parents)).tolist()
+    print(f"landlord rows marked stale: updated "
+          f"{list(delta.for_table('landlord').updated_positions)}, "
+          f"the new apartment's landlord {hung_from}")
 
     warm = engine.recomplete(delta)
     prov = warm.recompletion

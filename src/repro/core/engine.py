@@ -42,11 +42,13 @@ from ..relational import (
     enumerate_completion_paths,
     fan_out_relations,
 )
+from ..relational.keys import lookup
 from .confidence import ConfidenceBand, ConfidenceEstimator, band_for_query
 from .forest import EvidenceForest
 from .incompleteness_join import (
     CompletedJoin,
     IncompletenessJoin,
+    rebase_chunk_outputs,
     restrict_chunk_output,
     splice_chunk_outputs,
 )
@@ -64,7 +66,7 @@ from .selection import (
 
 
 #: Chunks in the canonical grid when ``chunk_size`` is None: enough for
-#: budgeted runs to stream over.  Root-row updates need no finer grid: they
+#: budgeted runs to stream over.  Row-local writes need no finer grid: they
 #: mark single root rows stale, and only those rows are re-walked and
 #: spliced into their chunks, however large the chunks are.
 GRID_CHUNKS = 16
@@ -82,7 +84,7 @@ class ReStoreConfig:
     worker is given in one pass.  It also sets the canonical chunk grid —
     chunks of ``chunk_size`` roots, else about :data:`GRID_CHUNKS` chunks
     — which is bookkeeping: the completion cache works per chunk, and a
-    root-row update re-walks only its rows of a cached chunk.  That one
+    row-local write re-walks only the root rows it reaches.  That one
     cache also memoizes each
     model's full completed join, within its :data:`PARTIAL_CACHE_CHUNKS`
     bound.
@@ -500,6 +502,9 @@ class ReStore:
         whose cache entry has stale root rows (:meth:`apply_mutations`)
         joins that walk as just those rows, one single-root task each, and
         is spliced (:func:`splice_chunk_outputs`); it counts as walked.
+        After a splice, the step's chunk entries are rebased onto one
+        state of all its outputs (:func:`rebase_chunk_outputs`), so no
+        cached chunk pins rows a splice superseded.
         Chunk provenance lands on ``completed.recompletion`` and, with a
         plan, on ``completed.pushdown``; the step's span also counts the
         root rows walked so far (``roots_walked``).
@@ -511,23 +516,23 @@ class ReStore:
         fingerprints = plan.fingerprint_set() if plan is not None else frozenset()
         mask = join.qualifying_root_mask(plan)
         outputs: List = []
+        tasks: List[Tuple[int, int]] = []  # the task of each output
         walked = skipped = have = roots_walked = 0
         for upto in schedule if schedule is not None else [len(grid)]:
             with trace("engine.complete", tables="/".join(tables)) as span:
                 # task -> its stale entry (output, stale roots) or None
                 missing: Dict[Tuple[int, int], Optional[Tuple]] = {}
-                index: Dict[Tuple[int, int], int] = {}
                 for task in grid[have:upto]:
                     if mask is not None and not mask[task[0]:task[1]].any():
                         skipped += 1
                         continue
+                    tasks.append(task)
                     hit = self.partial_cache.lookup(
                         signature, grid, task, fingerprints
                     )
                     if hit is None:
                         missing[task] = None if fingerprints else \
                             self.partial_cache.stale_entry(signature, grid, task)
-                        index[task] = len(outputs)
                         outputs.append(None)
                         continue
                     output, cached_fps = hit
@@ -543,8 +548,17 @@ class ReStore:
                         self.partial_cache.put(
                             signature, grid, task, fingerprints, done[task]
                         )
-                        outputs[index[task]] = done[task]
+                    outputs = [done.get(task, o) for task, o in zip(tasks, outputs)]
                     roots_walked += roots
+                    if any(stale is not None for stale in missing.values()):
+                        # Spliced chunks would pin their superseded rows
+                        # inside states their neighbours still range over.
+                        rebased = rebase_chunk_outputs(outputs)
+                        for task, old, new in zip(tasks, outputs, rebased):
+                            self.partial_cache.replace(
+                                signature, grid, task, old, new
+                            )
+                        outputs = rebased
                 walked += len(missing)
                 chunks = {
                     "chunks_total": len(grid),
@@ -679,11 +693,15 @@ class ReStore:
         evidence forests keep their fit-time structure — codecs, variable
         vocabularies and trained parameters are untouched), and drops
         exactly the cached state the delta made stale
-        (:meth:`_invalidate_for_delta`): an in-place root update marks its
-        root rows stale in the chunks that hold them, so a following
-        :meth:`recomplete` re-walks only those rows; untouched chunks keep
-        serving from the partial cache.  This is the only place a write
-        invalidates.
+        (:meth:`_invalidate_for_delta`).  A write the model's walk reads
+        row by row — root updates in place, and child-table writes that
+        :meth:`IncompletenessJoin.row_local_routes` accepts — marks the
+        root rows it reaches stale in the chunks that hold them, so a
+        following :meth:`recomplete` re-walks only those rows; untouched
+        chunks keep serving from the partial cache.  Any other write to a
+        model's closure drops the model's cached chunks and join.  This is
+        the only place a write invalidates.  Writes are not isolated from
+        reads that run at the same time on other threads.
         """
         from ..incremental.mutations import apply_mutations as apply_to_db
 
@@ -812,44 +830,63 @@ class ReStore:
 
         * a delta touching no table of the model's closure (path tables
           plus SSAR evidence walks) leaves its entries alone;
-        * in-place updates of root rows only (``TableDelta.grid_stable``)
-          make exactly those rows stale: :meth:`PartialJoinCache.mark_stale`
-          marks them in the chunks that cover them, to be re-walked and
-          spliced into the cached chunk outputs;
+        * a delta that keeps the root grid (no root insert or delete) and
+          writes, besides root rows in place, only tables where the write
+          is row-local (:meth:`IncompletenessJoin.row_local_routes`, which
+          says why a root row is a sound unit) makes exactly the root rows
+          it reaches stale: :meth:`PartialJoinCache.mark_stale` marks them
+          in the chunks that cover them, to be re-walked and spliced into
+          the cached chunk outputs;
         * anything else — a root insert or delete, which changes the
           canonical grid and shifts row→stream assignments, or a write to
-          a non-root closure table, which changes whole-table state every
-          chunk consults — drops every entry under the model's signature.
-
-        Why a root row is a sound unit: a walk in
-        :class:`~repro.core.IncompletenessJoin` reads only its own row of
-        the root table — its codes, raw columns and RNG streams are
-        functions of the root row index and that row's values — while
-        every whole-table structure a walk consults (the database's child
-        indexes and key orders in :mod:`repro.relational.keys`,
-        nearest-neighbour replacers, orphan weights, the SSAR forests'
-        encoded evidence) derives from non-root path tables and the
-        root's primary key only.  Updates never change a primary key, and
-        every mutation builds a new database whose structures are built
-        afresh, so no walk reads a stale one.  Each root row's walked
-        rows, their place in the chunk (the join's walk order) and its
-        synthesized tuples depend on that row alone; dangling-FK
-        resolution happens at assembly time over all parked states.
+          a table some walk input reads whole — drops every entry under
+          the model's signature.
         """
         touched = set(delta.affected_tables())
         for model in self._models.values():
             reach = touched & self._model_closure(model)
             if not reach:
                 continue
-            root = model.layout.path.tables[0]
-            root_delta = delta.for_table(root)
             signature = self.join_signature(model)
-            if reach == {root} and root_delta.grid_stable:
-                self.partial_cache.mark_stale(
-                    signature, root_delta.updated_positions
-                )
-            else:
+            roots = self._reached_roots(model, delta, reach)
+            if roots is None:
                 self.partial_cache.invalidate_delta(signature)
+            else:
+                self.partial_cache.mark_stale(signature, roots)
+
+    def _reached_roots(
+        self, model: _CompletionModelBase, delta: "MutationDelta", reach: set
+    ) -> Optional[np.ndarray]:
+        """The root rows of ``model`` that ``delta`` reaches, None when a
+        write in ``reach`` is not row-local: the updated root positions,
+        plus the root rows each written row hangs from, found by following
+        its parent keys up every route to it."""
+        root = model.layout.path.tables[0]
+        root_delta = delta.for_table(root)
+        if not root_delta.grid_stable:
+            return None
+        reached = [np.asarray(root_delta.updated_positions, dtype=np.int64)]
+        for table in sorted(reach - {root}):
+            written = delta.for_table(table)
+            routes = IncompletenessJoin.row_local_routes(
+                model, table, deletes=bool(written.deleted)
+            )
+            if routes is None:
+                return None
+            for route in routes:
+                fk = self.db.fk_between(route[-1], route[-2])
+                keys = written.parent_keys.get(fk.child_column, ())
+                rows = lookup(self.db, route[-2], fk.parent_column,
+                              np.asarray(keys, dtype=np.int64))
+                for child, parent in zip(route[-2:0:-1], route[-3::-1]):
+                    fk = self.db.fk_between(child, parent)
+                    keys = self.db.table(child).gather(
+                        fk.child_column, rows[rows >= 0]
+                    )
+                    rows = lookup(self.db, parent, fk.parent_column,
+                                  np.asarray(keys, dtype=np.int64))
+                reached.append(rows[rows >= 0])
+        return np.concatenate(reached)
 
     def _database_digest(self) -> str:
         from ..serving.artifacts import database_digest

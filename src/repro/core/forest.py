@@ -114,10 +114,16 @@ class EvidenceForest:
     def has_walks(self) -> bool:
         return bool(self.level1)
 
+    @property
+    def walks(self) -> List[Tuple[str, ...]]:
+        """Every walk, top-level ones first: each a chain of fan-out hops
+        from the root table."""
+        return self.level1 + [w for exts in self.level2.values() for w in exts]
+
     def walk_tables(self) -> List[str]:
         """Every table any walk touches (root first, deduplicated)."""
         seen: List[str] = [self.root_table]
-        for walk in self.level1 + [w for exts in self.level2.values() for w in exts]:
+        for walk in self.walks:
             for table in walk:
                 if table not in seen:
                     seen.append(table)

@@ -54,7 +54,13 @@ parked set.  A root row's own rows, their order, streams and synthesized
 tuples depend on that root alone, which is why the walk of some of a
 chunk's roots can replace their share of the chunk's cached output
 (:func:`splice_chunk_outputs`): the engine re-walks only the root rows a
-root-table update touched.
+write reaches.  A walk also reads some inputs whole: an n:1 hop's child
+table (the orphan weight) and parent table (partner keys; dangling keys
+resolve over every chunk's parked rows at assembly), every row of a
+complete table (Euclidean replacement), and the row positions of each
+table a later hop derives streams from.
+:meth:`IncompletenessJoin.row_local_routes` declares which writes below
+the root reach none of them.
 
 String columns walk as dictionary columns
 (:class:`~repro.relational.DictColumn`): a table's rows are read as codes
@@ -100,10 +106,9 @@ from ..relational import MISSING_KEY, CompletionPath
 from ..relational.column import ColumnKind
 from ..relational.dictionary import (
     DictColumn,
-    code_dtype,
     concat_columns,
     decoded,
-    object_array,
+    encode_into,
     recode,
 )
 from ..relational.keys import child_index, gather_children, lookup
@@ -620,6 +625,24 @@ def splice_chunk_outputs(
             np.concatenate(ids)[order] if ids else None,
         )
     return outputs
+
+
+def rebase_chunk_outputs(outputs: Sequence[_ChunkOutput]) -> List[_ChunkOutput]:
+    """The (non-empty list of) outputs as ranges of one state holding all
+    their rows in order, side state unchanged.
+
+    A chunk output holds a range of its walk's state and so keeps that
+    whole state alive; once some chunks of a walk are spliced, their
+    superseded rows would stay pinned by their neighbours.  Rebased
+    outputs pin only their own rows, and :func:`_chunk_states` coalesces
+    them back into the one state, uncopied.
+    """
+    state = _concat_many(_chunk_states(outputs))
+    stops = np.cumsum([o.num_rows for o in outputs]).tolist()
+    return [
+        _ChunkOutput(walked=state, acc=o.acc, rows=slice(stop - o.num_rows, stop))
+        for o, stop in zip(outputs, stops)
+    ]
 
 
 def _splice_order(
@@ -1154,6 +1177,70 @@ class IncompletenessJoin:
     # ------------------------------------------------------------------
     # Hops
     # ------------------------------------------------------------------
+    @staticmethod
+    def row_local_routes(
+        model: _CompletionModelBase, table: str, deletes: bool
+    ) -> Optional[List[Tuple[str, ...]]]:
+        """The routes by which a write to the non-root ``table`` reaches
+        ``model``'s root rows, or None when the write is not row-local.
+
+        A root row is the unit of a walk: its codes, columns and streams
+        are functions of its row index and values, its rows and synthesized
+        tuples depend on it alone, and their place in a chunk follows from
+        the walk order (module docstring), so re-walking some root rows and
+        splicing them into cached chunks gives bitwise a fresh walk, as
+        long as every other root's walk is unchanged.  Dangling-FK parents
+        are resolved at assembly, over every chunk's parked rows.  A route
+        is a chain of tables from the root to ``table``: the path's prefix
+        ending there, or an SSAR evidence-forest walk ending there.  A
+        root's walk reads the rows of ``table`` that hang from it along the
+        routes, through child indexes listing each parent's children in
+        ascending row position, and a write to ``table`` is *row-local*
+        when it changes no other root's walk: re-walking the roots its
+        written rows hang from (their parent keys followed up each route)
+        suffices.  That needs all of:
+
+        * every route is made of fan-out (1:n) hops, and the path's route
+          passes no annotated-complete table before ``table``: the partner
+          of an n:1 hop is shared by rows of many roots, and a synthesized
+          tuple of a complete table is replaced by the nearest real one,
+          whose children the next fan-out hop joins;
+        * ``table`` is not annotated complete, because the
+          :class:`EuclideanReplacer` over a complete table reads every row
+          of it;
+        * ``table`` is on neither side of an n:1 hop of the path, because
+          :meth:`_orphan_weight` reads the hop's child table whole and
+          dangling-FK resolution resolves keys against the whole parent
+          table;
+        * the write deletes no row of ``table`` unless it is the path's last
+          table, because a delete shifts the positions of later rows, and
+          every later hop draws from streams derived from them
+          (``derive_streams(..., TAG_CHILD, child_rows)``).
+
+        Primary keys never change, and every write builds a new database
+        whose key structures are built afresh, so no walk reads stale ones.
+        """
+        layout = model.layout
+        db, annotation, path = layout.db, layout.annotation, layout.path.tables
+        if annotation.is_complete(table) or (deletes and table != path[-1]):
+            return None
+        if any(table in hop for hop in zip(path, path[1:])
+               if not db.is_fan_out_step(*hop)):
+            return None
+        chains = [path] + (model.forest.walks if model.forest is not None else [])
+        routes = list(dict.fromkeys(
+            tuple(chain[:chain.index(table) + 1])
+            for chain in chains if table in chain
+        ))
+        for route in routes:
+            if not all(db.is_fan_out_step(*hop) for hop in zip(route, route[1:])):
+                return None
+        if table in path and any(
+            annotation.is_complete(t) for t in path[1:path.index(table)]
+        ):
+            return None
+        return routes
+
     def _walk(self, state: _WalkState, start_slot: int, num_slots: int,
               acc: _ShardAccumulator,
               plan: Optional[PushdownPlan] = None) -> _WalkState:
@@ -1430,18 +1517,10 @@ class IncompletenessJoin:
             return None
         vocab = current.vocab
         values = self.layout.encoders[table_name].codec(column).values
-        if values.dtype != vocab.dtype:
+        coded = encode_into(vocab, values) if values.dtype == vocab.dtype else None
+        if coded is None:
             return _JoinVocab(vocab, vocab, None)
-        position = dict(zip(vocab.tolist(), range(len(vocab))))
-        lacking = [v for v in values.tolist() if v not in position]
-        if lacking:
-            position.update(zip(lacking, range(len(vocab), len(vocab) + len(lacking))))
-            vocab = np.concatenate([vocab, object_array(lacking)])
-        from_codec = np.fromiter(
-            map(position.__getitem__, values.tolist()),
-            code_dtype(len(vocab)), count=len(values),
-        )
-        return _JoinVocab(current.vocab, vocab, from_codec)
+        return _JoinVocab(vocab, coded.vocab, coded.codes)
 
     def _synthesize_table(self, part: _WalkState, slot: int, table_name: str,
                           acc: _ShardAccumulator) -> None:

@@ -13,18 +13,27 @@ stable), then inserts (appended in input order), then deletes (cascading
 to child rows when ``cascade=True``).  ``known_tuple_factors`` annotation
 arrays — which align with parent-table rows — are realigned on parent
 inserts (new rows get ``TF_UNKNOWN``) and deletes.
+
+A written table keeps its string columns' dictionaries: the new table's
+store takes each :class:`~repro.relational.DictColumn` of the old one,
+with deleted rows' codes dropped and written values coded into the old
+vocabulary, which stays the same array unless a value is new to it (then
+it grows by appending).  Joins walked before and after the write so keep
+sharing one vocabulary and concatenate by codes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MutationError
-from ..relational import Database, SchemaAnnotation, Table
+from ..relational import ColumnKind, Database, SchemaAnnotation, Table
 from ..relational.column import coerce_values
+from ..relational.dictionary import DictColumn, encode_into
 from ..relational.keys import lookup
 from ..relational.tuple_factors import TF_UNKNOWN
 
@@ -39,12 +48,20 @@ class TableDelta:
     the updated rows; they are only meaningful for row-granular
     invalidation when the same table saw no inserts or deletes in the
     batch (otherwise positions shift and the grid changes anyway).
+
+    ``parent_keys`` maps each foreign-key column of the table to the
+    parent keys the write touched (sorted, distinct): the new values of
+    inserted and updated rows and the old values of deleted and updated
+    rows.  A row moved to another parent names both, so the engine can
+    find every root row a child write reaches on the written database
+    alone.
     """
 
     inserted: Tuple[int, ...] = ()
     updated: Tuple[int, ...] = ()
     deleted: Tuple[int, ...] = ()
     updated_positions: Tuple[int, ...] = ()
+    parent_keys: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def grid_stable(self) -> bool:
@@ -101,6 +118,33 @@ def _require_pk(table: Table, operation: str) -> str:
     return table.primary_key
 
 
+def _dictionaries(table: Table) -> Dict[str, DictColumn]:
+    """The table's string columns in dictionary form, for the table that
+    replaces it (vocabularies of exactly ``str`` values only)."""
+    rows = np.arange(table.num_rows)
+    out: Dict[str, DictColumn] = {}
+    for name in table.column_names:
+        if table.meta(name).kind is not ColumnKind.CATEGORICAL:
+            continue
+        column = table.gather_encoded(name, rows)
+        if isinstance(column, DictColumn) \
+                and set(map(type, column.vocab.tolist())) <= {str}:
+            out[name] = column
+    return out
+
+
+def _record_parent_keys(
+    db: Database, name: str, delta: Dict[str, list],
+    table: Table, rows: np.ndarray,
+) -> None:
+    """Note the values of ``table``'s foreign-key columns at ``rows``."""
+    for fk in db.foreign_keys:
+        if fk.child_table == name:
+            delta["parent_keys"][fk.child_column].append(
+                np.asarray(table.gather(fk.child_column, rows), dtype=np.int64)
+            )
+
+
 def _apply_updates(
     db: Database,
     updates: Mapping[str, Sequence[Mapping[str, object]]],
@@ -113,6 +157,7 @@ def _apply_updates(
             [int(row[pk_col]) if pk_col in row else -1 for row in rows],
             dtype=np.int64,
         ))
+        encoded = _dictionaries(table)
         new_columns = {c: table.column(c) for c in table.column_names}
         touched: Dict[str, np.ndarray] = {}
         for row, pos in zip(rows, positions.tolist()):
@@ -144,7 +189,22 @@ def _apply_updates(
                 )
             delta[name]["updated"].append(key)
             delta[name]["updated_positions"].append(pos)
-        db = db.replace_table(table._with_columns(new_columns))
+        at = np.unique(positions)
+        for column, values in touched.items():
+            if column in encoded:
+                coded = encode_into(encoded[column].vocab, values[at])
+                if coded is None:
+                    del encoded[column]
+                    continue
+                codes = encoded[column].codes.astype(
+                    np.promote_types(encoded[column].codes.dtype, coded.codes.dtype)
+                )
+                codes[at] = coded.codes
+                encoded[column] = DictColumn(codes, coded.vocab)
+        new_table = table._with_columns(new_columns, encoded)
+        _record_parent_keys(db, name, delta[name], table, at)
+        _record_parent_keys(db, name, delta[name], new_table, at)
+        db = db.replace_table(new_table)
     return db
 
 
@@ -191,7 +251,17 @@ def _apply_inserts(
             table.kinds(),
             primary_key=pk_col,
         )
-        db = db.replace_table(table.concat_rows(block))
+        _record_parent_keys(db, name, delta[name], block, np.arange(len(rows)))
+        merged = table.concat_rows(block)
+        columns = {c: merged.column(c) for c in merged.column_names}
+        encoded = {}
+        for column, old in _dictionaries(table).items():
+            coded = encode_into(old.vocab, columns[column][table.num_rows:])
+            if coded is not None:
+                encoded[column] = DictColumn(
+                    np.concatenate([old.codes, coded.codes]), coded.vocab
+                )
+        db = db.replace_table(merged._with_columns(columns, encoded))
     return db
 
 
@@ -250,7 +320,12 @@ def _apply_deletes(
         mask = ~np.isin(table.column(pk_col), np.fromiter(keys, dtype=np.int64))
         keep_masks[name] = mask
         delta[name]["deleted"].extend(sorted(int(k) for k in keys))
-        db = db.replace_table(table.select(mask))
+        _record_parent_keys(db, name, delta[name], table, np.flatnonzero(~mask))
+        kept = np.flatnonzero(mask)
+        db = db.replace_table(table._with_columns(
+            {c: table.gather(c, kept) for c in table.column_names},
+            {c: column[kept] for c, column in _dictionaries(table).items()},
+        ))
     return db, keep_masks
 
 
@@ -326,12 +401,11 @@ def apply_mutations(
         For unknown tables/rows/columns, duplicate primary keys, updates
         without a primary key, or malformed insert rows.
     """
-    from collections import defaultdict
-
     if not any((inserts, updates, deletes)):
         raise MutationError("mutation batch is empty: nothing to apply")
     raw: Dict[str, Dict[str, list]] = defaultdict(
-        lambda: {"inserted": [], "updated": [], "deleted": [], "updated_positions": []}
+        lambda: {"inserted": [], "updated": [], "deleted": [],
+                 "updated_positions": [], "parent_keys": defaultdict(list)}
     )
     new_db = db.copy()
     if updates:
@@ -351,6 +425,10 @@ def apply_mutations(
                 updated=tuple(d["updated"]),
                 deleted=tuple(d["deleted"]),
                 updated_positions=tuple(d["updated_positions"]),
+                parent_keys={
+                    column: tuple(np.unique(np.concatenate(keys)).tolist())
+                    for column, keys in d["parent_keys"].items()
+                },
             )
             for name, d in raw.items()
         }

@@ -89,6 +89,25 @@ def dictionary_encode(values: np.ndarray) -> Optional[DictColumn]:
     return DictColumn(codes, object_array(vocab))
 
 
+def encode_into(vocab: np.ndarray, values: Sequence) -> Optional[DictColumn]:
+    """``values`` as codes into ``vocab``, which grows by appending the
+    values it lacks in first-occurrence order; the same array object when
+    it lacks none.  ``None`` unless every value is exactly a ``str``, the
+    rule of :func:`dictionary_encode`."""
+    items = list(values)
+    if not set(map(type, items)) <= {str}:
+        return None
+    position = dict(zip(vocab.tolist(), range(len(vocab))))
+    lacking = [v for v in dict.fromkeys(items) if v not in position]
+    if lacking:
+        position.update(zip(lacking, range(len(vocab), len(vocab) + len(lacking))))
+        vocab = np.concatenate([vocab, object_array(lacking)])
+    codes = np.fromiter(
+        map(position.__getitem__, items), code_dtype(len(vocab)), count=len(items)
+    )
+    return DictColumn(codes, vocab)
+
+
 def concat_columns(parts: Sequence) -> Union[np.ndarray, DictColumn]:
     """``np.concatenate`` for walk columns; decoded, the two agree bitwise.
 
@@ -151,6 +170,7 @@ __all__ = [
     "concat_columns",
     "decoded",
     "dictionary_encode",
+    "encode_into",
     "object_array",
     "recode",
 ]

@@ -176,12 +176,17 @@ class InMemoryStore(ColumnStore):
     """The in-RAM backend: a dict of arrays plus their kinds.
 
     A string column's dictionary form is built on first use and kept:
-    sound because a store is never written in place.  It does not ride
-    the store's pickle.
+    sound because a store is never written in place.  ``encoded`` may
+    hand some in ready-made (each must decode to its column, with a
+    vocabulary of ``str`` values), as a write does from the store it
+    replaces.  It does not ride the store's pickle.
     """
 
     def __init__(
-        self, columns: Mapping[str, np.ndarray], kinds: Mapping[str, ColumnKind]
+        self,
+        columns: Mapping[str, np.ndarray],
+        kinds: Mapping[str, ColumnKind],
+        encoded: Optional[Mapping[str, DictColumn]] = None,
     ):
         self._columns = dict(columns)
         self._kinds = dict(kinds)
@@ -189,7 +194,7 @@ class InMemoryStore(ColumnStore):
         if len(lengths) > 1:
             raise StorageError(f"ragged columns with lengths {sorted(lengths)}")
         self._num_rows = lengths.pop() if lengths else 0
-        self._encoded: Dict[str, Optional[DictColumn]] = {}
+        self._encoded: Dict[str, Optional[DictColumn]] = dict(encoded or {})
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_encoded": {}}

@@ -276,11 +276,15 @@ class Table:
         }
         return Table(self.name, data, self.kinds(), primary_key=self.primary_key)
 
-    def _with_columns(self, columns: Dict[str, np.ndarray]) -> "Table":
+    def _with_columns(
+        self, columns: Dict[str, np.ndarray], encoded: Optional[Mapping] = None
+    ) -> "Table":
+        """An in-RAM table of this schema over ``columns``; ``encoded``
+        hands string columns' dictionary forms to its store."""
         table = Table.__new__(Table)
         table.name = self.name
         table._meta = self._meta
-        table._store = InMemoryStore(columns, self.kinds())
+        table._store = InMemoryStore(columns, self.kinds(), encoded)
         table._num_rows = table._store.num_rows
         table.primary_key = self.primary_key
         return table

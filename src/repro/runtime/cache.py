@@ -103,12 +103,13 @@ class PartialJoinCache:
     Chunk counters live in :attr:`stats`, memo counters in
     :attr:`join_stats`.
 
-    A root-table update makes only its own root rows stale
-    (:meth:`mark_stale`): an unfiltered chunk entry keeps its output and
-    records those rows, so the caller re-walks just them and splices them
-    in (:meth:`stale_entry`, then :meth:`put`).  A stale entry is never
-    served: :meth:`lookup` counts it as a miss and skips it as a subset
-    candidate.
+    A write the engine finds row-local (a root update, or a child-table
+    write it traces to the root rows it reaches) makes only those root
+    rows stale (:meth:`mark_stale`): an unfiltered chunk entry keeps its
+    output and records those rows, so the caller re-walks just them and
+    splices them in (:meth:`stale_entry`, then :meth:`put`).  A stale entry
+    is never served: :meth:`lookup` counts it as a miss and skips it as a
+    subset candidate.
 
     Capacity is counted in entries, chunks and memos alike.  All operations
     are thread-safe: the completion service (:mod:`repro.serving`) answers
@@ -191,6 +192,18 @@ class PartialJoinCache:
                 self._stale.pop(base, None)
             self._store((base, fingerprints), output)
 
+    def replace(
+        self, signature: Hashable, grid: Tuple, task: Tuple, old: Any, new: Any
+    ) -> None:
+        """Swap ``task``'s unfiltered entry from ``old`` to ``new``, an
+        equal output held by other arrays, if it still holds ``old`` and
+        is not stale: no stats, no recency."""
+        base = (signature, grid, task)
+        key = (base, frozenset())
+        with self._lock:
+            if self._entries.get(key) is old and base not in self._stale:
+                self._entries[key] = new
+
     def stale_entry(
         self, signature: Hashable, grid: Tuple, task: Tuple
     ) -> Optional[Tuple[Any, np.ndarray]]:
@@ -204,7 +217,7 @@ class PartialJoinCache:
             return self._entries[(base, frozenset())], roots
 
     def mark_stale(self, signature: Hashable, roots) -> int:
-        """Mark root rows ``roots`` stale after an in-place root update.
+        """Mark root rows ``roots`` stale after a row-local write.
 
         Each unfiltered chunk of ``signature`` whose bounds cover some of
         them records them and keeps its output for a splice; the covering
@@ -312,8 +325,8 @@ class PartialJoinCache:
         """Evict every entry of ``signature``; count truthfully.
 
         For a mutation that changes the grid or whole-table state (a root
-        insert/delete, a non-root table in the model's closure): every
-        chunk under ``signature`` and its memo go.  Entries for other
+        insert/delete, or a closure-table write that is not row-local):
+        every chunk under ``signature`` and its memo go.  Entries for other
         signatures, and hit/miss history, are untouched: each removal of
         an entry that could serve increments ``evictions`` (a stale one
         was counted when marked), and each counter set counts one

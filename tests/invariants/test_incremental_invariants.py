@@ -3,10 +3,12 @@
 Pinned properties, exercised over randomized cascade-aware mutation
 sequences at the harness seed:
 
-* **recompletion identity** — ``recomplete(delta)`` is bitwise-identical
-  (up to row order) to from-scratch completion of the mutated database at
-  the same seed, for every execution backend and several chunk sizes, on
-  all three dataset families (housing/movies nightly-gated via ``slow``);
+* **recompletion identity** — ``recomplete(delta)`` and every fitted
+  model's ``completed_join`` are bitwise-identical (up to row order) to
+  from-scratch completion of the mutated database at the same seed, for
+  every execution backend and several chunk sizes, on all three dataset
+  families (housing/movies nightly-gated via ``slow``), over batches that
+  also move child rows between parents;
 * **minimal, sound invalidation** — an update-only root delta re-walks
   *exactly* the chunks covering the updated rows; every untouched chunk is
   served from the partial cache (hit counters asserted, not just
@@ -75,12 +77,13 @@ def _donor_row(table, rng) -> dict:
 
 
 def random_batch(db: Database, rng, max_ops: int = 4) -> dict:
-    """A seeded insert/update/delete batch over every mutable table.
+    """A seeded insert/update/delete/move batch over every mutable table.
 
     Inserts clone a random donor row under a fresh primary key (so FK
     references stay plausible), updates overwrite one non-key column of a
-    random row with a donor value, deletes pick random primary keys —
-    cascades through FK children are the mutation API's job.
+    random row with a donor value, moves point one foreign key of a random
+    child row at another existing parent, deletes pick random primary keys
+    — cascades through FK children are the mutation API's job.
     """
     tables = [
         n for n in db.table_names()
@@ -93,8 +96,21 @@ def random_batch(db: Database, rng, max_ops: int = 4) -> dict:
         name = tables[int(rng.integers(len(tables)))]
         table = db.table(name)
         pk = table.primary_key
-        op = ("insert", "update", "delete")[int(rng.integers(3))]
-        if op == "insert":
+        op = ("insert", "update", "delete", "move")[int(rng.integers(4))]
+        if op == "move":
+            fks = [fk for fk in db.foreign_keys if fk.child_table == name]
+            if not fks:
+                continue
+            fk = fks[int(rng.integers(len(fks)))]
+            parent = db.table(fk.parent_table)
+            target = int(table[pk][int(rng.integers(table.num_rows))])
+            updates.setdefault(name, []).append({
+                pk: target,
+                fk.child_column: int(
+                    parent[fk.parent_column][int(rng.integers(parent.num_rows))]
+                ),
+            })
+        elif op == "insert":
             row = _donor_row(table, rng)
             row[pk] = int(table[pk].max()) + 1 + len(inserts.get(name, []))
             inserts.setdefault(name, []).append(row)
@@ -126,11 +142,13 @@ def random_batch(db: Database, rng, max_ops: int = 4) -> dict:
 
 
 def _run_sequence(artifact, seed: int, overrides=None, steps=SEQUENCE_STEPS):
-    """Mutate twin engines in lockstep; assert warm == cold at every step."""
+    """Mutate twin engines in lockstep; assert warm == cold at every step,
+    for every fitted model."""
     incremental = ReStore.load(artifact, config_overrides=overrides)
     scratch = ReStore.load(artifact, config_overrides=overrides)
     rng = np.random.default_rng(seed)
-    incremental.recomplete()  # warm the caches so reuse is actually at stake
+    for model in incremental.fitted_models().values():
+        incremental.completed_join(model)  # warm: reuse is at stake
     for _ in range(steps):
         batch = random_batch(incremental.db, rng)
         delta = incremental.apply_mutations(**batch)
@@ -143,6 +161,12 @@ def _run_sequence(artifact, seed: int, overrides=None, steps=SEQUENCE_STEPS):
         assert joins_bitwise_identical(warm, cold), (
             f"recomplete diverged from from-scratch for batch {batch!r}"
         )
+        twins = scratch.fitted_models()
+        for key, model in incremental.fitted_models().items():
+            assert joins_bitwise_identical(
+                incremental.completed_join(model),
+                scratch.completed_join(twins[key]),
+            ), f"{key} diverged from from-scratch for batch {batch!r}"
 
 
 # ----------------------------------------------------------------------

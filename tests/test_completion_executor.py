@@ -341,11 +341,12 @@ class TestRecompletion:
     ):
         """A write that brings a string no row held and removes the row of
         another value's first occurrence changes the table's vocabulary.
-        An insert and delete in the walked child table re-walks every chunk
-        under the new vocabulary; root updates re-walk only their chunks,
-        and the cached ones, under the old vocabulary, assemble with them.
-        Either way the written column still walks as codes, and the join
-        equals a from-scratch completion."""
+        Either write re-walks only the root rows it reaches — the
+        neighborhoods the inserted and deleted apartments hang from, or the
+        two updated neighborhoods — and the cached chunks, under the old
+        vocabulary, assemble with them.  Either way the written column
+        still walks as codes, and the join equals a from-scratch
+        completion."""
         engine = make_engine(dataset)
         model = _model(engine, ("neighborhood", "apartment"))
         engine.recomplete(model=model)
@@ -356,16 +357,21 @@ class TestRecompletion:
             row = {c: table[c][0] for c in table.column_names}
             row["id"] = int(table["id"].max()) + 1
             row[column] = "Treehouse"
+            doomed = values.index(second)
             delta = engine.apply_mutations(
                 inserts={table_name: [row]},
-                deletes={table_name: [int(table["id"][values.index(second)])]},
+                deletes={table_name: [int(table["id"][doomed])]},
             )
+            hoods = engine.db.table("neighborhood")["id"].tolist()
+            roots = {hoods.index(int(row["neighborhood_id"])),
+                     hoods.index(int(table["neighborhood_id"][doomed]))}
         else:
             other = next(v for v in values if v != second)
             delta = engine.apply_mutations(updates={table_name: [
                 {"id": int(table["id"][0]), column: "Treehouse"},
                 {"id": int(table["id"][values.index(second)]), column: other},
             ]})
+            roots = {0, values.index(second)}
         walk_chunks = IncompletenessJoin.walk_chunks
         outputs = []
 
@@ -377,11 +383,11 @@ class TestRecompletion:
         with monkeypatch.context() as patched:
             patched.setattr(IncompletenessJoin, "walk_chunks", recording)
             warm = engine.recomplete(delta, model=model)
-        walked = warm.recompletion["chunks_walked"]
-        total = len(engine._grid(model))
-        assert walked == total if write == "insert_delete" else 0 < walked < total
-        # One output per walked chunk; an update walks its two rows alone.
-        assert len(outputs) == (walked if write == "insert_delete" else 2)
+        covering = [(start, stop) for start, stop in engine._grid(model)
+                    if any(start <= r < stop for r in roots)]
+        assert warm.recompletion["chunks_walked"] == len(covering)
+        # One output per reached root row: each walks alone.
+        assert len(outputs) == len(roots)
         for output in outputs:
             written = output.state.columns[f"{table_name}.{column}"]
             assert isinstance(written, DictColumn)
@@ -589,6 +595,34 @@ class TestRowSplice:
         scratch = engine.recomplete()
         assert scratch.recompletion["chunks_walked"] == len(grid)
         assert joins_bitwise_identical(warm, scratch)
+
+    def test_splicing_completion_rebases_chunks_onto_one_state(
+        self, refresh_engine
+    ):
+        """Right after a completion that spliced, every unfiltered chunk
+        entry is a range of the one state the join was assembled from, so
+        no entry keeps the rows a splice superseded alive; the next splice
+        still gives the from-scratch join."""
+        engine = refresh_engine
+        model = engine._default_model()
+        signature, grid = engine.join_signature(model), engine._grid(model)
+
+        def entries():
+            return [engine.partial_cache.lookup(
+                signature, grid, task, frozenset())[0] for task in grid]
+
+        rng = np.random.default_rng(17)
+        engine.recomplete()
+        for _ in range(2):
+            _update_roots(engine, model, rng, 3)
+            warm = engine.recomplete()
+            outputs = entries()
+            [state] = {id(o.walked): o.walked for o in outputs}.values()
+            assert np.shares_memory(state.codes, warm.codes)
+            stops = [o.rows.stop for o in outputs]
+            assert [o.rows.start for o in outputs] == [0] + stops[:-1]
+        engine.clear_cache()
+        assert joins_bitwise_identical(warm, engine.recomplete())
 
     def test_no_answer_reads_a_stale_chunk(self, refresh_engine):
         """Pushed answers and progressive runs issued between

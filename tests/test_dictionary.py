@@ -17,6 +17,7 @@ from repro.relational.dictionary import (
     code_dtype,
     concat_columns,
     dictionary_encode,
+    encode_into,
     object_array,
 )
 
@@ -67,6 +68,15 @@ class TestDictColumn:
     ])
     def test_dictionary_encode_takes_only_exact_strings(self, values):
         assert dictionary_encode(values) is None
+
+    def test_encode_into_appends_only_new_values(self):
+        known = encode_into(VOCAB, ["blue", "red", "blue"])
+        assert known.vocab is VOCAB
+        assert known.codes.tolist() == [2, 0, 2]
+        grown = encode_into(VOCAB, ["teal", "red", "teal", "navy"])
+        assert grown.vocab.tolist() == VOCAB.tolist() + ["teal", "navy"]
+        _assert_decodes_to(grown, object_array(["teal", "red", "teal", "navy"]))
+        assert encode_into(VOCAB, ["red", np.str_("red")]) is None
 
     def test_code_dtype_ladder(self):
         assert code_dtype(0) == np.int16

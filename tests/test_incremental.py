@@ -18,12 +18,15 @@ Four rings, cheapest first:
   on mismatch).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import ReStore, ReStoreConfig
-from repro.core import ModelConfig
+from repro.core import IncompletenessJoin, ModelConfig
 from repro.errors import ArtifactLineageError, MutationError, wire_code
+from repro.experiments import joins_bitwise_identical
 from repro.incomplete.registry import make_scenario_dataset
 from repro.incremental import (
     MutationDelta,
@@ -35,7 +38,16 @@ from repro.incremental import (
 )
 from repro.incremental.drift import DriftThresholds
 from repro.nn import TrainConfig
-from repro.relational import ColumnKind, Database, ForeignKey, Table
+from repro.relational import (
+    ColumnKind,
+    CompletionPath,
+    Database,
+    DictColumn,
+    ForeignKey,
+    SchemaAnnotation,
+    Table,
+)
+from repro.relational.dictionary import object_array
 from repro.runtime.cache import PartialJoinCache
 from repro.serving import artifact_lineage, save_artifact, verify_lineage
 
@@ -136,6 +148,50 @@ class TestApplyMutations:
         assert td.updated == (3,) and td.inserted == (4,) and td.deleted == (1,)
         counts = delta.counts()["pa"]
         assert counts == {"inserted": 1, "updated": 1, "deleted": 1}
+
+    def test_string_dictionaries_carry_across_writes(self):
+        """A written table keeps its string column's vocabulary object
+        while no new value arrives, and extends it by a new one; the
+        carried codes always decode to the new table's column."""
+        db = Database(
+            [Table("pa", {"id": [1, 2, 3],
+                          "c": object_array(["u", "v", "u"])},
+                   {"id": K, "c": C})],
+            [],
+        )
+
+        def encoded(db):
+            table = db.table("pa")
+            column = table.gather_encoded("c", np.arange(table.num_rows))
+            assert isinstance(column, DictColumn)
+            assert np.array_equal(np.asarray(column), table["c"])
+            return column
+
+        vocab = encoded(db).vocab
+        db, _, _ = apply_mutations(
+            db, inserts={"pa": [{"id": 4, "c": "v"}]}, deletes={"pa": [1]},
+        )
+        assert encoded(db).vocab is vocab
+        db, _, _ = apply_mutations(db, updates={"pa": [{"id": 3, "c": "u"}]})
+        assert encoded(db).vocab is vocab
+        db, _, _ = apply_mutations(db, updates={"pa": [{"id": 2, "c": "w"}]})
+        assert encoded(db).vocab.tolist() == ["u", "v", "w"]
+        db, _, _ = apply_mutations(db, inserts={"pa": [{"id": 5, "c": "x"}]})
+        assert encoded(db).vocab.tolist() == ["u", "v", "w", "x"]
+
+    def test_delta_names_the_parent_keys_each_write_touched(self):
+        """New values of inserted and updated rows, old values of deleted
+        and updated rows, per foreign-key column; cascades count too."""
+        _, _, delta = apply_mutations(
+            _mini_db(),
+            updates={"cb": [{"id": 2, "pa_id": 3}, {"id": 3, "y": 0.0}]},
+            inserts={"gc": [{"id": 3, "cb_id": 3, "z": "c"}]},
+            deletes={"cb": [1]},
+        )
+        assert delta.for_table("cb").parent_keys == {"pa_id": (1, 2, 3)}
+        # gc row 1 goes with cb row 1; the inserted row names cb 3
+        assert delta.for_table("gc").parent_keys == {"cb_id": (1, 3)}
+        assert delta.for_table("pa").parent_keys == {}
 
     def test_annotation_tuple_factors_realigned(self):
         ds = make_scenario_dataset(
@@ -272,6 +328,33 @@ class TestDeltaReach:
         assert all(engine.partial_cache.stale_entry(signature, grid, task)
                    is None for task in grid)
 
+    def _assert_marked(self, engine, grids, model, roots):
+        """Exactly ``roots`` are stale, in the chunks that cover them, and
+        every other chunk still serves."""
+        signature, grid = grids[(model.kind, model.layout.path.tables)]
+        assert not engine.join_cached(model)
+        stale = {}
+        for task in grid:
+            entry = engine.partial_cache.stale_entry(signature, grid, task)
+            if entry is not None:
+                stale[task] = entry[1].tolist()
+        covering = {task: sorted(r for r in set(roots) if task[0] <= r < task[1])
+                    for task in grid}
+        assert stale == {task: rows for task, rows in covering.items() if rows}
+        assert self._serving(engine, signature, grid) == set(grid) - set(stale)
+
+    @staticmethod
+    def _position(engine, table, key):
+        return int(np.flatnonzero(engine.db.table(table)["id"] == key)[0])
+
+    def _assert_bitwise_fresh(self, engine):
+        """Every model's recompleted join equals a from-scratch one."""
+        models = engine.fitted_models().values()
+        warm = [engine.completed_join(model) for model in models]
+        engine.clear_cache()
+        for join, model in zip(warm, models):
+            assert joins_bitwise_identical(join, engine.completed_join(model))
+
     def test_write_outside_closure_keeps_entries_and_memo(self):
         engine = _warm_housing_engine()
         grids = self._grids(engine)
@@ -284,9 +367,10 @@ class TestDeltaReach:
         for model in kept:
             self._assert_kept(engine, grids, model)
 
-    def test_non_root_closure_write_drops_entries_and_memo(self):
-        """An apartment update reaches every model past its root; the
-        landlord update in the same batch marks nothing on its own."""
+    def test_non_root_closure_update_marks_its_parents(self):
+        """An apartment update reaches every model past its root: it marks
+        the landlord and the neighborhood the apartment hangs from; the
+        landlord update in the same batch marks its own row."""
         engine = _warm_housing_engine()
         grids = self._grids(engine)
         flat = engine.db.table("apartment")
@@ -297,8 +381,81 @@ class TestDeltaReach:
                           "landlord_response_rate": 0.25}],
         })
         assert len(engine.fitted_models()) == 4
+        parents = {root: self._position(engine, root, int(flat[f"{root}_id"][0]))
+                   for root in ("landlord", "neighborhood")}
+        for model in _models_rooted_at(engine, "landlord"):
+            self._assert_marked(engine, grids, model, [parents["landlord"], 0])
+        for model in _models_rooted_at(engine, "neighborhood"):
+            self._assert_marked(engine, grids, model, [parents["neighborhood"]])
+        self._assert_bitwise_fresh(engine)
+
+    def test_child_insert_and_delete_mark_exactly_their_parents(self):
+        """Live refresh's child write: an apartment insert plus a delete
+        marks the rows both hang from in all four models (``apartment``
+        is every path's last table), and every other chunk keeps
+        serving."""
+        engine = _warm_housing_engine()
+        grids = self._grids(engine)
+        flat = engine.db.table("apartment")
+        row = {c: flat[c][5] for c in flat.column_names}
+        row["id"] = int(flat["id"].max()) + 1
+        doomed = 40
+        engine.apply_mutations(inserts={"apartment": [row]},
+                               deletes={"apartment": [int(flat["id"][doomed])]})
+        assert len(engine.fitted_models()) == 4
         for model in engine.fitted_models().values():
-            self._assert_dropped(engine, grids, model)
+            root = model.layout.path.tables[0]
+            self._assert_marked(engine, grids, model, [
+                self._position(engine, root, int(row[f"{root}_id"])),
+                self._position(engine, root, int(flat[f"{root}_id"][doomed])),
+            ])
+        self._assert_bitwise_fresh(engine)
+
+    def test_moving_a_child_marks_its_old_and_new_parent(self):
+        engine = _warm_housing_engine()
+        grids = self._grids(engine)
+        flat = engine.db.table("apartment")
+        landlords = engine.db.table("landlord")["id"]
+        old = int(flat["landlord_id"][7])
+        new = int(next(key for key in landlords if key != old))
+        engine.apply_mutations(updates={"apartment": [
+            {"id": int(flat["id"][7]), "landlord_id": new}
+        ]})
+        for model in _models_rooted_at(engine, "landlord"):
+            self._assert_marked(engine, grids, model, [
+                self._position(engine, "landlord", old),
+                self._position(engine, "landlord", new),
+            ])
+        hood = self._position(engine, "neighborhood", int(flat["neighborhood_id"][7]))
+        for model in _models_rooted_at(engine, "neighborhood"):
+            self._assert_marked(engine, grids, model, [hood])
+        self._assert_bitwise_fresh(engine)
+
+    def test_child_side_of_an_n_to_1_hop_drops_the_signature(self):
+        """A ``movie_actor`` write feeds the orphan weight of the n:1 hop
+        ``movie_actor -> movie``, which every chunk of the actor-rooted
+        model reads: that model is dropped whole, the others kept."""
+        dataset = make_scenario_dataset(
+            "movies/M1", keep_rate=0.5, seed=1, scale=0.1
+        )
+        config = ReStoreConfig(model=ModelConfig(hidden=(16, 16), train=FAST),
+                               seed=3)
+        engine = ReStore.from_dataset(dataset, config).fit()
+        for model in engine.fitted_models().values():
+            engine.completed_join(model)
+        grids = self._grids(engine)
+        links = engine.db.table("movie_actor")
+        row = {c: links[c][0] for c in links.column_names}
+        row["id"] = int(links["id"].max()) + 1
+        engine.apply_mutations(inserts={"movie_actor": [row]})
+        dropped = [m for m in engine.fitted_models().values()
+                   if "movie_actor" in m.layout.path.tables]
+        assert [m.layout.path.tables for m in dropped] == \
+            [("actor", "movie_actor", "movie")]
+        self._assert_dropped(engine, grids, dropped[0])
+        for model in engine.fitted_models().values():
+            if model not in dropped:
+                self._assert_kept(engine, grids, model)
 
     def test_root_insert_or_delete_drops_entries_and_memo(self):
         engine = _warm_housing_engine()
@@ -330,19 +487,7 @@ class TestDeltaReach:
             for pos in positions
         ]})
         for model in _models_rooted_at(engine, "landlord"):
-            signature, grid = grids[(model.kind, model.layout.path.tables)]
-            assert not engine.join_cached(model)
-            stale = {}
-            for task in grid:
-                entry = engine.partial_cache.stale_entry(signature, grid, task)
-                if entry is not None:
-                    stale[task] = entry[1].tolist()
-            covering = {task: [p for p in positions if task[0] <= p < task[1]]
-                        for task in grid}
-            assert stale == {task: rows for task, rows in covering.items()
-                             if rows}
-            assert self._serving(engine, signature, grid) == \
-                set(grid) - set(stale)
+            self._assert_marked(engine, grids, model, positions)
         for model in _models_rooted_at(engine, "neighborhood"):
             self._assert_kept(engine, grids, model)
 
@@ -363,6 +508,76 @@ class TestDeltaReach:
         ]})
         engine.recomplete(delta)
         assert passes == [delta]
+
+
+def _routes_db() -> Database:
+    """:func:`_mini_db`'s chain ``pa -> cb -> gc`` plus ``sb``, a second
+    child of ``pa``, and ``xx``, a second parent of ``cb``."""
+    db = _mini_db()
+    sb = Table("sb", {"id": [1, 2], "pa_id": [1, 3]}, {"id": K, "pa_id": K})
+    xx = Table("xx", {"id": [1, 2]}, {"id": K})
+    cb = db.table("cb").with_column("xx_id", [1, 2, 1, 2], K)
+    return Database(
+        [db.table("pa"), cb, db.table("gc"), sb, xx],
+        list(db.foreign_keys) + [ForeignKey("sb", "pa_id", "pa"),
+                                 ForeignKey("cb", "xx_id", "xx")],
+    )
+
+
+def _stub_model(path, complete=(), walks=None):
+    """What :meth:`IncompletenessJoin.row_local_routes` reads of a model:
+    the layout's database, annotation and path, and the forest's walks."""
+    db = _routes_db()
+    annotation = SchemaAnnotation(
+        complete_tables=set(complete),
+        incomplete_tables=set(db.table_names()) - set(complete),
+    )
+    layout = SimpleNamespace(db=db, annotation=annotation,
+                             path=CompletionPath(tuple(path)))
+    forest = None if walks is None else SimpleNamespace(walks=walks)
+    return SimpleNamespace(layout=layout, forest=forest)
+
+
+class TestRowLocalRoutes:
+    """The declaration of which non-root writes a walk reads row by row."""
+
+    routes = staticmethod(IncompletenessJoin.row_local_routes)
+
+    def test_fan_out_chain_routes_each_table_from_the_root(self):
+        model = _stub_model(("pa", "cb", "gc"))
+        assert self.routes(model, "cb", deletes=False) == [("pa", "cb")]
+        assert self.routes(model, "gc", deletes=False) == [("pa", "cb", "gc")]
+        # the last table's positions feed no later hop's streams
+        assert self.routes(model, "gc", deletes=True) == [("pa", "cb", "gc")]
+
+    def test_forest_walks_are_routes_too(self):
+        model = _stub_model(("pa", "cb", "gc"),
+                            walks=[("pa", "sb"), ("pa", "cb", "gc")])
+        assert self.routes(model, "sb", deletes=False) == [("pa", "sb")]
+        assert self.routes(model, "gc", deletes=False) == [("pa", "cb", "gc")]
+
+    def test_delete_in_a_non_leaf_table_is_refused(self):
+        model = _stub_model(("pa", "cb", "gc"), walks=[("pa", "sb")])
+        assert self.routes(model, "cb", deletes=True) is None
+        assert self.routes(model, "sb", deletes=True) is None
+
+    def test_complete_table_is_refused(self):
+        model = _stub_model(("pa", "cb", "gc"), complete=("pa", "gc"))
+        assert self.routes(model, "gc", deletes=False) is None
+        assert self.routes(model, "cb", deletes=False) == [("pa", "cb")]
+
+    def test_route_past_a_complete_table_is_refused(self):
+        model = _stub_model(("pa", "cb", "gc"), complete=("pa", "cb"))
+        assert self.routes(model, "gc", deletes=False) is None
+
+    def test_route_through_an_n_to_1_hop_is_refused(self):
+        model = _stub_model(("cb", "pa", "sb"))
+        assert self.routes(model, "sb", deletes=False) is None
+
+    def test_either_side_of_an_n_to_1_hop_is_refused(self):
+        model = _stub_model(("pa", "cb", "xx"))
+        assert self.routes(model, "cb", deletes=False) is None
+        assert self.routes(model, "xx", deletes=False) is None
 
 
 # ----------------------------------------------------------------------
