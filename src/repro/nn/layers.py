@@ -9,7 +9,7 @@ mask; the forward and backward passes live in the float32 runtime
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
@@ -51,14 +51,8 @@ class Module:
 
         Entries are matched by parameter name; missing, unexpected or
         shape-mismatched entries raise ``ValueError`` naming the offender.
-        Legacy order-based dicts (``param_0`` … ``param_N``, the format
-        before parameters were named) are still accepted.
         """
-        named = list(self.named_parameters())
-        if state and all(k.startswith("param_") for k in state):
-            self._load_legacy_state_dict(state, [p for _n, p in named])
-            return
-        params = dict(named)
+        params = dict(self.named_parameters())
         missing = sorted(set(params) - set(state))
         unexpected = sorted(set(state) - set(params))
         if missing or unexpected:
@@ -66,24 +60,13 @@ class Module:
                 f"state dict does not match model parameters "
                 f"(missing {missing or 'none'}, unexpected {unexpected or 'none'})"
             )
-        for name, param in named:
+        for name, param in params.items():
             value = state[name]
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for parameter {name!r}: "
                     f"state {value.shape} vs model {param.data.shape}"
                 )
-            param.data[...] = value
-
-    def _load_legacy_state_dict(self, state: dict, params: List[Parameter]) -> None:
-        if len(params) != len(state):
-            raise ValueError(
-                f"state dict has {len(state)} entries, model has {len(params)} parameters"
-            )
-        for i, param in enumerate(params):
-            value = state[f"param_{i}"]
-            if value.shape != param.data.shape:
-                raise ValueError(f"shape mismatch for parameter {i}")
             param.data[...] = value
 
 

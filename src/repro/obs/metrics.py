@@ -1,9 +1,12 @@
-"""The process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registries: counters, gauges, histograms.
 
-Every layer of the pipeline used to keep private counters with private
-percentile code (``ServingCore.stats``, ``FleetRouter.router_stats``, the
-completion cache); :class:`MetricsRegistry` is the one accounting surface
-they now share.  Three instrument kinds:
+:class:`MetricsRegistry` is the serving tier's one accounting surface.  A
+:class:`~repro.serving.ServingCore` and a
+:class:`~repro.serving.FleetRouter` each own one (their ``metrics``) and
+count every request, batch, join and latency sample there, so
+``ServingCore.stats()`` and ``FleetRouter.router_stats()`` are views of
+its snapshot; the completion cache keeps its own monotonic counters and
+reports into the core's registry as collectors.  Three instrument kinds:
 
 * :class:`Counter` — monotonic, lock-protected ``add``; a
   Barrier-hammering concurrency test pins that increments are never lost.
@@ -15,8 +18,9 @@ they now share.  Three instrument kinds:
 
 Registries also accept *collectors* — callables returning a dict — for
 stats that already live elsewhere (the completion cache's monotonic counters);
-``snapshot()`` folds them in, so one call truthfully describes the whole
-process.  :func:`registry` returns the process-wide default instance.
+``snapshot()`` folds them in, so one call describes everything the
+registry's owner reports.  :func:`registry` returns the process-wide
+default instance.
 """
 
 from __future__ import annotations
@@ -99,8 +103,9 @@ class Histogram:
 
     ``window`` bounds memory exactly like the serving layers' old latency
     deques did; ``count``/``total`` stay monotonic over the full history.
-    ``percentile`` matches ``np.percentile`` over the current window —
-    the single implementation every stats surface now reports through.
+    ``percentile`` and the ``summary`` percentiles are ``np.percentile``
+    over the current window — the single implementation every stats
+    surface reports through.
     """
 
     __slots__ = ("name", "window", "_lock", "_values", "_count", "_total",
@@ -190,31 +195,30 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        #: kind → name → instrument, laid out as ``snapshot()`` reports it
+        self._instruments: Dict[str, Dict[str, object]] = {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
         self._collectors: Dict[str, Callable[[], dict]] = {}
 
-    def counter(self, name: str) -> Counter:
+    def _instrument(self, kind: str, name: str, make: Callable[[], object]):
         with self._lock:
-            instrument = self._counters.get(name)
+            instruments = self._instruments[kind]
+            instrument = instruments.get(name)
             if instrument is None:
-                instrument = self._counters[name] = Counter(name)
+                instrument = instruments[name] = make()
             return instrument
+
+    def counter(self, name: str) -> Counter:
+        return self._instrument("counters", name, lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
+        return self._instrument("gauges", name, lambda: Gauge(name))
 
     def histogram(self, name: str, window: int = 2048) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(name, window)
-            return instrument
+        return self._instrument(
+            "histograms", name, lambda: Histogram(name, window)
+        )
 
     def register_collector(self, name: str, collect: Callable[[], dict]) -> None:
         """Fold an external stats source (e.g. a cache's counters) into
@@ -230,14 +234,13 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Everything, as plain JSON-ready data."""
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
+            instruments = {
+                kind: dict(table) for kind, table in self._instruments.items()
+            }
             collectors = dict(self._collectors)
         out = {
-            "counters": {n: c.snapshot() for n, c in counters.items()},
-            "gauges": {n: g.snapshot() for n, g in gauges.items()},
-            "histograms": {n: h.snapshot() for n, h in histograms.items()},
+            kind: {name: i.snapshot() for name, i in table.items()}
+            for kind, table in instruments.items()
         }
         collected = {}
         for name, collect in collectors.items():
@@ -256,9 +259,8 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument and collector (tests and process reuse)."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+            for table in self._instruments.values():
+                table.clear()
             self._collectors.clear()
 
 

@@ -19,8 +19,11 @@ behaviours that make ReStore's train-once / query-many story scale —
   the engine's join signature and at most one incompleteness join per
   signature is ever in flight, fleet-ready because the bookkeeping is
   plain ``threading`` primitives;
-* **stats** — latency percentiles, batch/coalescing counters, progressive
-  metrics; one truthful :meth:`ServingCore.stats` shared by every shell.
+* **stats** — every count, latency percentile, batch size and
+  progressive metric lives in the core's own
+  :class:`~repro.obs.metrics.MetricsRegistry` (``core.metrics``), beside
+  the engine caches' collectors; :meth:`ServingCore.stats` is a view of
+  it, shared by every shell.
 
 This module imports **no asyncio** (a unit test enforces it).  The thin
 shells live next door: :class:`repro.serving.CompletionService` (asyncio),
@@ -38,7 +41,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -111,43 +114,16 @@ class ServiceStats:
     swaps: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "queued": self.queued,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "max_batch_size": self.max_batch_size,
-            "joins_started": self.joins_started,
-            "coalesced_requests": self.coalesced_requests,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p50_queue_wait_ms": self.p50_queue_wait_ms,
-            "p95_queue_wait_ms": self.p95_queue_wait_ms,
-            "queue_wait_samples": self.queue_wait_samples,
-            "cache": dict(self.cache),
-            "progressive": dict(self.progressive),
-            "partial_cache": dict(self.partial_cache),
-            "swaps": self.swaps,
-        }
+        return asdict(self)
 
 
-@dataclass
-class _Counters:
-    requests: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    batches: int = 0
-    joins_started: int = 0
-    coalesced_requests: int = 0
-    progressive_queries: int = 0
-    progressive_flights: int = 0
-    progressive_coalesced: int = 0
-    refinements_emitted: int = 0
-    swaps: int = 0
+#: What a core counts, each a ``serving.<name>`` counter of its registry.
+_COUNTS = (
+    "requests", "completed", "failed", "rejected", "batches",
+    "joins_started", "coalesced_requests",
+    "progressive_queries", "progressive_flights", "progressive_coalesced",
+    "refinements_emitted", "swaps",
+)
 
 
 @dataclass
@@ -227,15 +203,18 @@ class AdmissionGate:
             grant()
 
     def release(self) -> None:
-        """Free a slot; a queued waiter (FIFO) inherits it directly."""
+        """Free a slot; a queued waiter (FIFO) inherits it directly.
+
+        With no slot held it raises :class:`RuntimeError` instead of
+        letting a double release admit one request beyond capacity."""
         with self._lock:
             if self._waiters:
                 grant = self._waiters.popleft()
-            else:
+            elif self._in_service:
                 grant = None
                 self._in_service -= 1
-                if self._in_service < 0:
-                    self._in_service = 0
+            else:
+                raise RuntimeError("AdmissionGate.release() with no slot held")
         if grant is not None:
             grant()
 
@@ -344,6 +323,7 @@ class Dispatcher:
                 results = self.core.serve_group(model, requests, signature)
             except BaseException as exc:  # a fault in the core itself
                 self._errors.append(exc)
+                self.core.count_failed(len(requests))
                 results = [exc] * len(requests)
             for request, result in zip(requests, results):
                 self._deliver(request, result)
@@ -426,8 +406,8 @@ class ServingCore:
     calling thread.  Shells :meth:`prepare` and :meth:`admit` on their
     front-end and hand requests to a :class:`Dispatcher`, which drives
     :meth:`group` and :meth:`serve_group` on its threads; every path
-    lands in the same counters, so :meth:`stats` is truthful no matter
-    which transport drove the work.
+    counts in the same registry (:attr:`metrics`), so :meth:`stats` is
+    truthful no matter which transport drove the work.
 
     Thread-safe throughout; contains no event loop and no asyncio.
     """
@@ -442,13 +422,15 @@ class ServingCore:
         self.config = config or ServiceConfig()
         self.clock = clock
         self.gate = AdmissionGate(self.config.max_queue)
-        self._lock = threading.Lock()
-        self._counters = _Counters()
-        # Per-instance registry: the core's latency/batch/utilization
-        # distributions live here (one percentile implementation for every
-        # stats surface), and the engine's caches report through collectors.
+        # Per-instance registry, the core's one accounting surface: its
+        # counts, its latency/batch/utilization distributions (one
+        # percentile implementation for every stats surface) and, through
+        # collectors, the engine's caches.  stats() is a view of it.
         window = self.config.latency_window
         self.metrics = MetricsRegistry()
+        self._counts = {
+            name: self.metrics.counter(f"serving.{name}") for name in _COUNTS
+        }
         self._latency_hist = self.metrics.histogram("serving.latency_ms", window)
         self._queue_wait_hist = self.metrics.histogram(
             "serving.queue_wait_ms", window
@@ -489,26 +471,22 @@ class ServingCore:
         full gate is counted as a rejection and raises
         :class:`~repro.errors.ServiceOverloadedError` instead.
         """
-        with self._lock:
-            self._counters.requests += 1
+        self._counts["requests"].add()
         if self.gate.try_acquire():
             return True
         if wait:
             return False
-        with self._lock:
-            self._counters.rejected += 1
+        self._counts["rejected"].add()
         raise ServiceOverloadedError(
             f"{self.config.max_queue} requests already in service; "
             f"retry later or submit with wait=True"
         )
 
     def count_failed(self, n: int = 1) -> None:
-        with self._lock:
-            self._counters.failed += n
+        self._counts["failed"].add(n)
 
     def record_batch(self, size: int) -> None:
-        with self._lock:
-            self._counters.batches += 1
+        self._counts["batches"].add()
         self._batch_hist.observe(size)
 
     # ------------------------------------------------------------------
@@ -586,13 +564,11 @@ class ServingCore:
                 flight = _InflightJoin()
                 self._inflight_joins[signature] = flight
                 leader = True
-                with self._lock:
-                    self._counters.joins_started += 1
-                    self._counters.coalesced_requests += group_size - 1
+                self._counts["joins_started"].add()
+                self._counts["coalesced_requests"].add(group_size - 1)
             else:
                 leader = False
-                with self._lock:
-                    self._counters.coalesced_requests += group_size
+                self._counts["coalesced_requests"].add(group_size)
         if leader:
             with trace(
                 "serve.single_flight", role="leader", group_size=group_size
@@ -660,8 +636,7 @@ class ServingCore:
                         results.append(exc)
                     else:
                         now = self.clock()
-                        with self._lock:
-                            self._counters.completed += 1
+                        self._counts["completed"].add()
                         self._latency_hist.observe(
                             (now - request.enqueued_at) * 1000.0
                         )
@@ -755,8 +730,7 @@ class ServingCore:
                 old_engine = self.engine
                 self.engine = new_engine
                 self._register_cache_collectors()
-                with self._lock:
-                    self._counters.swaps += 1
+                self._counts["swaps"].add()
             span.set("scenario", manifest.get("scenario"))
             self._log.info(
                 "core.swap",
@@ -798,12 +772,10 @@ class ServingCore:
             if created:
                 flight = ProgressiveFlight()
                 self._progressive_flights[key] = flight
-        with self._lock:
-            self._counters.progressive_queries += 1
-            if created:
-                self._counters.progressive_flights += 1
-            else:
-                self._counters.progressive_coalesced += 1
+        self._counts["progressive_queries"].add()
+        self._counts[
+            "progressive_flights" if created else "progressive_coalesced"
+        ].add()
         return flight, created
 
     def drive_progressive(
@@ -827,8 +799,7 @@ class ServingCore:
                 query, budget=budget, suspected_bias=suspected_bias
             ):
                 last = refinement
-                with self._lock:
-                    self._counters.refinements_emitted += 1
+                self._counts["refinements_emitted"].add()
                 flight.publish(refinement)
         except BaseException as exc:
             error = exc
@@ -842,41 +813,49 @@ class ServingCore:
     # Observability
     # ------------------------------------------------------------------
     def stats(self, queued: int = 0) -> ServiceStats:
-        """Latency percentiles, batching/coalescing counters, cache and
-        progressive-refinement metrics; ``queued`` is supplied by the
-        shell, from its :class:`Dispatcher`."""
-        with self._lock:
-            counters = _Counters(**vars(self._counters))
+        """A view of :attr:`metrics`: its ``serving.*`` counters, latency
+        and queue-wait percentiles, batch-size window and cache
+        collectors; ``queued`` is supplied by the shell, from its
+        :class:`Dispatcher`."""
+        snapshot = self.metrics.snapshot()
+        count = {
+            name: snapshot["counters"][f"serving.{name}"] for name in _COUNTS
+        }
+        histograms = snapshot["histograms"]
+        latency = histograms["serving.latency_ms"]
+        queue_wait = histograms["serving.queue_wait_ms"]
         sizes = self._batch_hist.values()
-        flights = counters.progressive_flights
+        flights = count["progressive_flights"]
         progressive = {
-            "queries": counters.progressive_queries,
+            "queries": count["progressive_queries"],
             "flights": flights,
-            "coalesced_queries": counters.progressive_coalesced,
-            "refinements_emitted": counters.refinements_emitted,
+            "coalesced_queries": count["progressive_coalesced"],
+            "refinements_emitted": count["refinements_emitted"],
             "mean_refinements_per_flight": (
-                counters.refinements_emitted / flights if flights else 0.0
+                count["refinements_emitted"] / flights if flights else 0.0
             ),
-            "mean_budget_utilization": self._utilization_hist.mean(),
+            "mean_budget_utilization": (
+                histograms["serving.budget_utilization"]["mean"]
+            ),
         }
         return ServiceStats(
-            requests=counters.requests,
-            completed=counters.completed,
-            failed=counters.failed,
-            rejected=counters.rejected,
+            requests=count["requests"],
+            completed=count["completed"],
+            failed=count["failed"],
+            rejected=count["rejected"],
             queued=queued,
-            batches=counters.batches,
+            batches=count["batches"],
             mean_batch_size=float(np.mean(sizes)) if sizes else 0.0,
             max_batch_size=int(max(sizes)) if sizes else 0,
-            joins_started=counters.joins_started,
-            coalesced_requests=counters.coalesced_requests,
-            p50_latency_ms=self._latency_hist.percentile(50),
-            p95_latency_ms=self._latency_hist.percentile(95),
-            p50_queue_wait_ms=self._queue_wait_hist.percentile(50),
-            p95_queue_wait_ms=self._queue_wait_hist.percentile(95),
-            queue_wait_samples=self._queue_wait_hist.count,
-            cache=self.engine.cache_stats.as_dict(),
+            joins_started=count["joins_started"],
+            coalesced_requests=count["coalesced_requests"],
+            p50_latency_ms=latency["p50"],
+            p95_latency_ms=latency["p95"],
+            p50_queue_wait_ms=queue_wait["p50"],
+            p95_queue_wait_ms=queue_wait["p95"],
+            queue_wait_samples=queue_wait["count"],
+            cache=snapshot["collected"]["join_cache"],
             progressive=progressive,
-            partial_cache=self.engine.partial_cache_stats.as_dict(),
-            swaps=counters.swaps,
+            partial_cache=snapshot["collected"]["partial_cache"],
+            swaps=count["swaps"],
         )

@@ -25,7 +25,8 @@ Per-tenant quotas bound how much of the backlog one tenant may hold;
 quota violations reject the *newcomer* instead of shedding others.
 
 ``stats()`` aggregates per-worker snapshots (p50/p95, joins, coalescing)
-with the router's own end-to-end latency percentiles into one
+with the router's own counts and end-to-end latency percentiles (a view
+of its registry, :attr:`FleetRouter.metrics`) into one
 :class:`FleetStats`; after :meth:`FleetRouter.close`, the workers' final
 ``bye`` snapshots remain available as :attr:`final_worker_stats`.
 """
@@ -37,7 +38,7 @@ import bisect
 import hashlib
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -175,27 +176,15 @@ class FleetStats:
     per_worker: List[dict]         #: each worker core's stats().as_dict()
 
     def as_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "queued": self.queued,
-            "inflight": self.inflight,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "joins_started": self.joins_started,
-            "coalesced_requests": self.coalesced_requests,
-            "worker_p50_latency_ms": [
-                w.get("p50_latency_ms", 0.0) for w in self.per_worker
-            ],
-            "worker_p95_latency_ms": [
-                w.get("p95_latency_ms", 0.0) for w in self.per_worker
-            ],
-            "per_worker": [dict(w) for w in self.per_worker],
-        }
+        out = asdict(self)
+        out["worker_p50_latency_ms"] = [
+            w.get("p50_latency_ms", 0.0) for w in self.per_worker
+        ]
+        out["worker_p95_latency_ms"] = [
+            w.get("p95_latency_ms", 0.0) for w in self.per_worker
+        ]
+        out["per_worker"] = out.pop("per_worker")  # keeps the key order
+        return out
 
 
 @dataclass
@@ -252,15 +241,8 @@ async def _read_frame(reader: "asyncio.StreamReader") -> Optional[dict]:
     return decode_payload(payload)
 
 
-class _RouterCounters:
-    __slots__ = ("requests", "completed", "failed", "shed", "rejected")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.completed = 0
-        self.failed = 0
-        self.shed = 0
-        self.rejected = 0
+#: What a router counts, each a ``fleet.<name>`` counter of its registry.
+_COUNTS = ("requests", "completed", "failed", "shed", "rejected")
 
 
 class FleetRouter:
@@ -293,10 +275,13 @@ class FleetRouter:
         self._ring: Optional[ConsistentHashRing] = None
         self._routing_engine: Optional[ReStore] = None
         self._warm_signatures: set = set()
-        self._counters = _RouterCounters()
-        # Router-side latency distribution on a per-instance registry — the
-        # one percentile implementation every stats surface shares.
+        # Per-instance registry, the router's one accounting surface: its
+        # counts and its end-to-end latency distribution (the one
+        # percentile implementation every stats surface shares).
         self.metrics = MetricsRegistry()
+        self._counts = {
+            name: self.metrics.counter(f"fleet.{name}") for name in _COUNTS
+        }
         self._latency_hist = self.metrics.histogram(
             "fleet.latency_ms", self.config.latency_window
         )
@@ -535,7 +520,7 @@ class FleetRouter:
         client, pending = oldest
         client.queue.popleft()
         self._finish(pending)
-        self._counters.shed += 1
+        self._counts["shed"].add()
         if not pending.future.done():
             pending.future.set_exception(ServiceOverloadedError(
                 f"shed under overload: fleet backlog reached "
@@ -551,11 +536,12 @@ class FleetRouter:
         future: "asyncio.Future",
         enqueued_at: float,
     ) -> Tuple[_Pending, _WorkerClient]:
-        """Quota check + overload shedding + enqueue on the routed worker."""
-        self._counters.requests += 1
+        """Quota check + overload shedding + enqueue on the routed worker;
+        counts the request, and its outcome too when it raises."""
+        self._counts["requests"].add()
         quota = self.config.tenant_quota
         if quota is not None and self._tenant_backlog.get(tenant, 0) >= quota:
-            self._counters.rejected += 1
+            self._counts["rejected"].add()
             raise ServiceOverloadedError(
                 f"tenant {tenant!r} already holds {quota} in-flight requests "
                 f"(per-tenant quota)"
@@ -563,15 +549,19 @@ class FleetRouter:
         if self._backlog() >= self.config.max_pending:
             if not self._shed_oldest():
                 # Everything is already on the wire: reject the newcomer.
-                self._counters.rejected += 1
+                self._counts["rejected"].add()
                 raise ServiceOverloadedError(
                     f"fleet backlog is full ({self.config.max_pending} "
                     f"requests on the wire); retry later"
                 )
-        key, signature = self._routing_key(query, suspected_bias)
-        client = self._worker_for(key)
-        if not client.alive:
-            raise WorkerError(f"worker {client.index} is down")
+        try:
+            key, signature = self._routing_key(query, suspected_bias)
+            client = self._worker_for(key)
+            if not client.alive:
+                raise WorkerError(f"worker {client.index} is down")
+        except BaseException:  # selection, coverage or a dead worker
+            self._counts["failed"].add()
+            raise
         self._next_id += 1
         pending = _Pending(
             request_id=self._next_id,
@@ -681,14 +671,14 @@ class FleetRouter:
                     if kind == "answer":
                         if pending.signature is not None:
                             self._warm_signatures.add(pending.signature)
-                        self._counters.completed += 1
+                        self._counts["completed"].add()
                         self._latency_hist.observe(
                             (loop.time() - pending.enqueued_at) * 1000.0
                         )
                         if not pending.future.done():
                             pending.future.set_result(frame["answer"])
                     else:
-                        self._counters.failed += 1
+                        self._counts["failed"].add()
                         if not pending.future.done():
                             try:
                                 raise_wire_error(frame)
@@ -720,7 +710,7 @@ class FleetRouter:
         client.inflight.clear()
         for pending in stranded:
             self._finish(pending)
-            self._counters.failed += 1
+            self._counts["failed"].add()
             if not pending.future.done():
                 pending.future.set_exception(error)
         for waiter in client.waiters.values():
@@ -831,17 +821,16 @@ class FleetRouter:
     # Observability
     # ------------------------------------------------------------------
     def router_stats(self) -> dict:
-        """Router-side counters only (no worker round-trip)."""
+        """Router-side stats only (no worker round-trip): a view of
+        :attr:`metrics` plus the live queue and in-flight lengths."""
+        snapshot = self.metrics.snapshot()
+        latency = snapshot["histograms"]["fleet.latency_ms"]
         return {
-            "requests": self._counters.requests,
-            "completed": self._counters.completed,
-            "failed": self._counters.failed,
-            "shed": self._counters.shed,
-            "rejected": self._counters.rejected,
+            **{name: snapshot["counters"][f"fleet.{name}"] for name in _COUNTS},
             "queued": sum(len(c.queue) for c in self._workers),
             "inflight": sum(len(c.inflight) for c in self._workers),
-            "p50_latency_ms": self._latency_hist.percentile(50),
-            "p95_latency_ms": self._latency_hist.percentile(95),
+            "p50_latency_ms": latency["p50"],
+            "p95_latency_ms": latency["p95"],
         }
 
     async def stats(self) -> FleetStats:
@@ -859,18 +848,9 @@ class FleetRouter:
         return self._aggregate(per_worker)
 
     def _aggregate(self, per_worker: List[dict]) -> FleetStats:
-        router = self.router_stats()
         return FleetStats(
             workers=len(self._workers),
-            requests=router["requests"],
-            completed=router["completed"],
-            failed=router["failed"],
-            shed=router["shed"],
-            rejected=router["rejected"],
-            queued=router["queued"],
-            inflight=router["inflight"],
-            p50_latency_ms=router["p50_latency_ms"],
-            p95_latency_ms=router["p95_latency_ms"],
+            **self.router_stats(),
             joins_started=sum(
                 int(w.get("joins_started", 0)) for w in per_worker
             ),

@@ -146,9 +146,14 @@ class CompletionService:
             raise ServiceClosedError("service is not running; use 'async with'")
         query = self.core.prepare(query)
         if not self.core.admit(wait):
-            await self._slot_granted()
+            try:
+                await self._slot_granted()
+            except asyncio.CancelledError:  # the caller stopped waiting
+                self.core.count_failed()
+                raise
             if not self._running:  # closed while waiting for admission
                 self.core.gate.release()
+                self.core.count_failed()
                 raise ServiceClosedError("service closed while awaiting admission")
         loop = asyncio.get_running_loop()
         future = loop.create_future()

@@ -224,19 +224,22 @@ class TestStateDict:
             OracleMADE(source).forward(x).numpy(),
         )
 
-    def test_legacy_order_based_state_dict_still_loads(self):
+    def test_order_based_state_dict_is_refused_by_name(self):
+        # Weights are matched by name only: a dict keyed by position
+        # (param_0 ... param_N) names no parameter and loads nothing.
         source = make_model([3, 3], seed=11)
-        legacy = {
+        by_position = {
             f"param_{i}": np.array(p.data, copy=True)
             for i, (_name, p) in enumerate(source.named_parameters())
         }
         target = make_model([3, 3], seed=99)
-        target.load_state_dict(legacy)
-        x = np.zeros((2, 2), dtype=int)
-        np.testing.assert_array_equal(
-            OracleMADE(target).forward(x).numpy(),
-            OracleMADE(source).forward(x).numpy(),
-        )
+        before = target.state_dict()
+        with pytest.raises(
+            ValueError, match=r"missing \['embeddings.*unexpected \['param_0'"
+        ):
+            target.load_state_dict(by_position)
+        for name, value in target.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_mismatched_names_raise(self):
         model = make_model([3, 3], seed=11)

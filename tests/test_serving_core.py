@@ -182,6 +182,20 @@ class TestAdmissionGate:
         with pytest.raises(ConfigurationError):
             AdmissionGate(0)
 
+    def test_release_without_a_held_slot_raises(self):
+        # A second release must not vanish into a clamped count: it would
+        # let one request more into service than the capacity.
+        gate = AdmissionGate(1)
+        with pytest.raises(RuntimeError, match="no slot held"):
+            gate.release()
+        assert gate.in_service() == 0
+        assert gate.try_acquire()
+        gate.release()
+        with pytest.raises(RuntimeError, match="no slot held"):
+            gate.release()
+        assert gate.in_service() == 0
+        assert gate.try_acquire() and not gate.try_acquire()
+
 
 # ----------------------------------------------------------------------
 # Dispatcher
@@ -370,6 +384,26 @@ class TestDispatcher:
         assert [o.used_completion for o in outcomes.values()] == [False, False]
         stats = core.stats()
         assert (stats.batches, stats.completed, stats.failed) == (1, 2, 1)
+        assert core.gate.in_service() == 0
+
+    def test_fault_in_the_core_counts_every_request_failed(
+        self, engine, monkeypatch
+    ):
+        core, dispatcher = self._start(engine)
+        fault = RuntimeError("fault in serve_group")
+
+        def serve_group(model, requests, signature=None):
+            raise fault
+
+        monkeypatch.setattr(core, "serve_group", serve_group)
+        outcomes = []
+        dispatcher.put(*(_admitted(core, outcomes.append) for _ in range(3)))
+        with pytest.raises(RuntimeError, match="fault in serve_group"):
+            dispatcher.close()
+        assert outcomes == [fault] * 3
+        stats = core.stats()
+        assert (stats.requests, stats.completed, stats.failed) == (3, 0, 3)
+        assert stats.requests == stats.completed + stats.failed + stats.rejected
         assert core.gate.in_service() == 0
 
     def test_finished_group_wakes_the_collector_only_for_waiting_work(
@@ -585,6 +619,21 @@ class TestCoreStats:
             "queries", "flights", "coalesced_queries",
         }
 
+    def test_as_dict_keys_are_the_fields_in_order(self, core):
+        core.submit(COMPLETION_SQL)
+        stats = core.stats()
+        payload = stats.as_dict()
+        assert list(payload) == [
+            "requests", "completed", "failed", "rejected", "queued",
+            "batches", "mean_batch_size", "max_batch_size", "joins_started",
+            "coalesced_requests", "p50_latency_ms", "p95_latency_ms",
+            "p50_queue_wait_ms", "p95_queue_wait_ms", "queue_wait_samples",
+            "cache", "progressive", "partial_cache", "swaps",
+        ]
+        for name in ("cache", "progressive", "partial_cache"):
+            assert payload[name] == getattr(stats, name)
+            assert payload[name] is not getattr(stats, name)  # a copy
+
     def test_latency_percentiles_use_injected_clock(self, engine):
         engine.clear_cache()
         fake_now = [0.0]
@@ -655,3 +704,80 @@ class TestHotSwap:
         assert core.engine is engine_before
         assert core.stats().swaps == 0
         assert core.submit(COMPLETE_ONLY_SQL).result.values == before
+
+
+class TestStatsAreARegistryView:
+    """Every number ``stats()`` reports is read from ``core.metrics``."""
+
+    #: ServiceStats fields read from the counter of the same name
+    COUNTS = ("requests", "completed", "failed", "rejected", "batches",
+              "joins_started", "coalesced_requests", "swaps")
+    #: ServiceStats.progressive keys → the counter each reads
+    PROGRESSIVE = {
+        "queries": "progressive_queries", "flights": "progressive_flights",
+        "coalesced_queries": "progressive_coalesced",
+        "refinements_emitted": "refinements_emitted",
+    }
+
+    def test_mixed_workload_stats_equal_the_registry(
+        self, swap_artifacts, monkeypatch
+    ):
+        from repro.core.progressive import SamplingBudget
+
+        v1, v2 = swap_artifacts
+        core = ServingCore(ReStore.load(v1), ServiceConfig(max_queue=4))
+        real_route = core.route
+
+        def route(request):
+            if request.tenant == "doomed":
+                raise RuntimeError("no model for this request")
+            return real_route(request)
+
+        monkeypatch.setattr(core, "route", route)
+        dispatcher = Dispatcher(core)
+        outcomes = []
+        requests = []
+        for tenant in ("a", "b", "c", "doomed"):
+            assert core.admit(wait=False)
+            requests.append(_request(
+                core, COMPLETION_SQL, tenant=tenant, deliver=outcomes.append
+            ))
+        with pytest.raises(ServiceOverloadedError):
+            core.admit(wait=False)  # all four slots are held
+        dispatcher.put(*requests)  # one batch: one join, two coalesced
+        dispatcher.close()
+
+        query = core.prepare(COMPLETION_SQL)
+        budget = SamplingBudget(initial_chunks=1)
+        key = core.progressive_key(query, budget, None)
+        flight, created = core.open_progressive(key)
+        assert created and core.open_progressive(key) == (flight, False)
+        core.drive_progressive(key, flight, query, budget, None)
+
+        core.hot_swap(v2)
+        core.submit(COMPLETION_SQL)  # the swapped engine's cache counts
+
+        stats = core.stats()
+        snapshot = core.metrics.snapshot()
+        counters = snapshot["counters"]
+        for name in self.COUNTS:
+            assert getattr(stats, name) == counters[f"serving.{name}"], name
+        for field, name in self.PROGRESSIVE.items():
+            assert stats.progressive[field] == counters[f"serving.{name}"]
+        assert stats.cache == snapshot["collected"]["join_cache"]
+        assert stats.partial_cache == snapshot["collected"]["partial_cache"]
+        assert stats.cache == core.engine.cache_stats.as_dict()
+        latency = snapshot["histograms"]["serving.latency_ms"]
+        assert (stats.p50_latency_ms, stats.p95_latency_ms) == (
+            latency["p50"], latency["p95"]
+        )
+        # The workload reached every kind of count.
+        assert (stats.requests, stats.completed, stats.failed,
+                stats.rejected) == (6, 4, 1, 1)
+        assert stats.requests == stats.completed + stats.failed + stats.rejected
+        assert (stats.joins_started, stats.coalesced_requests) == (2, 2)
+        assert stats.progressive["flights"] == 1
+        assert stats.progressive["coalesced_queries"] == 1
+        assert stats.progressive["refinements_emitted"] >= 1
+        assert stats.swaps == 1
+        assert stats.cache["misses"] == 1

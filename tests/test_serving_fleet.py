@@ -243,7 +243,7 @@ class TestFleetAdmission:
         # Third request: backlog is at max_pending → oldest queued is shed.
         _, _ = _admit(router, "q-new", at=2.0)
         assert isinstance(oldest.future.exception, ServiceOverloadedError)
-        assert router._counters.shed == 1
+        assert router.router_stats()["shed"] == 1
         assert router._backlog() == 2
         assert oldest not in worker.queue
 
@@ -255,7 +255,7 @@ class TestFleetAdmission:
         worker.inflight[pending.request_id] = pending
         with pytest.raises(ServiceOverloadedError, match="backlog is full"):
             _admit(router, "q-late", at=1.0)
-        assert router._counters.rejected == 1
+        assert router.router_stats()["rejected"] == 1
         assert pending.future.exception is None  # in-flight never shed
 
     def test_tenant_quota_rejects_only_the_greedy_tenant(self):
@@ -266,7 +266,7 @@ class TestFleetAdmission:
             _admit(router, "q-a3", tenant="alice")
         # Bob is unaffected by Alice's quota exhaustion.
         _admit(router, "q-b1", tenant="bob")
-        assert router._counters.rejected == 1
+        assert router.router_stats()["rejected"] == 1
 
     def test_completion_releases_tenant_quota(self):
         router = _policy_router(tenant_quota=1, max_pending=100)
@@ -288,6 +288,127 @@ class TestFleetAdmission:
         assert isinstance(pending_b.future.exception, WorkerError)
         assert router._backlog() == 0
         assert router._tenant_backlog == {}
+
+
+def _outcomes_add_up(stats: dict) -> bool:
+    """Every counted request is answered, failed, shed, rejected or still
+    on its way."""
+    return stats["requests"] == sum(
+        stats[name]
+        for name in ("completed", "failed", "shed", "rejected", "queued",
+                     "inflight")
+    )
+
+
+class _SettledFuture(_FakeFuture):
+    def set_result(self, value):
+        self.result = value
+
+
+class TestFleetAccounting:
+    """The router counts in its registry; router_stats() is a view of it."""
+
+    def test_routing_error_counts_failed(self):
+        router = _policy_router()
+
+        def routing_key(query, bias):
+            raise QueryValidationError("no candidate model covers ta")
+
+        router._routing_key = routing_key
+        with pytest.raises(QueryValidationError, match="covers"):
+            _admit(router, "q-uncovered")
+        stats = router.router_stats()
+        assert (stats["requests"], stats["failed"]) == (1, 1)
+        assert _outcomes_add_up(stats)
+        assert router._backlog() == 0 and router._tenant_backlog == {}
+
+    def test_dead_worker_counts_failed(self):
+        router = _policy_router()
+        for client in router._workers:
+            client.alive = False
+        with pytest.raises(WorkerError, match="is down"):
+            _admit(router, "q-orphan")
+        stats = router.router_stats()
+        assert (stats["requests"], stats["failed"]) == (1, 1)
+        assert _outcomes_add_up(stats)
+
+    def test_router_stats_equal_the_registry(self):
+        router = _policy_router(n_workers=1, max_pending=2)
+        shed, worker = _admit(router, "q-shed", at=0.0)
+        real_key = router._routing_key
+
+        def routing_key(query, bias):
+            if query == "q-unroutable":
+                raise ValueError("no such table")
+            return real_key(query, bias)
+
+        router._routing_key = routing_key
+        with pytest.raises(ValueError):
+            _admit(router, "q-unroutable", at=0.5)
+        answered = router._admit(
+            "q-answered", None, "default", _SettledFuture(), 1.0
+        )[0]
+        stranded, _ = _admit(router, "q-stranded", at=2.0)  # sheds q-shed
+        for pending in (answered, stranded):  # both go on the wire
+            worker.queue.remove(pending)
+            worker.inflight[pending.request_id] = pending
+        with pytest.raises(ServiceOverloadedError, match="backlog is full"):
+            _admit(router, "q-rejected", at=3.0)
+        assert _outcomes_add_up(router.router_stats())
+
+        async def answer_one_then_disconnect():
+            worker.reader = asyncio.StreamReader()
+            worker.reader.feed_data(encode_frame(
+                "answer", id=answered.request_id, answer="the answer"
+            ))
+            worker.reader.feed_eof()
+            await router._reader(worker)
+
+        asyncio.run(answer_one_then_disconnect())
+        assert answered.future.result == "the answer"
+        assert isinstance(stranded.future.exception, WorkerError)
+        assert isinstance(shed.future.exception, ServiceOverloadedError)
+
+        stats = router.router_stats()
+        snapshot = router.metrics.snapshot()
+        for name in ("requests", "completed", "failed", "shed", "rejected"):
+            assert stats[name] == snapshot["counters"][f"fleet.{name}"], name
+        latency = snapshot["histograms"]["fleet.latency_ms"]
+        assert (stats["p50_latency_ms"], stats["p95_latency_ms"]) == (
+            latency["p50"], latency["p95"]
+        )
+        assert {name: stats[name] for name in (
+            "requests", "completed", "failed", "shed", "rejected", "queued",
+            "inflight",
+        )} == {"requests": 5, "completed": 1, "failed": 2, "shed": 1,
+               "rejected": 1, "queued": 0, "inflight": 0}
+        assert _outcomes_add_up(stats)
+
+    def test_fleet_stats_spread_router_stats_and_keep_their_keys(self):
+        router = _policy_router()
+        _admit(router, "q-queued")
+        worker_stats = {"p50_latency_ms": 1.5, "p95_latency_ms": 2.5,
+                        "joins_started": 1, "coalesced_requests": 3}
+        fleet = router._aggregate([worker_stats, {}])
+        router_view = router.router_stats()
+        assert {name: getattr(fleet, name) for name in router_view} == (
+            router_view
+        )
+        payload = fleet.as_dict()
+        assert list(payload) == [
+            "workers", "requests", "completed", "failed", "shed",
+            "rejected", "queued", "inflight", "p50_latency_ms",
+            "p95_latency_ms", "joins_started", "coalesced_requests",
+            "worker_p50_latency_ms", "worker_p95_latency_ms", "per_worker",
+        ]
+        assert (payload["workers"], payload["queued"]) == (2, 1)
+        assert (payload["joins_started"], payload["coalesced_requests"]) == (
+            1, 3
+        )
+        assert payload["worker_p50_latency_ms"] == [1.5, 0.0]
+        assert payload["worker_p95_latency_ms"] == [2.5, 0.0]
+        assert payload["per_worker"] == [worker_stats, {}]
+        assert payload["per_worker"][0] is not worker_stats  # a copy
 
 
 class TestFleetConfigValidation:

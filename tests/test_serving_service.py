@@ -351,6 +351,70 @@ class TestLifecycle:
         assert isinstance(refused, ServiceClosedError)
         assert service.core.gate.in_service() == 0
 
+    def test_request_refused_at_close_is_counted_failed(
+        self, fresh_engine, monkeypatch
+    ):
+        """The refused request was counted when it asked for a slot, so
+        its refusal is counted too: every request ends in one outcome."""
+        real_answer = fresh_engine.answer
+        started = threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            started.set()
+            time.sleep(0.3)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_engine, "answer", slow_answer)
+
+        async def main():
+            config = ServiceConfig(max_queue=1, n_workers=1)
+            service = await CompletionService(fresh_engine, config).start()
+            admitted = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+            waiting = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+            assert await asyncio.to_thread(started.wait, 30)
+            await service.close()
+            await asyncio.gather(admitted, waiting, return_exceptions=True)
+            return service.stats()
+
+        stats = run(main())
+        assert (stats.requests, stats.completed, stats.failed) == (2, 1, 1)
+        assert stats.requests == stats.completed + stats.failed + stats.rejected
+
+    def test_request_cancelled_while_awaiting_admission_is_counted_failed(
+        self, fresh_engine, monkeypatch
+    ):
+        """A caller that stops waiting for a slot (a timeout under
+        overload) still leaves one outcome, and the slot it would have
+        inherited is released once."""
+        real_answer = fresh_engine.answer
+        started = threading.Event()
+
+        def slow_answer(*args, **kwargs):
+            started.set()
+            time.sleep(0.3)
+            return real_answer(*args, **kwargs)
+
+        monkeypatch.setattr(fresh_engine, "answer", slow_answer)
+
+        async def main():
+            config = ServiceConfig(max_queue=1, n_workers=1)
+            async with CompletionService(fresh_engine, config) as service:
+                admitted = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+                waiting = asyncio.ensure_future(service.submit(COMPLETE_ONLY_SQL))
+                assert await asyncio.to_thread(started.wait, 30)
+                waiting.cancel()
+                outcomes = await asyncio.gather(
+                    admitted, waiting, return_exceptions=True
+                )
+            return outcomes, service
+
+        (answer, cancelled), service = run(main())
+        assert type(answer).__name__ == "Answer"
+        assert isinstance(cancelled, asyncio.CancelledError)
+        stats = service.stats()
+        assert (stats.requests, stats.completed, stats.failed) == (2, 1, 1)
+        assert service.core.gate.in_service() == 0
+
     def test_close_does_not_block_the_event_loop(
         self, fresh_engine, monkeypatch
     ):
